@@ -3,8 +3,8 @@
 
 Mounts the URL-query application (DB2WWW via CGI), the library catalog,
 all four Section 6 baseline gateways and a static home page on one
-threaded HTTP server, then drives it once with the bundled browser to
-prove it is up.
+HTTP server, then drives it once with the bundled browser to prove it
+is up.
 
 Run:  python examples/live_server.py [--serve]
 

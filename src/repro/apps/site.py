@@ -37,8 +37,8 @@ class Site:
 
     def serve(self, *, host: str = "127.0.0.1", port: int = 0):
         """Start a real socket server for this site (caller shuts down)."""
-        from repro.http.server import HttpServer
-        return HttpServer(self.router, host=host, port=port).start()
+        from repro.http.async_server import AsyncHttpServer
+        return AsyncHttpServer(self.router, host=host, port=port).start()
 
 
 def build_site(engine: MacroEngine, library: MacroLibrary, *,

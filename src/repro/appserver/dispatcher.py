@@ -14,7 +14,11 @@ Worker lifecycle:
 * **spawn** — workers are pre-forked at construction; each connects
   back over the Unix socket and announces itself with a ``HELLO``.
 * **recycle** — after ``recycle_after`` requests a worker is drained
-  and replaced, the classic leak hygiene of pre-fork servers.
+  and replaced, the classic leak hygiene of pre-fork servers.  The
+  replacement runs on its own thread after the response has been
+  handed back, one worker at a time; the first incarnation of slot
+  ``i`` lives ``i/pool_size`` of a period less, so round-robin traffic
+  does not bring every worker to the threshold together.
 * **crash** — a worker dying mid-request is detected by the broken
   frame stream, replaced immediately, and the request is retried once
   on a fresh worker when it is safe to replay (GET/HEAD); other
@@ -56,14 +60,15 @@ _REPLAYABLE = frozenset({"GET", "HEAD"})
 class _Worker:
     """One live worker process and its dispatcher-side connection."""
 
-    __slots__ = ("slot", "proc", "conn", "served")
+    __slots__ = ("slot", "proc", "conn", "served", "lifetime")
 
     def __init__(self, slot: int, proc: subprocess.Popen,
-                 conn: socket.socket):
+                 conn: socket.socket, lifetime: int):
         self.slot = slot
         self.proc = proc
         self.conn = conn
         self.served = 0  # requests served by this incarnation
+        self.lifetime = lifetime  # ... and how many it may serve
 
 
 class AppServerDispatcher:
@@ -119,6 +124,8 @@ class AppServerDispatcher:
         #: replacements cannot cross-pair connections
         self._spawn_lock = threading.Lock()
         self._closed = False
+        #: the thread running a planned replacement, if one is in flight
+        self._recycler: Optional[threading.Thread] = None
         self._live: dict[int, _Worker] = {}
         self._slot_requests = {i: 0 for i in range(workers)}
         self._slot_recycles = {i: 0 for i in range(workers)}
@@ -127,7 +134,9 @@ class AppServerDispatcher:
         self._busy_timeouts = 0
         try:
             for slot in range(workers):
-                self._idle.put(self._spawn(slot))
+                # Stagger the first planned recycles across one period.
+                self._idle.put(self._spawn(
+                    slot, recycle_after - slot * recycle_after // workers))
         except BaseException:
             self.shutdown()
             raise
@@ -219,6 +228,12 @@ class AppServerDispatcher:
             if self._closed:
                 return
             self._closed = True
+            recycler = self._recycler
+        if recycler is not None:
+            # A planned replacement in flight settles first (it skips
+            # or completes its respawn), so the count below is exact.
+            recycler.join()
+        with self._lock:
             remaining = len(self._live)
         # Idle workers (and busy ones as they come back) get a graceful
         # SHUTDOWN; anything that does not return in time is reaped.
@@ -254,11 +269,11 @@ class AppServerDispatcher:
 
     # -- internals ---------------------------------------------------------
 
-    def _spawn(self, slot: int) -> _Worker:
+    def _spawn(self, slot: int, lifetime: int) -> _Worker:
         with self._spawn_lock:
-            return self._spawn_locked(slot)
+            return self._spawn_locked(slot, lifetime)
 
-    def _spawn_locked(self, slot: int) -> _Worker:
+    def _spawn_locked(self, slot: int, lifetime: int) -> _Worker:
         env = dict(os.environ)
         env.update(self.worker_env)
         env["REPRO_APPSERVER_SOCKET"] = self.socket_path
@@ -300,7 +315,7 @@ class AppServerDispatcher:
             raise CgiProtocolError(
                 f"app-server worker announced slot "
                 f"{hello.get('worker_id')!r}, expected {slot}")
-        worker = _Worker(slot, proc, conn)
+        worker = _Worker(slot, proc, conn, lifetime)
         with self._lock:
             self._live[slot] = worker
         return worker
@@ -334,9 +349,17 @@ class AppServerDispatcher:
         worker.served += 1
         with self._lock:
             self._slot_requests[worker.slot] += 1
-        if worker.served >= self.recycle_after and not self._closed:
-            self._recycle(worker)
-        else:
+            # At most one planned replacement at a time: a worker that
+            # comes due while another is being replaced keeps serving
+            # and is recycled at a later check-in.
+            recycle = (worker.served >= worker.lifetime
+                       and not self._closed and self._recycler is None)
+            if recycle:
+                self._recycler = threading.Thread(
+                    target=self._recycle, args=(worker,),
+                    name=f"repro-recycle-{worker.slot}", daemon=True)
+                self._recycler.start()
+        if not recycle:
             self._idle.put(worker)
 
     def _dispatch_on(self, worker: _Worker,
@@ -361,12 +384,17 @@ class AppServerDispatcher:
             return response
 
     def _recycle(self, worker: _Worker) -> None:
-        """Planned replacement after ``recycle_after`` requests."""
+        """Planned replacement after ``recycle_after`` requests; runs
+        on its own thread, off the request path."""
         slot = worker.slot
-        self._retire(worker, graceful=True)
-        with self._lock:
-            self._slot_recycles[slot] += 1
-        self._respawn(slot)
+        try:
+            self._retire(worker, graceful=True)
+            with self._lock:
+                self._slot_recycles[slot] += 1
+            self._respawn(slot)
+        finally:
+            with self._lock:
+                self._recycler = None
 
     def _replace_crashed(self, worker: _Worker) -> None:
         slot = worker.slot
@@ -380,7 +408,7 @@ class AppServerDispatcher:
         if self._closed:
             return
         try:
-            self._idle.put(self._spawn(slot))
+            self._idle.put(self._spawn(slot, self.recycle_after))
         except CgiProtocolError:
             # The replacement itself failed to come up; the pool runs
             # one short.  The next health_check (or crash replacement)

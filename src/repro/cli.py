@@ -110,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8000)
     serve.add_argument("--gateway", default="inprocess",
-                       choices=["inprocess", "subprocess", "appserver"],
+                       choices=["inprocess", "appserver"],
                        help="execution model behind /cgi-bin/db2www: "
-                            "in-process engine, process-per-request "
-                            "CGI, or the persistent app-server pool "
-                            "(see docs/deployment.md, Gateway modes)")
+                            "in-process engine or the persistent "
+                            "app-server pool (see docs/deployment.md, "
+                            "Gateway modes)")
     serve.add_argument("--workers", type=int, default=4, metavar="N",
                        help="app-server worker processes "
                             "(--gateway appserver only)")
@@ -124,29 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests")
     serve.add_argument("--stream", action="store_true",
                        help="stream report pages off the live SQL "
-                            "cursor (close-delimited on HTTP/1.0; the "
-                            "async edge sends chunked to HTTP/1.1 "
-                            "clients; --gateway inprocess only)")
-    serve.add_argument("--edge", default="threaded",
-                       choices=["threaded", "async"],
-                       help="HTTP front end: thread-per-connection or "
-                            "the asyncio event-loop edge (keep-alive "
-                            "pipelining, chunked streaming, bounded "
-                            "connection budget)")
+                            "cursor (chunked to HTTP/1.1 clients, "
+                            "close-delimited on HTTP/1.0; --gateway "
+                            "inprocess only)")
     serve.add_argument("--acceptors", type=int, default=1, metavar="N",
-                       help="async-edge acceptor processes sharing the "
-                            "port via SO_REUSEPORT (N>1 spawns N serve "
-                            "processes; --edge async only)")
+                       help="acceptor processes sharing the port via "
+                            "SO_REUSEPORT (N>1 spawns N serve "
+                            "processes)")
     serve.add_argument("--reuse-port", action="store_true",
                        dest="reuse_port",
                        help="set SO_REUSEPORT on the listener so other "
                             "acceptor processes can share the port")
-    serve.add_argument("--max-connections", type=int, default=None,
+    serve.add_argument("--max-connections", type=int, default=1024,
                        metavar="N", dest="max_connections",
                        help="concurrent-connection budget; connections "
-                            "past it get an immediate 503 (default: "
-                            "1024 on the async edge, unbounded on the "
-                            "threaded edge)")
+                            "past it get an immediate 503 (default "
+                            "1024)")
     serve.add_argument("--overload", action="store_true",
                        dest="overload",
                        help="enable adaptive admission control: a "
@@ -617,7 +610,12 @@ def _slow_query_path(args) -> Path:
 
 
 def _worker_env(args) -> dict[str, str]:
-    """Application configuration for out-of-process gateways."""
+    """Application configuration for app-server workers.
+
+    No file sinks are forwarded: worker spans are grafted into the
+    dispatcher's trace and logged by the serving process — worker-side
+    sinks would record every slow query twice.
+    """
     env = {"REPRO_MACRO_DIR": str(args.macros.resolve())}
     for name, path in _parse_bindings(args.database, "--database"):
         env[f"REPRO_DATABASE_{name.upper()}"] = str(Path(path).resolve())
@@ -630,22 +628,6 @@ def _worker_env(args) -> dict[str, str]:
         # Workers join the server's traces: the tracer must be on so
         # their spans exist to ship home in the response frames.
         env["REPRO_TRACE"] = "1"
-    if getattr(args, "gateway", "") == "subprocess":
-        # Subprocess CGI runs deliver their own root spans, so the
-        # file sinks must live *in* the subprocess.  (App-server
-        # worker spans are grafted into the dispatcher's trace and
-        # logged by the serving process — no worker-side sinks, or
-        # every slow query would be recorded twice.)
-        if getattr(args, "trace_log", None) is not None:
-            env["REPRO_TRACE_LOG"] = str(args.trace_log.resolve())
-        if getattr(args, "slow_query_ms", None) is not None:
-            env["REPRO_SLOW_QUERY_MS"] = str(args.slow_query_ms)
-            env["REPRO_SLOW_QUERY_LOG"] = str(
-                _slow_query_path(args).resolve())
-        if getattr(args, "trace_sample", None):
-            # Subprocess runs own their file sinks, so they tail-sample
-            # them the same way the serving process does.
-            env["REPRO_TRACE_SAMPLE"] = args.trace_sample
     return env
 
 
@@ -679,7 +661,7 @@ def _cmd_pool_daemon(args, out) -> int:  # pragma: no cover - interactive
 
 
 def _cmd_multi_acceptor(args, out) -> int:  # pragma: no cover - interactive
-    """``repro serve --edge async --acceptors N`` — N serve processes
+    """``repro serve --acceptors N`` — N serve processes
     sharing one port via ``SO_REUSEPORT``; the kernel load-balances
     accepted connections across their event loops."""
     import signal
@@ -783,8 +765,8 @@ def _load_tenant_config(path: Path, *, query_cache=None):
 
 
 def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
+    from repro.http.async_server import AsyncHttpServer
     from repro.http.router import Router
-    from repro.http.server import HttpServer
     from repro.obs import (
         REGISTRY, TRACER, FanoutSink, MetricsBridge, SloTracker,
         SlowQueryLog, TailSampler, TraceLog, parse_sample_spec)
@@ -798,9 +780,6 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             "cross the dispatch socket as complete frames)")
     if args.connect and args.gateway != "appserver":
         raise SystemExit("--connect requires --gateway appserver")
-    if args.acceptors > 1 and args.edge != "async":
-        raise SystemExit("--acceptors requires --edge async "
-                         "(SO_REUSEPORT load balancing)")
     if args.acceptors > 1:
         return _cmd_multi_acceptor(args, out)
     metrics = REGISTRY
@@ -882,11 +861,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
     else:
         from repro.cgi.gateway import CgiGateway
         gateway = CgiGateway()
-        if args.gateway == "subprocess":
-            from repro.cgi.process import SubprocessCgiRunner
-            gateway.install("db2www",
-                            SubprocessCgiRunner(extra_env=_worker_env(args)))
-        elif args.connect:
+        if args.connect:
             from repro.appserver import TcpPoolDispatcher
             dispatcher = TcpPoolDispatcher(args.connect,
                                            channels=args.workers)
@@ -910,9 +885,8 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             shared_cache = QueryResultCache(max_entries=args.query_cache)
         tenant_registry = _load_tenant_config(args.tenant_config,
                                               query_cache=shared_cache)
-        # Tenant dispatch is in-process on both edges regardless of
-        # --gateway: each tenant runs its own engine over its scoped
-        # registry view.
+        # Tenant dispatch is in-process regardless of --gateway: each
+        # tenant runs its own engine over its scoped registry view.
         router.tenants = TenantHost(tenant_registry)
         labeled_sources.append(
             ("tenant", "tenant", tenant_registry.labeled_stats))
@@ -961,21 +935,12 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         from repro.http.accesslog import AccessLog
         log = AccessLog(args.access_log, metrics=metrics)
         router.access_log = log
-    if args.edge == "async":
-        from repro.http.async_server import AsyncHttpServer
-        server = AsyncHttpServer(
-            router, host=args.host, port=args.port,
-            backlog=args.backlog,
-            reuse_port=args.reuse_port,
-            max_connections=args.max_connections
-            if args.max_connections is not None else 1024,
-            request_deadline=args.request_deadline,
-            metrics=metrics).start()
-    else:
-        server = HttpServer(router, host=args.host, port=args.port,
-                            backlog=args.backlog,
-                            max_connections=args.max_connections,
-                            request_deadline=args.request_deadline).start()
+    server = AsyncHttpServer(
+        router, host=args.host, port=args.port, backlog=args.backlog,
+        reuse_port=args.reuse_port,
+        max_connections=args.max_connections,
+        request_deadline=args.request_deadline,
+        metrics=metrics).start()
     # Flush each banner line: supervisors (and the smoke test) read the
     # bound address from a pipe, which Python would otherwise buffer.
     print(f"serving macros from {args.macros} on {server.base_url} "
@@ -985,7 +950,6 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
           + (", overload control" if args.overload else "")
           + (f", {len(tenant_registry.names())} tenants"
              if tenant_registry is not None else "")
-          + (f", {args.edge} edge" if args.edge != "threaded" else "")
           + (", tracing off" if args.no_trace else "") + ")",
           file=out, flush=True)
     print(f"metrics: {server.base_url}/metrics   "

@@ -361,6 +361,13 @@ class BadRequestError(HttpError):
     status = 400
 
 
+class TransferEncodingError(HttpError):
+    """A request framed its body with ``Transfer-Encoding``, which the
+    edge does not decode."""
+
+    status = 501
+
+
 class NotFoundError(HttpError):
     status = 404
 

@@ -2,18 +2,19 @@
 in-process transport.  See Figure 1 of the paper and DESIGN.md."""
 
 from repro.http.accesslog import AccessLog, LogEntry, parse_line
+from repro.http.async_server import AsyncHttpServer
 from repro.http.client import HttpClient
 from repro.http.headers import Headers
 from repro.http.inprocess import InProcessTransport, Transport
 from repro.http.message import HttpRequest, HttpResponse, html_response
 from repro.http.persistent import PersistentHttpClient
 from repro.http.router import CGI_PREFIX, Router
-from repro.http.server import HttpServer
 from repro.http.status import reason_for
 from repro.http.urls import Url, join, normalize_path
 
 __all__ = [
     "AccessLog",
+    "AsyncHttpServer",
     "CGI_PREFIX",
     "LogEntry",
     "parse_line",
@@ -21,7 +22,6 @@ __all__ = [
     "HttpClient",
     "HttpRequest",
     "HttpResponse",
-    "HttpServer",
     "InProcessTransport",
     "PersistentHttpClient",
     "Router",

@@ -1,20 +1,24 @@
-"""The asyncio HTTP edge: keep-alive, pipelining, chunked streaming.
+"""The HTTP edge (the "Web server" of Figure 1): one asyncio event loop.
 
-The threaded server (:mod:`repro.http.server`) is the paper's 1996
-front end: a thread per connection, close-delimited streams.  This is
-the same edge rebuilt for the ROADMAP's "millions of users" frontier —
-one event loop multiplexing every connection, so concurrency costs a
-coroutine instead of a thread:
+Every connection is a coroutine on one event loop running in a
+background thread, so concurrency costs a coroutine instead of a
+thread:
 
-* **Keep-alive and pipelining.**  Requests are read off a
+* **Keep-alive and pipelining.**  HTTP/1.1 connections persist unless
+  the client says ``Connection: close``; HTTP/1.0 clients opt in with
+  ``Connection: Keep-Alive``, Netscape-style.  Requests are read off a
   per-connection byte buffer; bytes beyond the current request (a
   pipelined client sends several at once) carry over to the next parse
   instead of being dropped, and responses go back in request order.
-* **Chunked streaming.**  Streamed reports no longer cost the
+* **Strict request framing.**  A body is exactly ``Content-Length``
+  bytes: ambiguous lengths, oversized heads or bodies and bodies that
+  end early answer 400 and close, a ``Transfer-Encoding`` request 501 —
+  none of them reaches the router.
+* **Chunked streaming.**  A streamed report does not cost the
   connection: an HTTP/1.1 client gets ``Transfer-Encoding: chunked``
   (each engine chunk framed as it is produced) and the connection
-  survives for the next request.  HTTP/1.0 clients still get the
-  close-delimited stream the threaded edge sends.
+  survives for the next request.  HTTP/1.0 clients get a
+  close-delimited stream.
 * **Write backpressure.**  Every write awaits ``drain()``; a slow
   reader suspends only its own coroutine, and the engine-side producer
   blocks on a bounded queue — a client that stops reading stops the
@@ -26,13 +30,14 @@ coroutine instead of a thread:
   processes bind the same port via ``SO_REUSEPORT`` and the kernel
   load-balances accepts across them (``repro serve --acceptors N``).
 
-Routing is the same :class:`~repro.http.router.Router` the threaded
-edge uses, called in-loop for cheap static pages and pushed to a small
-thread pool for ``/cgi-bin/`` work (the router is synchronous and a
-macro request blocks on the worker pool).  Streaming generators are
-driven inside **one** executor thread per response — the engine's
-sqlite handles have thread affinity — with chunks handed to the event
-loop over a bounded queue.
+Routing is the synchronous :class:`~repro.http.router.Router`.  A
+request that can block — anything bound for the CGI gateway or a
+tenant engine, and anything at all once admission control may queue
+it — runs on a small thread pool; the rest (in-memory pages, scrape
+endpoints) is answered in-loop.  Streaming generators are driven inside
+**one** executor thread per response — the engine's sqlite handles
+have thread affinity — with chunks handed to the event loop over a
+bounded queue.
 
 Edge health is exported through the obs registry (``edge_*`` gauges
 and counters) and therefore shows up on ``/statusz`` and ``/metrics``.
@@ -47,7 +52,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Optional
 
-from repro.errors import BadRequestError
+from repro.errors import BadRequestError, HttpError
 from repro.http.headers import Headers
 from repro.http.message import (
     HttpRequest,
@@ -55,7 +60,9 @@ from repro.http.message import (
     content_length_of,
     html_response,
 )
-from repro.http.router import CGI_PREFIX, Router
+from repro.http.router import CGI_PREFIX, TENANT_PREFIX, Router
+from repro.http.status import reason_for
+from repro.http.urls import normalize_path
 from repro.obs.trace import new_trace_id
 from repro.overload.retryafter import retry_after_header
 from repro.resilience.deadline import Deadline
@@ -67,6 +74,8 @@ _READ_CHUNK = 65536
 _HIGH_WATER = 64 * 1024
 #: engine chunks in flight between producer thread and event loop
 _STREAM_BUFFER = 8
+#: threads serving requests that block (gateway, tenants, admission)
+_EXECUTOR_THREADS = 8
 
 _DONE = object()   # stream pump: generator exhausted cleanly
 _FAIL = object()   # stream pump: generator raised mid-stream
@@ -88,10 +97,10 @@ _NULL = _NullMetric()
 class AsyncHttpServer:
     """Serve a router from an asyncio event loop in a background thread.
 
-    API-compatible with :class:`repro.http.server.HttpServer` — same
-    constructor shape, ``start``/``shutdown``, context manager,
-    ``base_url`` — so tests, benchmarks and the CLI swap edges with one
-    flag.
+    Usable as a context manager::
+
+        with AsyncHttpServer(router) as server:
+            url = f"{server.base_url}/"
     """
 
     def __init__(self, router: Router, *, host: str = "127.0.0.1",
@@ -101,13 +110,8 @@ class AsyncHttpServer:
                  max_connections: int = 1024,
                  backlog: int = 512,
                  reuse_port: bool = False,
-                 offload: str = "auto",
-                 executor_threads: int = 8,
                  request_deadline: float | None = None,
                  metrics=None):
-        if offload not in ("auto", "always", "never"):
-            raise ValueError(f"offload must be auto/always/never, "
-                             f"not {offload!r}")
         self.router = router
         self.timeout = timeout
         #: per-request wall-clock budget (seconds), minted when the
@@ -121,11 +125,6 @@ class AsyncHttpServer:
         self.keep_alive_max = keep_alive_max
         self.max_connections = max_connections
         self.backlog = backlog
-        #: "auto" pushes ``/cgi-bin/`` requests (which block on the
-        #: worker pool) to the executor and serves static pages in-loop;
-        #: "always"/"never" force one side (benchmarks use both).
-        self.offload = offload
-        self.executor_threads = executor_threads
         self.metrics = metrics
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -199,7 +198,7 @@ class AsyncHttpServer:
     async def _main(self) -> None:
         self._stop = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.executor_threads,
+            max_workers=_EXECUTOR_THREADS,
             thread_name_prefix="repro-edge")
         server = await asyncio.start_server(self._serve_connection,
                                             sock=self._listener)
@@ -260,11 +259,11 @@ class AsyncHttpServer:
         while served < self.keep_alive_max:
             try:
                 raw, buffer = await self._read_request(reader, buffer)
-            except BadRequestError as exc:
-                # Ambiguous framing poisons everything pipelined behind
-                # it: answer 400 and drop the connection.
+            except HttpError as exc:
+                # Framing the edge cannot trust poisons everything
+                # pipelined behind it: refuse and drop the connection.
                 await self._write_response(
-                    writer, _bad_request(exc, self._mint_trace_id()),
+                    writer, self._refusal(exc.status, str(exc)),
                     keep_alive=False)
                 return
             if raw is None:
@@ -284,14 +283,14 @@ class AsyncHttpServer:
                                            remote_addr=remote_addr,
                                            trace_id=trace_id,
                                            deadline=deadline)
-                if self._offloads(request):
+                if self._blocks(request):
                     response = await loop.run_in_executor(
                         self._executor,
                         self._guarded(handle, deadline))
                 else:
                     response = handle()
             except BadRequestError as exc:
-                response = _bad_request(exc, self._mint_trace_id())
+                response = self._refusal(exc.status, str(exc))
                 keep_alive = False
             served += 1
             if served >= self.keep_alive_max:
@@ -303,8 +302,8 @@ class AsyncHttpServer:
                 response.version = "HTTP/1.1"
             if response.streaming:
                 if http11:
-                    # Chunked framing: the stream no longer costs the
-                    # connection (the threaded edge must close here).
+                    # Chunked framing: the stream does not cost the
+                    # connection.
                     self._m_chunked.inc()
                     ok = await self._send_chunked(writer, response,
                                                   keep_alive)
@@ -318,12 +317,19 @@ class AsyncHttpServer:
             if not keep_alive:
                 return
 
-    def _offloads(self, request: HttpRequest) -> bool:
-        if self.offload == "never":
-            return False
-        if self.offload == "always":
+    def _blocks(self, request: HttpRequest) -> bool:
+        """Whether answering ``request`` can block its thread.
+
+        The gateway and tenant engines run macros and SQL, and an
+        admission controller may park any request in its queue; those
+        go to the executor so one slow query stalls one thread, not
+        every connection on the loop.  The path is normalised first —
+        the router routes on the normalised form.
+        """
+        if self.router.overload is not None:
             return True
-        return request.path.startswith(CGI_PREFIX)
+        return normalize_path(request.path).startswith(
+            (CGI_PREFIX, TENANT_PREFIX))
 
     def _guarded(self, handle, deadline):
         """Wrap a router call with a deadline check run *in the
@@ -341,7 +347,8 @@ class AsyncHttpServer:
         def run() -> HttpResponse:
             if deadline.expired:
                 self._m_deadline_expired.inc()
-                return _gateway_timeout(self._mint_trace_id())
+                return self._refusal(504, "request deadline expired "
+                                          "before processing began")
             return handle()
 
         return run
@@ -354,10 +361,12 @@ class AsyncHttpServer:
 
         ``buffer`` holds bytes already read past the previous request;
         returns ``(request_bytes, remaining_buffer)`` with ``None`` on
-        clean EOF or timeout.  Framing violations (oversized head,
-        ambiguous Content-Length, oversized declared body) raise
-        :class:`BadRequestError` — unlike EOF there is a peer there to
-        tell.
+        EOF or timeout before a request began.  Framing violations
+        (oversized head, ambiguous Content-Length, oversized or
+        truncated body) raise :class:`BadRequestError` and a
+        ``Transfer-Encoding`` request raises its 501 — the caller
+        refuses and closes; a half-read request never reaches the
+        router.
         """
         data = buffer
         separator = b"\r\n\r\n"
@@ -394,7 +403,9 @@ class AsyncHttpServer:
             except asyncio.TimeoutError:
                 return None, b""
             if not chunk:
-                break
+                raise BadRequestError(
+                    f"request body ended after {len(rest)} of "
+                    f"{content_length} declared bytes")
             rest += chunk
         body, remaining = rest[:content_length], rest[content_length:]
         return head + separator + body, remaining
@@ -423,24 +434,26 @@ class AsyncHttpServer:
                              "Keep-Alive" if keep_alive else "close")
         await self._write(writer, response.serialize())
 
-    def _mint_trace_id(self) -> str:
-        """A correlation id for responses built before routing (the
-        400/503/504 paths open no span but still answer with an
-        ``X-Trace-Id`` the client can quote)."""
-        return new_trace_id() if self.router.tracer.enabled else ""
+    def _refusal(self, status: int, detail: str) -> HttpResponse:
+        """An error page for a request refused before routing.
+
+        These paths open no span, but when tracing is on the response
+        still carries an ``X-Trace-Id`` the client can quote.
+        """
+        response = html_response(
+            f"<H1>{status} {reason_for(status)}</H1><P>{detail}</P>",
+            status=status)
+        if self.router.tracer.enabled:
+            response.headers.set("X-Trace-Id", new_trace_id())
+        return response
 
     async def _shed(self, writer: asyncio.StreamWriter) -> None:
-        response = html_response(
-            "<H1>503 Service Unavailable</H1>"
-            "<P>connection budget exhausted; retry shortly</P>",
-            status=503)
-        controller = getattr(self.router, "overload", None)
+        response = self._refusal(
+            503, "connection budget exhausted; retry shortly")
+        controller = self.router.overload
         hint = controller.retry_after_hint() \
             if controller is not None else None
         response.headers.set("Retry-After", retry_after_header(hint))
-        trace_id = self._mint_trace_id()
-        if trace_id:
-            response.headers.set("X-Trace-Id", trace_id)
         try:
             await self._write_response(writer, response, keep_alive=False)
         except (ConnectionError, OSError):
@@ -450,8 +463,7 @@ class AsyncHttpServer:
 
     async def _send_close_delimited(self, writer: asyncio.StreamWriter,
                                     response: HttpResponse) -> None:
-        """HTTP/1.0 streaming: the close is the framing (threaded-edge
-        parity, byte for byte)."""
+        """HTTP/1.0 streaming: the close is the framing."""
         await self._write(writer, response.serialize_head())
         if response.body:
             await self._write(writer, response.body)
@@ -588,25 +600,6 @@ def _keeps_alive(request: HttpRequest, http11: bool) -> bool:
 
 def _chunk(data: bytes) -> bytes:
     return b"%x\r\n%s\r\n" % (len(data), data)
-
-
-def _bad_request(exc: BadRequestError,
-                 trace_id: str = "") -> HttpResponse:
-    response = html_response(f"<H1>400 Bad Request</H1><P>{exc}</P>",
-                             status=400)
-    if trace_id:
-        response.headers.set("X-Trace-Id", trace_id)
-    return response
-
-
-def _gateway_timeout(trace_id: str = "") -> HttpResponse:
-    response = html_response(
-        "<H1>504 Gateway Timeout</H1>"
-        "<P>request deadline expired before processing began</P>",
-        status=504)
-    if trace_id:
-        response.headers.set("X-Trace-Id", trace_id)
-    return response
 
 
 async def _close_writer(writer: asyncio.StreamWriter) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.errors import BadRequestError
+from repro.errors import BadRequestError, TransferEncodingError
 from repro.http.headers import Headers
 from repro.http.status import reason_for
 
@@ -160,15 +160,24 @@ def content_length_of(head: bytes) -> int:
     :class:`BadRequestError` (a 400 at the edge) instead of a silent
     guess: a repeated ``Content-Length`` header, a comma-joined value
     list (even when the copies agree), or a value that is not a plain
-    non-negative decimal integer.  Absent means ``0``.  Both the
-    threaded and the async edge call this, so they agree by
-    construction.
+    non-negative decimal integer.  Absent means ``0``.  A
+    ``Transfer-Encoding`` header declares no length at all and raises
+    :class:`TransferEncodingError` (501): treating such a request as
+    bodiless would run it with an empty body and parse its chunk
+    stream as the next pipelined request.
     """
     values = []
     for line in head.split(b"\n")[1:]:  # [0] is the request line
         name, sep, value = line.decode("latin-1", "replace").partition(":")
-        if sep and name.strip().lower() == "content-length":
+        if not sep:
+            continue
+        name = name.strip().lower()
+        if name == "content-length":
             values.append(value.strip())
+        elif name == "transfer-encoding":
+            raise TransferEncodingError(
+                "Transfer-Encoding request bodies are not supported; "
+                "send Content-Length")
     if not values:
         return 0
     if len(values) > 1:

@@ -9,7 +9,7 @@ measures.
 
 With ``http11=True`` requests go out as HTTP/1.1 (persistent by
 default) and ``Transfer-Encoding: chunked`` responses are decoded —
-the framing the async edge uses for streamed reports, which is what
+the framing the edge uses for streamed reports, which is what
 lets a streaming response *not* cost the connection.
 """
 

@@ -81,8 +81,7 @@ class Router:
         self.overload = overload
         #: optional repro.tenancy.web.TenantHost; when attached, paths
         #: under ``/t/`` dispatch to it — tenant resolution, visibility
-        #: auth, quotas and JSON negotiation all live there.  Shared by
-        #: both edges because both route through this class.
+        #: auth, quotas and JSON negotiation all live there.
         self.tenants = tenants
         #: optional repro.sql.digest.StatementStats; when attached the
         #: per-digest statement analytics are served at ``/statements``.

@@ -5,7 +5,7 @@ accept, CGI dispatch, macro load and parse, variable substitution, one
 or more SQL executions, report rendering, emission.  The tracer records
 that as a tree of **spans**, all carrying one **trace id** that is
 
-* generated where the request enters (:mod:`repro.http.server` /
+* generated where the request enters (:mod:`repro.http.async_server` /
   :class:`repro.http.router.Router`),
 * threaded through the CGI environment (``REPRO_TRACE_ID`` — so a
   subprocess CGI run and the app-server worker see it),

@@ -1,8 +1,8 @@
 """One shared definition of ``Retry-After`` for every 503 we send.
 
-Before this module, four call sites each invented their own semantics:
-the threaded edge hard-coded ``Retry-After: 1``, the async edge did the
-same, the circuit breaker shipped a raw (possibly negative) float on
+Before this module, each call site invented its own semantics: the
+HTTP edge hard-coded ``Retry-After: 1``, the circuit breaker shipped a
+raw (possibly negative) float on
 :class:`~repro.errors.CircuitOpenError`, and the CGI gateway ceil'd
 whatever arrived.  A client that honours the header deserves one
 answer, so the rules live here:

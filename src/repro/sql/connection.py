@@ -60,7 +60,7 @@ def translate_error(exc: sqlite3.Error, sql: str = "") -> SQLError:
 class Connection:
     """A connection to one database.
 
-    Thread-safe for the threaded HTTP server's sake: a lock serialises
+    Thread-safe for the HTTP edge's executor threads: a lock serialises
     statement execution, matching the one-statement-at-a-time behaviour of
     a 1996 CLI connection handle.
 

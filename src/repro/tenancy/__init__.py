@@ -2,7 +2,7 @@
 
 See :mod:`repro.tenancy.registry` for the tenant model (ownership,
 visibility, read-only, quotas), :mod:`repro.tenancy.web` for the
-``/t/{tenant}/{macro}/{cmd}`` routing served by both edges, and
+``/t/{tenant}/{macro}/{cmd}`` routing served through the shared router, and
 :mod:`repro.tenancy.jsonapi` for the content-negotiated JSON API.
 """
 

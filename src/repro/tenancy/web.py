@@ -5,9 +5,8 @@ Invocation syntax, the paper's CGI contract with a tenant in front::
     /t/{tenant}/{macro-file}/{cmd}[?name=val&...]
 
 :class:`TenantHost` plugs into the shared :class:`repro.http.router.
-Router` (``router.tenants``), so *both* edges — the threaded server and
-the asyncio edge — speak it without either knowing the details.  Per
-request it:
+Router` (``router.tenants``), so the socket edge and the in-process
+transport both speak it without knowing the details.  Per request it:
 
 1. parses and validates the path (bad segment charset, ``..``,
    ``%2e%2e`` → rejected here, before any lookup);

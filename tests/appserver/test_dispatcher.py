@@ -11,6 +11,7 @@ keys, same crash/replay semantics, same exceptions.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -175,6 +176,75 @@ class TestRecycling:
             assert stats["requests"] == 7
             assert stats["recycles"] == 2  # after requests 3 and 6
             assert stats["worker_0_recycles"] == 2
+
+    @staticmethod
+    def slow_spawns(pool, delay):
+        """Make every later spawn take ``delay`` longer; returns the
+        live lists of workers spawned and of spawns running at once."""
+        spawn = pool._spawn
+        spawned, overlap, in_flight = [], [], []
+
+        def slow_spawn(slot, *args):
+            in_flight.append(slot)
+            overlap.append(len(in_flight))
+            try:
+                time.sleep(delay)
+                worker = spawn(slot, *args)
+                spawned.append(worker)
+                return worker
+            finally:
+                in_flight.remove(slot)
+
+        pool._spawn = slow_spawn
+        return spawned, overlap
+
+    def test_recycle_is_off_the_request_path_one_at_a_time(self,
+                                                           tmp_path):
+        """No request waits out a planned replacement (not even the one
+        that trips the threshold), and replacements never overlap."""
+        env = deployment_env(tmp_path)
+        latencies, short = [], []
+        with AppServerDispatcher(env, workers=3,
+                                 recycle_after=4) as pool:
+            _, overlap = self.slow_spawns(pool, 0.3)
+            stop = time.monotonic() + 1.5
+
+            def client():
+                while time.monotonic() < stop:
+                    started = time.perf_counter()
+                    response = pool.run(
+                        cgi_request("/urlquery.d2w/input"))
+                    latencies.append(time.perf_counter() - started)
+                    if response.status != 200 \
+                            or pool.stats()["workers"] < 2:
+                        short.append(response.status)
+                    time.sleep(0.005)
+
+            threads = [threading.Thread(target=client) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pool.stats()["recycles"] >= 2, "never recycled"
+        assert max(latencies) < 0.25
+        assert max(overlap) == 1
+        assert short == []
+
+    def test_shutdown_with_a_recycle_in_flight_drains_cleanly(
+            self, tmp_path):
+        env = deployment_env(tmp_path)
+        pool = AppServerDispatcher(env, workers=1, recycle_after=1)
+        first = list(pool._live.values())
+        spawned, _ = self.slow_spawns(pool, 0.3)
+        assert pool.run(cgi_request("/urlquery.d2w/input")).status == 200
+        recycler = pool._recycler
+        assert recycler is not None  # replacement under way, response
+        pool.shutdown()              # already returned
+        assert not recycler.is_alive()
+        assert pool.stats()["workers"] == 0
+        for worker in first + spawned:
+            assert worker.proc.poll() is not None, "worker leaked"
 
 
 class TestCrashRecovery:

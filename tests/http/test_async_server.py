@@ -6,18 +6,19 @@ client-library smarts are allowed to paper over them.
 """
 
 import socket
+import threading
 import time
 
 import pytest
 
+from repro.cgi.gateway import FunctionProgram
 from repro.cgi.request import CgiResponse
 from repro.http.async_server import AsyncHttpServer
 from repro.http.message import HttpRequest, content_length_of
 from repro.http.persistent import PersistentHttpClient
 from repro.http.router import Router
-from repro.http.server import HttpServer
 from repro.http.urls import Url
-from repro.errors import BadRequestError
+from repro.errors import BadRequestError, TransferEncodingError
 from repro.obs.metrics import MetricsRegistry
 
 ROWS = 40
@@ -40,6 +41,17 @@ def expected_stream_body() -> bytes:
         f"<P>row {i}</P>\n".encode() for i in range(ROWS))
 
 
+class EchoStdin:
+    """A CGI program that records and echoes the body it was handed."""
+
+    def __init__(self):
+        self.bodies = []
+
+    def run(self, request):
+        self.bodies.append(request.stdin)
+        return CgiResponse(body=b"got " + request.stdin)
+
+
 def build_router(metrics=None) -> Router:
     router = Router(metrics=metrics)
     router.add_page("/hello", "<H1>Hello</H1>")
@@ -57,6 +69,13 @@ def server(metrics):
     with AsyncHttpServer(build_router(metrics), max_connections=3,
                          timeout=5.0) as srv:
         yield srv
+
+
+@pytest.fixture()
+def echo(server):
+    program = EchoStdin()
+    server.router.gateway.install("echo", program)
+    return program
 
 
 def connect(server) -> socket.socket:
@@ -152,8 +171,7 @@ class TestChunkedStreaming:
     def test_chunked_round_trip_and_connection_survives(self, server,
                                                         metrics):
         """HTTP/1.1 + streaming response = chunked framing, and the
-        connection serves another request afterwards — the behaviour
-        the threaded edge cannot offer (it must close)."""
+        connection serves another request afterwards."""
         with PersistentHttpClient(http11=True) as client:
             url = Url.parse(f"{server.base_url}/cgi-bin/stream")
             first = client.fetch(url, HttpRequest(
@@ -179,8 +197,8 @@ class TestChunkedStreaming:
         assert body.endswith(b"0\r\n\r\n")  # terminal chunk
 
     def test_http10_client_still_gets_close_delimited(self, server):
-        """Protocol downgrade: a 1996 client sees exactly the framing
-        the threaded edge sends — no chunks, close ends the body."""
+        """Protocol downgrade: a 1996 client sees plain HTTP/1.0
+        framing — no chunks, close ends the body."""
         with connect(server) as sock:
             sock.sendall(b"GET /cgi-bin/stream HTTP/1.0\r\n\r\n")
             data = read_until_closed(sock)
@@ -234,6 +252,34 @@ class TestLimitsAndShedding:
                 sock.close()
         assert metrics.flat()["edge_shed_total"] >= 1
 
+    def test_short_body_never_reaches_the_router(self, server, echo):
+        """Half a form must not run the program: a body that ends
+        before its declared length is a 400, not a dispatch."""
+        with connect(server) as sock:
+            sock.sendall(b"POST /cgi-bin/echo HTTP/1.0\r\n"
+                         b"Content-Length: 100\r\n\r\nabc")
+            sock.shutdown(socket.SHUT_WR)
+            data = read_until_closed(sock)
+        assert b"400 Bad Request" in data
+        assert b"3 of 100" in data
+        assert echo.bodies == []
+
+    def test_transfer_encoding_request_is_501_and_closes(self, server,
+                                                         echo):
+        """The edge does not decode chunked request bodies, so it must
+        not run the POST bodiless and parse the chunk stream as the
+        next pipelined request."""
+        with connect(server) as sock:
+            sock.sendall(b"POST /cgi-bin/echo HTTP/1.1\r\nHost: t\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n"
+                         b"3\r\nabc\r\n0\r\n\r\n"
+                         b"GET /hello HTTP/1.1\r\nHost: t\r\n\r\n")
+            data = read_until_closed(sock)
+        assert data.startswith(b"HTTP/1.0 501")
+        assert b"Connection: close" in data
+        assert data.count(b"HTTP/1.") == 1  # nothing pipelined ran
+        assert echo.bodies == []
+
     def test_edge_metrics_are_on_statusz(self, server):
         with connect(server) as sock:
             sock.sendall(b"GET /statusz HTTP/1.0\r\n\r\n")
@@ -243,8 +289,8 @@ class TestLimitsAndShedding:
 
 
 class TestHardenedContentLengthParser:
-    """The shared strict parser both edges call (satellite: no silent
-    first-wins on smuggling-shaped heads)."""
+    """The strict framing parser the edge calls (no silent first-wins
+    on smuggling-shaped heads)."""
 
     def test_single_value_parses(self):
         assert content_length_of(
@@ -271,43 +317,61 @@ class TestHardenedContentLengthParser:
                     b"POST / HTTP/1.0\r\nContent-Length: " + value
                     + b"\r\n")
 
+    def test_transfer_encoding_declares_no_length(self):
+        with pytest.raises(TransferEncodingError, match="not supported"):
+            content_length_of(b"POST / HTTP/1.1\r\n"
+                              b"Transfer-Encoding: chunked\r\n")
+
     def test_request_line_is_not_scanned(self):
         # a path containing the header name must not confuse the scan
         assert content_length_of(
             b"GET /content-length:9 HTTP/1.0\r\n") == 0
 
 
-class TestThreadedEdgeSatellites:
-    """The legacy edge gained the same 400 and a connection budget."""
+class SlowTenants:
+    """A ``router.tenants`` stub: slow, and remembers its thread."""
 
-    @pytest.fixture()
-    def threaded(self):
-        server = HttpServer(build_router(), max_connections=2,
-                            timeout=5.0).start()
-        yield server
-        server.shutdown()
+    def __init__(self):
+        self.threads = []
 
-    def test_duplicate_content_length_is_400(self, threaded):
-        with socket.create_connection(
-                (threaded.host, threaded.port), timeout=5.0) as sock:
-            sock.sendall(b"POST /cgi-bin/stream HTTP/1.0\r\n"
-                         b"Content-Length: 3\r\nContent-Length: 4\r\n"
-                         b"\r\nabc")
-            data = read_until_closed(sock)
-        assert b"400 Bad Request" in data
+    def handle(self, router, request, path, remote_addr, deadline):
+        self.threads.append(threading.current_thread().name)
+        time.sleep(0.5)
+        return router._handle_static("/hello", request)
 
-    def test_connection_budget_sheds_with_503(self, threaded):
-        held = [socket.create_connection(
-            (threaded.host, threaded.port), timeout=5.0)
-            for _ in range(2)]
-        try:
-            for sock in held:
-                sock.sendall(b"GET /hel")
-            time.sleep(0.2)
-            with socket.create_connection(
-                    (threaded.host, threaded.port), timeout=5.0) as s:
-                data = read_until_closed(s)
-            assert b"503" in data
-        finally:
-            for sock in held:
-                sock.close()
+
+class TestBlockingWorkLeavesTheLoop:
+    def test_slow_tenant_request_does_not_stall_a_static_page(self):
+        tenants = SlowTenants()
+        router = build_router()
+        router.tenants = tenants
+        with AsyncHttpServer(router, timeout=5.0) as server:
+            with connect(server) as slow, connect(server) as fast:
+                slow.sendall(b"GET /t/alpha/items.d2w/report HTTP/1.0"
+                             b"\r\n\r\n")
+                time.sleep(0.1)  # the tenant handler is now asleep
+                started = time.perf_counter()
+                fast.sendall(b"GET /hello HTTP/1.0\r\n\r\n")
+                assert b"Hello" in read_until_closed(fast)
+                elapsed = time.perf_counter() - started
+                assert b"200 OK" in read_until_closed(slow)
+        assert elapsed < 0.3
+        assert tenants.threads and all(
+            name.startswith("repro-edge") for name in tenants.threads)
+
+    def test_unnormalised_cgi_path_is_offloaded_too(self):
+        """The router routes on the normalised path; so must the
+        offload rule, or ``//cgi-bin/`` runs the gateway in-loop."""
+        seen = []
+
+        def where(request):
+            seen.append(threading.current_thread().name)
+            return CgiResponse(body=b"ok")
+
+        router = build_router()
+        router.gateway.install("where", FunctionProgram(where))
+        with AsyncHttpServer(router, timeout=5.0) as server:
+            with connect(server) as sock:
+                sock.sendall(b"GET /x/..//cgi-bin/where HTTP/1.0\r\n\r\n")
+                assert b"ok" in read_until_closed(sock)
+        assert seen and seen[0].startswith("repro-edge")

@@ -1,10 +1,12 @@
-"""Threaded vs async edge: byte-identical bodies on the golden requests.
+"""The socket edge vs the router itself: byte-identical bodies on the
+golden requests.
 
 The cmp6 comparison pins five gateway programs (DB2WWW and the four
-Section-6 baselines) to known report requests.  Whatever front end the
-deployment picks must be invisible to the client: for each golden
-request, the HTTP/1.0 response body from the threaded edge and from the
-asyncio edge must match byte for byte.
+Section-6 baselines) to known report requests.  The edge must be
+invisible to the client: for each golden request, the HTTP/1.0 response
+body read off a real socket must match, byte for byte, what the same
+:class:`Router` answers through :class:`InProcessTransport` — the
+oracle every in-process test and benchmark already trusts.
 """
 
 import socket
@@ -15,8 +17,10 @@ from repro.apps import urlquery as urlquery_app
 from repro.apps.site import build_site
 from repro.baselines import gsql, plsql, rawcgi, wdb
 from repro.http.async_server import AsyncHttpServer
+from repro.http.inprocess import InProcessTransport
+from repro.http.message import HttpRequest
 from repro.http.router import Router
-from repro.http.server import HttpServer
+from repro.http.urls import Url
 from repro.obs.metrics import MetricsRegistry
 from repro.overload.control import OverloadController
 
@@ -59,25 +63,22 @@ def fetch_body(host, port, target) -> tuple[int, bytes]:
 
 
 @pytest.fixture(scope="module")
-def edges():
-    """The same router behind both front ends at once."""
-    threaded_router = build_arena_router()
-    async_router = build_arena_router()
-    with HttpServer(threaded_router) as threaded:
-        with AsyncHttpServer(async_router) as asynced:
-            yield threaded, asynced
+def edge():
+    """One router, reachable over a socket and in-process at once."""
+    with AsyncHttpServer(build_arena_router()) as server:
+        yield server
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))
-def test_edges_serve_identical_bytes(edges, name):
-    threaded, asynced = edges
+def test_edges_serve_identical_bytes(edge, name):
     program, path_info, query = GOLDEN_REQUESTS[name]
     target = f"/cgi-bin/{program}{path_info}?{query}"
-    status_t, body_t = fetch_body(threaded.host, threaded.port, target)
-    status_a, body_a = fetch_body(asynced.host, asynced.port, target)
-    assert status_t == status_a == 200
-    assert body_t == body_a
-    assert body_t  # a pair of empty bodies proves nothing
+    status, body = fetch_body(edge.host, edge.port, target)
+    reference = InProcessTransport(edge.router).fetch(
+        Url.parse(edge.base_url + target), HttpRequest(target=target))
+    assert status == reference.status == 200
+    assert body == reference.body
+    assert body  # a pair of empty bodies proves nothing
 
 
 # -- overload shedding vs pipelined framing ---------------------------------
@@ -119,23 +120,17 @@ def read_one_response(stream) -> tuple[int, dict, bytes]:
     return status, headers, body
 
 
-@pytest.mark.parametrize("edge_cls,version,middle_ka", [
-    (HttpServer, "HTTP/1.0", "Connection: keep-alive\r\n"),
-    (AsyncHttpServer, "HTTP/1.1", ""),
-], ids=["threaded", "async"])
-def test_mid_burst_503_does_not_corrupt_pipelined_framing(
-        edge_cls, version, middle_ka):
+def test_mid_burst_503_does_not_corrupt_pipelined_framing():
     """503 to request N of a pipelined keep-alive burst must leave
     requests N-1 and N+1 perfectly framed on the same connection."""
     router = build_shedding_router()
     shed_target = "/cgi-bin/db2www/urlquery.d2w/report?SEARCH="
-    ka = "Connection: keep-alive\r\n" if version == "HTTP/1.0" else ""
     burst = (
-        f"GET /a {version}\r\n{ka}\r\n"
-        f"GET {shed_target} {version}\r\n{middle_ka}\r\n"
-        f"GET /b {version}\r\nConnection: close\r\n\r\n"
+        "GET /a HTTP/1.1\r\n\r\n"
+        f"GET {shed_target} HTTP/1.1\r\n\r\n"
+        "GET /b HTTP/1.1\r\nConnection: close\r\n\r\n"
     ).encode()
-    with edge_cls(router) as server:
+    with AsyncHttpServer(router) as server:
         with socket.create_connection((server.host, server.port),
                                       timeout=10.0) as sock:
             sock.sendall(burst)

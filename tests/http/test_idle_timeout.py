@@ -1,4 +1,5 @@
-"""Keep-alive idle timeout: a stalled client must not pin a thread."""
+"""Keep-alive idle timeout: a stalled client must not pin a
+connection slot."""
 
 import socket
 import time
@@ -6,15 +7,16 @@ import time
 import pytest
 
 from repro.cgi.gateway import CgiGateway
+from repro.http.async_server import AsyncHttpServer
 from repro.http.router import Router
-from repro.http.server import HttpServer
 
 
 @pytest.fixture()
 def server():
     router = Router(gateway=CgiGateway())
     router.add_page("/index.html", "<H1>idle</H1>")
-    with HttpServer(router, timeout=10.0, idle_timeout=0.3) as running:
+    with AsyncHttpServer(router, timeout=10.0,
+                         idle_timeout=0.3) as running:
         yield running
 
 
@@ -55,5 +57,5 @@ class TestIdleTimeout:
 
     def test_idle_timeout_defaults_to_timeout(self):
         router = Router(gateway=CgiGateway())
-        with HttpServer(router, timeout=3.5) as running:
+        with AsyncHttpServer(router, timeout=3.5) as running:
             assert running.idle_timeout == 3.5

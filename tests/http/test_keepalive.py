@@ -1,4 +1,4 @@
-"""HTTP/1.0 Keep-Alive: server loop and persistent client."""
+"""HTTP/1.0 opt-in Keep-Alive: server loop and persistent client."""
 
 import socket
 
@@ -6,12 +6,12 @@ import pytest
 
 from repro.cgi.gateway import CgiGateway, FunctionProgram
 from repro.cgi.request import CgiResponse
+from repro.http.async_server import AsyncHttpServer
 from repro.http.client import HttpClient
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest
 from repro.http.persistent import PersistentHttpClient
 from repro.http.router import Router
-from repro.http.server import HttpServer
 from repro.http.urls import Url
 
 
@@ -27,7 +27,7 @@ def server():
     gateway.install("count", FunctionProgram(count))
     router = Router(gateway=gateway)
     router.add_page("/index.html", "<H1>ka</H1>")
-    with HttpServer(router, keep_alive_max=5) as running:
+    with AsyncHttpServer(router, keep_alive_max=5) as running:
         yield running
 
 

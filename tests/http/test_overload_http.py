@@ -1,13 +1,15 @@
-"""Admission control at the HTTP layer: 503/504 semantics, both edges."""
+"""Admission control at the HTTP layer: 503/504 semantics at the
+router and at the edge."""
 
 import socket
 
 import pytest
 
+from repro.cgi.gateway import FunctionProgram
+from repro.cgi.request import CgiResponse
 from repro.http.async_server import AsyncHttpServer
 from repro.http.message import HttpRequest
 from repro.http.router import Router
-from repro.http.server import HttpServer
 from repro.obs.metrics import MetricsRegistry
 from repro.overload.classify import INTERACTIVE
 from repro.overload.control import OverloadController
@@ -21,6 +23,9 @@ def make_request(target: str = "/hello") -> HttpRequest:
 def make_router(**kwargs) -> Router:
     router = Router(**kwargs)
     router.add_page("/hello", "<P>hi</P>")
+    # a CGI program too: requests for it cross the edge's executor
+    router.gateway.install("hello", FunctionProgram(
+        lambda request: CgiResponse(body=b"<P>hi</P>")))
     return router
 
 
@@ -95,32 +100,18 @@ class TestRouterAdmission:
         assert controller.stats()["inflight"] == 0
 
 
-class TestThreadedEdgeDeadline:
-    def test_generous_deadline_serves_200(self):
-        router = make_router()
-        with HttpServer(router, request_deadline=30.0) as server:
-            status, _ = _fetch(server.host, server.port, "/hello")
-        assert status == 200
-
-    def test_microscopic_deadline_answers_504(self):
-        router = make_router()
-        with HttpServer(router, request_deadline=1e-9) as server:
-            status, body = _fetch(server.host, server.port, "/hello")
-        assert status == 504
-        assert b"deadline" in body.lower()
-
-
 class TestAsyncEdgeExecutorGuard:
     def test_deadline_expired_in_handoff_504s_without_router(self):
-        """Satellite contract: a request whose budget dies in the
-        executor hand-off answers 504 and never touches the router."""
+        """A request whose budget dies in the executor hand-off answers
+        504 and never touches the router."""
         metrics = MetricsRegistry()
         router = make_router(metrics=metrics)
-        with AsyncHttpServer(router, offload="always",
-                             request_deadline=1e-9,
+        with AsyncHttpServer(router, request_deadline=1e-9,
                              metrics=metrics) as server:
-            status, _ = _fetch(server.host, server.port, "/hello")
+            status, body = _fetch(server.host, server.port,
+                                  "/cgi-bin/hello")
         assert status == 504
+        assert b"deadline" in body.lower()
         assert metrics.counter(
             "edge_deadline_expired_total").value == 1
         # The router never saw it: no request was booked.
@@ -128,9 +119,9 @@ class TestAsyncEdgeExecutorGuard:
 
     def test_generous_deadline_serves_200(self):
         router = make_router()
-        with AsyncHttpServer(router, offload="always",
-                             request_deadline=30.0) as server:
-            status, _ = _fetch(server.host, server.port, "/hello")
+        with AsyncHttpServer(router, request_deadline=30.0) as server:
+            status, _ = _fetch(server.host, server.port,
+                               "/cgi-bin/hello")
         assert status == 200
 
 

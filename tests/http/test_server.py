@@ -1,4 +1,4 @@
-"""The socket HTTP server and client, over real TCP."""
+"""The socket HTTP edge and client, over real TCP."""
 
 import socket
 
@@ -7,11 +7,11 @@ import pytest
 from repro.cgi.gateway import CgiGateway, FunctionProgram
 from repro.cgi.request import CgiResponse
 from repro.errors import HttpError
+from repro.http.async_server import AsyncHttpServer
 from repro.http.client import HttpClient
 from repro.http.headers import Headers
 from repro.http.message import HttpRequest
 from repro.http.router import Router
-from repro.http.server import HttpServer
 from repro.http.urls import Url
 
 
@@ -23,7 +23,7 @@ def server():
             body=f"hi {req.environ.remote_addr}".encode())))
     router = Router(gateway=gateway)
     router.add_page("/index.html", "<H1>socket home</H1>")
-    with HttpServer(router) as running:
+    with AsyncHttpServer(router) as running:
         yield running
 
 
@@ -97,7 +97,7 @@ class TestSocketServer:
 
     def test_shutdown_stops_accepting(self):
         router = Router()
-        server = HttpServer(router).start()
+        server = AsyncHttpServer(router).start()
         host, port = server.host, server.port
         server.shutdown()
         with pytest.raises(OSError):
@@ -113,7 +113,8 @@ class TestSocketServer:
 class TestServerLimits:
     def test_oversized_header_connection_dropped(self, server):
         """A head larger than the 64 KiB cap must not crash the server
-        or buffer unboundedly; the connection just closes."""
+        or buffer unboundedly: 400 (if the peer is still listening) and
+        the connection closes."""
         with socket.create_connection((server.host, server.port),
                                       timeout=5) as conn:
             conn.sendall(b"GET / HTTP/1.0\r\nX-Big: ")
@@ -133,8 +134,7 @@ class TestServerLimits:
                     data += chunk
             except OSError:
                 pass
-        assert b"200" not in data.split(b"\r\n", 1)[:1][0] \
-            if data else True
+        assert data == b"" or b"400" in data.split(b"\r\n", 1)[0]
         # And the server still answers normal requests afterwards.
         url = Url.parse(f"{server.base_url}/index.html")
         response = HttpClient().fetch(
@@ -159,3 +159,22 @@ class TestServerLimits:
                     break
                 data += chunk
         assert b"200" in data.split(b"\r\n", 1)[0]
+
+    def test_oversized_declared_body_is_400(self, server):
+        """A Content-Length past the 8 MiB cap is refused up front —
+        the edge never waits for (or buffers) the body."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5) as conn:
+            conn.sendall(b"POST /cgi-bin/hello/x HTTP/1.0\r\n"
+                         b"Content-Length: 9000000\r\n\r\n")
+            data = b""
+            while True:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
+        assert b"400" in data.split(b"\r\n", 1)[0]
+        assert b"exceeds" in data
+
+    def test_connection_budget_is_bounded_by_default(self, server):
+        assert server.max_connections == 1024

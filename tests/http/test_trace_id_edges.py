@@ -1,7 +1,7 @@
 """X-Trace-Id on error and shed responses (satellite: 4xx/503/504).
 
 A client holding a 400, 503 or 504 needs something to quote against
-the access log even though those paths open no span — both edges and
+the access log even though those paths open no span — the edge and
 the router's unadmitted paths mint a correlation id whenever tracing
 is on, and stay header-free when it is off.
 """
@@ -16,7 +16,6 @@ from repro.errors import OverloadShedError
 from repro.http.async_server import AsyncHttpServer
 from repro.http.message import HttpRequest
 from repro.http.router import Router
-from repro.http.server import HttpServer
 from repro.obs.trace import TRACER
 from repro.resilience.deadline import Deadline
 
@@ -85,53 +84,6 @@ class TestRouterUnadmittedPaths:
         assert not response.headers.get("X-Trace-Id")
 
 
-class TestThreadedEdge:
-    def test_bad_request_400_carries_a_trace_id(self, tracing):
-        server = HttpServer(build_router(), timeout=5.0).start()
-        try:
-            with socket.create_connection(
-                    (server.host, server.port), timeout=5.0) as sock:
-                sock.sendall(b"POST /hello HTTP/1.0\r\n"
-                             b"Content-Length: 3\r\n"
-                             b"Content-Length: 4\r\n\r\nabc")
-                data = read_until_closed(sock)
-        finally:
-            server.shutdown()
-        assert b"400 Bad Request" in data
-        assert TRACE_ID_RE.search(data)
-
-    def test_connection_shed_503_carries_a_trace_id(self, tracing):
-        server = HttpServer(build_router(), max_connections=1,
-                            timeout=5.0).start()
-        held = socket.create_connection(
-            (server.host, server.port), timeout=5.0)
-        try:
-            held.sendall(b"GET /hel")  # partial request pins the slot
-            time.sleep(0.2)
-            with socket.create_connection(
-                    (server.host, server.port), timeout=5.0) as extra:
-                data = read_until_closed(extra)
-        finally:
-            held.close()
-            server.shutdown()
-        assert b"503" in data
-        assert TRACE_ID_RE.search(data)
-
-    def test_no_header_when_tracing_off(self):
-        server = HttpServer(build_router(), timeout=5.0).start()
-        try:
-            with socket.create_connection(
-                    (server.host, server.port), timeout=5.0) as sock:
-                sock.sendall(b"POST /hello HTTP/1.0\r\n"
-                             b"Content-Length: 3\r\n"
-                             b"Content-Length: 4\r\n\r\nabc")
-                data = read_until_closed(sock)
-        finally:
-            server.shutdown()
-        assert b"400 Bad Request" in data
-        assert not TRACE_ID_RE.search(data)
-
-
 class TestAsyncEdge:
     def test_bad_request_400_carries_a_trace_id(self, tracing):
         with AsyncHttpServer(build_router(), timeout=5.0) as server:
@@ -160,3 +112,14 @@ class TestAsyncEdge:
                 held.close()
         assert b"503" in data
         assert TRACE_ID_RE.search(data)
+
+    def test_no_header_when_tracing_off(self):
+        with AsyncHttpServer(build_router(), timeout=5.0) as server:
+            with socket.create_connection(
+                    (server.host, server.port), timeout=5.0) as sock:
+                sock.sendall(b"POST /hello HTTP/1.0\r\n"
+                             b"Content-Length: 3\r\n"
+                             b"Content-Length: 4\r\n\r\nabc")
+                data = read_until_closed(sock)
+        assert b"400 Bad Request" in data
+        assert not TRACE_ID_RE.search(data)

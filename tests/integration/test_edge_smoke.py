@@ -1,11 +1,11 @@
-"""The CI edge-smoke path: async edge → TCP pool daemon, for real.
+"""The CI edge-smoke path: HTTP edge → TCP pool daemon, for real.
 
 Two subprocesses, exactly as a two-host deployment would run them:
 
 * ``repro serve --listen 127.0.0.1:0`` — the standalone worker-pool
   daemon, owning the CGI worker processes;
-* ``repro serve --gateway appserver --connect <endpoint> --edge async``
-  — the asyncio HTTP edge dispatching over loopback TCP.
+* ``repro serve --gateway appserver --connect <endpoint>`` — the HTTP
+  edge dispatching over loopback TCP.
 
 Then real requests through the whole stack, plus a scrape of
 ``/statusz`` for the edge gauges and pool stats.
@@ -58,7 +58,7 @@ def read_banner(proc, pattern, what):
 
 @pytest.fixture(scope="module")
 def stack(tmp_path_factory):
-    """Daemon + async edge subprocess pair, shared by the tests."""
+    """Daemon + edge subprocess pair, shared by the tests."""
     tmp_path = tmp_path_factory.mktemp("edge-smoke")
     db_path = tmp_path / "urldb.sqlite"
     conn = Connection(str(db_path))
@@ -83,7 +83,7 @@ def stack(tmp_path_factory):
         edge = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--gateway", "appserver", "--connect", endpoint,
-             "--edge", "async", "--workers", "2",
+             "--workers", "2",
              "--host", "127.0.0.1", "--port", "0", *common],
             env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
@@ -121,7 +121,7 @@ class TestEdgeSmoke:
         assert status == 200
         page = json.loads(body)
         flat = json.dumps(page)
-        # the async edge's gauges made it into the registry
+        # the edge's gauges made it into the registry
         assert "edge_connections_active" in flat
         assert "edge_requests_total" in flat
         # pool stats crossed the TCP transport via PING
