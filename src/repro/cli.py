@@ -765,7 +765,7 @@ def _load_tenant_config(path: Path, *, query_cache=None):
 
 
 def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
-    from repro.http.async_server import AsyncHttpServer
+    from repro.http.async_server import EXECUTOR_THREADS, AsyncHttpServer
     from repro.http.router import Router
     from repro.obs import (
         REGISTRY, TRACER, FanoutSink, MetricsBridge, SloTracker,
@@ -839,6 +839,9 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         for name, path in _parse_bindings(args.database, "--database"):
             registry.register_path(name, path)
         sharded = _apply_sharding(args, registry)
+        # A warm connection per edge thread, so no request pays (or, by
+        # overlapping another, escapes) SQLite's open/close of the file.
+        registry.enable_pools(size=EXECUTOR_THREADS)
         config = EngineConfig()
         if args.query_cache > 0:
             from repro.sql.querycache import QueryResultCache
@@ -976,4 +979,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             log.append_stats_note()
         if dispatcher is not None:
             dispatcher.shutdown()
+        if args.gateway == "inprocess":
+            # Checkpoints a WAL-mode file: whole again in its one file.
+            registry.close_all()
     return 0

@@ -75,7 +75,7 @@ _HIGH_WATER = 64 * 1024
 #: engine chunks in flight between producer thread and event loop
 _STREAM_BUFFER = 8
 #: threads serving requests that block (gateway, tenants, admission)
-_EXECUTOR_THREADS = 8
+EXECUTOR_THREADS = 8
 
 _DONE = object()   # stream pump: generator exhausted cleanly
 _FAIL = object()   # stream pump: generator raised mid-stream
@@ -198,7 +198,7 @@ class AsyncHttpServer:
     async def _main(self) -> None:
         self._stop = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=_EXECUTOR_THREADS,
+            max_workers=EXECUTOR_THREADS,
             thread_name_prefix="repro-edge")
         server = await asyncio.start_server(self._serve_connection,
                                             sock=self._listener)

@@ -127,3 +127,34 @@ class TestEdgeSmoke:
         # pool stats crossed the TCP transport via PING
         assert "appserver" in flat
         assert "daemon_requests" in flat
+
+
+def test_inprocess_serve_keeps_its_connections_warm(tmp_path):
+    """``repro serve`` leases pooled connections: a WAL-mode file's log
+    outlives the request that opened it (a per-request close, being the
+    file's last, would checkpoint and delete it — or not, whenever
+    another request overlapped) and Ctrl-C folds it back into the file.
+    """
+    db_path = tmp_path / "urldb.sqlite"
+    conn = Connection(str(db_path))
+    seed_urldb(conn, 20)
+    conn.executescript("PRAGMA journal_mode=WAL;")
+    conn.close()
+    log = tmp_path / "urldb.sqlite-wal"
+    assert not log.exists()
+    (tmp_path / "urlquery.d2w").write_text(
+        urlquery_app.URLQUERY_MACRO, encoding="utf-8")
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--macros", str(tmp_path),
+         "--database", f"URLDB={db_path}", "--port", "0"],
+        env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    try:
+        base = read_banner(serve, r"on (http://[\d.]+:\d+)", "serve")
+        status, _, body = fetch(base, REPORT)
+        assert status == 200 and b"URL Query Result" in body
+        assert log.exists()
+    finally:
+        serve.send_signal(signal.SIGINT)
+        serve.wait(timeout=10)
+    assert not log.exists()
