@@ -47,6 +47,8 @@ EXPERIMENTS = {
     "bench_ext_keepalive": ("EXT-KEEPALIVE", "Persistent connections"),
     "bench_resilience": ("RES", "Degraded-backend resilience"),
     "bench_abl": ("ABL", "Design-choice ablations"),
+    "bench_oracle_row": ("ORACLE-ROW",
+                         "Row specialiser vs interpreter, 3000 macros"),
 }
 
 

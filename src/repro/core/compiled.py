@@ -1,251 +1,264 @@
-"""Compiled ``%ROW`` templates — the report generator's hot path.
+"""Specialised ``%ROW`` templates — the report generator's hot path.
 
 The interpreted row path (Section 3.2.1 as :mod:`repro.core.report`
 implements it) pays, per fetched row, one ``set_system`` call for every
 column name spelling (``Vi``, ``V_col``, ``V.col``) plus ``VLIST`` and
-``ROW_NUM``, and then re-dispatches the row template through
-:class:`~repro.core.substitution.Evaluator` segment by segment, with a
-store lookup per reference.  For a template that only references the
-paper's *implicit report variables* none of that machinery can change the
-output: the value of ``$(V2)`` is column 2 of the current row, always.
+``ROW_NUM``, and then re-walks the row template — and every ``%DEFINE``
+it mentions — through :class:`~repro.core.substitution.Evaluator`.
+Section 4.3.1's lazy substitution fixes *when* a value string is
+dereferenced, not that it be re-interpreted for each of 1 000 rows: while
+one section's rows print, the only things that change are the variables
+``_install_row`` writes.
 
-This module compiles such a template **once per section** into a flat
-render plan — static text fragments plus slots filled by direct index
-into the row tuple — so the per-row cost collapses to a list copy, a few
-indexed reads and one ``str.join``.
+:func:`specialise_row` therefore treats the row template plus the live
+:class:`~repro.core.variables.VariableStore` as a program and partially
+evaluates it **once per section**, after the column names are installed
+and before the first row prints.  What is left is a function of the row
+tuple: indexed reads, a few ``!= ""`` tests and string joins.
 
-Fidelity rules (lazy substitution, Section 4.3.1, must be bit-for-bit):
+Fidelity rules (the interpreter is the oracle, bit for bit):
 
-* Only references that *provably* resolve to this section's implicit
-  variables compile: ``Vi``/``Ni`` with an in-range index, ``V_col`` /
-  ``V.col`` / ``N_col`` / ``N.col`` naming a retrieved column (exact
-  spelling first, then the case-insensitive layer — the same order as
-  :meth:`VariableStore.lookup`), ``VLIST``, ``NLIST`` and ``ROW_NUM``.
-* Anything else — user variables, conditionals, executable variables,
-  out-of-range indexes, column forms naming no retrieved column — makes
-  the template *uncompilable* and the caller falls back to the
-  interpreted path.
-* A reference resolved through the case-insensitive layer is re-checked
-  at render time against the store's exact system layer: an earlier SQL
-  section in the same macro run may have installed an exact-spelling
-  system variable that the interpreted lookup would see first (stale
-  shadowing).  :meth:`CompiledRowTemplate.shadowed_by` reports this and
-  the caller falls back, keeping the two paths indistinguishable.
+* One resolver rule, :meth:`_Specialiser._resolve`, answers every
+  reference the way :meth:`VariableStore.lookup` will answer it during
+  this section's row loop: a name ``_install_row`` is about to install
+  (``Vi``, ``V_col``/``V.col``, ``VLIST``, ``ROW_NUM``) is a **row
+  slot** when the exact system layer would return it, then any other
+  exact system variable — the ``N*`` names just installed, ``ROWCOUNT``,
+  a stale ``V5`` or exact-spelling ``V_qty`` left by an earlier section —
+  is a **constant**, then the case-insensitive layer (row slot, then
+  constant), then the ``%DEFINE``/client entry, which is **inlined**.
+  An undefined name is the null string.
+* Inlining follows :class:`Evaluator`: a simple value is a concatenation;
+  conditional forms (a)/(c) test the test variable for "not null" and
+  take a branch (only the taken branch is visited when the test is
+  constant, as the interpreter would); forms (b)/(d) are null when any
+  *direct* reference is null; a list joins its non-null elements with
+  its evaluated separator; ``$$(x)`` is the literal ``$(x)``.  Every
+  subtree that reaches no row slot folds to a string here, once.
+* Two things cannot be made row-pure and raise :class:`NotRowPure`, so
+  the caller keeps the interpreted loop: a reachable executable variable
+  (a side effect per printed row, and ``last_error`` feeds later tests)
+  and a reachable reference cycle (the interpreter must raise its
+  ``CircularReferenceError`` at the row it reaches it).
 
-Compilation results are memoised module-wide: macros are parsed once and
-cached by :class:`~repro.core.macrofile.MacroLibrary`, so the same
-``ValueString`` object renders on every request and the plan is reused
-across requests, not just across rows.
+Nothing is memoised across sections or requests: the plan depends on the
+store, and building it costs about what interpreting two rows does (the
+Appendix A row: ~10 us against ~7 us per interpreted row).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Sequence, Union
 
-from repro.core.values import Escape, Literal, Reference, ValueString
+from repro.core.values import Literal, Reference, ValueString
+from repro.core.variables import (
+    ConditionalEntry,
+    ExecEntry,
+    ListEntry,
+    SimpleEntry,
+    VariableStore,
+)
 from repro.html.entities import escape_html
 from repro.sql.cursor import value_to_text
 
-__all__ = ["CompiledRowTemplate", "compile_row_template"]
+__all__ = ["NotRowPure", "specialise_row"]
 
 #: Must match :data:`repro.core.report.LIST_CONCAT_SEPARATOR`; imported
 #: lazily there to avoid a cycle, asserted equal in the test-suite.
 LIST_CONCAT_SEPARATOR = " "
 
-#: Memo bound: one entry per (row template, column tuple, escape flag)
-#: triple actually served.  256 is far beyond any realistic macro set.
-_MEMO_MAX = 256
+#: A specialised subtree: text fixed for the whole section, or the
+#: position of its per-row text in the row's ``vals`` list — the column
+#: texts at their column indexes, ``ROW_NUM`` next, then one entry per
+#: derived operation, each reading only positions before its own.
+Node = Union[str, int]
+Operation = Callable[[list], str]
+#: The specialised template: ``(row, row_num) -> text``.
+RenderRow = Callable[[Sequence[Any], int], str]
 
-_memo: "OrderedDict[tuple[ValueString, tuple[str, ...], bool], Optional[CompiledRowTemplate]]" = OrderedDict()
-_memo_lock = threading.Lock()
+_ROW_NUM, _VLIST = -1, -2
 
 
-class CompiledRowTemplate:
-    """A render plan for one ``%ROW`` template against one column set.
+class NotRowPure(Exception):
+    """The row template must stay interpreted; ``reason`` says why
+    (``"exec"`` or ``"cycle"``)."""
 
-    ``parts`` is the full output skeleton with empty strings at dynamic
-    positions; the slot lists say which positions to fill from where.
-    Instances are immutable after compilation and safe to share across
-    threads (``render`` copies ``parts``).
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def specialise_row(template: ValueString, columns: Sequence[str],
+                   store: VariableStore, *,
+                   escape_values: bool = False) -> RenderRow:
+    """Specialise ``template`` for one section's row loop.
+
+    ``store`` must be in the state the row loop starts from (column
+    names installed).  Raises :class:`NotRowPure` when the template
+    reaches an executable variable or a reference cycle.
     """
+    specialiser = _Specialiser(columns, store)
+    body = specialiser.value(template)
+    if isinstance(body, str):
+        return lambda row, row_num: body
+    picked = sorted(specialiser.picked)
+    wants_row_num = specialiser.wants_row_num
+    operations = specialiser.operations
 
-    __slots__ = ("_parts", "_value_slots", "_rownum_slots", "_vlist_slots",
-                 "_escape", "ci_names")
+    def render(row: Sequence[Any], row_num: int) -> str:
+        vals = list(row)
+        for index in picked:
+            if type(vals[index]) is not str:
+                vals[index] = value_to_text(vals[index])
+        if escape_values:
+            for index in picked:
+                vals[index] = escape_html(vals[index])
+        vals.append(str(row_num) if wants_row_num else "")
+        for operation in operations:
+            vals.append(operation(vals))
+        return vals[body]
 
-    def __init__(self, parts: list[str],
-                 value_slots: list[tuple[int, int]],
-                 rownum_slots: list[int],
-                 vlist_slots: list[int],
-                 escape: bool,
-                 ci_names: tuple[str, ...]):
-        self._parts = parts
-        self._value_slots = value_slots
-        self._rownum_slots = rownum_slots
-        self._vlist_slots = vlist_slots
-        self._escape = escape
-        #: Reference spellings resolved through the case-insensitive
-        #: layer; must not be shadowed by exact system variables.
-        self.ci_names = ci_names
-
-    def shadowed_by(self, store) -> bool:
-        """True when a stale exact system variable would win the lookup."""
-        return any(store.has_system(name) for name in self.ci_names)
-
-    def render(self, row: Sequence[Any], row_num: int) -> str:
-        """Render one row tuple (raw database values) to template text."""
-        parts = self._parts.copy()
-        escape = self._escape
-        for part_index, col_index in self._value_slots:
-            text = value_to_text(row[col_index])
-            if escape:
-                text = escape_html(text)
-            parts[part_index] = text
-        if self._rownum_slots:
-            text = str(row_num)
-            for part_index in self._rownum_slots:
-                parts[part_index] = text
-        if self._vlist_slots:
-            values = [value_to_text(value) for value in row]
-            if escape:
-                values = [escape_html(value) for value in values]
-            text = LIST_CONCAT_SEPARATOR.join(values)
-            for part_index in self._vlist_slots:
-                parts[part_index] = text
-        return "".join(parts)
+    return render
 
 
-def compile_row_template(template: ValueString, columns: Sequence[str], *,
-                         escape_values: bool = False
-                         ) -> Optional[CompiledRowTemplate]:
-    """Compile ``template`` against ``columns``; ``None`` = fall back.
+class _Specialiser:
+    """One section's partial evaluation state."""
 
-    Memoised: repeated calls with the same template object, column names
-    and escape flag return the cached plan (or the cached ``None``).
-    """
-    key = (template, tuple(columns), escape_values)
-    with _memo_lock:
-        if key in _memo:
-            _memo.move_to_end(key)
-            return _memo[key]
-    compiled = _compile(template, tuple(columns), escape_values)
-    with _memo_lock:
-        _memo[key] = compiled
-        _memo.move_to_end(key)
-        while len(_memo) > _MEMO_MAX:
-            _memo.popitem(last=False)
-    return compiled
+    def __init__(self, columns: Sequence[str], store: VariableStore):
+        self.store = store
+        self.column_count = len(columns)
+        # What _install_row is about to write, in its order, so a later
+        # column overwrites an earlier one of the same (folded) name.
+        self.exact: dict[str, int] = {"ROW_NUM": _ROW_NUM}
+        self.folded: dict[str, int] = {}
+        for index, name in enumerate(columns):
+            self.exact[f"V{index + 1}"] = index
+            for key in (f"V_{name}", f"V.{name}"):
+                self.exact[key] = index
+                self.folded[key.lower()] = index
+        self.exact["VLIST"] = _VLIST
+        #: columns whose text some reachable reference needs
+        self.picked: set[int] = set()
+        self.wants_row_num = False
+        self.operations: list[Operation] = []
+        self._nodes: dict[str, Node] = {}
+        self._inlining: set[str] = set()
 
+    def reference(self, name: str) -> Node:
+        """What ``$(name)`` evaluates to while this section's rows print."""
+        node = self._nodes.get(name)
+        if node is None:
+            node = self._nodes[name] = self._resolve(name)
+        return node
 
-def clear_compile_cache() -> None:
-    """Drop all memoised plans (tests and long-lived reloading servers)."""
-    with _memo_lock:
-        _memo.clear()
+    def _resolve(self, name: str) -> Node:
+        slot = self.exact.get(name)
+        if slot is None and not self.store.has_system(name):
+            slot = self.folded.get(name.lower())
+        if slot is not None:
+            return self._slot(slot)
+        entry = self.store.lookup(name)
+        if entry is None:
+            return ""
+        if isinstance(entry, str):
+            return entry
+        if isinstance(entry, ExecEntry):
+            raise NotRowPure("exec")
+        if name in self._inlining:
+            raise NotRowPure("cycle")
+        self._inlining.add(name)
+        try:
+            if isinstance(entry, SimpleEntry):
+                return self.value(entry.value)
+            if isinstance(entry, ConditionalEntry):
+                return self._conditional(entry)
+            return self._list(entry)
+        finally:
+            self._inlining.discard(name)
 
+    def _slot(self, slot: int) -> Node:
+        count = self.column_count
+        if slot == _ROW_NUM:
+            self.wants_row_num = True
+            return count
+        if slot == _VLIST:
+            self.picked.update(range(count))
+            return self._emit(
+                lambda vals: LIST_CONCAT_SEPARATOR.join(vals[:count]))
+        self.picked.add(slot)
+        return slot
 
-# ----------------------------------------------------------------------
-# Static analysis
-# ----------------------------------------------------------------------
+    def _emit(self, operation: Operation) -> int:
+        self.operations.append(operation)
+        return self.column_count + len(self.operations)
 
-#: Sentinel op kinds used while building the plan.
-_ROW_NUM = object()
-_VLIST = object()
+    def value(self, value: ValueString, *, strict: bool = False) -> Node:
+        """A value string; ``strict`` is conditional forms (b)/(d).
 
-
-def _compile(template: ValueString, columns: tuple[str, ...],
-             escape: bool) -> Optional[CompiledRowTemplate]:
-    ops: list[Any] = []  # str (static) | int (column index) | sentinel
-    ci_names: list[str] = []
-    for segment in template.segments:
-        if isinstance(segment, Literal):
-            ops.append(segment.text)
-        elif isinstance(segment, Escape):
-            ops.append(f"$({segment.name})")
-        elif isinstance(segment, Reference):
-            op = _classify(segment.name, columns, ci_names)
-            if op is None:
-                return None
-            ops.append(op)
-        else:  # pragma: no cover - exhaustive over the union
-            return None
-    # Merge adjacent static text so the render loop touches fewer parts.
-    parts: list[str] = []
-    value_slots: list[tuple[int, int]] = []
-    rownum_slots: list[int] = []
-    vlist_slots: list[int] = []
-    last_was_static = False
-    for op in ops:
-        if isinstance(op, str):
-            if last_was_static:
-                parts[-1] += op
+        Every reference is visited even once the result is known to be
+        null, because the interpreter evaluates them all (and would run
+        an executable variable or meet a cycle among them).
+        """
+        items: list[Node] = []
+        null = False
+        for segment in value.segments:
+            if isinstance(segment, Reference):
+                item = self.reference(segment.name)
+                null = null or (strict and item == "")
+            elif isinstance(segment, Literal):
+                item = segment.text
             else:
-                parts.append(op)
-            last_was_static = True
-            continue
-        if isinstance(op, int):
-            value_slots.append((len(parts), op))
-        elif op is _ROW_NUM:
-            rownum_slots.append(len(parts))
-        else:  # _VLIST
-            vlist_slots.append(len(parts))
-        parts.append("")
-        last_was_static = False
-    return CompiledRowTemplate(parts, value_slots, rownum_slots,
-                               vlist_slots, escape, tuple(ci_names))
+                item = f"$({segment.name})"
+            if isinstance(item, str) and items and isinstance(items[-1], str):
+                items[-1] += item
+            else:
+                items.append(item)
+        if null:
+            return ""
+        at = [item for item in items if isinstance(item, int)]
+        if not at:
+            return "".join(items)  # type: ignore[arg-type]
+        if len(items) == 1:
+            return at[0]  # a lone reference is null exactly when null
+        layout = "".join("%s" if isinstance(item, int)
+                         else item.replace("%", "%%") for item in items)
+        pick = itemgetter(*at)  # one position: the text, not a 1-tuple
+        if not strict:
+            return self._emit(lambda vals: layout % pick(vals))
+        if len(at) == 1:
+            return self._emit(lambda vals: layout % text
+                              if (text := pick(vals)) != "" else "")
+        return self._emit(lambda vals: "" if "" in (texts := pick(vals))
+                          else layout % texts)
+
+    def _conditional(self, entry: ConditionalEntry) -> Node:
+        if entry.test_name is None:
+            return self.value(entry.then_value, strict=True)
+        test = self.reference(entry.test_name)
+        if isinstance(test, str):
+            branch = entry.then_value if test != "" else entry.else_value
+            return "" if branch is None else self.value(branch)
+        then = _reader(self.value(entry.then_value))
+        otherwise = _reader("" if entry.else_value is None
+                            else self.value(entry.else_value))
+        return self._emit(lambda vals: then(vals) if vals[test] != ""
+                          else otherwise(vals))
+
+    def _list(self, entry: ListEntry) -> Node:
+        separator = self.value(entry.separator)
+        elements = [self.value(element.value)
+                    if isinstance(element, SimpleEntry)
+                    else self._conditional(element)
+                    for element in entry.elements]
+        if all(isinstance(node, str) for node in (separator, *elements)):
+            return separator.join(  # type: ignore[union-attr]
+                filter(None, elements))
+        joiner = _reader(separator)
+        readers = [_reader(node) for node in elements]
+        return self._emit(lambda vals: joiner(vals).join(
+            filter(None, [read(vals) for read in readers])))
 
 
-def _classify(name: str, columns: tuple[str, ...],
-              ci_names: list[str]) -> Any:
-    """Map one reference to a render op, or ``None`` for non-implicit.
-
-    Mirrors what :meth:`ReportGenerator._install_row` installs and the
-    exact-then-case-insensitive order of :meth:`VariableStore.lookup`.
-    When several columns share a name the *last* wins, because each
-    ``set_system`` overwrites the previous one.
-    """
-    if name == "ROW_NUM":
-        return _ROW_NUM
-    if name == "VLIST":
-        return _VLIST
-    if name == "NLIST":
-        return LIST_CONCAT_SEPARATOR.join(columns)
-    head, tail = name[:1], name[1:]
-    if head in ("V", "N") and tail.isdigit():
-        index = int(tail)
-        # ``V01`` is NOT ``V1``: the store only installs the canonical
-        # spelling, so a zero-padded reference resolves elsewhere.
-        if str(index) != tail or not 1 <= index <= len(columns):
-            return None
-        if head == "V":
-            return index - 1
-        return columns[index - 1]
-    # Column-name forms: V_col / V.col / N_col / N.col.  Exact spelling
-    # first (it lands in the store's exact system layer), then the
-    # case-insensitive layer.
-    if name[:2] in ("V_", "V.", "N_", "N."):
-        index = _last_index(columns, name[2:])
-        if index is not None:
-            return index if name[0] == "V" else columns[index]
-    folded = name.lower()
-    if folded[:2] in ("v_", "v.", "n_", "n."):
-        index = _last_index_folded(columns, folded[2:])
-        if index is not None:
-            ci_names.append(name)
-            return index if folded[0] == "v" else columns[index]
-    return None
-
-
-def _last_index(columns: tuple[str, ...], name: str) -> Optional[int]:
-    for index in range(len(columns) - 1, -1, -1):
-        if columns[index] == name:
-            return index
-    return None
-
-
-def _last_index_folded(columns: tuple[str, ...],
-                       folded: str) -> Optional[int]:
-    for index in range(len(columns) - 1, -1, -1):
-        if columns[index].lower() == folded:
-            return index
-    return None
+def _reader(node: Node) -> Operation:
+    return itemgetter(node) if isinstance(node, int) else (lambda vals: node)

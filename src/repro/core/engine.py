@@ -84,10 +84,11 @@ class EngineConfig:
         statement into the report (the ``SHOWSQL`` radio button of the
         paper's Figures 2 and 7).
     ``compiled_reports``
-        Render ``%ROW`` templates that reference only implicit report
-        variables through the compiled fast path (on by default; the
-        interpreted evaluator is always used for anything it cannot
-        prove equivalent — see :mod:`repro.core.compiled`).
+        Specialise each section's ``%ROW`` template against the variable
+        store before its first row prints (on by default; only a row
+        that reaches an executable variable or a reference cycle stays
+        interpreted — see :mod:`repro.core.compiled`).  ``False``
+        interprets every row: the ablation switch and the test oracle.
     ``query_cache``
         A shared :class:`~repro.sql.querycache.QueryResultCache`; when
         set, identical SELECTs are served from cache until a write to
@@ -501,6 +502,14 @@ class _MacroRun:
             return
         span = Span("report.render", parent.trace_id, parent.span_id)
         parent.add_child(span)
+
+        def describe() -> None:
+            """Say why a report was slow: how many rows, which loop."""
+            if result.is_query:
+                span.set("rows", result.row_total)
+            if self.reporter.row_path is not None:
+                span.set("row_path", self.reporter.row_path)
+
         if not self.stream_rows:
             # Buffered path: execute() drains the stream immediately, so
             # wall time *is* production time — skip the per-chunk clock.
@@ -508,6 +517,7 @@ class _MacroRun:
                 yield from inner
             finally:
                 span.finish()
+                describe()
             return
         active = 0.0
         try:
@@ -522,6 +532,7 @@ class _MacroRun:
                 yield chunk
         finally:
             span.end = span.start + active
+            describe()
 
     def _emit_sql_error(self, section: ast.SqlSection,
                         error: SQLError) -> Iterator[str]:

@@ -32,11 +32,13 @@ Together: rows ``START_ROW_NUM .. START_ROW_NUM+RPT_MAXROWS-1`` print.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional
 
 from repro.core.ast import SqlReportBlock, SqlSection
-from repro.core.compiled import CompiledRowTemplate, compile_row_template
+from repro.core.compiled import NotRowPure, RenderRow, specialise_row
 from repro.core.substitution import Evaluator
+from repro.core.values import ValueString
 from repro.core.variables import VariableStore
 from repro.html.entities import escape_html
 from repro.sql.cursor import value_to_text
@@ -46,6 +48,8 @@ from repro.sql.gateway import ExecutionResult
 #: the strings are "created by concatenating" names/values; a single space
 #: keeps the output readable and matches the shipped system's default.
 LIST_CONCAT_SEPARATOR = " "
+
+_DECIMAL_RE = re.compile(r"\s*([0-9]+)\s*", re.ASCII)
 
 
 class RowRenderer:
@@ -99,12 +103,17 @@ class ReportGenerator:
         #: value inside an HREF attribute) — but applications handling
         #: untrusted data should enable it (see repro.security).
         self.escape_values = escape_values
-        #: When true (the default), ``%ROW`` templates that reference only
-        #: implicit report variables render through the compiled fast path
-        #: (:mod:`repro.core.compiled`); templates that reference anything
-        #: else always use the interpreted evaluator, whose lazy semantics
-        #: the compiled path preserves bit-for-bit.
+        #: When true (the default), each section's ``%ROW`` template is
+        #: specialised against the variable store before its first row
+        #: prints (:mod:`repro.core.compiled`); only a row that reaches an
+        #: executable variable or a reference cycle keeps the interpreted
+        #: loop.  False interprets every row — the ablation switch, and
+        #: the oracle the specialiser is tested against bit for bit.
         self.compile_templates = compile_templates
+        #: How the section being rendered produces its rows: ``compiled``,
+        #: ``interpreted:exec|cycle|disabled`` or ``default-table``
+        #: (``None``: no ``%ROW`` ran).  Read by the ``report.render`` span.
+        self.row_path: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -122,6 +131,7 @@ class ReportGenerator:
         the streaming HTTP path consumes it chunk by chunk so a 100k-row
         report never exists as one string.
         """
+        self.row_path = None
         if self.row_renderer is not None:
             return self.row_renderer.render_iter(section, result, self)
         if section.report is not None:
@@ -139,10 +149,10 @@ class ReportGenerator:
         window = self._print_window()
         row_num = 0
         if block.row is not None and result.is_query:
-            compiled = self._compile_row(block, result)
-            if compiled is not None:
+            render_row = self._specialise_row(block.row.template, result)
+            if render_row is not None:
                 row_num = yield from self._render_rows_compiled(
-                    compiled, result, window)
+                    render_row, result, window)
             else:
                 for row_values in result.iter_text_rows():
                     row_num += 1
@@ -155,20 +165,22 @@ class ReportGenerator:
             result.row_total if result.is_query else result.rowcount))
         yield self.evaluator.evaluate(block.footer)
 
-    def _compile_row(self, block: SqlReportBlock,
-                     result: ExecutionResult
-                     ) -> Optional[CompiledRowTemplate]:
-        """The compiled plan for this section, or ``None`` to interpret."""
-        if not self.compile_templates or block.row is None:
+    def _specialise_row(self, template: ValueString,
+                        result: ExecutionResult) -> Optional[RenderRow]:
+        """This section's specialised row, or ``None`` to interpret."""
+        if not self.compile_templates:
+            self.row_path = "interpreted:disabled"
             return None
-        compiled = compile_row_template(
-            block.row.template, result.columns,
-            escape_values=self.escape_values)
-        if compiled is None or compiled.shadowed_by(self.store):
+        try:
+            render_row = specialise_row(template, result.columns, self.store,
+                                        escape_values=self.escape_values)
+        except NotRowPure as refusal:
+            self.row_path = f"interpreted:{refusal.reason}"
             return None
-        return compiled
+        self.row_path = "compiled"
+        return render_row
 
-    def _render_rows_compiled(self, compiled: CompiledRowTemplate,
+    def _render_rows_compiled(self, render: RenderRow,
                               result: ExecutionResult,
                               window: "_PrintWindow") -> Iterator[str]:
         """Run the row loop through the compiled plan.
@@ -182,7 +194,6 @@ class ReportGenerator:
         """
         row_num = 0
         last_row = None
-        render = compiled.render
         prints = window.prints
         for row in result.iter_rows():
             row_num += 1
@@ -228,12 +239,14 @@ class ReportGenerator:
 
     def _int_setting(self, name: str, *, minimum: int) -> Optional[int]:
         """An integer report setting; invalid/out-of-range means unset."""
-        raw = self.evaluator.evaluate_name(name)
-        if not raw:
+        # ASCII digits only: int() alone would also take "1_0", "+2" and
+        # any Unicode decimal digit, none of which a form field means.
+        match = _DECIMAL_RE.fullmatch(self.evaluator.evaluate_name(name))
+        if match is None:
             return None
         try:
-            value = int(raw)
-        except ValueError:
+            value = int(match.group(1))
+        except ValueError:  # beyond the interpreter's int digit limit
             return None
         if value < minimum:
             return None
@@ -254,6 +267,7 @@ class ReportGenerator:
         A streaming result's ``row_total`` is only correct after the row
         loop, so ``ROWCOUNT`` for queries is (re)installed at the end.
         """
+        self.row_path = "default-table"
         if not result.is_query:
             self.store.set_system("ROWCOUNT", str(result.rowcount))
             self.store.set_system("ROW_NUM", "0")

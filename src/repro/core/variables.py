@@ -127,9 +127,10 @@ class VariableStore:
     def has_system(self, name: str) -> bool:
         """True when ``name`` is an *exact* system-layer variable.
 
-        The compiled report path uses this to detect stale exact-spelling
-        system variables (left by an earlier SQL section) that would
-        shadow a case-insensitive implicit lookup.
+        The row specialiser (:mod:`repro.core.compiled`) asks this to
+        mirror :meth:`lookup`'s order: an exact-spelling system variable
+        left by an earlier SQL section shadows this section's
+        case-insensitive column variables.
         """
         return name in self._system
 

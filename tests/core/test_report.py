@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import paging
 from repro.core import parse_macro
 from repro.core.engine import EngineConfig, MacroEngine
 
@@ -258,3 +259,47 @@ SELECT name FROM items ORDER BY name
         html = run(macro).html
         assert html.count("<TD>") == 1
         assert "<TD>helmets</TD>" in html
+
+
+class TestWindowSettingSpellings:
+    """A window setting is ASCII decimal digits, optionally padded with
+    whitespace; every other spelling ``int()`` would take is "unset"."""
+
+    @pytest.fixture(scope="class")
+    def browse(self):
+        """``apps/paging.py`` over 25 rows (its own page size is 10)."""
+        app = paging.install(rows=25)
+        macro = app.library.load(app.macro_name)
+
+        def _browse(*pairs):
+            return app.engine.execute_report(macro, list(pairs)).html
+        return _browse
+
+    @pytest.mark.parametrize("raw", [
+        "1_0", "\u0663", "\uff13", "+3", "-3", "3.0", "0x3", "3e0", "3 3"])
+    def test_python_only_limit_spellings_are_unset(self, browse, raw):
+        assert browse(("RPT_MAXROWS", raw)).count("<LI>") == 25
+
+    @pytest.mark.parametrize("raw", ["+2", "1_1", "\u0662"])
+    def test_python_only_start_spellings_are_unset(self, browse, raw):
+        html = browse(("START_ROW_NUM", raw))
+        assert "<LI>#1 " in html and html.count("<LI>") == 10
+
+    @pytest.mark.parametrize("raw", ["3", " 3 ", "\t3\n", "003"])
+    def test_plain_and_padded_digits_still_cap(self, browse, raw):
+        html = browse(("RPT_MAXROWS", raw))
+        assert html.count("<LI>") == 3 and "<LI>#3 " in html
+
+    def test_huge_digit_strings_are_unset_not_errors(self, browse):
+        assert browse(("RPT_MAXROWS", "9" * 5000)).count("<LI>") == 25
+
+    def test_paging_links_still_page(self, browse):
+        """The Next/Previous links carry plain digits, which still parse."""
+        first = browse()
+        assert 'START_ROW_NUM=11">Next page</A>' in first
+        assert "Previous page" not in first
+        second = browse(("START_ROW_NUM", "11"))
+        assert "<LI>#11 " in second and "<LI>#20 " in second
+        assert "<LI>#10 " not in second and "<LI>#21 " not in second
+        assert 'START_ROW_NUM=21">Next page</A>' in second
+        assert 'START_ROW_NUM=1">Previous page</A>' in second

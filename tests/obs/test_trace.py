@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.apps import urlquery as urlquery_app
+from repro.apps.site import build_site
+from repro.http.message import HttpRequest
 from repro.obs.trace import (
     NOOP_SPAN,
+    TRACER,
     Span,
     Tracer,
     new_trace_id,
@@ -185,3 +189,25 @@ class TestIds:
         assert statement_digest(sql) == statement_digest(sql)
         assert len(statement_digest(sql)) == 12
         assert statement_digest(sql) != statement_digest(sql + " ")
+
+
+class TestReportRenderSpan:
+    def test_appendix_a_request_says_how_its_rows_rendered(self):
+        """A slow report in the trace log says why: how many rows went
+        through which row loop."""
+        app = urlquery_app.install(rows=30)
+        site = build_site(app.engine, app.library)
+        roots = []
+        TRACER.enable()
+        TRACER.add_sink(roots.append)
+        try:
+            site.router.handle(HttpRequest(
+                target=f"{app.report_path}?DBFIELDS=title")).drain()
+        finally:
+            TRACER.disable()
+            TRACER.clear_sinks()
+        (root,) = roots
+        (render,) = [span for span in root.walk()
+                     if span.name == "report.render"]
+        assert render.attrs["rows"] == 30
+        assert render.attrs["row_path"] == "compiled"
