@@ -109,6 +109,12 @@ class WorkerPoolDaemon:
         if self._shutdown.is_set():
             return
         self._shutdown.set()
+        try:
+            # close() alone never wakes a thread blocked in accept() on
+            # Linux; shutting the socket down makes accept() raise now.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         with self._lock:
             conns = list(self._conns)

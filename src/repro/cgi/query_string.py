@@ -52,6 +52,8 @@ def decode_component(text: str) -> str:
     is taken literally, and undecodable UTF-8 is replaced rather than
     rejected.
     """
+    if "+" not in text and "%" not in text:
+        return text  # nothing to decode: most names, many values
     out = bytearray()
     i = 0
     n = len(text)

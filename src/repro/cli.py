@@ -631,6 +631,28 @@ def _worker_env(args) -> dict[str, str]:
     return env
 
 
+def _wait_for_stop() -> None:  # pragma: no cover - interactive
+    """Sleep until SIGINT or SIGTERM; either means "stop cleanly".
+
+    SIGTERM is what ``--acceptors`` sends its children and what a
+    supervisor sends by default.  Raising the same ``KeyboardInterrupt``
+    as Ctrl-C runs the caller's ``finally:`` — pools closed, WAL
+    checkpointed, deferred traces flushed, ``#stats`` trailer written —
+    instead of dying with the work undone.
+    """
+    import signal
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, interrupt)
+    try:
+        while True:
+            signal.pause()
+    except KeyboardInterrupt:
+        pass
+
+
 def _cmd_pool_daemon(args, out) -> int:  # pragma: no cover - interactive
     """``repro serve --listen host:port`` — the standalone worker-pool
     daemon: no HTTP edge, just the app-server pool behind TCP for
@@ -651,10 +673,7 @@ def _cmd_pool_daemon(args, out) -> int:  # pragma: no cover - interactive
           f"({args.workers} workers)", file=out, flush=True)
     print("press Ctrl-C to stop", file=out, flush=True)
     try:
-        import signal
-        signal.pause()
-    except KeyboardInterrupt:
-        pass
+        _wait_for_stop()
     finally:
         daemon.shutdown()
     return 0
@@ -664,7 +683,6 @@ def _cmd_multi_acceptor(args, out) -> int:  # pragma: no cover - interactive
     """``repro serve --acceptors N`` — N serve processes
     sharing one port via ``SO_REUSEPORT``; the kernel load-balances
     accepted connections across their event loops."""
-    import signal
     import socket
     import subprocess
 
@@ -684,9 +702,7 @@ def _cmd_multi_acceptor(args, out) -> int:  # pragma: no cover - interactive
           f"http://{args.host}:{port} (SO_REUSEPORT)",
           file=out, flush=True)
     try:
-        signal.pause()
-    except KeyboardInterrupt:
-        pass
+        _wait_for_stop()
     finally:
         for child in children:
             child.terminate()
@@ -962,10 +978,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
           file=out, flush=True)
     print("press Ctrl-C to stop", file=out, flush=True)
     try:
-        import signal
-        signal.pause()
-    except KeyboardInterrupt:
-        pass
+        _wait_for_stop()
     finally:
         server.shutdown()
         if fanout is not None:

@@ -1,15 +1,17 @@
 """The HTTP edge (the "Web server" of Figure 1): one asyncio event loop.
 
-Every connection is a coroutine on one event loop running in a
-background thread, so concurrency costs a coroutine instead of a
-thread:
+Every connection is one :class:`asyncio.Protocol` object on one event
+loop in a background thread: concurrency costs an object, not a thread,
+and a request two loop wake-ups — bytes in, answer handed back — with
+no task, stream reader or per-read timer in between:
 
 * **Keep-alive and pipelining.**  HTTP/1.1 connections persist unless
   the client says ``Connection: close``; HTTP/1.0 clients opt in with
-  ``Connection: Keep-Alive``, Netscape-style.  Requests are read off a
-  per-connection byte buffer; bytes beyond the current request (a
-  pipelined client sends several at once) carry over to the next parse
-  instead of being dropped, and responses go back in request order.
+  ``Connection: Keep-Alive``, Netscape-style.  ``data_received`` appends
+  to a per-connection buffer and whole requests are cut off its front;
+  bytes beyond the current request (a pipelined client sends several at
+  once) wait there, one request per connection is in flight at a time,
+  and responses go back in request order.
 * **Strict request framing.**  A body is exactly ``Content-Length``
   bytes: ambiguous lengths, oversized heads or bodies and bodies that
   end early answer 400 and close, a ``Transfer-Encoding`` request 501 —
@@ -18,11 +20,18 @@ thread:
   connection: an HTTP/1.1 client gets ``Transfer-Encoding: chunked``
   (each engine chunk framed as it is produced) and the connection
   survives for the next request.  HTTP/1.0 clients get a
-  close-delimited stream.
-* **Write backpressure.**  Every write awaits ``drain()``; a slow
-  reader suspends only its own coroutine, and the engine-side producer
-  blocks on a bounded queue — a client that stops reading stops the
-  query, it does not balloon server memory.
+  close-delimited stream.  Only a streaming response gets a coroutine.
+* **Backpressure, both ways.**  A buffered response is one
+  ``transport.write``; once a slow reader leaves 64 KiB of it unsent
+  (``pause_writing``) that connection starts no further request until
+  ``resume_writing``.  A streaming response waits there too while its
+  engine-side producer blocks on a bounded queue — a client that stops
+  reading stops the query, it does not balloon server memory.  Bytes
+  pipelined behind a request in flight are read (``pause_reading``)
+  only up to a fixed budget.
+* **One timer per connection**, re-armed only when it fires:
+  ``idle_timeout`` bounds the wait for a request to begin, ``timeout``
+  each wait for the rest of it, nothing the time spent answering.
 * **Bounded connection budget.**  Past ``max_connections`` the edge
   answers an immediate 503 and closes — shedding at the door instead
   of queueing into collapse.
@@ -33,14 +42,15 @@ thread:
 Routing is the synchronous :class:`~repro.http.router.Router`.  A
 request that can block — anything bound for the CGI gateway or a
 tenant engine, and anything at all once admission control may queue
-it — runs on a small thread pool; the rest (in-memory pages, scrape
-endpoints) is answered in-loop.  Streaming generators are driven inside
-**one** executor thread per response — the engine's sqlite handles
-have thread affinity — with chunks handed to the event loop over a
-bounded queue.
+it — is submitted to a small thread pool whose done-callback posts the
+answer back to the loop; the rest (in-memory pages, scrape endpoints)
+is answered inside ``data_received``.  Streaming generators are driven
+inside **one** executor thread per response — the engine's sqlite
+handles have thread affinity — with chunks handed to the event loop
+over a bounded queue.
 
-Edge health is exported through the obs registry (``edge_*`` gauges
-and counters) and therefore shows up on ``/statusz`` and ``/metrics``.
+Edge health is exported through the obs registry (``edge_*``) and
+therefore shows up on ``/statusz`` and ``/metrics``.
 """
 
 from __future__ import annotations
@@ -49,8 +59,9 @@ import asyncio
 import functools
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional
+from concurrent.futures import Future, ThreadPoolExecutor
+from time import perf_counter
+from typing import Callable, Iterator, Optional
 
 from repro.errors import BadRequestError, HttpError
 from repro.http.headers import Headers
@@ -63,15 +74,18 @@ from repro.http.message import (
 from repro.http.router import CGI_PREFIX, TENANT_PREFIX, Router
 from repro.http.status import reason_for
 from repro.http.urls import normalize_path
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import new_trace_id
 from repro.overload.retryafter import retry_after_header
 from repro.resilience.deadline import Deadline
 
 _MAX_HEAD = 64 * 1024
 _MAX_BODY = 8 * 1024 * 1024
-_READ_CHUNK = 65536
-#: writes buffered beyond this before ``drain()`` count as backpressure
+#: unsent response bytes past which the transport pauses its connection
 _HIGH_WATER = 64 * 1024
+#: pipelined bytes buffered behind an in-flight request before the edge
+#: stops reading the socket
+_PIPELINE_BUDGET = 64 * 1024
 #: engine chunks in flight between producer thread and event loop
 _STREAM_BUFFER = 8
 #: threads serving requests that block (gateway, tenants, admission)
@@ -79,19 +93,6 @@ EXECUTOR_THREADS = 8
 
 _DONE = object()   # stream pump: generator exhausted cleanly
 _FAIL = object()   # stream pump: generator raised mid-stream
-
-
-class _NullMetric:
-    """Stands in for every edge metric when no registry is attached."""
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-
-_NULL = _NullMetric()
 
 
 class AsyncHttpServer:
@@ -144,7 +145,8 @@ class AsyncHttpServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
+        self._streams: set[asyncio.Task] = set()
         self._active = 0
         self._bind_metrics()
 
@@ -196,126 +198,32 @@ class AsyncHttpServer:
             loop.close()
 
     async def _main(self) -> None:
+        loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=EXECUTOR_THREADS,
             thread_name_prefix="repro-edge")
-        server = await asyncio.start_server(self._serve_connection,
-                                            sock=self._listener)
+        # create_server() listens again on the socket it is handed:
+        # without backlog= here asyncio's own default of 100 wins.
+        server = await loop.create_server(
+            functools.partial(_Connection, self, loop),
+            sock=self._listener, backlog=self.backlog)
         self._started.set()
         try:
             await self._stop.wait()
         finally:
             server.close()
-            await server.wait_closed()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks,
+            for connection in list(self._connections):
+                connection.transport.abort()
+            for task in self._streams:
+                task.cancel()  # its pump still closes the iterator
+            if self._streams:
+                await asyncio.gather(*self._streams,
                                      return_exceptions=True)
+            await server.wait_closed()
             self._executor.shutdown(wait=False)
 
-    # -- connection handling -----------------------------------------------
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._m_conns_total.inc()
-        if self._active >= self.max_connections:
-            self._m_shed.inc()
-            await self._shed(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            return
-        self._active += 1
-        self._m_conns_active.set(self._active)
-        try:
-            await self._connection_loop(reader, writer)
-        except (asyncio.CancelledError, asyncio.TimeoutError,
-                ConnectionError, OSError):
-            pass
-        finally:
-            self._active -= 1
-            self._m_conns_active.set(self._active)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            await _close_writer(writer)
-
-    async def _connection_loop(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        peername = writer.get_extra_info("peername")
-        remote_addr = peername[0] if peername else "127.0.0.1"
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # Without this, pipelined sub-MSS responses sit in the
-            # kernel behind Nagle waiting out the peer's delayed ACK —
-            # a fixed ~40 ms stall per burst.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        loop = asyncio.get_running_loop()
-        buffer = b""
-        served = 0
-        while served < self.keep_alive_max:
-            try:
-                raw, buffer = await self._read_request(reader, buffer)
-            except HttpError as exc:
-                # Framing the edge cannot trust poisons everything
-                # pipelined behind it: refuse and drop the connection.
-                await self._write_response(
-                    writer, self._refusal(exc.status, str(exc)),
-                    keep_alive=False)
-                return
-            if raw is None:
-                return
-            self._m_requests.inc()
-            keep_alive = False
-            http11 = False
-            try:
-                request = HttpRequest.parse(raw)
-                http11 = request.version == "HTTP/1.1"
-                keep_alive = _keeps_alive(request, http11)
-                trace_id = new_trace_id() \
-                    if self.router.tracer.enabled else ""
-                deadline = Deadline.after(self.request_deadline) \
-                    if self.request_deadline else None
-                handle = functools.partial(self.router.handle, request,
-                                           remote_addr=remote_addr,
-                                           trace_id=trace_id,
-                                           deadline=deadline)
-                if self._blocks(request):
-                    response = await loop.run_in_executor(
-                        self._executor,
-                        self._guarded(handle, deadline))
-                else:
-                    response = handle()
-            except BadRequestError as exc:
-                response = self._refusal(exc.status, str(exc))
-                keep_alive = False
-            served += 1
-            if served >= self.keep_alive_max:
-                keep_alive = False
-            if http11:
-                # Answer in the client's dialect: an HTTP/1.1 request
-                # gets an HTTP/1.1 status line (clients gate pipelining
-                # and default keep-alive on the response version).
-                response.version = "HTTP/1.1"
-            if response.streaming:
-                if http11:
-                    # Chunked framing: the stream does not cost the
-                    # connection.
-                    self._m_chunked.inc()
-                    ok = await self._send_chunked(writer, response,
-                                                  keep_alive)
-                    if not ok or not keep_alive:
-                        return
-                    continue
-                await self._send_close_delimited(writer, response)
-                return
-            await self._write_response(writer, response,
-                                       keep_alive=keep_alive)
-            if not keep_alive:
-                return
+    # -- request policy ----------------------------------------------------
 
     def _blocks(self, request: HttpRequest) -> bool:
         """Whether answering ``request`` can block its thread.
@@ -332,107 +240,27 @@ class AsyncHttpServer:
             (CGI_PREFIX, TENANT_PREFIX))
 
     def _guarded(self, handle, deadline):
-        """Wrap a router call with a deadline check run *in the
-        executor thread*.
+        """Wrap a router call with what must run *in the executor
+        thread*: the hand-off clock and the deadline check.
 
-        Under load the executor's own queue is an invisible admission
-        queue: a request can wait there longer than its whole budget.
-        Checking at the moment a thread finally picks it up turns that
-        wasted work into an immediate 504 — the router, admission queue
-        and worker pool never see the corpse.
+        Under load the executor's own queue is an admission queue: a
+        request can wait there longer than its whole budget.
+        ``edge_handoff_wait_ms`` shows the wait, and checking the
+        deadline at the moment a thread finally picks the request up
+        turns wasted work into an immediate 504 — the router, admission
+        queue and worker pool never see the corpse.
         """
-        if deadline is None:
-            return handle
+        parsed = perf_counter()
 
         def run() -> HttpResponse:
-            if deadline.expired:
+            self._m_handoff.observe((perf_counter() - parsed) * 1000.0)
+            if deadline is not None and deadline.expired:
                 self._m_deadline_expired.inc()
                 return self._refusal(504, "request deadline expired "
                                           "before processing began")
             return handle()
 
         return run
-
-    # -- request reading ---------------------------------------------------
-
-    async def _read_request(self, reader: asyncio.StreamReader,
-                            buffer: bytes) -> tuple[bytes | None, bytes]:
-        """One full request off the connection, pipelining-aware.
-
-        ``buffer`` holds bytes already read past the previous request;
-        returns ``(request_bytes, remaining_buffer)`` with ``None`` on
-        EOF or timeout before a request began.  Framing violations
-        (oversized head, ambiguous Content-Length, oversized or
-        truncated body) raise :class:`BadRequestError` and a
-        ``Transfer-Encoding`` request raises its 501 — the caller
-        refuses and closes; a half-read request never reaches the
-        router.
-        """
-        data = buffer
-        separator = b"\r\n\r\n"
-        while separator not in data and b"\n\n" not in data:
-            if len(data) > _MAX_HEAD:
-                raise BadRequestError(
-                    f"request head exceeds {_MAX_HEAD} bytes")
-            timeout = self.idle_timeout if not data else self.timeout
-            try:
-                chunk = await asyncio.wait_for(reader.read(_READ_CHUNK),
-                                               timeout)
-            except asyncio.TimeoutError:
-                return None, b""
-            if not chunk:
-                return None, b""
-            data += chunk
-        if separator not in data:
-            separator = b"\n\n"
-        head, _, rest = data.partition(separator)
-        if len(head) > _MAX_HEAD:
-            # The terminator and the overflow can arrive in one read;
-            # the in-loop check alone would admit such a head.
-            raise BadRequestError(
-                f"request head exceeds {_MAX_HEAD} bytes")
-        content_length = content_length_of(head)
-        if content_length > _MAX_BODY:
-            raise BadRequestError(
-                f"declared body of {content_length} bytes exceeds the "
-                f"{_MAX_BODY}-byte limit")
-        while len(rest) < content_length:
-            try:
-                chunk = await asyncio.wait_for(reader.read(_READ_CHUNK),
-                                               self.timeout)
-            except asyncio.TimeoutError:
-                return None, b""
-            if not chunk:
-                raise BadRequestError(
-                    f"request body ended after {len(rest)} of "
-                    f"{content_length} declared bytes")
-            rest += chunk
-        body, remaining = rest[:content_length], rest[content_length:]
-        return head + separator + body, remaining
-
-    # -- response writing --------------------------------------------------
-
-    async def _write(self, writer: asyncio.StreamWriter,
-                     data: bytes) -> None:
-        """Write then ``drain()`` — the per-connection backpressure.
-
-        A slow reader fills the transport buffer; past the high-water
-        mark ``drain()`` suspends this coroutine (and only this one)
-        until the client catches up.
-        """
-        writer.write(data)
-        transport = writer.transport
-        if transport is not None and \
-                transport.get_write_buffer_size() > _HIGH_WATER:
-            self._m_backpressure.inc()
-        await writer.drain()
-
-    async def _write_response(self, writer: asyncio.StreamWriter,
-                              response: HttpResponse, *,
-                              keep_alive: bool) -> None:
-        response.headers.set("Connection",
-                             "Keep-Alive" if keep_alive else "close")
-        await self._write(writer, response.serialize())
 
     def _refusal(self, status: int, detail: str) -> HttpResponse:
         """An error page for a request refused before routing.
@@ -447,31 +275,312 @@ class AsyncHttpServer:
             response.headers.set("X-Trace-Id", new_trace_id())
         return response
 
-    async def _shed(self, writer: asyncio.StreamWriter) -> None:
-        response = self._refusal(
-            503, "connection budget exhausted; retry shortly")
-        controller = self.router.overload
-        hint = controller.retry_after_hint() \
-            if controller is not None else None
-        response.headers.set("Retry-After", retry_after_header(hint))
+    # -- metrics -----------------------------------------------------------
+
+    def _bind_metrics(self) -> None:
+        registry = self.metrics if self.metrics is not None \
+            else getattr(self.router, "metrics", None)
+        if registry is None:
+            registry = MetricsRegistry()  # counted, just never scraped
+        self._m_conns_active = registry.gauge("edge_connections_active")
+        self._m_conns_total = registry.counter("edge_connections_total")
+        self._m_requests = registry.counter("edge_requests_total")
+        self._m_shed = registry.counter("edge_shed_total")
+        self._m_chunked = registry.counter("edge_responses_chunked_total")
+        self._m_backpressure = registry.counter(
+            "edge_backpressure_waits_total")
+        self._m_deadline_expired = registry.counter(
+            "edge_deadline_expired_total")
+        self._m_handoff = registry.histogram("edge_handoff_wait_ms")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: bytes in, whole requests cut off the
+    buffer, one in flight at a time, responses out in request order."""
+
+    def __init__(self, server: AsyncHttpServer,
+                 loop: asyncio.AbstractEventLoop):
+        self.server = server
+        self.loop = loop
+        self.transport: Optional[asyncio.Transport] = None
+        self.remote_addr = "127.0.0.1"
+        self.buffer = b""
+        self.need = 0            # bytes the request being received needs
+        self.eof = False         # the client half-closed
+        self.busy = False        # a request is with the executor / streaming
+        self.write_paused = False
+        self.read_paused = False
+        self.served = 0
+        self.since = 0.0         # loop time of the last read or answer
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.reply = (False, False)  # (http11, keep_alive) of that request
+        self.drained: Optional[asyncio.Future] = None  # stream's drain()
+
+    # -- transport callbacks -----------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        server = self.server
+        self.transport = transport
+        server._m_conns_total.inc()
+        if server._active >= server.max_connections:
+            server._m_shed.inc()
+            response = server._refusal(
+                503, "connection budget exhausted; retry shortly")
+            controller = server.router.overload
+            hint = controller.retry_after_hint() \
+                if controller is not None else None
+            response.headers.set("Retry-After", retry_after_header(hint))
+            self._send(response, keep_alive=False)
+            return
+        server._connections.add(self)
+        server._active += 1
+        server._m_conns_active.set(server._active)
+        peername = transport.get_extra_info("peername")
+        if peername:
+            self.remote_addr = peername[0]
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            # Without this, pipelined sub-MSS responses sit in the
+            # kernel behind Nagle waiting out the peer's delayed ACK —
+            # a fixed ~40 ms stall per burst.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        transport.set_write_buffer_limits(high=_HIGH_WATER)
+        self.since = self.loop.time()
+        self._on_timer()  # arms it
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+        if self.drained is not None and not self.drained.done():
+            self.drained.set_exception(
+                ConnectionResetError("client went away mid-stream"))
+        server = self.server
+        if self in server._connections:  # a shed connection never was
+            server._connections.discard(self)
+            server._active -= 1
+            server._m_conns_active.set(server._active)
+
+    def data_received(self, data: bytes) -> None:
+        self.since = self.loop.time()
+        self.buffer = self.buffer + data if self.buffer else data
+        if not (self.busy or self.write_paused):
+            self._advance()
+        elif len(self.buffer) > _PIPELINE_BUDGET and not self.read_paused:
+            self.read_paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._advance()
+        return True  # a half-closed client still gets its answers
+
+    def pause_writing(self) -> None:
+        """The client is more than ``_HIGH_WATER`` bytes behind."""
+        self.write_paused = True
+        self.server._m_backpressure.inc()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.drained is not None and not self.drained.done():
+            self.drained.set_result(None)
+        self._advance()
+
+    def _on_timer(self) -> None:
+        """The one timer: re-armed here, never on the request path."""
+        server, now = self.server, self.loop.time()
+        # Never sleep past the shorter limit: whatever the connection
+        # is waiting for by then, its limit cannot have passed unseen.
+        when = now + min(server.idle_timeout, server.timeout)
+        if not (self.busy or self.write_paused):
+            # (no limit at all while a request is being answered)
+            limit = self.since + (server.timeout if self.buffer
+                                  else server.idle_timeout)
+            if limit <= now:
+                self.transport.close()
+                return
+            when = min(when, limit)
+        self.timer = self.loop.call_at(when, self._on_timer)
+
+    # -- request reading ---------------------------------------------------
+
+    def _cut(self) -> Optional[bytes]:
+        """One whole request off the front of the buffer, else ``None``.
+
+        Framing violations (oversized head, ambiguous Content-Length,
+        oversized body, a body cut short by EOF) raise
+        :class:`BadRequestError` and a ``Transfer-Encoding`` request
+        raises its 501 — the caller refuses and closes; a half-read
+        request never reaches the router.
+        """
+        data = self.buffer
+        if len(data) < self.need and not self.eof:
+            return None  # inside a body whose head already passed
+        end, gap = data.find(b"\r\n\r\n"), 4
+        if end < 0:
+            end, gap = data.find(b"\n\n"), 2
+        if end < 0 and len(data) <= _MAX_HEAD:
+            return None
+        if end < 0 or end > _MAX_HEAD:
+            raise BadRequestError(
+                f"request head exceeds {_MAX_HEAD} bytes")
+        content_length = content_length_of(data[:end])
+        if content_length > _MAX_BODY:
+            raise BadRequestError(
+                f"declared body of {content_length} bytes exceeds the "
+                f"{_MAX_BODY}-byte limit")
+        self.need = end + gap + content_length
+        if len(data) < self.need:
+            if self.eof:
+                raise BadRequestError(
+                    f"request body ended after {len(data) - end - gap} "
+                    f"of {content_length} declared bytes")
+            return None
+        raw, self.buffer, self.need = \
+            data[:self.need], data[self.need:], 0
+        return raw
+
+    def _advance(self) -> None:
+        """Answer buffered requests until one is in flight, the client
+        must catch up, or no whole request is left."""
+        closing = self.transport.is_closing  # by us, or lost
+        while not (self.busy or self.write_paused or closing()):
+            try:
+                raw = self._cut()
+            except HttpError as exc:
+                # Framing the edge cannot trust poisons everything
+                # pipelined behind it: refuse and drop the connection.
+                self._send(self.server._refusal(exc.status, str(exc)),
+                           keep_alive=False)
+                return
+            if raw is None:
+                if self.eof:
+                    self.transport.close()
+                break
+            self._begin(raw)
+        if self.read_paused and not closing() and (
+                len(self.buffer) <= _PIPELINE_BUDGET
+                or not (self.busy or self.write_paused)):
+            self.read_paused = False
+            self.transport.resume_reading()
+
+    def _begin(self, raw: bytes) -> None:
+        server = self.server
+        server._m_requests.inc()
+        self.served += 1
         try:
-            await self._write_response(writer, response, keep_alive=False)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            await _close_writer(writer)
+            request = HttpRequest.parse(raw)
+        except BadRequestError as exc:
+            self._send(server._refusal(exc.status, str(exc)),
+                       keep_alive=False)
+            return
+        http11 = request.version == "HTTP/1.1"
+        keep_alive = _keeps_alive(request, http11) \
+            and self.served < server.keep_alive_max
+        trace_id = new_trace_id() if server.router.tracer.enabled else ""
+        deadline = Deadline.after(server.request_deadline) \
+            if server.request_deadline else None
+        handle = functools.partial(server.router.handle, request,
+                                   remote_addr=self.remote_addr,
+                                   trace_id=trace_id, deadline=deadline)
+        if not server._blocks(request):
+            self._answer(handle, http11, keep_alive)
+            return
+        self.busy = True
+        self.reply = (http11, keep_alive)
+        server._executor.submit(server._guarded(handle, deadline)) \
+            .add_done_callback(self._hand_back)
 
-    async def _send_close_delimited(self, writer: asyncio.StreamWriter,
-                                    response: HttpResponse) -> None:
-        """HTTP/1.0 streaming: the close is the framing."""
-        await self._write(writer, response.serialize_head())
-        if response.body:
-            await self._write(writer, response.body)
+    def _hand_back(self, future: Future) -> None:
+        """Executor thread: post the finished request to the loop."""
+        try:
+            self.loop.call_soon_threadsafe(self._resume, future)
+        except RuntimeError:
+            pass  # the loop shut down while the request ran
+
+    def _resume(self, future: Future) -> None:
+        self.busy = False
+        self.since = self.loop.time()
+        self._answer(future.result, *self.reply)
+        self._advance()
+
+    # -- response writing --------------------------------------------------
+
+    def _answer(self, produce: Callable[[], HttpResponse], http11: bool,
+                keep_alive: bool) -> None:
+        """Write what ``produce`` returns: the router call itself
+        in-loop, the finished future's ``result`` after a hand-off."""
+        try:
+            response = produce()
+        except BadRequestError as exc:
+            response = self.server._refusal(exc.status, str(exc))
+            keep_alive = False
+        except Exception as exc:
+            # A router bug costs this connection, not the server.
+            self.loop.call_exception_handler({
+                "message": "router raised; closing the connection",
+                "exception": exc, "transport": self.transport})
+            self.transport.close()
+            return
+        if http11:
+            # Answer in the client's dialect: an HTTP/1.1 request gets
+            # an HTTP/1.1 status line (clients gate pipelining and
+            # default keep-alive on the response version).
+            response.version = "HTTP/1.1"
+        if response.streaming:
+            # Even for a client already gone: only the pump closes the
+            # iterator on the thread that owns its cursors.
+            self.busy = True
+            task = self.loop.create_task(
+                self._stream(response, http11, keep_alive))
+            self.server._streams.add(task)
+            task.add_done_callback(self.server._streams.discard)
+        elif not self.transport.is_closing():
+            self._send(response, keep_alive=keep_alive)
+
+    def _send(self, response: HttpResponse, *, keep_alive: bool) -> None:
+        response.headers.set("Connection",
+                             "Keep-Alive" if keep_alive else "close")
+        self.transport.write(response.serialize())
+        if not keep_alive:
+            self.transport.close()  # once what is written is flushed
+
+    async def _write(self, data: bytes) -> None:
+        """A streaming write: past the high-water mark it suspends this
+        response (and only this one) until the client catches up."""
+        if self.transport.is_closing():
+            raise ConnectionResetError("client went away mid-stream")
+        self.transport.write(data)
+        if self.write_paused:
+            self.drained = self.loop.create_future()
+            await self.drained
+
+    async def _stream(self, response: HttpResponse, http11: bool,
+                      keep_alive: bool) -> None:
+        """Send a streaming response, then serve on or close."""
         assert response.body_iter is not None
-        await self._pump(writer, response.body_iter, chunked=False)
+        serve_on = False
+        try:
+            if http11:
+                # Chunked framing: the stream does not cost the
+                # connection.
+                self.server._m_chunked.inc()
+                serve_on = await self._send_chunked(
+                    response, keep_alive) and keep_alive
+            else:
+                await self._send_close_delimited(response)
+        finally:
+            if not serve_on:
+                self.transport.close()
+        self.busy = False
+        self.since = self.loop.time()
+        self._advance()
 
-    async def _send_chunked(self, writer: asyncio.StreamWriter,
-                            response: HttpResponse,
+    async def _send_close_delimited(self, response: HttpResponse) -> None:
+        """HTTP/1.0 streaming: the close is the framing."""
+        await self._pump(response.body_iter, chunked=False,
+                         preamble=response.serialize_head() + response.body)
+
+    async def _send_chunked(self, response: HttpResponse,
                             keep_alive: bool) -> bool:
         """HTTP/1.1 chunked streaming; ``False`` means the stream died
         mid-body and the connection must close (the truncation *is* the
@@ -483,21 +592,20 @@ class AsyncHttpServer:
                     "Keep-Alive" if keep_alive else "close")
         head = (f"HTTP/1.1 {response.status} {response.reason}\r\n"
                 + headers.serialize() + "\r\n").encode("latin-1")
-        await self._write(writer, head)
         if response.body:
             # The buffered prefix (page header emitted before the first
             # row) rides as the first chunk.
-            await self._write(writer, _chunk(response.body))
-        assert response.body_iter is not None
-        ok = await self._pump(writer, response.body_iter, chunked=True)
-        if ok:
-            await self._write(writer, b"0\r\n\r\n")
+            head += _chunk(response.body)
+        ok = await self._pump(response.body_iter, chunked=True,
+                              preamble=head)
+        if ok and not self.transport.is_closing():
+            self.transport.write(b"0\r\n\r\n")
         return ok
 
-    async def _pump(self, writer: asyncio.StreamWriter,
-                    body_iter: Iterator[bytes], *,
-                    chunked: bool) -> bool:
-        """Drive a synchronous body generator from one executor thread.
+    async def _pump(self, body_iter: Iterator[bytes], *, chunked: bool,
+                    preamble: bytes) -> bool:
+        """Send ``preamble``, then drive a synchronous body generator
+        from one executor thread.
 
         The generator touches sqlite cursors with thread affinity, so
         every ``__next__`` must run in the same thread: one producer
@@ -507,7 +615,7 @@ class AsyncHttpServer:
         matter what — streamed transactions settle their brackets even
         when the client vanishes mid-page.
         """
-        loop = asyncio.get_running_loop()
+        loop = self.loop
         handoff: "asyncio.Queue[object]" = asyncio.Queue(
             maxsize=_STREAM_BUFFER)
         abort = threading.Event()
@@ -534,10 +642,10 @@ class AsyncHttpServer:
                 except (RuntimeError, TimeoutError):
                     pass  # loop shut down under us; nothing to signal
 
-        assert self._executor is not None
-        producer = loop.run_in_executor(self._executor, produce)
+        producer = loop.run_in_executor(self.server._executor, produce)
         ok = True
         try:
+            await self._write(preamble)
             while True:
                 item = await handoff.get()
                 if item is _DONE:
@@ -545,13 +653,9 @@ class AsyncHttpServer:
                 if item is _FAIL:
                     ok = False
                     break
-                try:
-                    await self._write(
-                        writer, _chunk(item) if chunked else item)
-                except (ConnectionError, OSError):
-                    ok = False
-                    abort.set()
-                    break
+                await self._write(_chunk(item) if chunked else item)
+        except (ConnectionError, OSError):
+            ok = False
         finally:
             # Free a producer blocked on a full queue, then let it
             # finish closing the generator.
@@ -566,30 +670,6 @@ class AsyncHttpServer:
                 ok = False
         return ok
 
-    # -- metrics -----------------------------------------------------------
-
-    def _bind_metrics(self) -> None:
-        registry = self.metrics if self.metrics is not None \
-            else getattr(self.router, "metrics", None)
-        if registry is None:
-            self._m_conns_active = _NULL
-            self._m_conns_total = _NULL
-            self._m_requests = _NULL
-            self._m_shed = _NULL
-            self._m_chunked = _NULL
-            self._m_backpressure = _NULL
-            self._m_deadline_expired = _NULL
-            return
-        self._m_conns_active = registry.gauge("edge_connections_active")
-        self._m_conns_total = registry.counter("edge_connections_total")
-        self._m_requests = registry.counter("edge_requests_total")
-        self._m_shed = registry.counter("edge_shed_total")
-        self._m_chunked = registry.counter("edge_responses_chunked_total")
-        self._m_backpressure = registry.counter(
-            "edge_backpressure_waits_total")
-        self._m_deadline_expired = registry.counter(
-            "edge_deadline_expired_total")
-
 
 def _keeps_alive(request: HttpRequest, http11: bool) -> bool:
     tokens = request.headers.get("Connection", "").lower()
@@ -601,10 +681,3 @@ def _keeps_alive(request: HttpRequest, http11: bool) -> bool:
 def _chunk(data: bytes) -> bytes:
     return b"%x\r\n%s\r\n" % (len(data), data)
 
-
-async def _close_writer(writer: asyncio.StreamWriter) -> None:
-    try:
-        writer.close()
-        await writer.wait_closed()
-    except (ConnectionError, OSError, asyncio.CancelledError):
-        pass

@@ -342,6 +342,26 @@ class TestShutdown:
         pool.shutdown()
 
 
+class TestDaemonShutdown:
+    def test_shutdown_wakes_the_accept_thread(self):
+        """Closing a listener from another thread does not wake an
+        ``accept()`` blocked on it (Linux): ``shutdown`` used to sit out
+        its whole 5 s ``join`` and leak the thread, every time."""
+
+        class NoPool:
+            def shutdown(self):
+                pass
+
+        daemon = WorkerPoolDaemon({}, dispatcher=NoPool())
+        time.sleep(0.2)  # the accept thread is inside accept() by now
+        assert daemon._thread.is_alive()
+        started = time.perf_counter()
+        daemon.shutdown()
+        elapsed = time.perf_counter() - started
+        assert not daemon._thread.is_alive()
+        assert elapsed < 1.0
+
+
 class TestTcpChannelResilience:
     """TCP-transport specifics: channel breakage and replay."""
 

@@ -88,3 +88,59 @@ class TestRoundTrip:
         """Arbitrary junk never raises (servers must survive anything)."""
         decode_component(junk)
         decode_pairs(junk)
+
+
+def loop_decode(text: str) -> str:
+    """The character loop of ``decode_component``, kept verbatim as the
+    reference its fast path must agree with."""
+    out = bytearray()
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "+":
+            out.append(0x20)
+            i += 1
+        elif ch == "%" and i + 2 < n + 1 and _is_hex(text[i + 1:i + 3]):
+            out.append(int(text[i + 1:i + 3], 16))
+            i += 3
+        else:
+            out.extend(ch.encode("utf-8"))
+            i += 1
+    return out.decode("utf-8", "replace")
+
+
+def _is_hex(pair: str) -> bool:
+    return len(pair) == 2 and all(c in "0123456789abcdefABCDEF"
+                                  for c in pair)
+
+
+class TestDecodeFastPath:
+    """A component with neither ``+`` nor ``%`` is returned as it came."""
+
+    #: every character class the loop treats differently, over-sampled:
+    #: escapes whole and broken, the latin-1 range a request line is
+    #: decoded from, and whatever else Hypothesis finds
+    component = st.text(max_size=24, alphabet=st.one_of(
+        st.sampled_from("+%4zZaF09 =&"),
+        st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+        st.characters()))
+
+    @given(component)
+    def test_agrees_with_the_character_loop(self, text):
+        try:
+            expected = loop_decode(text)
+        except UnicodeEncodeError:
+            return  # a lone surrogate: the loop accepts no such text
+        assert decode_component(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", "%", "100%", "%zz", "trailing%4", "%4", "a+b",
+        "café", "ÿþ", "%C3%A9", "%c3", "€", "%%41",
+    ])
+    def test_named_cases_agree(self, text):
+        assert decode_component(text) == loop_decode(text)
+
+    def test_untouched_text_is_the_same_object(self):
+        text = "SEARCH"
+        assert decode_component(text) is text

@@ -1,0 +1,520 @@
+"""The edge's connection protocol, driven without sockets.
+
+``_Connection`` is an :class:`asyncio.Protocol`: everything it does is a
+reaction to a callback, so a fake transport, a loop that never runs and
+an executor the test steps by hand reach every ordering the socket
+tests can only provoke by sleeping — pipelining behind a hand-off,
+both backpressure directions, the timer's three states.  None of the
+fakes has ``create_task``, ``run_in_executor`` or a stream reader: a
+buffered request that reached for one would fail here.
+
+The tests at the end need more of the real thing: the request path's
+call count (the cost guard with no noise band), a slow reader over a
+socket, and the listen backlog.
+"""
+
+import re
+import socket
+import sys
+import time
+from concurrent.futures import Future
+from pathlib import Path
+
+import pytest
+
+import repro.http
+from repro.cgi.gateway import FunctionProgram
+from repro.cgi.request import CgiResponse
+from repro.http.async_server import (
+    _PIPELINE_BUDGET,
+    AsyncHttpServer,
+    _Connection,
+)
+from repro.http.router import Router
+from repro.obs.metrics import MetricsRegistry
+
+HELLO = b"GET /hello HTTP/1.1\r\nHost: t\r\n\r\n"
+SLOW = b"GET /cgi-bin/slow HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class FakeTimer:
+    def __init__(self, when, callback):
+        self.when, self.callback, self.cancelled = when, callback, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class FakeLoop:
+    """The four loop calls the buffered request path may make."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.timers = []
+        self.posted = []
+        self.errors = []
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback):
+        self.timers.append(FakeTimer(when, callback))
+        return self.timers[-1]
+
+    def call_soon_threadsafe(self, callback, *args):
+        self.posted.append((callback, args))
+
+    def call_exception_handler(self, context):
+        self.errors.append(context)
+
+    def run_posted(self):
+        while self.posted:
+            callback, args = self.posted.pop(0)
+            callback(*args)
+
+    def advance(self, seconds):
+        """Move the clock, firing every timer that comes due."""
+        self.now += seconds
+        while True:
+            due = [timer for timer in self.timers
+                   if not timer.cancelled and timer.when <= self.now]
+            if not due:
+                return
+            timer = min(due, key=lambda t: t.when)
+            self.timers.remove(timer)
+            timer.callback()
+
+
+class FakeSocket:
+    def __init__(self):
+        self.options = []
+
+    def setsockopt(self, *option):
+        self.options.append(option)
+
+
+class FakeTransport:
+    def __init__(self, protocol, *, pause_on_write=False):
+        self.protocol = protocol
+        self.pause_on_write = pause_on_write
+        self.socket = FakeSocket()
+        self.written = b""
+        self.closed = False
+        self.reading = True
+
+    def get_extra_info(self, name):
+        return {"peername": ("10.1.2.3", 4321),
+                "socket": self.socket}.get(name)
+
+    def set_write_buffer_limits(self, high=None, low=None):
+        self.high = high
+
+    def write(self, data):
+        self.written += data
+        if self.pause_on_write:  # a reader more than high-water behind
+            self.pause_on_write = False
+            self.protocol.pause_writing()
+
+    def close(self):
+        self.closed = True
+
+    def is_closing(self):
+        return self.closed
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+class FakeExecutor:
+    """``submit`` queues; the test plays the executor thread."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, fn):
+        future = Future()
+        self.jobs.append((fn, future))
+        return future
+
+    def run_next(self):
+        fn, future = self.jobs.pop(0)
+        try:
+            future.set_result(fn())
+        except Exception as exc:
+            future.set_exception(exc)
+
+
+class Edge:
+    """An unstarted server with fake loop and executor, and its router's
+    calls on record."""
+
+    def __init__(self, **kwargs):
+        self.metrics = MetricsRegistry()
+        self.router = Router(metrics=self.metrics)
+        self.router.add_page("/hello", "<H1>Hello</H1>")
+        self.router.gateway.install("slow", FunctionProgram(
+            lambda request: CgiResponse(body=b"slow answer")))
+        self.handled = []
+        handle = self.router.handle
+
+        def recording(request, **kw):
+            self.handled.append(request.path)
+            if request.path.endswith("/boom"):
+                raise RuntimeError("router bug")
+            return handle(request, **kw)
+
+        self.router.handle = recording
+        self.server = AsyncHttpServer(self.router, **kwargs)
+        self.loop = FakeLoop()
+        self.executor = self.server._executor = FakeExecutor()
+
+    def connect(self, **transport_kwargs):
+        protocol = _Connection(self.server, self.loop)
+        transport = FakeTransport(protocol, **transport_kwargs)
+        protocol.connection_made(transport)
+        return protocol, transport
+
+    def finish_one(self):
+        """An executor thread finishes a request; the loop hears of it."""
+        self.executor.run_next()
+        self.loop.run_posted()
+
+
+@pytest.fixture()
+def make_edge():
+    """``Edge(**kwargs)``, its listener closed when the test ends."""
+    edges = []
+
+    def make(**kwargs):
+        edges.append(Edge(**kwargs))
+        return edges[-1]
+
+    yield make
+    for edge in edges:
+        edge.server.shutdown()
+
+
+@pytest.fixture()
+def edge(make_edge):
+    return make_edge(timeout=30.0, idle_timeout=5.0)
+
+
+def statuses(written: bytes) -> list[bytes]:
+    return re.findall(rb"HTTP/1\.[01] (\d{3}) ", written)
+
+
+class TestPipeliningBehindAHandOff:
+    def test_three_pipelined_requests_are_answered_in_order(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(SLOW + HELLO + HELLO)
+        # the first is with the executor; nothing behind it has started
+        assert len(edge.executor.jobs) == 1
+        assert edge.handled == [] and transport.written == b""
+        edge.finish_one()
+        assert edge.handled == ["/cgi-bin/slow", "/hello", "/hello"]
+        assert statuses(transport.written) == [b"200"] * 3
+        assert transport.written.index(b"slow answer") \
+            < transport.written.index(b"Hello")
+        assert transport.written.count(b"Hello") == 2
+        assert not transport.closed
+        assert edge.metrics.flat()["edge_requests_total"] == 3
+
+    def test_a_request_split_across_reads_waits_for_its_tail(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(HELLO[:9])
+        assert transport.written == b""
+        protocol.data_received(HELLO[9:])
+        assert statuses(transport.written) == [b"200"]
+
+    def test_nagle_is_off_on_every_connection(self, edge):
+        """asyncio only disables Nagle on sockets whose ``proto`` is
+        TCP, and an accepted socket's is 0: left on, a pipelined burst
+        of small responses stalls ~40 ms on the peer's delayed ACK."""
+        _, transport = edge.connect()
+        assert transport.socket.options == [
+            (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)]
+
+    def test_the_remote_address_reaches_the_router(self, edge):
+        seen = []
+        edge.router.gateway.install("who", FunctionProgram(
+            lambda request: seen.append(request.environ.remote_addr)
+            or CgiResponse(body=b"ok")))
+        protocol, _ = edge.connect()
+        protocol.data_received(b"GET /cgi-bin/who HTTP/1.0\r\n\r\n")
+        edge.finish_one()
+        assert seen == ["10.1.2.3"]
+
+
+class TestBackpressure:
+    def test_paused_writer_starts_no_further_request(self, edge):
+        protocol, transport = edge.connect(pause_on_write=True)
+        protocol.data_received(HELLO + HELLO)
+        # the first response put the client past the high-water mark
+        assert edge.handled == ["/hello"]
+        assert statuses(transport.written) == [b"200"]
+        assert edge.metrics.flat()["edge_backpressure_waits_total"] == 1
+        protocol.data_received(HELLO)  # more arrives: still held back
+        assert edge.handled == ["/hello"]
+        protocol.resume_writing()
+        assert edge.handled == ["/hello"] * 3
+        assert statuses(transport.written) == [b"200"] * 3
+
+    def test_pipelined_bytes_past_the_budget_pause_reading(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(SLOW)
+        padded = HELLO[:-2] + b"X-Pad: " + b"x" * 4000 + b"\r\n\r\n"
+        fits = _PIPELINE_BUDGET // len(padded)
+        protocol.data_received(padded * fits)
+        assert transport.reading  # inside the budget
+        protocol.data_received(padded)
+        assert not transport.reading
+        assert edge.handled == []
+        edge.finish_one()
+        # the backlog was answered, the buffer drained, reading resumed
+        assert transport.reading
+        assert edge.handled == ["/cgi-bin/slow"] + ["/hello"] * (fits + 1)
+        assert protocol.buffer == b""
+
+    def test_a_large_body_in_flight_is_not_pipelining(self, edge):
+        """The budget bounds bytes *behind* a request being answered; a
+        body still arriving must keep being read."""
+        protocol, transport = edge.connect()
+        protocol.data_received(
+            b"POST /cgi-bin/slow HTTP/1.0\r\nContent-Length: "
+            + str(4 * _PIPELINE_BUDGET).encode() + b"\r\n\r\n")
+        for _ in range(4):
+            assert transport.reading
+            protocol.data_received(b"x" * _PIPELINE_BUDGET)
+        assert len(edge.executor.jobs) == 1
+
+
+class TestTheOneTimer:
+    def test_idle_connection_is_closed_at_idle_timeout(self, edge):
+        protocol, transport = edge.connect()
+        edge.loop.advance(4.9)
+        assert not transport.closed
+        edge.loop.advance(0.2)
+        assert transport.closed
+
+    def test_request_being_answered_is_never_timed_out(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(SLOW)
+        edge.loop.advance(120.0)  # far past both limits
+        assert not transport.closed
+        edge.finish_one()
+        assert statuses(transport.written) == [b"200"]
+        # and the idle limit starts over from the answer
+        edge.loop.advance(4.9)
+        assert not transport.closed
+        edge.loop.advance(0.2)
+        assert transport.closed
+
+    def test_begun_request_gets_the_longer_timeout(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(HELLO[:9])
+        edge.loop.advance(29.0)  # past idle_timeout, inside timeout
+        assert not transport.closed
+        protocol.data_received(HELLO[9:11])  # each read starts it over
+        edge.loop.advance(29.0)
+        assert not transport.closed
+        edge.loop.advance(1.5)
+        assert transport.closed and transport.written == b""
+
+    def test_shorter_request_timeout_is_not_slept_through(self, make_edge):
+        """A request that begins while the timer is set for the longer
+        idle limit is still cut off at its own."""
+        edge = make_edge(timeout=2.0, idle_timeout=30.0)
+        protocol, transport = edge.connect()
+        edge.loop.advance(1.0)
+        protocol.data_received(HELLO[:9])
+        edge.loop.advance(1.9)
+        assert not transport.closed
+        edge.loop.advance(0.2)
+        assert transport.closed
+
+    def test_serving_requests_arms_no_further_timer(self, edge):
+        protocol, _ = edge.connect()
+        for _ in range(50):
+            protocol.data_received(HELLO)
+            protocol.data_received(SLOW)
+            edge.finish_one()
+        assert len(edge.loop.timers) == 1
+
+    def test_a_lost_connection_cancels_its_timer(self, edge):
+        protocol, _ = edge.connect()
+        assert edge.server.active_connections == 1
+        protocol.connection_lost(None)
+        assert edge.loop.timers[0].cancelled
+        assert edge.server.active_connections == 0
+
+
+class TestFramingAtEof:
+    def test_eof_mid_body_is_400_and_never_routed(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(b"POST /cgi-bin/slow HTTP/1.0\r\n"
+                               b"Content-Length: 100\r\n\r\nabc")
+        assert transport.written == b""
+        assert protocol.eof_received() is True
+        assert statuses(transport.written) == [b"400"]
+        assert b"3 of 100" in transport.written
+        assert b"Connection: close" in transport.written
+        assert transport.closed
+        assert edge.handled == [] and edge.executor.jobs == []
+
+    def test_half_closed_client_still_gets_its_answer(self, edge):
+        protocol, transport = edge.connect()
+        protocol.data_received(SLOW + HELLO)
+        protocol.eof_received()
+        assert not transport.closed
+        edge.finish_one()
+        assert statuses(transport.written) == [b"200"] * 2
+        assert transport.closed
+
+
+class TestRouterFailure:
+    @pytest.mark.parametrize("target", ["/boom", "/cgi-bin/boom"])
+    def test_exception_closes_that_connection_only(self, edge, target):
+        """Raised in-loop (a page) and on the executor (a program)."""
+        broken, broken_transport = edge.connect()
+        healthy, healthy_transport = edge.connect()
+        broken.data_received(
+            f"GET {target} HTTP/1.1\r\n\r\n".encode() + HELLO)
+        if edge.executor.jobs:
+            edge.finish_one()
+        assert broken_transport.closed
+        assert broken_transport.written == b""
+        (context,) = edge.loop.errors
+        assert isinstance(context["exception"], RuntimeError)
+        healthy.data_received(HELLO)
+        assert statuses(healthy_transport.written) == [b"200"]
+        assert not healthy_transport.closed
+
+    def test_shed_connection_is_answered_503_and_not_counted(self, make_edge):
+        edge = make_edge(max_connections=1)
+        edge.connect()
+        _, shed = edge.connect()
+        assert statuses(shed.written) == [b"503"]
+        assert b"Retry-After" in shed.written and shed.closed
+        assert edge.server.active_connections == 1
+        assert len(edge.loop.timers) == 1  # the shed one armed none
+
+
+# -- the cost guard ---------------------------------------------------------
+
+HTTP_DIR = str(Path(repro.http.__file__).parent)
+
+#: Python calls into ``src/repro/http/`` made on the event-loop thread
+#: to answer one keep-alive GET — measured, plus 10 %.  The parent's
+#: coroutine edge made 348 calls of all kinds per request on that
+#: thread; half of that is the bar this rewrite was accepted on, and
+#: these ceilings sit far below it.  A change that raises a count has
+#: made every request dearer: find out why before raising a ceiling.
+CALL_CEILING = {"static": 52, "cgi": 44}  # measured: 48 and 40
+PARENT_LOOP_THREAD_CALLS = 348
+
+
+def http_calls(run) -> int:
+    """``call`` events in frames from ``src/repro/http/`` during ``run``."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(HTTP_DIR):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestRequestPathCallCount:
+    def measure(self, edge, kind) -> int:
+        protocol, transport = edge.connect()
+        if kind == "static":
+            return http_calls(lambda: protocol.data_received(HELLO))
+        # The loop thread's share of a handed-off request: parse and
+        # submit, then the answer posted back.  Router.handle itself
+        # belongs to the executor thread.
+        before = http_calls(lambda: protocol.data_received(SLOW))
+        edge.executor.run_next()
+        after = http_calls(edge.loop.run_posted)
+        assert statuses(transport.written) == [b"200"]
+        return before + after
+
+    @pytest.mark.parametrize("kind", ["static", "cgi"])
+    def test_call_count_is_exact_and_under_its_ceiling(self, make_edge, kind):
+        self.measure(make_edge(), kind)  # first use fills caches
+        counts = {self.measure(make_edge(), kind) for _ in range(3)}
+        assert len(counts) == 1, f"call count is not deterministic: {counts}"
+        (count,) = counts
+        assert count <= CALL_CEILING[kind], (
+            f"one {kind} request now costs {count} calls in http/ on the "
+            f"loop thread (ceiling {CALL_CEILING[kind]})")
+        assert CALL_CEILING[kind] <= PARENT_LOOP_THREAD_CALLS // 2
+
+
+# -- backpressure over a real socket ----------------------------------------
+
+class TestSlowReaderOverASocket:
+    def test_large_pipelined_responses_arrive_whole_and_in_order(self):
+        """Two 4 MiB pages to a client that reads late: far past the
+        high-water mark and the kernel's buffers, so the second request
+        waits for ``resume_writing`` — and nothing is lost or reordered."""
+        metrics = MetricsRegistry()
+        router = Router(metrics=metrics)
+        pages = {name: name.encode() * (4 << 20) for name in "ab"}
+        for name, body in pages.items():
+            router.add_page(f"/{name}", body.decode())
+        with AsyncHttpServer(router, metrics=metrics) as server:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n"
+                             b"Connection: close\r\n\r\n")
+                time.sleep(0.3)  # the edge is stuck on this reader now
+                assert router.metrics.counter(
+                    "http_requests_total").value == 1
+                data = b""
+                while chunk := sock.recv(1 << 20):
+                    data += chunk
+        first, _, rest = data.partition(b"\r\n\r\n")
+        assert b"200 OK" in first and rest.startswith(pages["a"])
+        second, _, body = rest[len(pages["a"]):].partition(b"\r\n\r\n")
+        assert b"200 OK" in second and body == pages["b"]
+        assert metrics.counter("edge_backpressure_waits_total").value >= 1
+
+
+# -- the listen backlog -----------------------------------------------------
+
+class TestListenBacklog:
+    def test_backlog_survives_create_server(self):
+        """``create_server(sock=...)`` listens again with its own default
+        of 100 unless told otherwise.  Stall the loop so nothing is
+        accepted, then connect 300 times: every handshake must complete
+        out of the kernel's queue, none waiting on a SYN retransmit."""
+        clients = []
+        metrics = MetricsRegistry()
+        with AsyncHttpServer(Router(), backlog=512,
+                             metrics=metrics) as server:
+            server._loop.call_soon_threadsafe(time.sleep, 1.0)
+            time.sleep(0.05)  # the loop is asleep now
+            try:
+                for _ in range(300):
+                    clients.append(socket.create_connection(
+                        (server.host, server.port), timeout=0.5))
+            finally:
+                for client in clients:
+                    client.close()
+            # and once it wakes, the loop finds all 300 in its queue
+            accepted = metrics.counter("edge_connections_total")
+            deadline = time.monotonic() + 10.0
+            while (accepted.value < 300 or server.active_connections) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert accepted.value == 300
+            assert server.active_connections == 0

@@ -1,6 +1,7 @@
 """The router's observability surface: /metrics, /statusz, request spans."""
 
 import json
+import urllib.request
 
 import pytest
 
@@ -90,6 +91,21 @@ class TestStatusz:
         get(site, "/statusz")
         snapshot = json.loads(get(site, "/statusz").body)
         assert snapshot["counters"]["http_requests_total"] == 2
+
+    def test_executor_handoff_wait_is_a_histogram(self, site):
+        """Over a socket: the report crosses the edge's executor and
+        is clocked; the in-loop scrape that reads the clock is not."""
+        app, site = site
+        server = site.serve()  # already started: not a ``with`` target
+        try:
+            for target in (f"{app.report_path}?{QUERY}", "/statusz"):
+                with urllib.request.urlopen(server.base_url + target,
+                                            timeout=10) as response:
+                    body = response.read()
+        finally:
+            server.shutdown()
+        handoff = json.loads(body)["histograms"]["edge_handoff_wait_ms"]
+        assert handoff["count"] == 1
 
 
 class TestRequestSpans:

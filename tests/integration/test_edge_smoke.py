@@ -129,21 +129,27 @@ class TestEdgeSmoke:
         assert "daemon_requests" in flat
 
 
+def wal_deployment(tmp_path):
+    """A macro directory whose URLDB file is in WAL mode; returns the
+    database path and where SQLite keeps that file's log."""
+    db_path = tmp_path / "urldb.sqlite"
+    conn = Connection(str(db_path))
+    seed_urldb(conn, 20)
+    conn.executescript("PRAGMA journal_mode=WAL;")
+    conn.close()
+    (tmp_path / "urlquery.d2w").write_text(
+        urlquery_app.URLQUERY_MACRO, encoding="utf-8")
+    return db_path, tmp_path / "urldb.sqlite-wal"
+
+
 def test_inprocess_serve_keeps_its_connections_warm(tmp_path):
     """``repro serve`` leases pooled connections: a WAL-mode file's log
     outlives the request that opened it (a per-request close, being the
     file's last, would checkpoint and delete it — or not, whenever
     another request overlapped) and Ctrl-C folds it back into the file.
     """
-    db_path = tmp_path / "urldb.sqlite"
-    conn = Connection(str(db_path))
-    seed_urldb(conn, 20)
-    conn.executescript("PRAGMA journal_mode=WAL;")
-    conn.close()
-    log = tmp_path / "urldb.sqlite-wal"
+    db_path, log = wal_deployment(tmp_path)
     assert not log.exists()
-    (tmp_path / "urlquery.d2w").write_text(
-        urlquery_app.URLQUERY_MACRO, encoding="utf-8")
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--macros", str(tmp_path),
          "--database", f"URLDB={db_path}", "--port", "0"],
@@ -158,3 +164,35 @@ def test_inprocess_serve_keeps_its_connections_warm(tmp_path):
         serve.send_signal(signal.SIGINT)
         serve.wait(timeout=10)
     assert not log.exists()
+
+
+def test_sigterm_stops_serve_as_cleanly_as_ctrl_c(tmp_path):
+    """SIGTERM — what ``--acceptors`` sends its children and what a
+    supervisor sends by default — must run the same clean-up as Ctrl-C:
+    exit status 0, pooled connections closed (the WAL folded back into
+    its file) and the ``#stats`` trailer on the access log."""
+    db_path, wal = wal_deployment(tmp_path)
+    access_log = tmp_path / "access.log"
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--macros", str(tmp_path),
+         "--database", f"URLDB={db_path}", "--port", "0",
+         "--access-log", str(access_log)],
+        env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    try:
+        base = read_banner(serve, r"on (http://[\d.]+:\d+)", "serve")
+        post = urllib.request.Request(
+            base + "/cgi-bin/db2www/urlquery.d2w/report",
+            data=b"SEARCH=ib&USE_URL=yes&DBFIELDS=title")
+        with urllib.request.urlopen(post, timeout=10) as response:
+            assert response.status == 200
+            assert b"URL Query Result" in response.read()
+        assert wal.exists()
+    finally:
+        serve.send_signal(signal.SIGTERM)
+        exit_status = serve.wait(timeout=10)
+    assert exit_status == 0
+    assert not wal.exists()
+    lines = access_log.read_text(encoding="utf-8").splitlines()
+    assert any('"POST ' in line for line in lines)
+    assert lines[-1].startswith("#stats {")
