@@ -15,8 +15,9 @@ The same frame protocol also runs over TCP (:mod:`repro.appserver.remote`):
 a :class:`WorkerPoolDaemon` hosts the pool behind ``--listen host:port``
 and a :class:`TcpPoolDispatcher` on the web-server host dispatches to any
 number of such pools via ``--connect`` — the three-tier separation the
-related work argues for, with crash replacement, idempotent-only replay
-and trace grafting identical across both transports.
+related work argues for.  Leasing, the exchange, crash replacement,
+GET/HEAD replay and health checks are one core under both dispatchers
+(:class:`repro.appserver.dispatcher._PeerDispatcher`).
 
 The dispatchers implement the :class:`repro.cgi.gateway.CgiProgram`
 protocol and mount in a :class:`~repro.cgi.gateway.CgiGateway` exactly

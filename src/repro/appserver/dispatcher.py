@@ -1,15 +1,26 @@
-"""The app-server dispatcher: pre-forked workers behind ``CgiProgram``.
+"""The app-server dispatchers' shared core, and the local worker pool.
 
-:class:`AppServerDispatcher` owns a rendezvous listening socket (Unix
-by default, loopback TCP with ``transport="tcp"``) and a pool of
-worker processes (:mod:`repro.appserver.worker`).  Its :meth:`run`
-implements the :class:`repro.cgi.gateway.CgiProgram` protocol, so the
-whole web stack mounts it exactly like the in-process program or the
-process-per-request :class:`~repro.cgi.process.SubprocessCgiRunner` —
-the three execution models of the gateway-comparison bench differ only
-in what sits behind ``gateway.install``.
+:class:`_PeerDispatcher` is the one frame-protocol dispatcher: it
+leases a **peer** (a connection that answers ``REQUEST`` frames) from
+an idle queue, runs one exchange on it, replaces a peer whose frame
+stream broke and replays the request once when its method allows,
+and hands the peer back.  The wait for a peer is capped by the
+request's deadline, and :meth:`~_PeerDispatcher.health_check` pings
+the idle ones.  Its two subclasses differ only in what a peer *is*:
 
-Worker lifecycle:
+* :class:`AppServerDispatcher` (here) — a pre-forked worker process
+  (:mod:`repro.appserver.worker`) that connected back over a Unix
+  rendezvous socket;
+* :class:`~repro.appserver.remote.TcpPoolDispatcher` — a TCP
+  connection to a pool daemon on another host.
+
+Both implement the :class:`repro.cgi.gateway.CgiProgram` protocol, so
+the whole web stack mounts them exactly like the in-process program or
+the process-per-request :class:`~repro.cgi.process.SubprocessCgiRunner`
+— the execution models of the gateway-comparison bench differ only in
+what sits behind ``gateway.install``.
+
+Worker lifecycle (the local pool):
 
 * **spawn** — workers are pre-forked at construction; each connects
   back over the Unix socket and announces itself with a ``HELLO``.
@@ -21,14 +32,14 @@ Worker lifecycle:
   does not bring every worker to the threshold together.
 * **crash** — a worker dying mid-request is detected by the broken
   frame stream, replaced immediately, and the request is retried once
-  on a fresh worker when it is safe to replay (GET/HEAD); other
-  in-flight requests ride their own workers and never notice.
+  on a fresh worker when its method is GET or HEAD; other in-flight
+  requests ride their own workers and never notice.
 * **drain** — :meth:`shutdown` stops handing out workers, tells each
   one to finish and exit, and reaps stragglers.
 
-Concurrency is worker-granular: checked-out workers are exclusively
-owned by one request thread (a :class:`queue.Queue` of idle workers is
-the scheduler), so no frame interleaving can occur.
+Concurrency is peer-granular: a checked-out peer is exclusively owned
+by one request thread (a :class:`queue.Queue` of idle peers is the
+scheduler), so no frame interleaving can occur.
 """
 
 from __future__ import annotations
@@ -53,25 +64,199 @@ from repro.errors import (
 )
 from repro.obs.trace import TRACER
 
-#: request methods safe to replay on a fresh worker after a crash
+#: Request methods replayed on a fresh peer after a broken exchange.
+#: The rule keys on the method alone — every macro is reachable by
+#: GET, so it does not by itself prevent a doubled write (ROADMAP 2).
 _REPLAYABLE = frozenset({"GET", "HEAD"})
 
 
-class _Worker:
+class _PeerBroken(Exception):
+    """The frame stream to a peer failed mid-exchange (as opposed to a
+    pool-side failure that arrived intact in an ``ERROR`` frame)."""
+
+
+class _Peer:
+    """What the core leases: a connection, its number in the pool and
+    the attributes its ``appserver.dispatch`` spans carry."""
+
+    __slots__ = ("slot", "conn", "span_attrs")
+
+    def __init__(self, slot: int, conn: socket.socket,
+                 span_attrs: tuple):
+        self.slot = slot
+        self.conn = conn
+        self.span_attrs = span_attrs
+
+
+class _PeerDispatcher:
+    """Lease → exchange → (replace, replay once) → hand back.
+
+    Subclasses supply ``_checkin(peer)`` (count the request, queue the
+    peer), ``_replace(peer)`` (dispose of a broken peer, queue a fresh
+    one if it can), ``stats()`` and ``shutdown()``, and keep ``_live``
+    (slot → peer) current.
+    """
+
+    _PEER = "peer"      # what a peer is called in messages
+    _BROKE = "broke"    # ... and what it did when its stream failed
+
+    def __init__(self, request_timeout: float):
+        self.request_timeout = request_timeout
+        self._idle: "queue.Queue[_Peer]" = queue.Queue()
+        self._lock = threading.Lock()       # registry + counters
+        self._closed = False
+        self._live: dict[int, _Peer] = {}
+        self._replays = 0
+        self._busy_timeouts = 0
+
+    # -- CgiProgram --------------------------------------------------------
+
+    def run(self, request: CgiRequest) -> CgiResponse:
+        deadline = getattr(request, "deadline", None)
+        peer = self._checkout(deadline)
+        try:
+            response = self._exchange(peer, request)
+        except _PeerBroken as exc:
+            # The frame stream broke: the worker crashed (or hung past
+            # the timeout), the daemon or the network went away.
+            # Replace the peer; other in-flight requests own other
+            # peers and are unaffected.
+            self._replace(peer)
+            if request.environ.request_method.upper() not in _REPLAYABLE:
+                raise CgiProtocolError(
+                    f"app-server {self._PEER} {self._BROKE} "
+                    f"mid-request: {exc}") from exc
+            with self._lock:
+                self._replays += 1
+            peer = self._checkout(deadline)
+            try:
+                response = self._exchange(peer, request)
+            except _PeerBroken as again:
+                self._replace(peer)
+                raise CgiProtocolError(
+                    f"app-server {self._PEER} {self._BROKE} on the "
+                    f"replay as well: {again}") from again
+        self._checkin(peer)
+        return response
+
+    def health_check(self) -> dict[int, bool]:
+        """Ping every idle peer; dead ones are replaced.
+
+        Returns slot → alive-before-check.  Busy peers are skipped
+        (their liveness is proven by the request they are serving).
+        """
+        idle: list[_Peer] = []
+        while True:
+            try:
+                idle.append(self._idle.get_nowait())
+            except queue.Empty:
+                break
+        # Drained first: a replacement queued below is not pinged (and
+        # its slot's verdict overwritten) in the same pass.
+        results: dict[int, bool] = {}
+        for peer in idle:
+            try:
+                protocol.send_frame(peer.conn, protocol.FRAME_PING)
+                frame = protocol.recv_frame(peer.conn)
+                alive = frame is not None \
+                    and frame[0] == protocol.FRAME_PONG
+            except (OSError, CgiProtocolError):
+                alive = False
+            results[peer.slot] = alive
+            if alive:
+                self._idle.put(peer)
+            else:
+                self._replace(peer)
+        return results
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    # -- internals ---------------------------------------------------------
+
+    def _checkout(self, deadline=None) -> _Peer:
+        if self._closed:
+            raise CgiProtocolError("app-server dispatcher is shut down")
+        # The wait for a peer is bounded by the request's remaining
+        # deadline budget: a request with 50 ms left must not sit 30 s
+        # in the checkout queue doing dead work.
+        timeout = self.request_timeout
+        if deadline is not None:
+            if deadline.expired:
+                raise DeadlineExceededError(
+                    f"request deadline expired before a {self._PEER} "
+                    "was free")
+            timeout = min(timeout, deadline.remaining())
+        try:
+            return self._idle.get(timeout=timeout)
+        except queue.Empty:
+            with self._lock:
+                self._busy_timeouts += 1
+            if deadline is not None and deadline.expired:
+                raise DeadlineExceededError(
+                    "request deadline expired waiting for an "
+                    f"app-server {self._PEER}") from None
+            raise PoolExhaustedError(
+                f"all {len(self._live)} app-server {self._PEER}s "
+                f"stayed busy for {timeout:.3g}s") from None
+
+    def _exchange(self, peer: _Peer, request: CgiRequest) -> CgiResponse:
+        """One REQUEST→RESPONSE round trip on a checked-out peer.
+
+        Transport trouble raises :class:`_PeerBroken` (replace the
+        peer, maybe replay).  An ``ERROR`` frame is a pool-side
+        failure that crossed a healthy stream: the peer goes back to
+        the queue and the pool's own exception is re-raised as-is.
+        """
+        with TRACER.span("appserver.dispatch") as span:
+            for key, value in peer.span_attrs:
+                span.set(key, value)
+            try:
+                protocol.send_frame(peer.conn, protocol.FRAME_REQUEST,
+                                    protocol.encode_request(request))
+                frame = protocol.recv_frame(peer.conn)
+            except (OSError, CgiProtocolError) as exc:
+                raise _PeerBroken(str(exc)) from exc
+            if frame is None:
+                raise _PeerBroken(
+                    "connection closed instead of responding")
+            frame_type, payload = frame
+            if frame_type == protocol.FRAME_ERROR:
+                # Handed back before decoding: a garbled ERROR payload
+                # raises too, and must not take the healthy peer along.
+                self._checkin(peer)
+                raise protocol.pool_error(payload)
+            if frame_type != protocol.FRAME_RESPONSE:
+                raise _PeerBroken(
+                    f"expected a RESPONSE frame, got type {frame_type}")
+            try:
+                response = protocol.decode_response(payload)
+            except CgiProtocolError as exc:
+                raise _PeerBroken(str(exc)) from exc
+            if response.trace is not None:
+                # Stitch the worker-side spans into this request's
+                # trace; their ids match (the frame carried the id).
+                TRACER.graft(response.trace)
+            return response
+
+
+class _Worker(_Peer):
     """One live worker process and its dispatcher-side connection."""
 
-    __slots__ = ("slot", "proc", "conn", "served", "lifetime")
+    __slots__ = ("proc", "served", "lifetime")
 
     def __init__(self, slot: int, proc: subprocess.Popen,
                  conn: socket.socket, lifetime: int):
-        self.slot = slot
+        super().__init__(slot, conn, (("slot", slot),))
         self.proc = proc
-        self.conn = conn
         self.served = 0  # requests served by this incarnation
         self.lifetime = lifetime  # ... and how many it may serve
 
 
-class AppServerDispatcher:
+class AppServerDispatcher(_PeerDispatcher):
     """Dispatches CGI requests to a pool of persistent worker processes.
 
     ``worker_env`` carries the application configuration the workers
@@ -79,59 +264,43 @@ class AppServerDispatcher:
     see :mod:`repro.cgi.db2www_main`).  Everything else is pool tuning.
     """
 
+    _PEER = "worker"
+    _BROKE = "died"
+
+    #: benchmarks/e2e/spans.py wraps ``AppServerDispatcher.__dict__
+    #: ["run"]``; inherited only, the dispatch layer would read 0.0.
+    run = _PeerDispatcher.run
+
     def __init__(self, worker_env: dict[str, str], *,
                  workers: int = 4,
                  recycle_after: int = 500,
                  request_timeout: float = 30.0,
                  spawn_timeout: float = 20.0,
-                 argv: Optional[list[str]] = None,
-                 transport: str = "unix"):
+                 argv: Optional[list[str]] = None):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if recycle_after < 1:
             raise ValueError("recycle_after must be at least 1")
-        if transport not in ("unix", "tcp"):
-            raise ValueError(f"unknown transport {transport!r}")
+        super().__init__(request_timeout)
         self.worker_env = dict(worker_env)
         self.pool_size = workers
         self.recycle_after = recycle_after
-        self.request_timeout = request_timeout
         self.spawn_timeout = spawn_timeout
-        self.transport = transport
         self.argv = argv or [sys.executable, "-m",
                              "repro.appserver.worker"]
-        self._dir = None
-        if transport == "tcp":
-            # Worker rendezvous over loopback TCP: the same frame
-            # protocol, no filesystem artifact.  (Workers still spawn
-            # locally; cross-host pools are the daemon's job — see
-            # repro.appserver.remote.)
-            self._listener = socket.socket(socket.AF_INET,
-                                           socket.SOCK_STREAM)
-            self._listener.bind(("127.0.0.1", 0))
-            self.socket_path = protocol.format_endpoint(
-                "tcp", self._listener.getsockname())
-        else:
-            self._dir = tempfile.mkdtemp(prefix="repro-appserver-")
-            self.socket_path = os.path.join(self._dir, "dispatch.sock")
-            self._listener = socket.socket(socket.AF_UNIX,
-                                           socket.SOCK_STREAM)
-            self._listener.bind(self.socket_path)
+        self._dir = tempfile.mkdtemp(prefix="repro-appserver-")
+        self.socket_path = os.path.join(self._dir, "dispatch.sock")
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(self.socket_path)
         self._listener.listen(workers * 2)
-        self._idle: "queue.Queue[_Worker]" = queue.Queue()
-        self._lock = threading.Lock()       # registry + counters
         #: serialises Popen+accept+HELLO so concurrent crash
         #: replacements cannot cross-pair connections
         self._spawn_lock = threading.Lock()
-        self._closed = False
         #: the thread running a planned replacement, if one is in flight
         self._recycler: Optional[threading.Thread] = None
-        self._live: dict[int, _Worker] = {}
         self._slot_requests = {i: 0 for i in range(workers)}
         self._slot_recycles = {i: 0 for i in range(workers)}
         self._slot_crashes = {i: 0 for i in range(workers)}
-        self._crash_retries = 0
-        self._busy_timeouts = 0
         try:
             for slot in range(workers):
                 # Stagger the first planned recycles across one period.
@@ -140,35 +309,6 @@ class AppServerDispatcher:
         except BaseException:
             self.shutdown()
             raise
-
-    # -- CgiProgram --------------------------------------------------------
-
-    def run(self, request: CgiRequest) -> CgiResponse:
-        deadline = getattr(request, "deadline", None)
-        worker = self._checkout(deadline)
-        try:
-            response = self._dispatch_on(worker, request)
-        except (OSError, CgiProtocolError) as exc:
-            # The frame stream broke: the worker crashed (or hung past
-            # the timeout) mid-request.  Replace it; other in-flight
-            # requests own other workers and are unaffected.
-            self._replace_crashed(worker)
-            method = request.environ.request_method.upper()
-            if method not in _REPLAYABLE:
-                raise CgiProtocolError(
-                    f"app-server worker died mid-request: {exc}") from exc
-            with self._lock:
-                self._crash_retries += 1
-            worker = self._checkout(deadline)
-            try:
-                response = self._dispatch_on(worker, request)
-            except (OSError, CgiProtocolError) as again:
-                self._replace_crashed(worker)
-                raise CgiProtocolError(
-                    "app-server worker died on the replay as well: "
-                    f"{again}") from again
-        self._checkin(worker)
-        return response
 
     # -- observability -----------------------------------------------------
 
@@ -180,45 +320,15 @@ class AppServerDispatcher:
                 "requests": sum(self._slot_requests.values()),
                 "recycles": sum(self._slot_recycles.values()),
                 "crashes": sum(self._slot_crashes.values()),
-                "crash_retries": self._crash_retries,
+                "crash_retries": self._replays,
                 "busy_timeouts": self._busy_timeouts,
             }
             for slot in sorted(self._slot_requests):
-                stats[f"worker_{slot}_requests"] = \
-                    self._slot_requests[slot]
-                stats[f"worker_{slot}_recycles"] = \
-                    self._slot_recycles[slot]
-                stats[f"worker_{slot}_crashes"] = \
-                    self._slot_crashes[slot]
+                for name, counts in (("requests", self._slot_requests),
+                                     ("recycles", self._slot_recycles),
+                                     ("crashes", self._slot_crashes)):
+                    stats[f"worker_{slot}_{name}"] = counts[slot]
         return stats
-
-    def health_check(self) -> dict[int, bool]:
-        """Ping every idle worker; dead ones are replaced.
-
-        Returns slot → alive-before-check.  Busy workers are skipped
-        (their liveness is proven by the request they are serving).
-        """
-        results: dict[int, bool] = {}
-        checked: list[_Worker] = []
-        while True:
-            try:
-                worker = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            try:
-                protocol.send_frame(worker.conn, protocol.FRAME_PING)
-                frame = protocol.recv_frame(worker.conn)
-                if frame is None or frame[0] != protocol.FRAME_PONG:
-                    raise CgiProtocolError("no PONG from worker")
-            except (OSError, CgiProtocolError):
-                results[worker.slot] = False
-                self._replace_crashed(worker)
-            else:
-                results[worker.slot] = True
-                checked.append(worker)
-        for worker in checked:
-            self._idle.put(worker)
-        return results
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -243,7 +353,7 @@ class AppServerDispatcher:
                 worker = self._idle.get(timeout=drain_timeout)
             except queue.Empty:
                 break
-            self._retire(worker, graceful=True)
+            self._retire(worker)
             collected += 1
         with self._lock:
             stragglers = list(self._live.values())
@@ -251,29 +361,16 @@ class AppServerDispatcher:
         for worker in stragglers:
             self._kill(worker)
         self._listener.close()
-        if self._dir is not None:
+        for remove, path in ((os.unlink, self.socket_path),
+                             (os.rmdir, self._dir)):
             try:
-                os.unlink(self.socket_path)
+                remove(path)
             except OSError:
                 pass
-            try:
-                os.rmdir(self._dir)
-            except OSError:
-                pass
-
-    def __enter__(self) -> "AppServerDispatcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     # -- internals ---------------------------------------------------------
 
     def _spawn(self, slot: int, lifetime: int) -> _Worker:
-        with self._spawn_lock:
-            return self._spawn_locked(slot, lifetime)
-
-    def _spawn_locked(self, slot: int, lifetime: int) -> _Worker:
         env = dict(os.environ)
         env.update(self.worker_env)
         env["REPRO_APPSERVER_SOCKET"] = self.socket_path
@@ -285,65 +382,40 @@ class AppServerDispatcher:
         if src_dir not in existing.split(os.pathsep):
             env["PYTHONPATH"] = (src_dir + os.pathsep + existing
                                  if existing else src_dir)
-        proc = subprocess.Popen(
-            self.argv, env=env, stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        self._listener.settimeout(self.spawn_timeout)
-        try:
-            conn, _ = self._listener.accept()
-        except (OSError, socket.timeout) as exc:
-            proc.kill()
-            proc.wait()
-            raise CgiProtocolError(
-                f"app-server worker {slot} never connected "
-                f"(within {self.spawn_timeout:.3g}s)") from exc
-        if self.transport == "tcp":
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(self.request_timeout)
-        frame = protocol.recv_frame(conn)
-        if frame is None or frame[0] != protocol.FRAME_HELLO:
-            conn.close()
-            proc.kill()
-            proc.wait()
-            raise CgiProtocolError(
-                f"app-server worker {slot} sent no HELLO")
-        hello = protocol.decode_control(frame[1])
-        if hello.get("worker_id") != slot:
-            conn.close()
-            proc.kill()
-            proc.wait()
-            raise CgiProtocolError(
-                f"app-server worker announced slot "
-                f"{hello.get('worker_id')!r}, expected {slot}")
+        with self._spawn_lock:
+            proc = subprocess.Popen(
+                self.argv, env=env, stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            conn = None
+            try:
+                self._listener.settimeout(self.spawn_timeout)
+                try:
+                    conn, _ = self._listener.accept()
+                except OSError as exc:
+                    raise CgiProtocolError(
+                        f"app-server worker {slot} never connected "
+                        f"(within {self.spawn_timeout:.3g}s)") from exc
+                conn.settimeout(self.request_timeout)
+                frame = protocol.recv_frame(conn)
+                if frame is None or frame[0] != protocol.FRAME_HELLO:
+                    raise CgiProtocolError(
+                        f"app-server worker {slot} sent no HELLO")
+                announced = protocol.decode_control(frame[1]).get(
+                    "worker_id")
+                if announced != slot:
+                    raise CgiProtocolError(
+                        f"app-server worker announced slot "
+                        f"{announced!r}, expected {slot}")
+            except BaseException:
+                if conn is not None:
+                    conn.close()
+                proc.kill()
+                proc.wait()
+                raise
         worker = _Worker(slot, proc, conn, lifetime)
         with self._lock:
             self._live[slot] = worker
         return worker
-
-    def _checkout(self, deadline=None) -> _Worker:
-        if self._closed:
-            raise CgiProtocolError("app-server dispatcher is shut down")
-        # The wait for a worker is bounded by the request's remaining
-        # deadline budget: a request with 50 ms left must not sit 30 s
-        # in the checkout queue doing dead work.
-        timeout = self.request_timeout
-        if deadline is not None:
-            if deadline.expired:
-                raise DeadlineExceededError(
-                    "request deadline expired before a worker was free")
-            timeout = min(timeout, deadline.remaining())
-        try:
-            return self._idle.get(timeout=timeout)
-        except queue.Empty:
-            with self._lock:
-                self._busy_timeouts += 1
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceededError(
-                    "request deadline expired waiting for an "
-                    "app-server worker") from None
-            raise PoolExhaustedError(
-                f"all {self.pool_size} app-server workers stayed busy "
-                f"for {timeout:.3g}s") from None
 
     def _checkin(self, worker: _Worker) -> None:
         worker.served += 1
@@ -362,33 +434,12 @@ class AppServerDispatcher:
         if not recycle:
             self._idle.put(worker)
 
-    def _dispatch_on(self, worker: _Worker,
-                     request: CgiRequest) -> CgiResponse:
-        with TRACER.span("appserver.dispatch") as span:
-            span.set("slot", worker.slot)
-            protocol.send_frame(worker.conn, protocol.FRAME_REQUEST,
-                                protocol.encode_request(request))
-            frame = protocol.recv_frame(worker.conn)
-            if frame is None:
-                raise CgiProtocolError(
-                    "worker closed the connection instead of responding")
-            frame_type, payload = frame
-            if frame_type != protocol.FRAME_RESPONSE:
-                raise CgiProtocolError(
-                    f"expected a RESPONSE frame, got type {frame_type}")
-            response = protocol.decode_response(payload)
-            if response.trace is not None:
-                # Stitch the worker-side spans into this request's
-                # trace; their ids match (the frame carried the id).
-                TRACER.graft(response.trace)
-            return response
-
     def _recycle(self, worker: _Worker) -> None:
         """Planned replacement after ``recycle_after`` requests; runs
         on its own thread, off the request path."""
         slot = worker.slot
         try:
-            self._retire(worker, graceful=True)
+            self._retire(worker)
             with self._lock:
                 self._slot_recycles[slot] += 1
             self._respawn(slot)
@@ -396,7 +447,8 @@ class AppServerDispatcher:
             with self._lock:
                 self._recycler = None
 
-    def _replace_crashed(self, worker: _Worker) -> None:
+    def _replace(self, worker: _Worker) -> None:
+        """A worker whose frame stream broke: kill, count, respawn."""
         slot = worker.slot
         self._kill(worker)
         with self._lock:
@@ -411,36 +463,26 @@ class AppServerDispatcher:
             self._idle.put(self._spawn(slot, self.recycle_after))
         except CgiProtocolError:
             # The replacement itself failed to come up; the pool runs
-            # one short.  The next health_check (or crash replacement)
-            # will try again — and the error is visible in `workers`.
+            # one short, and the shortfall is visible in `workers`.
             pass
 
-    def _retire(self, worker: _Worker, *, graceful: bool) -> None:
+    def _retire(self, worker: _Worker) -> None:
+        """Graceful exit: SHUTDOWN frame, a moment to finish, reap."""
         with self._lock:
             self._live.pop(worker.slot, None)
-        if graceful:
-            try:
-                protocol.send_frame(worker.conn, protocol.FRAME_SHUTDOWN)
-            except OSError:
-                pass
+        try:
+            protocol.send_frame(worker.conn, protocol.FRAME_SHUTDOWN)
+        except OSError:
+            pass
+        self._kill(worker, grace=2.0)
+
+    def _kill(self, worker: _Worker, *, grace: float = 0.0) -> None:
         try:
             worker.conn.close()
         except OSError:
             pass
         try:
-            worker.proc.wait(timeout=2.0)
+            worker.proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             worker.proc.kill()
             worker.proc.wait()
-
-    def _kill(self, worker: _Worker) -> None:
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        if worker.proc.poll() is None:
-            worker.proc.kill()
-        try:
-            worker.proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:
-            pass

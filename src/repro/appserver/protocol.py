@@ -33,7 +33,8 @@ from typing import Optional
 
 from repro.cgi.environ import CgiEnvironment
 from repro.cgi.request import CgiRequest, CgiResponse
-from repro.errors import CgiProtocolError
+from repro.errors import CgiProtocolError, PoolExhaustedError
+from repro.overload.retryafter import clamp_retry_hint
 
 FRAME_HELLO = 0x01      # worker → dispatcher, on connect
 FRAME_REQUEST = 0x02    # dispatcher → worker
@@ -112,6 +113,8 @@ def _unpack_json(payload: bytes) -> tuple[dict, bytes]:
     except ValueError as exc:
         raise CgiProtocolError(
             f"malformed app-server header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CgiProtocolError("app-server header is not an object")
     return header, payload[start + length:]
 
 
@@ -126,7 +129,12 @@ def encode_request(request: CgiRequest) -> bytes:
 
 def decode_request(payload: bytes) -> CgiRequest:
     header, body = _unpack_json(payload)
-    environ = CgiEnvironment.from_dict(dict(header.get("environ", {})))
+    try:
+        environ = CgiEnvironment.from_dict(dict(header.get("environ", {})))
+    except (TypeError, ValueError) as exc:
+        # not an object, or a CONTENT_LENGTH / SERVER_PORT no int reads
+        raise CgiProtocolError(
+            f"malformed app-server request header: {exc}") from exc
     return CgiRequest(environ=environ, stdin=body)
 
 
@@ -234,10 +242,16 @@ def encode_error(message: str, *, kind: str = "protocol",
     return encode_control(fields)
 
 
-def decode_error(payload: bytes) -> tuple[str, str]:
+def pool_error(payload: bytes) -> Exception:
+    """Rebuild the pool-side exception an ``ERROR`` frame carries."""
     fields = decode_control(payload)
-    return (str(fields.get("error", "unknown pool-side failure")),
-            str(fields.get("kind", "protocol")))
+    message = str(fields.get("error", "unknown pool-side failure"))
+    if fields.get("kind") == "exhausted":
+        hint = fields.get("retry_after")
+        return PoolExhaustedError(
+            message, retry_after=clamp_retry_hint(
+                float(hint) if hint is not None else None))
+    return CgiProtocolError(message)
 
 
 def encode_control(fields: dict) -> bytes:

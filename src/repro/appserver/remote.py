@@ -12,7 +12,7 @@ Two halves, both speaking the exact frame protocol of
 :class:`WorkerPoolDaemon`
     ``repro serve --listen host:port`` — hosts a local
     :class:`~repro.appserver.dispatcher.AppServerDispatcher` (workers,
-    crash replacement, recycling, idempotent-only replay all stay
+    crash replacement, recycling and GET/HEAD replay all stay
     pool-side, where the worker processes are) and serves ``REQUEST``
     frames from any number of inbound dispatcher connections.  A
     pool-side failure that the local dispatcher would *raise* (worker
@@ -25,12 +25,11 @@ Two halves, both speaking the exact frame protocol of
     ``repro serve --gateway appserver --connect host:port`` — a
     :class:`~repro.cgi.gateway.CgiProgram` whose ``run`` sends the
     request to a remote pool over a checked-out **channel** (one TCP
-    connection; a queue of channels is the scheduler, exactly like the
-    local dispatcher's worker queue).  Channels interleave across
-    backends, so two ``--connect`` flags load-balance round-robin-ish
-    across two pool hosts.  A channel that breaks mid-exchange is
-    replaced and the request replayed once — but only when it is safe
-    (GET/HEAD), the same idempotent-only rule as the local pool.
+    connection).  Leasing, the exchange, replace-and-replay-once and
+    health checks are the local dispatcher's, inherited from the same
+    core; only opening and re-opening connections is defined here.
+    Channels interleave across backends, so two ``--connect`` flags
+    load-balance round-robin-ish across two pool hosts.
 
 Trace grafting is transport-independent: the ``RESPONSE`` frame carries
 the worker's exported span tree end-to-end (worker → daemon → edge), so
@@ -39,30 +38,18 @@ one trace id covers all three processes.
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 from typing import Optional
 
 from repro.appserver import protocol
-from repro.appserver.dispatcher import AppServerDispatcher
-from repro.cgi.request import CgiRequest, CgiResponse
-from repro.errors import (
-    CgiProtocolError,
-    DeadlineExceededError,
-    PoolExhaustedError,
+from repro.appserver.dispatcher import (
+    AppServerDispatcher,
+    _Peer,
+    _PeerDispatcher,
 )
-from repro.obs.trace import TRACER
-from repro.overload.retryafter import clamp_retry_hint
-
-#: request methods safe to replay on a fresh channel after a break
-_REPLAYABLE = frozenset({"GET", "HEAD"})
-
-
-class _ChannelBroken(Exception):
-    """The TCP channel itself failed mid-exchange (as opposed to a
-    pool-side error that arrived intact over a healthy channel)."""
-
+from repro.cgi.request import CgiRequest
+from repro.errors import CgiProtocolError, PoolExhaustedError
 
 class WorkerPoolDaemon:
     """Serve a local worker pool to remote dispatchers over TCP.
@@ -164,13 +151,17 @@ class WorkerPoolDaemon:
                     protocol.send_frame(conn, protocol.FRAME_PONG,
                                         protocol.encode_control(stats))
                     continue
-                if frame_type != protocol.FRAME_REQUEST:
-                    protocol.send_frame(
-                        conn, protocol.FRAME_ERROR,
-                        protocol.encode_error(
-                            f"unexpected frame type {frame_type}"))
+                try:
+                    if frame_type != protocol.FRAME_REQUEST:
+                        raise CgiProtocolError(
+                            f"unexpected frame type {frame_type}")
+                    request = protocol.decode_request(payload)
+                except CgiProtocolError as exc:
+                    # Outside input: say why, drop this connection only.
+                    protocol.send_frame(conn, protocol.FRAME_ERROR,
+                                        protocol.encode_error(str(exc)))
                     return
-                self._serve_request(conn, payload)
+                self._serve_request(conn, request)
         except (OSError, CgiProtocolError):
             pass  # peer went away; its requests are its problem
         finally:
@@ -178,29 +169,25 @@ class WorkerPoolDaemon:
                 self._conns.discard(conn)
             conn.close()
 
-    def _serve_request(self, conn: socket.socket, payload: bytes) -> None:
-        request = protocol.decode_request(payload)
+    def _serve_request(self, conn: socket.socket,
+                       request: CgiRequest) -> None:
         with self._lock:
             self._requests += 1
         try:
             response = self.pool.run(request)
-        except PoolExhaustedError as exc:
+        except (PoolExhaustedError, CgiProtocolError) as exc:
+            # The local pool already applied its replay rule; reaching
+            # here means the request is lost for real (e.g. a POST whose
+            # worker died) or no worker came free.  Ship the same
+            # failure across; the connection itself is fine.
             with self._lock:
                 self._errors += 1
+            exhausted = isinstance(exc, PoolExhaustedError)
             protocol.send_frame(
                 conn, protocol.FRAME_ERROR,
                 protocol.encode_error(
-                    str(exc), kind="exhausted",
+                    str(exc), kind="exhausted" if exhausted else "protocol",
                     retry_after=getattr(exc, "retry_after", None)))
-            return
-        except CgiProtocolError as exc:
-            # The local pool already applied its idempotent-only replay;
-            # reaching here means the request is lost for real (e.g. a
-            # POST whose worker died).  Ship the same failure across.
-            with self._lock:
-                self._errors += 1
-            protocol.send_frame(conn, protocol.FRAME_ERROR,
-                                protocol.encode_error(str(exc)))
             return
         # Forward the worker's span tree untouched; the edge-side
         # dispatcher grafts it so the trace id survives all three hops.
@@ -209,19 +196,18 @@ class WorkerPoolDaemon:
                                 response, trace=response.trace))
 
 
-class _Channel:
+class _Channel(_Peer):
     """One live TCP connection to a pool backend."""
 
-    __slots__ = ("index", "backend", "conn", "served")
+    __slots__ = ("backend",)
 
     def __init__(self, index: int, backend: str, conn: socket.socket):
-        self.index = index
+        super().__init__(index, conn,
+                         (("backend", backend), ("channel", index)))
         self.backend = backend
-        self.conn = conn
-        self.served = 0
 
 
-class TcpPoolDispatcher:
+class TcpPoolDispatcher(_PeerDispatcher):
     """Dispatch CGI requests to remote worker pools over TCP.
 
     ``backends`` are ``host:port`` specs; ``channels`` TCP connections
@@ -231,6 +217,8 @@ class TcpPoolDispatcher:
     the local :class:`~repro.appserver.dispatcher.AppServerDispatcher`,
     so ``repro serve`` mounts either interchangeably.
     """
+
+    _PEER = "channel"
 
     def __init__(self, backends: list[str] | str, *,
                  channels: int = 4,
@@ -242,17 +230,11 @@ class TcpPoolDispatcher:
             raise ValueError("at least one backend endpoint is required")
         if channels < 1:
             raise ValueError("channels must be at least 1")
+        super().__init__(request_timeout)
         self.backends = list(backends)
-        self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
-        self._idle: "queue.Queue[_Channel]" = queue.Queue()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._live: dict[int, _Channel] = {}
         self._channel_requests = 0
         self._reconnects = 0
-        self._replays = 0
-        self._busy_timeouts = 0
         try:
             for index in range(channels):
                 backend = self.backends[index % len(self.backends)]
@@ -263,45 +245,9 @@ class TcpPoolDispatcher:
         #: total remote worker processes behind this dispatcher, summed
         #: across distinct backends (parity with the local pool's
         #: ``pool_size``).
-        self.pool_size = self._remote_pool_size()
-
-    # -- CgiProgram --------------------------------------------------------
-
-    def run(self, request: CgiRequest) -> CgiResponse:
-        deadline = getattr(request, "deadline", None)
-        channel = self._checkout(deadline)
-        try:
-            response = self._exchange(channel, request)
-        except _ChannelBroken as exc:
-            # The channel broke mid-exchange: the daemon (or the network
-            # between us) went away.  Replace the channel; replay only
-            # when the request cannot repeat a side effect.
-            self._replace(channel)
-            method = request.environ.request_method.upper()
-            if method not in _REPLAYABLE:
-                raise CgiProtocolError(
-                    f"app-server channel to {channel.backend} broke "
-                    f"mid-request: {exc}") from exc
-            with self._lock:
-                self._replays += 1
-            channel = self._checkout(deadline)
-            try:
-                response = self._exchange(channel, request)
-            except _ChannelBroken as again:
-                self._replace(channel)
-                raise CgiProtocolError(
-                    "app-server channel broke on the replay as well: "
-                    f"{again}") from again
-            except BaseException:
-                self._checkin(channel)
-                raise
-        except BaseException:
-            # A pool-side failure (ERROR frame) travelled over a
-            # perfectly healthy channel: re-raise it, keep the channel.
-            self._checkin(channel)
-            raise
-        self._checkin(channel)
-        return response
+        self.pool_size = sum(
+            int(self._backend_stats(backend).get("workers", 0) or 0)
+            for backend in set(self.backends))
 
     # -- observability -----------------------------------------------------
 
@@ -322,30 +268,6 @@ class TcpPoolDispatcher:
             merged["channels"] = len(self._live)
         return merged
 
-    def health_check(self) -> dict[int, bool]:
-        """Ping every idle channel; dead ones are replaced."""
-        results: dict[int, bool] = {}
-        checked: list[_Channel] = []
-        while True:
-            try:
-                channel = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            try:
-                protocol.send_frame(channel.conn, protocol.FRAME_PING)
-                frame = protocol.recv_frame(channel.conn)
-                if frame is None or frame[0] != protocol.FRAME_PONG:
-                    raise CgiProtocolError("no PONG from pool daemon")
-            except (OSError, CgiProtocolError):
-                results[channel.index] = False
-                self._replace(channel)
-            else:
-                results[channel.index] = True
-                checked.append(channel)
-        for channel in checked:
-            self._idle.put(channel)
-        return results
-
     # -- lifecycle ---------------------------------------------------------
 
     def shutdown(self) -> None:
@@ -365,12 +287,6 @@ class TcpPoolDispatcher:
             except OSError:
                 pass
 
-    def __enter__(self) -> "TcpPoolDispatcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
     # -- internals ---------------------------------------------------------
 
     def _open(self, index: int, backend: str) -> _Channel:
@@ -387,79 +303,19 @@ class TcpPoolDispatcher:
             self._live[index] = channel
         return channel
 
-    def _checkout(self, deadline=None) -> _Channel:
-        if self._closed:
-            raise CgiProtocolError(
-                "app-server TCP dispatcher is shut down")
-        # Same deadline-capped wait as the local pool: spending a spent
-        # budget queueing for a channel is dead work.
-        timeout = self.request_timeout
-        if deadline is not None:
-            if deadline.expired:
-                raise DeadlineExceededError(
-                    "request deadline expired before a channel was free")
-            timeout = min(timeout, deadline.remaining())
-        try:
-            return self._idle.get(timeout=timeout)
-        except queue.Empty:
-            with self._lock:
-                self._busy_timeouts += 1
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceededError(
-                    "request deadline expired waiting for an "
-                    "app-server channel") from None
-            raise PoolExhaustedError(
-                f"all channels to {', '.join(self.backends)} stayed "
-                f"busy for {timeout:.3g}s") from None
-
     def _checkin(self, channel: _Channel) -> None:
-        channel.served += 1
         with self._lock:
             self._channel_requests += 1
         self._idle.put(channel)
 
-    def _exchange(self, channel: _Channel,
-                  request: CgiRequest) -> CgiResponse:
-        """One REQUEST→RESPONSE round trip on a checked-out channel.
-
-        Transport trouble raises :class:`_ChannelBroken` (replace the
-        channel, maybe replay); an ``ERROR`` frame re-raises the
-        pool-side exception as-is — the channel stays healthy.
-        """
-        with TRACER.span("appserver.dispatch") as span:
-            span.set("backend", channel.backend)
-            span.set("channel", channel.index)
-            try:
-                protocol.send_frame(channel.conn, protocol.FRAME_REQUEST,
-                                    protocol.encode_request(request))
-                frame = protocol.recv_frame(channel.conn)
-            except (OSError, CgiProtocolError) as exc:
-                raise _ChannelBroken(str(exc)) from exc
-            if frame is None:
-                raise _ChannelBroken(
-                    "pool daemon closed the channel instead of "
-                    "responding")
-            frame_type, payload = frame
-            if frame_type == protocol.FRAME_ERROR:
-                raise _pool_error(payload)
-            if frame_type != protocol.FRAME_RESPONSE:
-                raise _ChannelBroken(
-                    f"expected a RESPONSE frame, got type {frame_type}")
-            try:
-                response = protocol.decode_response(payload)
-            except CgiProtocolError as exc:
-                raise _ChannelBroken(str(exc)) from exc
-            if response.trace is not None:
-                TRACER.graft(response.trace)
-            return response
-
     def _replace(self, channel: _Channel) -> None:
+        """A channel whose frame stream broke: close, count, reconnect."""
         try:
             channel.conn.close()
         except OSError:
             pass
         with self._lock:
-            self._live.pop(channel.index, None)
+            self._live.pop(channel.slot, None)
             self._reconnects += 1
             if self._closed:
                 return
@@ -470,7 +326,7 @@ class TcpPoolDispatcher:
                                      if b != channel.backend]
         for backend in order:
             try:
-                self._idle.put(self._open(channel.index, backend))
+                self._idle.put(self._open(channel.slot, backend))
                 return
             except CgiProtocolError:
                 continue
@@ -495,22 +351,3 @@ class TcpPoolDispatcher:
             return {}
         finally:
             conn.close()
-
-    def _remote_pool_size(self) -> int:
-        total = 0
-        for backend in sorted(set(self.backends)):
-            stats = self._backend_stats(backend)
-            total += int(stats.get("workers", 0) or 0)
-        return total
-
-
-def _pool_error(payload: bytes) -> Exception:
-    """Rebuild the pool-side exception an ``ERROR`` frame carries."""
-    fields = protocol.decode_control(payload)
-    message = str(fields.get("error", "unknown pool-side failure"))
-    if str(fields.get("kind", "protocol")) == "exhausted":
-        hint = fields.get("retry_after")
-        return PoolExhaustedError(
-            message, retry_after=clamp_retry_hint(
-                float(hint) if hint is not None else None))
-    return CgiProtocolError(message)

@@ -13,9 +13,9 @@ sets (the 1996 equivalent was the DB2WWW initialisation file):
     Directory containing ``.d2w`` macro files.  Required.
 ``REPRO_DATABASE_<NAME>``
     Filesystem path of the SQLite database to register under the macro
-    database name ``<NAME>`` (upper-cased in the variable; the macro's
-    ``DATABASE`` value is matched case-sensitively against the original
-    name, which is taken as upper-case here).
+    database name ``<NAME>``.  The name is taken verbatim — the
+    macro's ``DATABASE`` value is matched case-sensitively against it,
+    so ``REPRO_DATABASE_shop`` registers ``shop``, not ``SHOP``.
 ``REPRO_TRANSACTION_MODE``
     ``auto_commit`` (default) or ``single``.
 ``REPRO_QUERY_CACHE``

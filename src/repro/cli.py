@@ -609,6 +609,43 @@ def _slow_query_path(args) -> Path:
     return base / "slow_query.log"
 
 
+#: Where each `serve` option takes effect.  "edge" options configure
+#: the serving process itself; "forwarded" ones reach app-server workers
+#: through :func:`_worker_env`; "engine" ones configure the in-process
+#: macro engine and nothing carries them to a worker, so they are
+#: refused rather than dropped wherever workers run the macros.  Keyed
+#: by argparse dest; tests/core/test_cli.py fails on a dest missing here.
+_SERVE_OPTIONS = {
+    "edge": (
+        "help", "host", "port", "gateway", "workers", "recycle_after",
+        "acceptors", "reuse_port", "max_connections", "backlog",
+        "listen", "connect", "overload", "overload_concurrency",
+        "overload_queue", "slo_ms", "overload_rules", "tenant_config",
+        "access_log", "trace_log", "slow_query_ms", "slow_query_log",
+        "trace_sample", "request_deadline"),
+    "forwarded": ("macros", "database", "query_cache", "no_trace"),
+    "engine": (
+        "stream", "macro_stat_ttl", "inject_faults", "max_retries",
+        "breaker_threshold", "degrade", "shards", "shard_replicas",
+        "shard_key", "replica_lag_bound", "shard_timeout"),
+}
+
+
+def _refuse_engine_options(args) -> None:
+    """Exit naming every engine-only option given a non-default value
+    while worker processes, not this one, will run the macros."""
+    defaults = build_parser().parse_args(["serve", "--macros", "."])
+    ignored = ["--" + dest.replace("_", "-")
+               for dest in _SERVE_OPTIONS["engine"]
+               if getattr(args, dest) != getattr(defaults, dest)]
+    if ignored:
+        raise SystemExit(
+            f"{', '.join(ignored)} "
+            f"{'requires' if len(ignored) == 1 else 'require'} --gateway "
+            "inprocess (in-process engine settings; nothing forwards "
+            "them to app-server workers or a --listen pool)")
+
+
 def _worker_env(args) -> dict[str, str]:
     """Application configuration for app-server workers.
 
@@ -618,7 +655,9 @@ def _worker_env(args) -> dict[str, str]:
     """
     env = {"REPRO_MACRO_DIR": str(args.macros.resolve())}
     for name, path in _parse_bindings(args.database, "--database"):
-        env[f"REPRO_DATABASE_{name.upper()}"] = str(Path(path).resolve())
+        # Verbatim: registry lookups are case-sensitive, so `shop` must
+        # not become `SHOP` on its way to a worker.
+        env[f"REPRO_DATABASE_{name}"] = str(Path(path).resolve())
     if args.query_cache > 0:
         env["REPRO_QUERY_CACHE"] = str(args.query_cache)
     # One request at a time per worker: a small pool just keeps the
@@ -788,12 +827,10 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         SlowQueryLog, TailSampler, TraceLog, parse_sample_spec)
     from repro.sql.digest import STATEMENTS
 
+    if args.listen is not None or args.gateway != "inprocess":
+        _refuse_engine_options(args)
     if args.listen is not None:
         return _cmd_pool_daemon(args, out)
-    if args.stream and args.gateway != "inprocess":
-        raise SystemExit(
-            "--stream requires --gateway inprocess (worker responses "
-            "cross the dispatch socket as complete frames)")
     if args.connect and args.gateway != "appserver":
         raise SystemExit("--connect requires --gateway appserver")
     if args.acceptors > 1:

@@ -250,3 +250,106 @@ class TestTopCommand:
             server.shutdown()
         assert status == 1
         assert "no statements" in output
+
+
+class TestServeOptionPlacement:
+    """Every ``serve`` option is classified by where it takes effect,
+    and one that never reaches the process running the macros is
+    refused there instead of being parsed and dropped."""
+
+    ENGINE_ONLY = [
+        ["--stream"], ["--degrade"], ["--max-retries", "3"],
+        ["--breaker-threshold", "5"], ["--inject-faults", "every:2"],
+        ["--macro-stat-ttl", "0"], ["--shards", "INV=a.db,b.db"],
+        ["--shard-replicas", "INV.0=r.db"], ["--shard-key", "CUST"],
+        ["--replica-lag-bound", "0.5"], ["--shard-timeout", "2"],
+    ]
+    WORKER_MODES = [["--gateway", "appserver"],
+                    ["--listen", "127.0.0.1:0"]]
+
+    @staticmethod
+    def parse(*argv):
+        from repro.cli import build_parser
+        return build_parser().parse_args(["serve", *argv])
+
+    def test_every_serve_dest_is_classified_exactly_once(self):
+        import argparse
+
+        from repro.cli import _SERVE_OPTIONS, build_parser
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        dests = sorted(action.dest
+                       for action in commands.choices["serve"]._actions)
+        classified = sorted(dest for side in _SERVE_OPTIONS.values()
+                            for dest in side)
+        assert classified == dests, (
+            "decide where a new serve option takes effect (edge, "
+            "forwarded to workers, or in-process engine only) and list "
+            "it in cli._SERVE_OPTIONS")
+
+    def test_the_table_covers_every_flag_refused_here(self):
+        from repro.cli import _SERVE_OPTIONS
+        flags = {"--" + dest.replace("_", "-")
+                 for dest in _SERVE_OPTIONS["engine"]}
+        assert flags == {argv[0] for argv in self.ENGINE_ONLY}
+
+    @pytest.mark.parametrize("mode", WORKER_MODES, ids=lambda m: m[0])
+    @pytest.mark.parametrize("option", ENGINE_ONLY, ids=lambda o: o[0])
+    def test_engine_only_option_is_refused_where_workers_run(
+            self, tmp_path, mode, option):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--macros", str(tmp_path), *mode, *option])
+        assert info.value.code not in (0, None)
+        assert option[0] in str(info.value.code)
+        assert "--gateway inprocess" in str(info.value.code)
+
+    def test_every_offending_flag_is_named(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--macros", str(tmp_path), "--gateway",
+                  "appserver", "--degrade", "--max-retries", "2",
+                  "--request-deadline", "5"])
+        message = str(info.value.code)
+        assert "--degrade" in message and "--max-retries" in message
+        assert "--request-deadline" not in message  # the edge applies it
+
+    def test_benchmark_argv_passes(self):
+        from repro.cli import _refuse_engine_options
+        _refuse_engine_options(self.parse(
+            "--macros", "m", "--gateway", "appserver", "--workers", "2",
+            "--recycle-after", "1000000", "--query-cache", "128",
+            "--no-trace"))
+
+    def test_deployment_guide_examples_parse_and_pass(self):
+        import re
+        import shlex
+        from pathlib import Path
+
+        from repro.cli import _refuse_engine_options
+        guide = (Path(__file__).resolve().parents[2]
+                 / "docs" / "deployment.md").read_text(encoding="utf-8")
+        commands = [
+            shlex.split(line.partition("repro serve")[2])
+            for block in re.findall(r"```sh\n(.*?)```", guide, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if re.match(r"(python -m )?repro serve ", line)]
+        assert len(commands) >= 8, commands
+        for argv in commands:
+            args = self.parse(*argv)
+            if args.listen is not None or args.gateway != "inprocess":
+                _refuse_engine_options(args)
+
+
+class TestWorkerEnv:
+    def test_database_names_reach_a_worker_verbatim(self, tmp_path):
+        """``--database shop=...`` is ``shop`` in-process; it used to be
+        ``SHOP`` in a worker, where lookups are case-sensitive too."""
+        from repro.cgi.db2www_main import build_program
+        from repro.cli import _worker_env, build_parser
+        args = build_parser().parse_args([
+            "serve", "--macros", str(tmp_path), "--no-trace",
+            "--database", f"shop={tmp_path / 'shop.sqlite'}",
+            "--database", f"URLDB={tmp_path / 'urldb.sqlite'}",
+            "--database", f"Mixed_Case={tmp_path / 'mixed.sqlite'}"])
+        program = build_program(_worker_env(args))
+        assert sorted(program.engine.registry.names()) \
+            == ["Mixed_Case", "URLDB", "shop"]
