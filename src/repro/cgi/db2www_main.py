@@ -50,6 +50,7 @@ from repro.obs.trace import TRACER
 from repro.sql.gateway import DatabaseRegistry
 from repro.sql.querycache import QueryResultCache
 from repro.sql.transactions import TransactionMode
+from repro.strictint import parse_decimal
 
 _DB_PREFIX = "REPRO_DATABASE_"
 
@@ -58,11 +59,11 @@ def _int_env(env: dict[str, str], name: str) -> int:
     raw = env.get(name, "").strip()
     if not raw:
         return 0
-    try:
-        return max(0, int(raw))
-    except ValueError as exc:
-        raise RuntimeError(f"{name}: expected an integer, "
-                           f"got {raw!r}") from exc
+    value = parse_decimal(raw)
+    if value is None:
+        raise RuntimeError(f"{name}: expected a non-negative integer, "
+                           f"got {raw!r}")
+    return value
 
 
 def build_program(env: dict[str, str]) -> Db2WwwProgram:

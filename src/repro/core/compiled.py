@@ -13,8 +13,22 @@ one section's rows print, the only things that change are the variables
 :func:`specialise_row` therefore treats the row template plus the live
 :class:`~repro.core.variables.VariableStore` as a program and partially
 evaluates it **once per section**, after the column names are installed
-and before the first row prints.  What is left is a function of the row
-tuple: indexed reads, a few ``!= ""`` tests and string joins.
+and before the first row prints.  What is left — indexed reads, a few
+``!= ""`` tests, string joins — is emitted as *source*: one straight-line
+``render(row, row_num)`` (a text conversion per referenced column, one
+assignment per derived value in dependency order, a ``return``), compiled
+once per plan **shape** and kept in the bounded memo :data:`_FACTORIES`.
+
+**No data in source.**  Generated source holds positions and fixed
+syntax only; every piece of macro, client or database text, template
+literals included, reaches the code as a ``k<j>`` factory argument.  So
+equal shapes are equal code whatever the request said, the memo key
+never needs invalidating, the ``exec`` is safe, and no request can mint a
+program from its text (``tests/core/test_compiled_codegen.py`` holds the
+grammar).  The plan itself is rebuilt per section — it depends on the
+store — which on a memo hit costs about one interpreted row (the
+Appendix A row: ~8 us against ~7 us); a new shape's source is assembled
+and compiled, ~150 us, once per process.
 
 Fidelity rules (the interpreter is the oracle, bit for bit):
 
@@ -40,15 +54,10 @@ Fidelity rules (the interpreter is the oracle, bit for bit):
   (a side effect per printed row, and ``last_error`` feeds later tests)
   and a reachable reference cycle (the interpreter must raise its
   ``CircularReferenceError`` at the row it reaches it).
-
-Nothing is memoised across sections or requests: the plan depends on the
-store, and building it costs about what interpreting two rows does (the
-Appendix A row: ~10 us against ~7 us per interpreted row).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Sequence, Union
 
 from repro.core.values import Literal, Reference, ValueString
@@ -68,16 +77,25 @@ __all__ = ["NotRowPure", "specialise_row"]
 #: lazily there to avoid a cycle, asserted equal in the test-suite.
 LIST_CONCAT_SEPARATOR = " "
 
-#: A specialised subtree: text fixed for the whole section, or the
-#: position of its per-row text in the row's ``vals`` list — the column
-#: texts at their column indexes, ``ROW_NUM`` next, then one entry per
-#: derived operation, each reading only positions before its own.
+#: A specialised subtree: text fixed for the whole section, or the number
+#: ``n`` of the generated local ``v<n>`` holding its per-row text — column
+#: texts at their column indexes, ``ROW_NUM`` next, then one local per
+#: operation, each reading only locals before its own.
 Node = Union[str, int]
-Operation = Callable[[list], str]
 #: The specialised template: ``(row, row_num) -> text``.
 RenderRow = Callable[[Sequence[Any], int], str]
 
-_ROW_NUM, _VLIST = -1, -2
+#: Operation kinds.  An operation is ``(kind, codes)``; a code ``>= 0``
+#: names the local ``v<code>``, a code ``< 0`` the constant ``k<~code>``.
+_CONCAT, _STRICT, _IF, _LIST, _VLIST = range(5)
+
+#: Compiled factories (``.source`` holds their text) by plan shape:
+#: ``(column count, escape_values, constant count, body local,
+#: operations)``.  Plain ``dict`` get/set under the GIL — two threads
+#: compiling one shape is benign — and cleared when full: all of Appendix
+#: A's traffic is two shapes, but a client's ``$(V1)$(V1)…`` can mint more.
+_FACTORIES: dict[tuple, Callable[..., RenderRow]] = {}
+_FACTORY_LIMIT = 256
 
 
 class NotRowPure(Exception):
@@ -102,24 +120,12 @@ def specialise_row(template: ValueString, columns: Sequence[str],
     body = specialiser.value(template)
     if isinstance(body, str):
         return lambda row, row_num: body
-    picked = sorted(specialiser.picked)
-    wants_row_num = specialiser.wants_row_num
-    operations = specialiser.operations
-
-    def render(row: Sequence[Any], row_num: int) -> str:
-        vals = list(row)
-        for index in picked:
-            if type(vals[index]) is not str:
-                vals[index] = value_to_text(vals[index])
-        if escape_values:
-            for index in picked:
-                vals[index] = escape_html(vals[index])
-        vals.append(str(row_num) if wants_row_num else "")
-        for operation in operations:
-            vals.append(operation(vals))
-        return vals[body]
-
-    return render
+    shape = (len(columns), escape_values, len(specialiser.constants), body,
+             tuple(specialiser.operations))
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        factory = _compile(shape)
+    return factory(*specialiser.constants, value_to_text, escape_html)
 
 
 class _Specialiser:
@@ -130,18 +136,17 @@ class _Specialiser:
         self.column_count = len(columns)
         # What _install_row is about to write, in its order, so a later
         # column overwrites an earlier one of the same (folded) name.
-        self.exact: dict[str, int] = {"ROW_NUM": _ROW_NUM}
+        self.exact: dict[str, int] = {"ROW_NUM": len(columns)}
         self.folded: dict[str, int] = {}
         for index, name in enumerate(columns):
             self.exact[f"V{index + 1}"] = index
             for key in (f"V_{name}", f"V.{name}"):
                 self.exact[key] = index
                 self.folded[key.lower()] = index
-        self.exact["VLIST"] = _VLIST
-        #: columns whose text some reachable reference needs
-        self.picked: set[int] = set()
-        self.wants_row_num = False
-        self.operations: list[Operation] = []
+        self.exact["VLIST"] = -1  # no local of its own: an operation
+        #: every text the generated code is handed, in ``k<j>`` order
+        self.constants: list[str] = []
+        self.operations: list[tuple[int, tuple[int, ...]]] = []
         self._nodes: dict[str, Node] = {}
         self._inlining: set[str] = set()
 
@@ -157,7 +162,9 @@ class _Specialiser:
         if slot is None and not self.store.has_system(name):
             slot = self.folded.get(name.lower())
         if slot is not None:
-            return self._slot(slot)
+            if slot < 0:
+                return self._emit(_VLIST, self._code(LIST_CONCAT_SEPARATOR))
+            return slot
         entry = self.store.lookup(name)
         if entry is None:
             return ""
@@ -177,21 +184,16 @@ class _Specialiser:
         finally:
             self._inlining.discard(name)
 
-    def _slot(self, slot: int) -> Node:
-        count = self.column_count
-        if slot == _ROW_NUM:
-            self.wants_row_num = True
-            return count
-        if slot == _VLIST:
-            self.picked.update(range(count))
-            return self._emit(
-                lambda vals: LIST_CONCAT_SEPARATOR.join(vals[:count]))
-        self.picked.add(slot)
-        return slot
-
-    def _emit(self, operation: Operation) -> int:
-        self.operations.append(operation)
+    def _emit(self, kind: int, *codes: int) -> int:
+        self.operations.append((kind, codes))
         return self.column_count + len(self.operations)
+
+    def _code(self, node: Node) -> int:
+        """``node`` as an operand: its local, or a new constant's code."""
+        if isinstance(node, int):
+            return node
+        self.constants.append(node)
+        return -len(self.constants)
 
     def value(self, value: ValueString, *, strict: bool = False) -> Node:
         """A value string; ``strict`` is conditional forms (b)/(d).
@@ -200,37 +202,34 @@ class _Specialiser:
         null, because the interpreter evaluates them all (and would run
         an executable variable or meet a cycle among them).
         """
-        items: list[Node] = []
+        codes: list[int] = []
+        text = ""  # constant text since the last per-row operand
         null = False
         for segment in value.segments:
             if isinstance(segment, Reference):
                 item = self.reference(segment.name)
+                if isinstance(item, int):
+                    if text:  # _code() inlined: this loop is the plan's cost
+                        self.constants.append(text)
+                        codes.append(-len(self.constants))
+                        text = ""
+                    codes.append(item)
+                    continue
                 null = null or (strict and item == "")
             elif isinstance(segment, Literal):
                 item = segment.text
             else:
                 item = f"$({segment.name})"
-            if isinstance(item, str) and items and isinstance(items[-1], str):
-                items[-1] += item
-            else:
-                items.append(item)
+            text += item
         if null:
             return ""
-        at = [item for item in items if isinstance(item, int)]
-        if not at:
-            return "".join(items)  # type: ignore[arg-type]
-        if len(items) == 1:
-            return at[0]  # a lone reference is null exactly when null
-        layout = "".join("%s" if isinstance(item, int)
-                         else item.replace("%", "%%") for item in items)
-        pick = itemgetter(*at)  # one position: the text, not a 1-tuple
-        if not strict:
-            return self._emit(lambda vals: layout % pick(vals))
-        if len(at) == 1:
-            return self._emit(lambda vals: layout % text
-                              if (text := pick(vals)) != "" else "")
-        return self._emit(lambda vals: "" if "" in (texts := pick(vals))
-                          else layout % texts)
+        if not codes:
+            return text
+        if text:
+            codes.append(self._code(text))
+        if len(codes) == 1:
+            return codes[0]  # a lone reference is null exactly when null
+        return self._emit(_STRICT if strict else _CONCAT, *codes)
 
     def _conditional(self, entry: ConditionalEntry) -> Node:
         if entry.test_name is None:
@@ -239,11 +238,10 @@ class _Specialiser:
         if isinstance(test, str):
             branch = entry.then_value if test != "" else entry.else_value
             return "" if branch is None else self.value(branch)
-        then = _reader(self.value(entry.then_value))
-        otherwise = _reader("" if entry.else_value is None
-                            else self.value(entry.else_value))
-        return self._emit(lambda vals: then(vals) if vals[test] != ""
-                          else otherwise(vals))
+        then = self._code(self.value(entry.then_value))
+        otherwise = self._code("" if entry.else_value is None
+                               else self.value(entry.else_value))
+        return self._emit(_IF, test, then, otherwise)
 
     def _list(self, entry: ListEntry) -> Node:
         separator = self.value(entry.separator)
@@ -254,11 +252,64 @@ class _Specialiser:
         if all(isinstance(node, str) for node in (separator, *elements)):
             return separator.join(  # type: ignore[union-attr]
                 filter(None, elements))
-        joiner = _reader(separator)
-        readers = [_reader(node) for node in elements]
-        return self._emit(lambda vals: joiner(vals).join(
-            filter(None, [read(vals) for read in readers])))
+        return self._emit(_LIST, self._code(separator),
+                          *[self._code(node) for node in elements])
 
 
-def _reader(node: Node) -> Operation:
-    return itemgetter(node) if isinstance(node, int) else (lambda vals: node)
+def _compile(shape: tuple) -> Callable[..., RenderRow]:
+    """Compile (and memoise) the factory for one plan shape."""
+    namespace: dict[str, Any] = {}
+    source = _source(shape)
+    exec(compile(source, "<%ROW plan>", "exec"), namespace)  # noqa: S102
+    factory = namespace["factory"]
+    factory.source = source
+    if len(_FACTORIES) >= _FACTORY_LIMIT:
+        _FACTORIES.clear()
+    _FACTORIES[shape] = factory
+    return factory
+
+
+def _source(shape: tuple) -> str:
+    """The factory's source: locals, constants' *names*, fixed syntax."""
+    column_count, escape_values, constant_count, body, operations = shape
+    used = {body}
+    derived = []
+    for kind, codes in operations:
+        used.update(codes)
+        names = [f"v{code}" if code >= 0 else f"k{~code}" for code in codes]
+        if kind == _VLIST:
+            used.update(range(column_count))
+            columns = "".join(f"v{index}, " for index in range(column_count))
+            derived.append(f"{names[0]}.join(({columns}))")
+        elif kind == _IF:
+            test, then, otherwise = names
+            derived.append(f'{then} if {test} != "" else {otherwise}')
+        elif kind == _LIST:
+            elements = "".join(f"{name}, " for name in names[1:])
+            derived.append(f"{names[0]}.join(filter(None, ({elements})))")
+        else:
+            joined = 'f"' + "".join(f"{{{name}}}" for name in names) + '"'
+            if kind == _STRICT:  # null when any direct reference is null
+                tests = " or ".join(
+                    f'{name} == ""' for name in dict.fromkeys(names)
+                    if name[0] == "v")
+                joined = f'"" if {tests} else {joined}'
+            derived.append(joined)
+    lines = []
+    for index in range(column_count):
+        if index in used:  # only referenced columns are converted
+            lines += [f"v{index} = row[{index}]",
+                      f"if type(v{index}) is not str:",
+                      f"    v{index} = text(v{index})"]
+            if escape_values:
+                lines.append(f"v{index} = escape(v{index})")
+    if column_count in used:
+        lines.append(f"v{column_count} = str(row_num)")
+    for number, expression in enumerate(derived, column_count + 1):
+        lines.append(f"v{number} = {expression}")
+    lines.append(f"return v{body}")
+    parameters = "".join(f"k{index}, " for index in range(constant_count))
+    return (f"def factory({parameters}text, escape):\n"
+            "    def render(row, row_num):\n"
+            + "".join(f"        {line}\n" for line in lines)
+            + "    return render\n")

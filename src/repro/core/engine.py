@@ -481,6 +481,13 @@ class _MacroRun:
             # surface mid-render; the buffered path never reaches here
             # (execute() drains the cursor above).
             return (yield from self._emit_sql_error(section, error))
+        finally:
+            # A row-time error that is not the cursor's own (a reference
+            # cycle, an abandoned stream) leaves the cursor live: settle
+            # it and its read bracket now, while stream()'s finally has
+            # yet to hand the connection back.  No-op once exhausted.
+            if result.row_iter is not None:
+                result.row_iter.close()
         if result.is_query:
             # Valid only after the render loop drained the cursor.
             self.result.rows += result.row_total

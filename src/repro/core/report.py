@@ -32,8 +32,9 @@ Together: rows ``START_ROW_NUM .. START_ROW_NUM+RPT_MAXROWS-1`` print.
 
 from __future__ import annotations
 
-import re
-from typing import Iterator, Optional
+import sys
+from itertools import islice
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.core.ast import SqlReportBlock, SqlSection
 from repro.core.compiled import NotRowPure, RenderRow, specialise_row
@@ -43,13 +44,16 @@ from repro.core.variables import VariableStore
 from repro.html.entities import escape_html
 from repro.sql.cursor import value_to_text
 from repro.sql.gateway import ExecutionResult
+from repro.strictint import parse_decimal
 
 #: Separator used when building ``NLIST``/``VLIST``.  The paper only says
 #: the strings are "created by concatenating" names/values; a single space
 #: keeps the output readable and matches the shipped system's default.
 LIST_CONCAT_SEPARATOR = " "
 
-_DECIMAL_RE = re.compile(r"\s*([0-9]+)\s*", re.ASCII)
+#: Rows per emitted chunk of the compiled and default-table loops (the
+#: interpreted loop stays one row per chunk: its side effects are per row).
+_ROW_BLOCK = 64
 
 
 class RowRenderer:
@@ -146,18 +150,18 @@ class ReportGenerator:
                        result: ExecutionResult) -> Iterator[str]:
         self._install_column_names(result)
         yield self.evaluator.evaluate(block.header)
-        window = self._print_window()
+        first, last = self._print_window()
         row_num = 0
         if block.row is not None and result.is_query:
             render_row = self._specialise_row(block.row.template, result)
             if render_row is not None:
-                row_num = yield from self._render_rows_compiled(
-                    render_row, result, window)
+                row_num = yield from self._render_rows(
+                    render_row, result, first, last, install_last_row=True)
             else:
                 for row_values in result.iter_text_rows():
                     row_num += 1
                     self._install_row(result.columns, row_values, row_num)
-                    if window.prints(row_num):
+                    if first <= row_num <= last:
                         yield self.evaluator.evaluate(block.row.template)
         # ROW_NUM ends at the total fetched, printed or not.
         self.store.set_system("ROW_NUM", str(row_num))
@@ -180,30 +184,46 @@ class ReportGenerator:
         self.row_path = "compiled"
         return render_row
 
-    def _render_rows_compiled(self, render: RenderRow,
-                              result: ExecutionResult,
-                              window: "_PrintWindow") -> Iterator[str]:
-        """Run the row loop through the compiled plan.
+    def _render_rows(self, render: RenderRow, result: ExecutionResult,
+                     first: int, last: int, *,
+                     install_last_row: bool = False) -> Iterator[str]:
+        """The compiled and default-table row loop: one chunk per block.
 
-        Rows outside the print window are counted without being rendered
-        (or even text-converted).  The *last* fetched row is installed
-        into the store exactly as the interpreted loop would have left
-        it, so the footer and any later SQL section observe identical
-        system-variable state.  Returns the row count (via the
-        generator's return value).
+        Rows are taken :data:`_ROW_BLOCK` at a time and the print window
+        (``first``..``last``) becomes a slice of the block: rows outside
+        it are counted, never rendered (or even text-converted).  A live
+        cursor failing mid-fetch leaves a partial block, which prints
+        before the error surfaces.  With ``install_last_row`` the *last*
+        fetched row is installed into the store exactly as the
+        interpreted loop would have left it — on that failure too — so
+        the footer, an error block and any later SQL section see the
+        same system variables.  Returns the row count.
         """
+        rows = result.iter_rows()
         row_num = 0
         last_row = None
-        prints = window.prints
-        for row in result.iter_rows():
-            row_num += 1
-            last_row = row
-            if prints(row_num):
-                yield render(row, row_num)
-        if last_row is not None:
-            values = [value_to_text(value) for value in last_row]
-            self._install_row(result.columns, values, row_num)
-        return row_num
+        try:
+            while True:
+                block: list = []
+                try:
+                    block.extend(islice(rows, _ROW_BLOCK))
+                finally:  # ...also with what a failing cursor got to fetch
+                    count = len(block)
+                    low = max(first - 1 - row_num, 0)
+                    high = min(last - row_num, count)
+                    if low < high:
+                        yield "".join(map(
+                            render, block[low:high],
+                            range(row_num + low + 1, row_num + high + 1)))
+                    if block:
+                        last_row = block[-1]
+                        row_num += count
+                if count < _ROW_BLOCK:
+                    return row_num
+        finally:
+            if install_last_row and last_row is not None:
+                values = [value_to_text(value) for value in last_row]
+                self._install_row(result.columns, values, row_num)
 
     def _install_column_names(self, result: ExecutionResult) -> None:
         names = result.columns
@@ -217,7 +237,8 @@ class ReportGenerator:
 
     def _install_row(self, columns: list[str], values: list[str],
                      row_num: int) -> None:
-        rendered = [self._maybe_escape(v) for v in values]
+        rendered = ([escape_html(value) for value in values]
+                    if self.escape_values else values)
         self.store.set_system("ROW_NUM", str(row_num))
         for i, (name, value) in enumerate(zip(columns, rendered), start=1):
             self.store.set_system(f"V{i}", value)
@@ -226,29 +247,17 @@ class ReportGenerator:
         self.store.set_system(
             "VLIST", LIST_CONCAT_SEPARATOR.join(rendered))
 
-    def _maybe_escape(self, value: str) -> str:
-        if self.escape_values:
-            return escape_html(value)
-        return value
-
-    def _print_window(self) -> "_PrintWindow":
-        """The row window that prints: START_ROW_NUM + RPT_MAXROWS."""
-        return _PrintWindow(
-            start=self._int_setting("START_ROW_NUM", minimum=1),
-            limit=self._int_setting("RPT_MAXROWS", minimum=1))
+    def _print_window(self) -> tuple[int, int]:
+        """The first and last row numbers that print: START_ROW_NUM, and
+        RPT_MAXROWS rows from there (unset: every remaining row)."""
+        first = self._int_setting("START_ROW_NUM", minimum=1) or 1
+        limit = self._int_setting("RPT_MAXROWS", minimum=1)
+        return first, sys.maxsize if limit is None else first + limit - 1
 
     def _int_setting(self, name: str, *, minimum: int) -> Optional[int]:
         """An integer report setting; invalid/out-of-range means unset."""
-        # ASCII digits only: int() alone would also take "1_0", "+2" and
-        # any Unicode decimal digit, none of which a form field means.
-        match = _DECIMAL_RE.fullmatch(self.evaluator.evaluate_name(name))
-        if match is None:
-            return None
-        try:
-            value = int(match.group(1))
-        except ValueError:  # beyond the interpreter's int digit limit
-            return None
-        if value < minimum:
+        value = parse_decimal(self.evaluator.evaluate_name(name))
+        if value is None or value < minimum:
             return None
         return value
 
@@ -280,36 +289,15 @@ class ReportGenerator:
             head.append(f"<TH>{escape_html(name)}</TH>")
         head.append("</TR>\n")
         yield "".join(head)
-        window = self._print_window()
-        prints = window.prints
-        row_num = 0
-        # Hot loop: rows outside the print window are counted without
-        # text conversion; printed rows render with one join per row.
-        for row in result.iter_rows():
-            row_num += 1
-            if not prints(row_num):
-                continue
-            cells = "</TD><TD>".join(
-                escape_html(value_to_text(value)) for value in row)
-            if row:
-                yield f"<TR><TD>{cells}</TD></TR>\n"
-            else:
-                yield "<TR></TR>\n"
+        row_num = yield from self._render_rows(_default_table_row, result,
+                                               *self._print_window())
         self.store.set_system("ROW_NUM", str(row_num))
         self.store.set_system("ROWCOUNT", str(result.row_total))
         yield "</TABLE>\n"
 
 
-class _PrintWindow:
-    """The contiguous range of row numbers a report prints."""
-
-    __slots__ = ("first", "last")
-
-    def __init__(self, start: Optional[int], limit: Optional[int]):
-        self.first = start or 1
-        self.last = (self.first + limit - 1) if limit is not None else None
-
-    def prints(self, row_num: int) -> bool:
-        if row_num < self.first:
-            return False
-        return self.last is None or row_num <= self.last
+def _default_table_row(row: Sequence[Any], _row_num: int) -> str:
+    if not row:
+        return "<TR></TR>\n"
+    cells = "</TD><TD>".join(map(escape_html, map(value_to_text, row)))
+    return f"<TR><TD>{cells}</TD></TR>\n"

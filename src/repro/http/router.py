@@ -36,6 +36,7 @@ from repro.http.message import (
 from repro.http.urls import normalize_path
 from repro.obs.trace import TRACER, Span, new_trace_id
 from repro.overload.retryafter import retry_after_header
+from repro.strictint import parse_decimal
 
 CGI_PREFIX = "/cgi-bin/"
 
@@ -347,9 +348,8 @@ class Router:
         for part in (request.query or "").split("&"):
             key, _, value = part.partition("=")
             if key == "limit":
-                try:
-                    limit = max(0, int(value))
-                except ValueError:
+                limit = parse_decimal(value)
+                if limit is None:
                     return _error(400, f"bad limit: {value!r}")
         body = json.dumps(self.statements.snapshot(limit=limit),
                           sort_keys=True, indent=2, default=str) + "\n"

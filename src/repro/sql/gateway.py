@@ -13,7 +13,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterator,
+                    Optional)
 
 from repro.errors import (SQLConnectError, SQLError, SQLObjectError,
                           is_transient)
@@ -57,8 +58,9 @@ class ExecutionResult:
     rowcount: int = 0
     is_query: bool = False
     #: Live-cursor row source for streaming execution; ``None`` for the
-    #: (default) eager result.  Single-use.
-    row_iter: Optional[Iterator[tuple[Any, ...]]] = None
+    #: (default) eager result.  Single-use; a generator, so the engine
+    #: can ``close()`` it to settle the cursor when a page dies mid-row.
+    row_iter: Optional[Generator[tuple[Any, ...], None, None]] = None
     #: Rows that have passed through ``row_iter`` so far.
     rows_fetched: int = 0
     #: True when a sharded scatter-gather lost one or more shards and

@@ -353,3 +353,17 @@ class TestWorkerEnv:
         program = build_program(_worker_env(args))
         assert sorted(program.engine.registry.names()) \
             == ["Mixed_Case", "URLDB", "shop"]
+
+    @pytest.mark.parametrize("raw", ["1_0", "+3", "\u0663", "-1"])
+    def test_integer_settings_are_plain_digits_or_refused(self, tmp_path,
+                                                          raw):
+        """``REPRO_POOL_SIZE=1_0`` used to mean ten connections."""
+        from repro.cgi.db2www_main import build_program
+        env = {"REPRO_MACRO_DIR": str(tmp_path)}
+        for name in ("REPRO_POOL_SIZE", "REPRO_QUERY_CACHE"):
+            with pytest.raises(RuntimeError, match=name):
+                build_program({**env, name: raw})
+        # Unset, empty and blank still mean "off"; padding is fine.
+        for raw in ("", "  ", " 2 "):
+            build_program({**env, "REPRO_POOL_SIZE": raw,
+                           "REPRO_QUERY_CACHE": raw})

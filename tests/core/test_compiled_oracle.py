@@ -16,7 +16,16 @@ and the same exception — and Hypothesis hunts for a counter-example over
   ``$(x)`` text and ``<&">``, duplicate and case-colliding column aliases;
 * an optional earlier SQL section leaving stale system variables behind;
 * ``RPT_MAXROWS`` / ``START_ROW_NUM`` windows and ``escape_report_values``;
-* buffered and streaming execution.
+* buffered and streaming execution;
+* result sizes on either side of the row block the compiled and
+  default-table loops emit (``report._ROW_BLOCK``), with windows that
+  start and end inside, on and across block boundaries;
+* a live cursor that fails on its *k*-th fetch (a test double behind
+  ``DatabaseRegistry.register_factory``): the rows before the failure
+  print, then the section's ``%SQL_MESSAGE`` or the default error block.
+
+The block-boundary grid and the failing cursor are also walked
+exhaustively, once each, by the two parametrised tests below.
 
 Tier-1 runs a bounded number of examples; ``benchmarks/
 bench_oracle_row_specialiser.py`` soaks the same property over 3 000
@@ -25,7 +34,9 @@ seeded examples (CI's perf job).
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ast
@@ -36,9 +47,13 @@ from repro.core.engine import (
     _MacroRun,
 )
 from repro.core.execvars import RegistryExecRunner
+from repro.core.parser import parse_macro
+from repro.core.report import _ROW_BLOCK
 from repro.core.values import ValueString
+from repro.errors import SQLError
 from repro.resilience import faults
-from repro.sql.connection import MemoryDatabase
+from repro.sql.connection import Connection, MemoryDatabase
+from repro.sql.cursor import Cursor
 from repro.sql.gateway import DatabaseRegistry
 
 USER = ["u0", "u1", "u2", "u3"]
@@ -49,9 +64,16 @@ ROW_NAMES = ["V1", "V2", "V3", "V5", "V_a", "V_A", "V.a", "v_a", "V_b",
 OTHER_NAMES = ["N1", "N_a", "NLIST", "ROWCOUNT", "V01", "nope"]
 EVERYTHING = USER + ROW_NAMES + OTHER_NAMES + [EXEC]
 TABLE_WIDTH = 5
+#: Result sizes around the emitted row block, and window edges on them.
+BLOCK_SIZES = [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+               2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
+BLOCK_EDGES = [str(edge) for edge in (
+    2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, _ROW_BLOCK + 2,
+    2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1)]
 
 literal_text = st.sampled_from(
-    ["", " ", "<BR>", "a&b", '"', "100%", "%s", "$", "$(", ")", "b\n"])
+    ["", " ", "<BR>", "a&b", '"', "100%", "%s", "$", "$(", ")", "b\n",
+     "\\", "{k0}", "'"])
 cell = st.sampled_from([None, None, "", "", 7, -1, 2.0, 2.5, "ann", "$(V1)",
                         "$(u0)", "$$(u1)", '<&">', "100%s"])
 
@@ -98,6 +120,8 @@ class Case:
     inputs: list
     rows: list
     escape: bool
+    #: the fetch (1-based, per cursor) on which a streaming cursor dies
+    fail_at: Optional[int] = None
 
 
 def select(aliases):
@@ -141,10 +165,14 @@ def cases(draw):
         literal_text, reference(USER), reference(USER), reference(USER),
         reference(ROW_NAMES + OTHER_NAMES + [EXEC, EXEC])),
         min_size=1, max_size=5))
+    message = draw(st.sampled_from([None, ast.SqlMessageBlock((
+        ast.MessageRule("default", ValueString.parse(
+            "<P>$(SQL_MESSAGE) at $(ROW_NUM): $(V1) $(u0)</P>"),
+            "continue"),))]))
     sections.append(ast.SqlSection(
         select(aliases), name="main", report=ast.SqlReportBlock(
             draw(text), ast.RowBlock(ValueString.parse("".join(row))),
-            draw(text))))
+            draw(text)), message=message))
     pieces += [ast.ExecSqlDirective(ValueString.literal("main")),
                draw(text)]
     sections.append(ast.HtmlReportSection(tuple(pieces)))
@@ -154,24 +182,67 @@ def cases(draw):
         st.sampled_from(["", "1", "2", " 3 ", "0", "x", "$(V_a)",
                          "$(ROW_NUM)", "$(u1)", "$$(u2)", "<i>"]),
         text.map(lambda value: value.raw))
-    return Case(
-        macro=ast.MacroFile(sections),
-        inputs=draw(st.lists(st.tuples(st.sampled_from(client_names),
-                                       client_values), max_size=4)),
-        rows=draw(st.lists(st.tuples(*[cell] * TABLE_WIDTH),
-                           min_size=draw(st.sampled_from([0, 1, 2, 3])),
-                           max_size=4)),
-        escape=draw(st.booleans()))
+    inputs = draw(st.lists(st.tuples(st.sampled_from(client_names),
+                                     client_values), max_size=4))
+    rows = draw(st.lists(st.tuples(*[cell] * TABLE_WIDTH),
+                         min_size=draw(st.sampled_from([0, 1, 2, 3])),
+                         max_size=4))
+    if rows and draw(st.integers(0, 7)) == 0:
+        # Now and then a result that straddles the emitted row block,
+        # under a window whose edges fall in, on or across a boundary.
+        size = draw(st.sampled_from(BLOCK_SIZES))
+        rows = (rows * (size // len(rows) + 1))[:size]
+        inputs += draw(st.lists(st.tuples(
+            st.sampled_from(["RPT_MAXROWS", "START_ROW_NUM"]),
+            st.sampled_from(BLOCK_EDGES)), max_size=2))
+    fail_at = draw(st.one_of(st.none(), st.none(),
+                             st.integers(1, len(rows) + 1)))
+    return Case(macro=ast.MacroFile(sections), inputs=inputs, rows=rows,
+                escape=draw(st.booleans()), fail_at=fail_at)
+
+
+class FailingCursor(Cursor):
+    """A live cursor that dies on its ``fail_at``-th fetch (0: never),
+    recording every fetch."""
+
+    def __init__(self, cursor: Cursor, fail_at: int, fetches: list):
+        super().__init__(cursor._raw, cursor.sql)
+        self.fail_at = fail_at
+        self.fetches = fetches  # one entry per fetch, all cursors
+
+    def fetchone(self):
+        self.fetches.append(self.sql)
+        if self.fail_at == 1:
+            raise SQLError("cursor lost mid-fetch", sqlcode=-952,
+                           sqlstate="57014")
+        self.fail_at -= 1
+        return super().fetchone()
+
+
+class FailingConnection(Connection):
+    """Hands out :class:`FailingCursor`s — the public seam is the
+    connection factory, so nothing in ``src/`` knows about this."""
+
+    def __init__(self, uri: str, fail_at: int, fetches: list):
+        super().__init__(uri, uri=True)
+        self.fail_at = fail_at
+        self.fetches = fetches
+
+    def execute(self, sql, parameters=()):
+        return FailingCursor(super().execute(sql, parameters),
+                             self.fail_at, self.fetches)
 
 
 def outcome(case, database, *, compiled, stream):
     """Everything observable about one run of ``case``."""
     registry = DatabaseRegistry()
     registry.register_memory("ORACLE", database)
-    # Pooled, as under ``repro serve``: a row-time error in streaming
-    # mode leaves the live cursor to be closed after the session, which
-    # an unpooled session's closed connection would complain about.
-    registry.enable_pools(size=1)
+    fetches = []
+    if case.fail_at is not None and stream:  # buffered results never
+        # touch a live cursor from the report loop: they are drained by
+        # fetchall() inside the statement's bracket.
+        registry.register_factory("ORACLE", lambda: FailingConnection(
+            database.uri, case.fail_at, fetches))
     runner = RegistryExecRunner()
     commands = []
     runner.register("echo", lambda args: commands.append(args)
@@ -188,7 +259,9 @@ def outcome(case, database, *, compiled, stream):
     except Exception as error:  # noqa: BLE001 - compared, not handled
         raised = (type(error).__name__, str(error))
     return {"html": "".join(chunks), "raised": raised,
-            "system": run.store.system_snapshot(), "exec": commands}
+            "system": run.store.system_snapshot(), "exec": commands,
+            "rows": run.result.rows, "fetches": len(fetches),
+            "sql_errors": [str(error) for error in run.result.sql_errors]}
 
 
 @contextmanager
@@ -204,16 +277,27 @@ def no_ambient_faults():
         faults.set_ambient_injector(ambient)
 
 
+def filled(database, rows):
+    with database.connect() as conn:
+        conn.execute("CREATE TABLE t (c0, c1, c2, c3, c4)")
+        for row in rows:
+            conn.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", row)
+        conn.commit()
+    return database
+
+
+def compare(case, database):
+    """Both row paths, buffered and streaming; the streaming outcomes."""
+    for stream in (False, True):
+        compiled = outcome(case, database, compiled=True, stream=stream)
+        assert compiled == outcome(case, database, compiled=False,
+                                   stream=stream)
+    return compiled
+
+
 def check(case):
     with no_ambient_faults(), MemoryDatabase() as database:
-        with database.connect() as conn:
-            conn.execute("CREATE TABLE t (c0, c1, c2, c3, c4)")
-            for row in case.rows:
-                conn.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", row)
-            conn.commit()
-        for stream in (False, True):
-            assert outcome(case, database, compiled=True, stream=stream) \
-                == outcome(case, database, compiled=False, stream=stream)
+        compare(case, filled(database, case.rows))
 
 
 #: Tier-1 budget (about five seconds).  The acceptance soak is the same
@@ -222,3 +306,91 @@ def check(case):
 @given(cases())
 def test_specialised_rows_match_the_interpreter(case):
     check(case)
+
+
+# ----------------------------------------------------------------------
+# The block loop, walked exhaustively
+# ----------------------------------------------------------------------
+
+GRID_MACRO = parse_macro("""
+%DEFINE note = V2 ? "<$(V2)>" : "-"
+%SQL(custom){ SELECT c0 AS "a", c1 AS "b" FROM t ORDER BY rowid
+%SQL_REPORT{[%ROW{$(ROW_NUM):$(V1)$(note);%}] $(ROW_NUM)/$(ROWCOUNT) $(V_a)
+%}
+%SQL_MESSAGE{
+default : "<P>$(SQL_MESSAGE) after row $(ROW_NUM) ($(V1))</P>" : continue
+%}
+%}
+%SQL(table){ SELECT c0 AS "a", c1 AS "b" FROM t ORDER BY rowid %}
+%HTML_REPORT{%EXEC_SQL($(which)) end $(ROW_NUM) $(ROWCOUNT)%}
+""")
+
+B = _ROW_BLOCK
+#: (START_ROW_NUM, RPT_MAXROWS): windows that start and end inside, on
+#: and across block boundaries, and one that starts past every result.
+GRID_WINDOWS = [
+    (None, None), (None, 1), (None, B - 1), (None, B), (None, B + 1),
+    (2, None), (B, None), (B + 1, None), (B + 2, None),
+    (2, B - 1), (2, B), (B - 1, 2), (B, 1), (B, 2), (B + 1, B),
+    (B + 1, B + 1), (2 * B, 5), (2 * B + 1, 1), (2 * B + 2, 1)]
+
+
+def grid_rows(size):
+    return [(index, None if index % 3 == 0 else f"n<{index}>", 0, 0, 0)
+            for index in range(1, size + 1)]
+
+
+def grid_case(which, size, start=None, limit=None, fail_at=None):
+    inputs = [("which", which)]
+    if start is not None:
+        inputs.append(("START_ROW_NUM", str(start)))
+    if limit is not None:
+        inputs.append(("RPT_MAXROWS", str(limit)))
+    return Case(GRID_MACRO, inputs, grid_rows(size), escape=False,
+                fail_at=fail_at)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("which", ["custom", "table"])
+def test_block_boundaries_match_the_interpreter(which, size):
+    with no_ambient_faults(), MemoryDatabase() as database:
+        filled(database, grid_rows(size))
+        for start, limit in GRID_WINDOWS:
+            seen = compare(grid_case(which, size, start, limit), database)
+            first = start or 1
+            printed = max(0, min(size, first + (limit or size) - 1)
+                          - first + 1)
+            assert seen["raised"] is None and seen["rows"] == size
+            assert seen["html"].count(
+                ";" if which == "custom" else "<TR><TD>") == printed, \
+                (start, limit)
+            assert seen["html"].endswith(f" end {size} {size}")
+
+
+@pytest.mark.parametrize("size, fail_at", [
+    (size, fail_at) for size in (1, B, 2 * B + 1)
+    for fail_at in sorted({1, 2, B, B + 1, size, size + 1})
+    if fail_at <= size + 1])
+@pytest.mark.parametrize("which", ["custom", "table"])
+def test_cursor_failing_at_row_k_matches_the_interpreter(which, size,
+                                                         fail_at):
+    """The rows fetched before the failure print; then the error block,
+    with ``ROW_NUM`` and ``V1`` as the interpreter leaves them."""
+    with no_ambient_faults(), MemoryDatabase() as database:
+        filled(database, grid_rows(size))
+        for start, limit in [(None, None), (2, B), (B, None)]:
+            seen = compare(grid_case(which, size, start, limit, fail_at),
+                           database)
+            got = fail_at - 1  # rows handed out before the failure
+            printed = max(0, min(got, (start or 1) + (limit or got) - 1)
+                          - (start or 1) + 1)
+            assert seen["fetches"] == fail_at and seen["rows"] == 0
+            assert seen["sql_errors"] == ["cursor lost mid-fetch"]
+            if which == "custom":
+                assert seen["html"].count(";") == printed, (start, limit)
+                assert seen["html"].endswith(
+                    f"<P>cursor lost mid-fetch after row {got} "
+                    f"({got or ''})</P> end {got} ")
+            else:
+                assert seen["html"].count("<TR><TD>") == printed
+                assert "cursor lost mid-fetch" in seen["html"]

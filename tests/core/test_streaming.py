@@ -5,13 +5,20 @@ the stream — one processing code path, two consumption modes — while
 the stream rides the live cursor (rows never materialised up front).
 """
 
+import gc
+import sqlite3
+
 import pytest
 
 from repro.core import parse_macro
 from repro.core.engine import EngineConfig, MacroCommand, MacroEngine
-from repro.errors import MissingSectionError
-from repro.sql.gateway import DatabaseRegistry
+from repro.core.report import _ROW_BLOCK
+from repro.errors import CircularReferenceError, MissingSectionError
+from repro.sql.cursor import Cursor
+from repro.sql.gateway import DatabaseRegistry, MacroSqlSession
 from repro.sql.querycache import QueryResultCache
+from repro.sql.transactions import TransactionScope
+from tests.core.test_compiled_oracle import FailingConnection
 
 MACRO = """
 %DEFINE DATABASE = "SHOP"
@@ -84,12 +91,35 @@ class TestStreamEqualsBuffered:
 
 
 class TestLiveCursor:
-    def test_rows_arrive_in_separate_chunks(self, shop_engine):
-        """Row template output is emitted per row, not as one string."""
+    def test_row_chunks_are_bounded_blocks_off_a_live_cursor(self):
+        """Rows stream in chunks of at most ``_ROW_BLOCK``: the first
+        leaves while the cursor still has rows to give, and the chunks
+        join to the buffered page."""
+        total = 2 * _ROW_BLOCK + 10
+        registry = DatabaseRegistry()
+        database = registry.register_memory("SHOP")
+        with database.connect() as conn:
+            conn.execute("CREATE TABLE items (name TEXT, qty INTEGER)")
+            for index in range(total):
+                conn.execute("INSERT INTO items VALUES (?, ?)",
+                             (f"item{index:04}", index))
+            conn.commit()
+        fetched = []  # one entry per fetch; fail_at=0 never fails
+        registry.register_factory(
+            "SHOP", lambda: FailingConnection(database.uri, 0, fetched))
+        engine = MacroEngine(registry)
         macro = parse_macro(MACRO)
-        chunks = list(shop_engine.execute_report_stream(macro).chunks)
+        chunks = []
+        for chunk in engine.execute_report_stream(macro).chunks:
+            if chunk.startswith("<LI>") and not any(
+                    earlier.startswith("<LI>") for earlier in chunks):
+                assert len(fetched) == _ROW_BLOCK  # ...of `total`
+            chunks.append(chunk)
+        assert len(fetched) == total + 1  # the end-of-result fetch
         row_chunks = [c for c in chunks if c.startswith("<LI>")]
-        assert len(row_chunks) == 3  # one per item row
+        assert [c.count("<LI>") for c in row_chunks] == [
+            _ROW_BLOCK, _ROW_BLOCK, 10]
+        assert "".join(chunks) == engine.execute_report(macro).html
 
     def test_rowcount_correct_at_stream_end(self, shop_engine):
         macro = parse_macro(MACRO)
@@ -134,7 +164,60 @@ class TestContentType:
         assert stream.result.content_type == "text/html"
 
 
+CYCLE_MACRO = """
+%DEFINE DATABASE = "SHOP"
+%DEFINE a = "$(b)"
+%DEFINE b = "$(a)"
+%SQL{SELECT name FROM items ORDER BY name
+%SQL_REPORT{%ROW{<LI>$(V1) $(a)
+%}%}
+%}
+%HTML_REPORT{%EXEC_SQL%}
+"""
+
+
 class TestErrors:
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["unpooled", "pooled"])
+    def test_error_mid_row_settles_the_cursor_before_the_connection(
+            self, tmp_path, monkeypatch, pooled):
+        """A non-SQL error at row time (here a reference cycle) must
+        close the live cursor and its read bracket *before* the session
+        gives the connection back — on an unpooled SQLite file the late
+        close used to raise "Cannot operate on a closed database" from
+        the abandoned generator, and the bracket never closed."""
+        path = tmp_path / "shop.sqlite"
+        with sqlite3.connect(path) as seed:
+            seed.execute("CREATE TABLE items (name TEXT)")
+            seed.executemany("INSERT INTO items VALUES (?)",
+                             [("bikes",), ("tents",)])
+        registry = DatabaseRegistry()
+        registry.register_path("SHOP", str(path))
+        if pooled:
+            registry.enable_pools(size=1)
+        events = []
+        for owner, name in [(Cursor, "close"),
+                            (TransactionScope, "after_statement"),
+                            (MacroSqlSession, "finish")]:
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        stream = MacroEngine(registry).execute_report_stream(
+            parse_macro(CYCLE_MACRO))
+        try:
+            drain(stream)
+        except CircularReferenceError:
+            pass  # ...and with it the traceback that kept frames alive
+        else:
+            pytest.fail("the row's reference cycle went unnoticed")
+        del stream
+        gc.collect()
+        assert events == ["close", "after_statement", "finish"]
+        registry.close_all()
+
     def test_missing_section_raises_on_first_pull(self, shop_engine):
         macro = parse_macro('%DEFINE x = "1"\n%HTML_INPUT{[$(x)]%}')
         stream = shop_engine.execute_report_stream(macro)

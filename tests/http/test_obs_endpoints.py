@@ -215,6 +215,16 @@ class TestStatementsEndpoint:
         assert [r["digest"] for r in body["statements"]] == ["hot"]
         assert get(site, "/statements?limit=bogus").status == 400
 
+    @pytest.mark.parametrize("raw", ["1_0", "+3", "-1", "\u0663", ""])
+    def test_limit_is_plain_ascii_digits_or_400(self, site, statements,
+                                                raw):
+        """``int()`` took ``1_0`` for 10 and ``+3`` for 3."""
+        _, site = site
+        site.router.statements = statements
+        response = get(site, f"/statements?limit={raw}")
+        assert response.status == 400
+        assert b"bad limit" in response.body
+
     def test_live_traffic_lands_in_the_table(self, site, statements,
                                              traced):
         """End to end: the store as a tracer sink sees the report's

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps import urlquery as urlquery_app
 from repro.apps.site import build_site
+from repro.core.report import _ROW_BLOCK
 
 QUERY = "SEARCH=ib&USE_URL=yes&DBFIELDS=title"
 
@@ -83,3 +84,42 @@ class TestCloseDelimitedStreaming:
         head, body = raw_get(streaming, "/cgi-bin/db2www/nosuch.d2w/input")
         assert b"404" in head.split(b"\r\n", 1)[0]
         assert b"content-length" in head.lower()
+
+
+def chunk_sizes(body):
+    """The chunk lengths of a chunked-transfer body (terminal 0 last)."""
+    sizes, pos = [], 0
+    while True:
+        end = body.index(b"\r\n", pos)
+        size = int(body[pos:end], 16)
+        sizes.append(size)
+        if size == 0:
+            return sizes
+        pos = end + 2 + size + 2
+
+
+class TestRowBlocksOnTheWire:
+    def test_rows_cross_the_thread_hop_a_block_at_a_time(self):
+        """Each engine chunk costs a cross-thread hand-off, an HTTP
+        chunk and a write; rows now arrive at most ``_ROW_BLOCK`` to a
+        chunk, so a 200-row page is a dozen chunks, not two hundred."""
+        rows = 200
+        app = urlquery_app.install(rows=rows)
+        server = build_site(app.engine, app.library, stream=True).serve()
+        try:
+            target = f"{app.report_path}?DBFIELDS=title"
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5) as conn:
+                conn.sendall(f"GET {target} HTTP/1.1\r\nHost: t\r\n"
+                             f"Connection: close\r\n\r\n".encode())
+                data = b""
+                while chunk := conn.recv(65536):
+                    data += chunk
+        finally:
+            server.shutdown()
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert b"Transfer-Encoding: chunked" in head
+        assert body.count(b"<LI> <A HREF=") == rows
+        sizes = chunk_sizes(body)
+        row_blocks = -(-rows // _ROW_BLOCK)
+        assert row_blocks < len(sizes) <= row_blocks + 6  # 9 when written
