@@ -16,12 +16,42 @@
 import pytest
 
 from repro.apps.datasets import seed_urldb
-from repro.core.ablation import EagerStoreEvaluator, MemoizingEvaluator
 from repro.core.substitution import Evaluator
 from repro.core.values import ValueString
 from repro.core.variables import VariableStore
 from repro.sql.connection import Connection
 from repro.sql.pool import ConnectionPool, PerRequestPool
+
+
+class MemoizingEvaluator(Evaluator):
+    """The rejected alternative: cache every ``evaluate_name`` result
+    for the evaluator's lifetime — wrong on purpose, since ``V1``/
+    ``ROW_NUM`` change per row and ``%EXEC`` must re-run per reference."""
+
+    def __init__(self, store: VariableStore, *, exec_runner=None):
+        super().__init__(store, exec_runner=exec_runner)
+        self._cache: dict[str, str] = {}
+
+    def evaluate_name(self, name: str) -> str:
+        cached = self._cache.get(name)
+        if cached is None:
+            cached = self._cache[name] = super().evaluate_name(name)
+        return cached
+
+
+class EagerStoreEvaluator(Evaluator):
+    """The rejected alternative: evaluate every definition when the
+    evaluator is made (at "definition time") and answer from that frozen
+    table — a variable referencing a later definition stays null."""
+
+    def __init__(self, store: VariableStore, *, exec_runner=None):
+        super().__init__(store, exec_runner=exec_runner)
+        lazy = Evaluator(store, exec_runner=exec_runner)
+        self._frozen = {name: lazy.evaluate_name(name)
+                        for name in store.names()}
+
+    def evaluate_name(self, name: str) -> str:
+        return self._frozen.get(name, "")
 
 
 def reference_heavy_store() -> tuple[VariableStore, ValueString]:

@@ -1,38 +1,68 @@
-"""ORACLE-ROW — the row specialiser's differential oracle, soaked.
+"""ORACLE-ROW and ORACLE-WHOLE — the compiled path's differential
+oracles, soaked.
 
 Tier-1 runs ``tests/core/test_compiled_oracle.py`` over a few hundred
-fresh examples on every push.  This is the same property — specialised
-``%ROW`` rendering is indistinguishable from the interpreter: page
-bytes, system variables afterwards, ``%EXEC`` runs, exceptions; buffered
-and streaming — over 3 000 generated macros from a recorded seed, so
-the acceptance run can be repeated exactly (run it from the repository
-root: it imports the strategy from the test-suite).
+fresh examples on every push.  These are the same two properties over
+many more generated cases from a recorded seed, so the acceptance run can
+be repeated exactly (run it from the repository root: it imports the
+strategies from the test-suite):
+
+* ORACLE-ROW: specialised ``%ROW`` rendering is indistinguishable from
+  the interpreter — page bytes, system variables afterwards, ``%EXEC``
+  runs, exceptions; buffered and streaming — over 3 000 macros;
+* ORACLE-WHOLE: whole macros run by their load-time program, several
+  requests in a row on one engine (so compiled plans are reused under
+  changed client inputs), are indistinguishable from the interpreter —
+  the same observables plus statements, errors, content type and the
+  database the writes leave — over 2 000 macros.
 """
 
 from hypothesis import given, seed, settings
 
-from tests.core.test_compiled_oracle import cases, check
+from tests.core.test_compiled_oracle import (
+    cases,
+    check,
+    check_whole,
+    whole_cases,
+)
 
 #: 4 June 1996: the first day of the SIGMOD conference the paper is in.
 SEED = 19960604
 EXAMPLES = 3000
+WHOLE_EXAMPLES = 2000
+
+
+def soaked(strategy, checker, examples):
+    """Run ``checker`` over ``examples`` seeded draws; the count run."""
+    checked = 0
+
+    @seed(SEED)
+    @settings(max_examples=examples, deadline=None, database=None)
+    @given(strategy)
+    def soak(case):
+        nonlocal checked
+        checked += 1
+        checker(case)
+
+    soak()
+    return checked
 
 
 def test_oracle_row_specialiser_soak(benchmark, artifact):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    checked = 0
-
-    @seed(SEED)
-    @settings(max_examples=EXAMPLES, deadline=None, database=None)
-    @given(cases())
-    def soak(case):
-        nonlocal checked
-        checked += 1
-        check(case)
-
-    soak()
+    checked = soaked(cases(), check, EXAMPLES)
     artifact("oracle_row_specialiser.txt",
              f"ORACLE-ROW — compiled_reports on vs off, seed {SEED}\n\n"
              f"{checked} generated macros x (buffered, streaming): "
              "no difference\n")
     assert checked >= EXAMPLES
+
+
+def test_oracle_whole_report_soak(benchmark, artifact):
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    checked = soaked(whole_cases(), check_whole, WHOLE_EXAMPLES)
+    artifact("oracle_whole_report.txt",
+             f"ORACLE-WHOLE — compiled_reports on vs off, seed {SEED}\n\n"
+             f"{checked} generated macros, 2-4 requests each on one "
+             "engine x (buffered, streaming): no difference\n")
+    assert checked >= WHOLE_EXAMPLES

@@ -633,17 +633,29 @@ _SERVE_OPTIONS = {
 
 def _refuse_engine_options(args) -> None:
     """Exit naming every engine-only option given a non-default value
-    while worker processes, not this one, will run the macros."""
+    while worker processes, not this one, will run the macros — and,
+    under ``--connect``, every forwarded one: the workers belong to the
+    ``--listen`` daemon, which forwards its own."""
     defaults = build_parser().parse_args(["serve", "--macros", "."])
-    ignored = ["--" + dest.replace("_", "-")
-               for dest in _SERVE_OPTIONS["engine"]
-               if getattr(args, dest) != getattr(defaults, dest)]
+
+    def given(dests) -> list[str]:
+        return ["--" + dest.replace("_", "-") for dest in dests
+                if getattr(args, dest) != getattr(defaults, dest)]
+
+    ignored = given(_SERVE_OPTIONS["engine"])
     if ignored:
         raise SystemExit(
             f"{', '.join(ignored)} "
             f"{'requires' if len(ignored) == 1 else 'require'} --gateway "
             "inprocess (in-process engine settings; nothing forwards "
             "them to app-server workers or a --listen pool)")
+    ignored = given(("database", "query_cache")) if args.connect else []
+    if ignored:
+        raise SystemExit(
+            f"{', '.join(ignored)} "
+            f"{'has' if len(ignored) == 1 else 'have'} no effect with "
+            "--connect: the workers belong to the --listen daemon, so "
+            f"give {'it' if len(ignored) == 1 else 'them'} there")
 
 
 def _worker_env(args) -> dict[str, str]:

@@ -329,6 +329,10 @@ class MacroFile:
 
     sections: list[Section] = field(default_factory=list)
     source: Optional[str] = None
+    #: The compiled :class:`~repro.core.program.MacroProgram`, attached
+    #: when a library (re)loads the macro or on its first execution.
+    program: Optional[object] = field(default=None, repr=False,
+                                      compare=False)
 
     # -- convenience accessors -----------------------------------------
 

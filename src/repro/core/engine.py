@@ -28,6 +28,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.core import ast
 from repro.core.messages import resolve_message
+from repro.core.program import CompiledEvaluator, program_of
 from repro.core.report import ReportGenerator, RowRenderer
 from repro.core.substitution import Evaluator
 from repro.core.variables import VariableStore
@@ -60,12 +61,14 @@ class MacroCommand(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "MacroCommand":
-        folded = text.strip().lower()
-        for command in cls:
-            if folded == command.value:
-                return command
-        raise MacroExecutionError(
-            f"unknown command {text!r}: expected 'input' or 'report'")
+        command = _COMMANDS.get(text.strip().lower())
+        if command is None:
+            raise MacroExecutionError(
+                f"unknown command {text!r}: expected 'input' or 'report'")
+        return command
+
+
+_COMMANDS = {command.value: command for command in MacroCommand}
 
 
 @dataclass
@@ -84,11 +87,11 @@ class EngineConfig:
         statement into the report (the ``SHOWSQL`` radio button of the
         paper's Figures 2 and 7).
     ``compiled_reports``
-        Specialise each section's ``%ROW`` template against the variable
-        store before its first row prints (on by default; only a row
-        that reaches an executable variable or a reference cycle stays
-        interpreted — see :mod:`repro.core.compiled`).  ``False``
-        interprets every row: the ablation switch and the test oracle.
+        Run the macro's load-time program (:mod:`repro.core.program`:
+        templates and ``%ROW`` rows specialised and reused across
+        requests; one that reaches an executable variable or a cycle
+        stays interpreted).  ``False`` interprets everything: the
+        ablation switch and the test oracle.
     ``query_cache``
         A shared :class:`~repro.sql.querycache.QueryResultCache`; when
         set, identical SELECTs are served from cache until a write to
@@ -274,12 +277,18 @@ class _MacroRun:
                  stream_rows: bool = False,
                  row_renderer: Optional[RowRenderer] = None):
         self.engine = engine
-        self.macro = macro
+        self.program = program = program_of(macro)
         self.command = command
         self.store = VariableStore()
         self.store.set_client_inputs(list(client_inputs))
         self.evaluator = Evaluator(self.store,
                                    exec_runner=engine.exec_runner)
+        #: Compiled run: %DEFINE tables and memoised plans (see
+        #: repro.core.program); otherwise the interpreter does it all.
+        self.compiled = engine.config.compiled_reports
+        if self.compiled:
+            self.evaluator = CompiledEvaluator(program, self.store,
+                                               self.evaluator)
         self.row_renderer = row_renderer
         #: Structured renderers (JSON) own the byte stream: macro free
         #: text, SHOWSQL echoes and error blocks are evaluated for their
@@ -302,13 +311,6 @@ class _MacroRun:
         #: the run's single ``substitute`` span (created lazily); see
         #: :meth:`_substitute`.
         self._subst_span: Optional[Span] = None
-        # SQL sections are registered macro-wide up front: the directive
-        # semantics of Section 3.4 ("all unnamed SQL sections are executed
-        # sequentially, in the order of appearance in the macro") are not
-        # positional, unlike variable definitions.
-        self.unnamed_sql = macro.unnamed_sql_sections()
-        self.named_sql = {s.name: s for s in macro.sql_sections()
-                          if s.name is not None}
 
     # ------------------------------------------------------------------
 
@@ -352,9 +354,14 @@ class _MacroRun:
             self.result.content_type = declared
 
     def _walk(self) -> Iterator[str]:
-        for section in self.macro.sections:
+        # SQL sections were registered macro-wide by the program (Section
+        # 3.4's directives are not positional); FreeText is ignored.
+        for section, table, lists, execs in self.program.steps:
             if isinstance(section, ast.DefineSection):
-                self.store.apply_section(section)
+                if self.compiled:
+                    self.evaluator.define(table, lists, execs)
+                else:
+                    self.store.apply_section(section)
             elif isinstance(section, ast.HtmlInputSection):
                 if self.command is MacroCommand.INPUT:
                     self._emitted_target_section = True
@@ -372,11 +379,10 @@ class _MacroRun:
                     self._refresh_content_type()
                     if (yield from self._process_report(section)):
                         return  # an 'exit' action stopped processing
-            elif isinstance(section, ast.IncludeSection):
+            else:
                 raise MacroExecutionError(
                     f"unexpanded %INCLUDE \"{section.name}\": load this "
                     "macro through a MacroLibrary so includes resolve")
-            # SQL sections were pre-registered; FreeText is ignored.
 
     # ------------------------------------------------------------------
     # Report mode
@@ -432,12 +438,12 @@ class _MacroRun:
                 return True
         return False
 
-    def _resolve_directive(
-            self, directive: ast.ExecSqlDirective) -> list[ast.SqlSection]:
+    def _resolve_directive(self, directive: ast.ExecSqlDirective
+                           ) -> Sequence[ast.SqlSection]:
         if directive.name is None:
-            return list(self.unnamed_sql)
+            return self.program.unnamed_sql
         name = self.evaluator.evaluate(directive.name).strip()
-        section = self.named_sql.get(name)
+        section = self.program.named_sql.get(name)
         if section is None:
             raise UnknownSqlSectionError(
                 f"%EXEC_SQL({directive.name.raw}) resolved to {name!r}, "
@@ -466,7 +472,10 @@ class _MacroRun:
                 f"write rejected: this engine is read-only "
                 f"(statement began {sql_text.split(None, 1)[0]!r} "
                 f"when only SELECT/VALUES/WITH are allowed)")
-        yield from self._maybe_show_sql(sql_text)
+        flag = self.engine.config.show_sql_variable
+        if (flag and not self._suppress_text
+                and self.evaluator.evaluate_name(flag) != ""):
+            yield f"<P><TT>{escape_html(sql_text)}</TT></P>\n"
         try:
             session = self._ensure_session()
             result = session.execute(sql_text,
@@ -562,13 +571,6 @@ class _MacroRun:
             return True
         return False
 
-    def _maybe_show_sql(self, sql_text: str) -> Iterator[str]:
-        flag = self.engine.config.show_sql_variable
-        if self._suppress_text:
-            return
-        if flag and self.evaluator.evaluate_name(flag) != "":
-            yield f"<P><TT>{escape_html(sql_text)}</TT></P>\n"
-
     def _ensure_session(self) -> MacroSqlSession:
         if self.session is None:
             database = self.evaluator.evaluate_name("DATABASE")
@@ -598,17 +600,23 @@ class _MacroRun:
                     deadline=self.deadline,
                     degrade=self.engine.config.degrade_sql_errors)
                 return self.session
-            connection = self._connect(database)
+            registry = self.engine.registry
+            mode = self.engine.config.transaction_mode
+            # Lease at the first statement that is not a cache hit; an
+            # unknown name connects (and fails) now, as it always did.
+            lazy = mode is TransactionMode.AUTO_COMMIT and database in registry
             # Cache keys carry the *resolved* name: a scoped (tenant)
             # registry prefixes its namespace here, so two tenants'
             # identical SELECTs against databases that share a logical
             # name can never serve each other's rows.
             self.session = MacroSqlSession(
-                connection, mode=self.engine.config.transaction_mode,
+                None if lazy else self._connect(database), mode=mode,
                 cache=self.engine.config.query_cache,
-                database=self.engine.registry.resolve(database),
+                database=registry.resolve(database),
+                generation=registry.generation(database) if lazy else None,
                 retry=self.engine.config.retry_policy,
-                deadline=self.deadline)
+                deadline=self.deadline,
+                connect=lambda: self._connect(database))
         return self.session
 
     def _connect(self, database: str):

@@ -27,6 +27,7 @@ from repro.core.ast import (
     SqlSection,
 )
 from repro.core.parser import parse_macro
+from repro.core.program import program_of
 from repro.errors import DuplicateSectionError, MacroError
 from repro.obs.trace import TRACER
 
@@ -71,6 +72,8 @@ class MacroLibrary:
         self._memory: dict[str, MacroFile] = {}
         # name -> (mtime, last_stat_monotonic, parsed macro)
         self._disk_cache: dict[str, tuple[float, float, MacroFile]] = {}
+        # name -> (raw, ((include, raw), ...), expanded macro) while current
+        self._loaded: dict[str, tuple[MacroFile, tuple, MacroFile]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -108,13 +111,30 @@ class MacroLibrary:
         """Load a macro by name; raises :class:`MacroNameError` if absent.
 
         ``%INCLUDE`` sections are resolved (recursively, against this
-        library) unless ``expand=False``.
+        library) unless ``expand=False``; kept, compiled, until the file
+        or one it includes changes.
         """
         macro = self._load_raw(name)
-        if expand and macro.includes():
-            macro = expand_includes(
-                macro, lambda included: self._load_raw(included))
-        return macro
+        if not expand:
+            return macro
+        loaded = self._loaded.get(name)
+        if loaded is not None and loaded[0] is macro:
+            for included, raw in loaded[1]:
+                if self._load_raw(included) is not raw:
+                    break
+            else:
+                return loaded[2]
+        used: list[tuple[str, MacroFile]] = []
+
+        def load_included(included: str) -> MacroFile:
+            used.append((included, self._load_raw(included)))
+            return used[-1][1]
+
+        expanded = (expand_includes(macro, load_included)
+                    if macro.includes() else macro)
+        program_of(expanded)
+        self._loaded[name] = (macro, tuple(used), expanded)
+        return expanded
 
     def _load_raw(self, name: str) -> MacroFile:
         validate_macro_name(name)

@@ -138,9 +138,14 @@ class ReportGenerator:
         self.row_path = None
         if self.row_renderer is not None:
             return self.row_renderer.render_iter(section, result, self)
-        if section.report is not None:
-            return self._render_custom(section.report, result)
-        return self._render_default(result)
+        chunks = (self._render_custom(section.report, result)
+                  if section.report is not None
+                  else self._render_default(result))
+        if result.is_query and result.row_iter is None:
+            # Fetched rows mean a buffered page, whose chunks are only
+            # ever joined: hand the section up the chain in one.
+            return _joined(chunks)
+        return chunks
 
     # ------------------------------------------------------------------
     # Custom %SQL_REPORT rendering
@@ -175,9 +180,12 @@ class ReportGenerator:
         if not self.compile_templates:
             self.row_path = "interpreted:disabled"
             return None
+        program = getattr(self.evaluator, "program", None)
         try:
-            render_row = specialise_row(template, result.columns, self.store,
-                                        escape_values=self.escape_values)
+            render_row = specialise_row(
+                template, result.columns, self.store,
+                escape_values=self.escape_values,
+                plans=program.rows if program is not None else None)
         except NotRowPure as refusal:
             self.row_path = f"interpreted:{refusal.reason}"
             return None
@@ -227,25 +235,28 @@ class ReportGenerator:
 
     def _install_column_names(self, result: ExecutionResult) -> None:
         names = result.columns
+        exact: dict[str, str] = {}
+        folded: dict[str, str] = {}
         for i, name in enumerate(names, start=1):
-            self.store.set_system(f"N{i}", name)
-            self.store.set_system(f"N_{name}", name, case_insensitive=True)
-            self.store.set_system(f"N.{name}", name, case_insensitive=True)
-        self.store.set_system(
-            "NLIST", LIST_CONCAT_SEPARATOR.join(names))
-        self.store.set_system("ROW_NUM", "0")
+            exact[f"N{i}"] = name
+            for key in (f"N_{name}", f"N.{name}"):
+                exact[key] = folded[key.lower()] = name
+        exact["NLIST"] = LIST_CONCAT_SEPARATOR.join(names)
+        exact["ROW_NUM"] = "0"
+        self.store.set_system_many(exact, folded)
 
     def _install_row(self, columns: list[str], values: list[str],
                      row_num: int) -> None:
         rendered = ([escape_html(value) for value in values]
                     if self.escape_values else values)
-        self.store.set_system("ROW_NUM", str(row_num))
+        exact = {"ROW_NUM": str(row_num)}
+        folded: dict[str, str] = {}
         for i, (name, value) in enumerate(zip(columns, rendered), start=1):
-            self.store.set_system(f"V{i}", value)
-            self.store.set_system(f"V_{name}", value, case_insensitive=True)
-            self.store.set_system(f"V.{name}", value, case_insensitive=True)
-        self.store.set_system(
-            "VLIST", LIST_CONCAT_SEPARATOR.join(rendered))
+            exact[f"V{i}"] = value
+            for key in (f"V_{name}", f"V.{name}"):
+                exact[key] = folded[key.lower()] = value
+        exact["VLIST"] = LIST_CONCAT_SEPARATOR.join(rendered)
+        self.store.set_system_many(exact, folded)
 
     def _print_window(self) -> tuple[int, int]:
         """The first and last row numbers that print: START_ROW_NUM, and
@@ -294,6 +305,10 @@ class ReportGenerator:
         self.store.set_system("ROW_NUM", str(row_num))
         self.store.set_system("ROWCOUNT", str(result.row_total))
         yield "</TABLE>\n"
+
+
+def _joined(chunks: Iterator[str]) -> Iterator[str]:
+    yield "".join(chunks)
 
 
 def _default_table_row(row: Sequence[Any], _row_num: int) -> str:

@@ -30,9 +30,10 @@ innocent dollar signs.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 #: Variable names: a letter or underscore followed by alphanumerics,
 #: underscores, dots or dashes.  Dots and dashes are included because the
@@ -87,21 +88,28 @@ class ValueString:
     property-based round-trip checks rely on.
     """
 
-    __slots__ = ("segments", "_raw")
+    __slots__ = ("segments", "_raw", "text")
 
     def __init__(self, segments: tuple[Segment, ...], raw: str):
         self.segments = segments
         self._raw = raw
+        #: What this value evaluates to when it references no variable
+        #: (an escape is fixed text), else ``None``.
+        self.text: Optional[str] = None if any(
+            type(segment) is Reference for segment in segments) else "".join(
+            segment.text if type(segment) is Literal else f"$({segment.name})"
+            for segment in segments)
 
     # -- construction -------------------------------------------------
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def parse(cls, text: str) -> "ValueString":
         """Parse raw macro text into a value string.
 
         The scan is a single left-to-right pass; ``$$(name)`` is matched
         before ``$(name)`` so the escape always wins (the paper's "prefixed
-        with another $" rule).
+        with another $" rule).  Immutable, so shared per distinct text.
         """
         segments: list[Segment] = []
         pos = 0

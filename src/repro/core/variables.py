@@ -105,6 +105,8 @@ class VariableStore:
         variables among them are case-insensitive (Section 3: "variable
         names are case sensitive except in certain special cases like
         implicit variables that represent database column names").
+        :func:`repro.core.compiled._consult` is this order, saying which
+        layer answered.
         """
         if name in self._system:
             return self._system[name]
@@ -123,16 +125,6 @@ class VariableStore:
 
     def is_protected(self, name: str) -> bool:
         return name in self._protected
-
-    def has_system(self, name: str) -> bool:
-        """True when ``name`` is an *exact* system-layer variable.
-
-        The row specialiser (:mod:`repro.core.compiled`) asks this to
-        mirror :meth:`lookup`'s order: an exact-spelling system variable
-        left by an earlier SQL section shadows this section's
-        case-insensitive column variables.
-        """
-        return name in self._system
 
     # ------------------------------------------------------------------
     # Macro %DEFINE processing
@@ -254,6 +246,13 @@ class VariableStore:
         self._system[name] = value
         if case_insensitive:
             self._system_ci[name.lower()] = value
+
+    def set_system_many(self, exact: dict[str, str],
+                        folded: dict[str, str]) -> None:
+        """:meth:`set_system` for a batch, in order: ``exact`` maps every
+        name, ``folded`` the lower-cased case-insensitive ones."""
+        self._system.update(exact)
+        self._system_ci.update(folded)
 
     def clear_system(self, names: list[str]) -> None:
         for name in names:

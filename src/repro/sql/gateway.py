@@ -661,17 +661,25 @@ class MacroSqlSession:
     :class:`TransactionScope` implementing Section 5's two modes.  The
     engine calls :meth:`execute` once per ``%EXEC_SQL``-triggered SQL
     section and :meth:`finish` when report processing ends.
+
+    With ``connection=None`` the session leases one from ``connect`` at
+    its first statement that is not a query-cache hit (probing the cache
+    meanwhile under ``generation``, the database's write counter), so a
+    page whose every statement is a hit never takes a connection.
+    Auto-commit mode only: a ``SINGLE`` transaction bypasses the cache.
     """
 
-    def __init__(self, connection: Connection, *,
+    def __init__(self, connection: Optional[Connection], *,
                  mode: TransactionMode = TransactionMode.AUTO_COMMIT,
                  owns_connection: bool = True,
                  cache: Optional[QueryResultCache] = None,
                  database: str = "",
                  generation: Optional[WriteGeneration] = None,
                  retry: Optional[RetryPolicy] = None,
-                 deadline: Optional[Deadline] = None):
+                 deadline: Optional[Deadline] = None,
+                 connect: Optional[Callable[[], Connection]] = None):
         self.connection = connection
+        self._connect = connect
         self.scope = TransactionScope(connection, mode)
         self._owns_connection = owns_connection
         self.statement_log: list[str] = []
@@ -681,7 +689,7 @@ class MacroSqlSession:
         self.cache = cache
         self.database = database
         self.generation = generation if generation is not None \
-            else connection.generation
+            or connection is None else connection.generation
         #: Retry policy for transient failures of *idempotent reads*
         #: (never applied to writes or inside an open transaction).
         self.retry = retry
@@ -805,6 +813,8 @@ class MacroSqlSession:
                 self.cache_hits += 1
                 self.scope.statements_run += 1  # counted, not bracketed
                 return cached
+        if self.connection is None:
+            self._lease()
         ambient = fault_injection.ambient_injector()
         retryable = self._retryable(sql)
         policy = self.retry
@@ -903,13 +913,23 @@ class MacroSqlSession:
             sql=sql, rowcount=max(cursor.rowcount, 0),
             is_query=is_query(sql))
 
+    def _lease(self) -> None:
+        """Take the deferred connection (breaker, closed-registry and
+        deadline checks all happen here, in ``connect``).  Its writes
+        must bump the counter the cache stamps come from, so it is
+        pointed at it, as a sharded session does with its endpoints."""
+        connection = self.connection = self.scope.connection = \
+            self._connect()  # type: ignore[misc]
+        connection.generation = self.generation
+
     @property
     def failed(self) -> bool:
         return self.scope.failed
 
     def finish(self, success: bool = True) -> None:
+        self._connect = None  # it may close over its caller: no cycle
         self.scope.finish(success)
-        if self._owns_connection:
+        if self._owns_connection and self.connection is not None:
             self.connection.close()
 
     def __enter__(self) -> "MacroSqlSession":

@@ -312,6 +312,31 @@ class TestServeOptionPlacement:
         assert "--degrade" in message and "--max-retries" in message
         assert "--request-deadline" not in message  # the edge applies it
 
+    @pytest.mark.parametrize("option", [
+        ["--database", "URLDB=urldb.sqlite"], ["--query-cache", "0"],
+        ["--query-cache", "512"]], ids=lambda o: " ".join(o))
+    def test_connect_refuses_what_only_the_pool_daemon_can_use(
+            self, tmp_path, option):
+        """``--connect`` dispatches to a ``--listen`` daemon's workers,
+        which never see this process's databases or cache size."""
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--macros", str(tmp_path), "--gateway",
+                  "appserver", "--connect", "127.0.0.1:9", *option])
+        message = str(info.value.code)
+        assert option[0] in message and "--listen" in message
+        # ...and without --connect both reach the workers as before.
+        from repro.cli import _refuse_engine_options
+        _refuse_engine_options(self.parse(
+            "--macros", "m", "--gateway", "appserver", *option))
+
+    def test_connect_names_both_flags_at_once(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--macros", str(tmp_path), "--gateway",
+                  "appserver", "--connect", "127.0.0.1:9", "--database",
+                  "A=a.db", "--query-cache", "0"])
+        assert "--database, --query-cache have no effect" in \
+            str(info.value.code)
+
     def test_benchmark_argv_passes(self):
         from repro.cli import _refuse_engine_options
         _refuse_engine_options(self.parse(

@@ -39,6 +39,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import urlquery as urlquery_app
 from repro.core import ast
 from repro.core.engine import (
     EngineConfig,
@@ -55,6 +56,8 @@ from repro.resilience import faults
 from repro.sql.connection import Connection, MemoryDatabase
 from repro.sql.cursor import Cursor
 from repro.sql.gateway import DatabaseRegistry
+from repro.sql.querycache import QueryResultCache
+from repro.sql.transactions import TransactionMode
 
 USER = ["u0", "u1", "u2", "u3"]
 EXEC = "x0"
@@ -394,3 +397,358 @@ def test_cursor_failing_at_row_k_matches_the_interpreter(which, size,
             else:
                 assert seen["html"].count("<TR><TD>") == printed
                 assert "cursor lost mid-fetch" in seen["html"]
+
+
+# ----------------------------------------------------------------------
+# Whole reports: the load-time program against the interpreter
+# ----------------------------------------------------------------------
+
+#: What whole macros define and reference.  ``which`` names the SQL
+#: section a ``%EXEC_SQL($(which))`` runs; ``V_A``/``v_b``/``n_A`` are
+#: case variants of the column variables two of the sections install.
+DEFINED = USER + ["v_b", "n_A"]
+SETTINGS = ["DATABASE", "SHOWSQL", "RPT_MAXROWS", "START_ROW_NUM", "which"]
+WHOLE_NAMES = (DEFINED + SETTINGS + [
+    EXEC, "V1", "V4", "V_a", "V_A", "N1", "N4", "ROW_NUM", "ROWCOUNT",
+    "NLIST", "SQL_MESSAGE", "nope"])
+SETTING_VALUES = {"DATABASE": ["ORACLE", "ORACLE", "NOPE", "$(u0)"],
+                  "SHOWSQL": ["", "YES", "$(u1)"],
+                  "RPT_MAXROWS": ["1", "2", "x"],
+                  "START_ROW_NUM": ["2", "$(u2)"],
+                  "which": ["main", "other", "log", "write", "broken",
+                            "nope", "$(u3)"]}
+CLIENT_NAMES = DEFINED + SETTINGS + ["V1", "ROW_NUM"]
+CLIENT_VALUES = ["", "yes", "ib", "a b", "2", "ORACLE", "NOPE", "main",
+                 "other", "log", "write", "<i>", "$(u0)", "$(u1)x",
+                 "$$(u2)", "$(V1)", "$(SHOWSQL)", "$(V_A)"]
+#: The SQL sections: two queries whose column names differ only in case
+#: (and in number), a query over what the write inserts, the write, and
+#: a statement that fails.
+BODIES = {
+    "main": "SELECT c0 AS a, c1 AS b, c2 FROM t ORDER BY rowid",
+    "other": "SELECT c0 AS A, c1 AS B, c2, c3 FROM t ORDER BY rowid",
+    "log": "SELECT x FROM t2 ORDER BY rowid",
+    "write": "INSERT INTO t2 VALUES ('$(u0)')",
+    "broken": "SELEC $(u1) FROM t"}
+
+
+@dataclass
+class WholeCase:
+    macro: ast.MacroFile
+    command: MacroCommand
+    #: the requests, in order, each served by the same engine and macro
+    requests: list
+    rows: list
+    mode: TransactionMode
+
+
+def statement(draw, exec_ok):
+    """One define-statement; sometimes for a setting the engine reads."""
+    name = draw(st.sampled_from(DEFINED * 2 + SETTINGS))
+    values = (value_strings(WHOLE_NAMES) if name in DEFINED else
+              st.sampled_from(SETTING_VALUES[name]).map(ValueString.parse))
+    kind = draw(st.sampled_from(["simple", "conditional", "conditional",
+                                 "list"] + ["exec"] * exec_ok))
+    if kind == "simple":
+        return [ast.SimpleAssignment(name, draw(values))]
+    if kind == "exec":
+        return [exec_statement(draw, name)]
+    conditional = st.builds(  # forms (a)-(d)
+        ast.ConditionalAssignment, st.just(name), values,
+        test_name=st.one_of(st.none(), st.sampled_from(WHOLE_NAMES)),
+        else_value=st.one_of(st.none(), values))
+    if kind == "conditional":
+        return [draw(conditional)]
+    return [ast.ListDeclaration(name, draw(value_strings(WHOLE_NAMES)))] \
+        + draw(st.lists(st.one_of(
+            st.builds(ast.SimpleAssignment, st.just(name), values),
+            conditional), max_size=2))
+
+
+def exec_statement(draw, name):
+    """An executable variable; "fail" sets its error code, which a
+    conditional testing it reads without running it again."""
+    return ast.ExecDeclaration(name, ValueString.parse(
+        draw(st.sampled_from(["echo ", "fail "]))
+        + draw(st.sampled_from(["$(u0)", "$(V1)", "hi"]))))
+
+
+def sql_sections(draw):
+    """Some of :data:`BODIES`, each named or unnamed, with or without
+    custom report and message blocks."""
+    text = value_strings(WHOLE_NAMES)
+    message = st.sampled_from([None] + [ast.SqlMessageBlock((ast.MessageRule(
+        "default", ValueString.parse(f"<P>{action}: $(SQL_MESSAGE) "
+                                     "$(u0)</P>"), action),))
+        for action in ("continue", "exit")])
+    report = st.one_of(st.none(), st.builds(
+        ast.SqlReportBlock, text, st.builds(ast.RowBlock, text), text))
+    sections = []
+    for name, body in BODIES.items():
+        if draw(st.integers(0, 3)):
+            sections.append(ast.SqlSection(
+                ValueString.parse(body + draw(st.sampled_from(
+                    ["", " -- $(u2)", " -- $$(u3)"]))),
+                name=name if draw(st.integers(0, 3)) else None,
+                report=draw(report), message=draw(message)))
+    return sections
+
+
+@st.composite
+def whole_cases(draw):
+    exec_ok = draw(st.integers(0, 4)) == 0
+    defines = [ast.DefineSection(tuple(
+        item for _ in range(draw(st.integers(1, 4)))
+        for item in statement(draw, exec_ok)))
+        for _ in range(draw(st.integers(1, 3)))]
+    if exec_ok:
+        defines[0] = ast.DefineSection(
+            (exec_statement(draw, EXEC),) + defines[0].statements)
+    sqls = sql_sections(draw)
+    pieces = [draw(value_strings(WHOLE_NAMES))]
+    if any(section.name is None for section in sqls):
+        pieces.append(ast.ExecSqlDirective())
+    for _ in range(draw(st.integers(0, 3))):
+        pieces += [ast.ExecSqlDirective(draw(st.sampled_from(
+            [ValueString.literal("main"), ValueString.parse("$(which)")]))),
+            draw(value_strings(WHOLE_NAMES))]
+    walked = defines + [ast.HtmlReportSection(tuple(pieces))]
+    if draw(st.booleans()):
+        walked.append(ast.HtmlInputSection(draw(value_strings(WHOLE_NAMES))))
+    # Defines interleave with the page sections (positional visibility);
+    # where the SQL sections sit does not matter.
+    sections = draw(st.permutations(walked)) + sqls
+    # The requests mostly send the same names with other values, so the
+    # compiled side reuses its plans under changed answers.
+    names = draw(st.lists(st.sampled_from(CLIENT_NAMES), max_size=5))
+    inputs = st.one_of(
+        st.tuples(*[st.tuples(st.just(name), st.sampled_from(CLIENT_VALUES))
+                    for name in names]).map(list),
+        st.lists(st.tuples(st.sampled_from(CLIENT_NAMES),
+                           st.sampled_from(CLIENT_VALUES)), max_size=5))
+    return WholeCase(
+        macro=ast.MacroFile(sections),
+        command=draw(st.sampled_from([MacroCommand.REPORT] * 3
+                                     + [MacroCommand.INPUT])),
+        requests=draw(st.lists(inputs, min_size=2, max_size=4)),
+        rows=draw(st.lists(st.tuples(*[cell] * TABLE_WIDTH), max_size=3)),
+        mode=draw(st.sampled_from(list(TransactionMode))))
+
+
+def whole_outcomes(case, *, compiled, stream):
+    """Everything observable about each request of ``case``, served in
+    order by one engine (so the compiled side reuses its plans)."""
+    with MemoryDatabase() as database:
+        filled(database, case.rows)
+        with database.connect() as conn:
+            conn.execute("CREATE TABLE t2 (x)")
+            conn.commit()
+        registry = DatabaseRegistry()
+        registry.register_memory("ORACLE", database)
+        runner = RegistryExecRunner()
+        commands = []
+
+        def fail(args):
+            commands.append(["fail"] + args)
+            raise RuntimeError(" ".join(args))
+
+        runner.register("echo", lambda args: commands.append(args)
+                        or " ".join(args))
+        runner.register("fail", fail)
+        engine = MacroEngine(registry, exec_runner=runner,
+                             config=EngineConfig(
+                                 compiled_reports=compiled,
+                                 default_database="ORACLE",
+                                 transaction_mode=case.mode,
+                                 query_cache=QueryResultCache(max_entries=64)))
+        seen = []
+        for inputs in case.requests:
+            run = _MacroRun(engine, case.macro, case.command, inputs,
+                            stream_rows=stream)
+            chunks, raised = [], None
+            try:
+                for chunk in run.stream():
+                    chunks.append(chunk)
+            except Exception as error:  # noqa: BLE001 - compared
+                raised = (type(error).__name__, str(error))
+            result = run.result
+            seen.append({
+                "html": "".join(chunks), "raised": raised,
+                "system": run.store.system_snapshot(),
+                "exec": list(commands), "statements": result.statements,
+                "rows": result.rows, "aborted": result.aborted,
+                "content_type": result.content_type,
+                "sql_errors": [str(error) for error in result.sql_errors]})
+            commands.clear()
+        with database.connect() as conn:
+            seen.append(conn.execute("SELECT x FROM t2").fetchall())
+    return seen
+
+
+def check_whole(case):
+    with no_ambient_faults():
+        for stream in (False, True):
+            assert whole_outcomes(case, compiled=True, stream=stream) == \
+                whole_outcomes(case, compiled=False, stream=stream)
+
+
+#: Tier-1 budget (a few seconds); the CI soak runs the same property
+#: over seeded examples (``benchmarks/bench_oracle_row_specialiser.py``).
+@settings(max_examples=150, deadline=None)
+@given(whole_cases())
+def test_whole_reports_match_the_interpreter(case):
+    check_whole(case)
+
+
+# ----------------------------------------------------------------------
+# Named cases: each way a reused plan could answer for a changed store
+# ----------------------------------------------------------------------
+
+def named_case(text, *requests, command=MacroCommand.REPORT):
+    return WholeCase(parse_macro(text), command, list(requests),
+                     rows=[(1, "x", "y", 0, 0), (2, None, "", 0, 0)],
+                     mode=TransactionMode.AUTO_COMMIT)
+
+
+REUSE_CASES = {
+    # A folded row slot (V_A for column "a") until an earlier section
+    # leaves an exact V_A behind.
+    "exact shadow": named_case("""
+%SQL(quiet){ SELECT 0 AS z %}
+%SQL(upper){ SELECT c0 + 10 AS A, c1 AS B FROM t
+%SQL_REPORT{%ROW{.%}%}
+%}
+%SQL(lower){ SELECT c0 AS a, c1 AS b FROM t
+%SQL_REPORT{%ROW{[$(V_A)|$(v_b)]%}%}
+%}
+%HTML_REPORT{%EXEC_SQL($(which))%EXEC_SQL(lower)%}
+""", [("which", "quiet")], [("which", "upper")], [("which", "quiet")]),
+    # A row constant (N3, left by whichever section ran first).
+    "row constant": named_case("""
+%SQL(third){ SELECT c0, c1, c2 AS third FROM t %}
+%SQL(another){ SELECT c0, c1, c2 AS another FROM t %}
+%SQL(two){ SELECT c0, c1 FROM t
+%SQL_REPORT{%ROW{[$(N3)]%}%}
+%}
+%HTML_REPORT{%EXEC_SQL($(which))%EXEC_SQL(two)%}
+""", [("which", "third")], [("which", "another")]),
+    # %LIST on a client name: separators, repeats, null values.
+    "client list": named_case("""
+%DEFINE %LIST " OR " pick
+%DEFINE{
+%LIST " AND " pick
+where = ? "WHERE $(pick)"
+%}
+%HTML_REPORT{[$(pick)] [$(where)]%}
+""", [("pick", "a")], [("pick", "a"), ("pick", "b")],
+        [("pick", "b"), ("pick", ""), ("pick", "c")], []),
+    # A list the page sees, appended to by a later %DEFINE.
+    "later append": named_case("""
+%DEFINE{
+%LIST "," L
+L = "a"
+%}
+%HTML_REPORT{[$(L)]%}
+%DEFINE L = "b"
+""", [], [("L", "client")], []),
+    # An executable variable's error code, tested before it runs.
+    "exec error code": named_case("""
+%DEFINE{
+x = %EXEC "fail now"
+t = x ? "failed" : "fine"
+%}
+%HTML_REPORT{$(t) $(x) $(t)%}
+""", [], []),
+    # Client values that are themselves references.
+    "referencing client": named_case("""
+%DEFINE{
+a = "A"
+b = "B$(pick)"
+%}
+%HTML_REPORT{[$(pick)]%}
+""", [("pick", "$(a)")], [("pick", "$(b)")], [("pick", "plain")]),
+}
+
+
+@pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES)
+def test_reused_plans_match_the_interpreter(case):
+    check_whole(case)
+
+
+APPENDIX_A_REQUESTS = [
+    urlquery_app.FIGURE3_BINDINGS,
+    [("SEARCH", "ib"), ("USE_URL", "yes"), ("USE_TITLE", "yes"),
+     ("DBFIELDS", "title")],
+    [("SEARCH", "ib"), ("USE_URL", "yes"), ("USE_TITLE", "yes"),
+     ("DBFIELDS", "title"), ("DBFIELDS", "description")],
+    # Figure 2's form as a browser submits it: hidden-variable values.
+    [("SEARCH", "net"), ("USE_DESC", "yes"), ("DBFIELDS", "$(hidden_a)"),
+     ("DBFIELDS", "$(hidden_b)"), ("SHOWSQL", "YES")],
+    [("SEARCH", "o'brien"), ("DBFIELDS", "description"),
+     ("RPT_MAXROWS", "2")],
+    [],
+]
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_appendix_a_requests_match_the_interpreter(stream):
+    """The paper's own application, request after request on one
+    engine: each page and the system variables it leaves behind."""
+    pages = []
+    for compiled in (True, False):
+        app = urlquery_app.install(rows=12, engine=MacroEngine(
+            None, config=EngineConfig(
+                compiled_reports=compiled,
+                query_cache=QueryResultCache(max_entries=8))))
+        seen = []
+        for command in (MacroCommand.REPORT, MacroCommand.INPUT):
+            for inputs in APPENDIX_A_REQUESTS:
+                run = _MacroRun(app.engine, app.library.load(app.macro_name),
+                                command, inputs, stream_rows=stream)
+                seen.append(("".join(run.stream()),
+                             run.store.system_snapshot()))
+        pages.append(seen)
+    assert pages[0] == pages[1]
+
+
+def test_shared_plans_under_concurrent_requests():
+    """Executor threads share one program and its plan memos; a lost
+    update there only costs a rebuild.  Eight threads (more than cores),
+    a switch interval short enough to interleave the memo updates, and
+    every page still equal to what the interpreter renders alone."""
+    import sys
+    import threading
+
+    requests = APPENDIX_A_REQUESTS[:5] + [
+        [("SEARCH", word), ("USE_TITLE", "yes"), ("DBFIELDS", field)]
+        for word in ("ib", "net", "o") for field in ("url", "title")]
+    oracle = urlquery_app.install(rows=12, engine=MacroEngine(
+        None, config=EngineConfig(compiled_reports=False)))
+    expected = [oracle.engine.execute_report(
+        oracle.library.load(oracle.macro_name), inputs).html
+        for inputs in requests]
+    app = urlquery_app.install(rows=12, engine=MacroEngine(
+        None, config=EngineConfig(query_cache=QueryResultCache())))
+    macro = app.library.load(app.macro_name)
+    wrong = []
+
+    def serve(offset):
+        for turn in range(60):
+            index = (offset + turn) % len(requests)
+            html = app.engine.execute_report(macro, requests[index]).html
+            if html != expected[index]:
+                wrong.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=serve, args=(offset,))
+                   for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -160,9 +160,13 @@ class TestDiskIncludes:
         library = MacroLibrary(tmp_path)
         from repro.core.engine import MacroEngine
         engine = MacroEngine()
-        assert engine.execute_input(
-            library.load("page.d2w")).html == "Version 1"
+        first = library.load("page.d2w")
+        assert engine.execute_input(first).html == "Version 1"
+        # Unchanged files: the same expanded macro and compiled program.
+        assert library.load("page.d2w") is first
+        assert first.program is not None
         header.write_text('%DEFINE site = "Version 2"\n')
         os.utime(header, (time.time() + 5, time.time() + 5))
+        assert library.load("page.d2w") is not first
         assert engine.execute_input(
             library.load("page.d2w")).html == "Version 2"

@@ -80,11 +80,12 @@ def stack(tmp_path_factory):
         endpoint = read_banner(
             daemon, r"worker pool listening on ([\d.]+:\d+)",
             "pool daemon")
+        # The databases are the daemon's: serve refuses --database here.
         edge = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--gateway", "appserver", "--connect", endpoint,
-             "--workers", "2",
-             "--host", "127.0.0.1", "--port", "0", *common],
+             "--workers", "2", "--macros", str(macro_dir),
+             "--host", "127.0.0.1", "--port", "0"],
             env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
         procs.append(edge)

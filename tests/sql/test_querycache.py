@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.engine import EngineConfig, MacroEngine
 from repro.core.parser import parse_macro
+from repro.errors import CircuitOpenError, DeadlineExceededError
+from repro.sql.connection import MemoryDatabase
 from repro.sql.gateway import (DatabaseRegistry, ExecutionResult,
                                MacroSqlSession)
 from repro.sql.querycache import QueryResultCache, WriteGeneration
@@ -278,6 +280,109 @@ class TestEngineIntegration:
         assert "[1:alpha]" in run_read(engines[0])
         assert "[1:beta]" in run_read(engines[1])
         assert cache.stats()["hits"] == 0
+
+
+class TestLeaseOnFirstMiss:
+    """A page whose every statement is a cache hit takes no connection:
+    the session leases one at its first statement that is not a hit."""
+
+    @staticmethod
+    def counting(registry, name, factory):
+        connects = []
+        registry.register_factory(name, lambda: connects.append(1)
+                                  or factory())
+        return connects
+
+    def test_a_repeated_cached_report_never_connects(self, setup):
+        registry, db, cache, engine = setup
+        connects = self.counting(registry, "INV", db.connect)
+        first = run_read(engine)
+        assert len(connects) == 1
+        for _ in range(3):
+            assert run_read(engine) == first
+        assert len(connects) == 1 and cache.stats()["hits"] == 3
+        assert registry.active_connections("INV") == 0
+        # A write needs the connection; the next read misses, leases
+        # and sees the row.
+        run_write(engine, "INSERT INTO stock VALUES (3, 'washer')")
+        assert "[3:washer]" in run_read(engine)
+        assert len(connects) == 3
+
+    def test_pooled_all_hit_request_leases_nothing(self, setup,
+                                                   monkeypatch):
+        registry, _, _, engine = setup
+        registry.enable_pools(size=1)
+        run_read(engine)
+        leases = []
+        lease = registry.connect
+        monkeypatch.setattr(registry, "connect", lambda *args, **kwargs:
+                            leases.append(args) or lease(*args, **kwargs))
+        run_read(engine)
+        assert leases == []
+        run_write(engine, "DELETE FROM stock WHERE id = 2")
+        assert leases == [("INV",)]
+
+    def test_a_connection_with_its_own_counter_is_never_served_stale(self):
+        """A factory whose connections carry their own write counter
+        (``MemoryDatabase.connect`` registered as a factory): the lease
+        points the connection at the counter the probe stamped with, so
+        a write through it retires what was cached."""
+        registry = DatabaseRegistry()
+        db = MemoryDatabase()
+        with db.connect() as conn:
+            conn.executescript("""
+                CREATE TABLE stock (id INTEGER, label TEXT);
+                INSERT INTO stock VALUES (1, 'bolt');
+            """)
+        connects = self.counting(registry, "INV", db.connect)
+        cache = QueryResultCache()
+        engine = MacroEngine(registry, config=EngineConfig(query_cache=cache))
+        run_read(engine)
+        run_read(engine)
+        assert cache.stats()["hits"] == 1 and len(connects) == 1
+        run_write(engine, "UPDATE stock SET label = 'BOLT' WHERE id = 1")
+        assert "[1:BOLT]" in run_read(engine)
+
+    def test_all_hit_page_is_served_while_the_breaker_is_open(self, setup):
+        registry, _, _, engine = setup
+        registry.enable_breakers(failure_threshold=1, reset_timeout=60)
+        cached = run_read(engine)
+        registry.breaker("INV").record_failure()
+        assert run_read(engine) == cached  # no connection, no breaker
+        with pytest.raises(CircuitOpenError):
+            run_write(engine, "DELETE FROM stock")
+
+    def test_closed_registry_refuses_at_the_lease(self, setup):
+        registry, _, _, engine = setup
+        cached = run_read(engine)
+        registry.close_all()
+        assert run_read(engine) == cached
+        assert "08003" in run_write(engine, "DELETE FROM stock")
+
+    def test_unknown_database_still_fails_at_the_first_statement(self):
+        engine = MacroEngine(DatabaseRegistry(), config=EngineConfig(
+            query_cache=QueryResultCache()))
+        assert "08001" in run_read(engine)
+
+    def test_single_mode_connects_at_the_first_statement(self, setup):
+        registry, db, cache, _ = setup
+        connects = self.counting(registry, "INV", db.connect)
+        engine = MacroEngine(registry, config=EngineConfig(
+            query_cache=cache, transaction_mode=TransactionMode.SINGLE))
+        run_read(engine)
+        run_read(engine)
+        assert len(connects) == 2
+
+    @pytest.mark.parametrize("mode", list(TransactionMode))
+    def test_a_spent_deadline_is_reported_before_any_lease(self, setup,
+                                                          mode):
+        registry, _, cache, _ = setup
+        engine = MacroEngine(registry, config=EngineConfig(
+            query_cache=cache, transaction_mode=mode,
+            request_deadline=1e-9))
+        with pytest.raises(DeadlineExceededError):
+            run_read(engine)
+        assert registry.active_connections("INV") == 0
 
 
 class TestSessionLevel:
