@@ -258,7 +258,7 @@ def test_bench_overload_sweep(benchmark, artifact):
     ]
     artifact("bench_overload.txt", "\n".join(lines) + "\n")
 
-    stats = controller.stats()
+    live = controller.metrics.flat()
     payload = {
         "quick": QUICK,
         "rows": ROWS,
@@ -270,11 +270,11 @@ def test_bench_overload_sweep(benchmark, artifact):
         "queue_limit": QUEUE_LIMIT,
         "sweep": sweep,
         "controller": {
-            "admitted": stats["admitted"],
-            "queued": stats["queued"],
-            "shed": stats["shed"],
-            "evicted": stats["evicted"],
-            "expired_in_queue": stats["expired_in_queue"],
+            key: live[f"overload_{name}_total"]
+            for key, name in (("admitted", "admitted"),
+                              ("queued", "queued"), ("shed", "shed"),
+                              ("evicted", "queue_evictions"),
+                              ("expired_in_queue", "expired_in_queue"))
         },
         "bars": {
             "controlled_goodput_ok":

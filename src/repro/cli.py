@@ -480,62 +480,51 @@ def _cmd_stats(args, out) -> int:
     for status, hits in sorted(Counter(
             e.status for e in entries).items()):
         print(f"  {status}: {hits}", file=out)
-    from repro.workloads.metrics import LatencyReport
-    families = LatencyReport.families(counters)
-    if families:
-        # Histogram families in the #stats trailer (the metrics
-        # registry flattens each one to _count/_mean/_p50/_p95/_p99).
+    # The trailer carries the registry's sample names: a summary's
+    # quantiles, _count and _sum become one latency row, every other
+    # labeled sample a cell of its label's table.
+    from repro.obs.metrics import parse_sample
+
+    quantiles: dict[str, dict[str, float]] = {}
+    by_label: dict[str, dict[str, dict[str, object]]] = {}
+    scalar: dict[str, object] = {}
+    for key, value in counters.items():
+        name, label, label_value = parse_sample(key)
+        if label == "quantile":
+            quantiles.setdefault(name, {})[label_value] = value
+        elif label is not None:
+            by_label.setdefault(label, {}).setdefault(
+                label_value, {})[name] = value
+        else:
+            scalar[key] = value
+    if quantiles:
         print("\nserver latency:", file=out)
-        print("  " + LatencyReport.header(), file=out)
-        for family in families:
-            report = LatencyReport.from_flat(counters, family)
-            print("  " + report.row(family), file=out)
-    flattened_suffixes = ("_count", "_mean", "_p50", "_p95", "_p99")
-    scalar = {key: value for key, value in counters.items()
-              if not any(key.endswith(suffix)
-                         and key[:-len(suffix)] in families
-                         for suffix in flattened_suffixes)}
-    shard_keys = {key: scalar.pop(key) for key in list(scalar)
-                  if key.startswith("shard_")}
+        print(f"  {'summary':<28} {'n':>7} {'mean_ms':>9} {'p50_ms':>9} "
+              f"{'p95_ms':>9} {'p99_ms':>9}", file=out)
+        for name, by_q in sorted(quantiles.items()):
+            count = scalar.pop(f"{name}_count", 0)
+            total = scalar.pop(f"{name}_sum", 0.0)
+            mean = total / count if count else 0.0
+            cells = " ".join(f"{by_q.get(q, 0.0):>9.3f}"
+                             for q in ("0.5", "0.95", "0.99"))
+            print(f"  {name:<28} {count:>7} {mean:>9.3f} {cells}",
+                  file=out)
     if scalar:
         print("\nserver counters:", file=out)
         for key in sorted(scalar):
             print(f"  {key}: {scalar[key]}", file=out)
-    if shard_keys:
-        _print_shard_section(shard_keys, out)
+    for label, rows in sorted(by_label.items()):
+        # One table per label: a row per label value, a column per
+        # family carrying that label.
+        columns = sorted({name for row in rows.values() for name in row})
+        width = max(len(label), *map(len, rows))
+        print(f"\nby {label}:", file=out)
+        print(f"  {label:<{width}}  " + "  ".join(columns), file=out)
+        for label_value in sorted(rows):
+            cells = "  ".join(f"{rows[label_value].get(c, 0)!s:>{len(c)}}"
+                              for c in columns)
+            print(f"  {label_value:<{width}}  {cells}", file=out)
     return 0
-
-
-def _print_shard_section(counters: dict, out) -> None:
-    """The per-shard routing table of `repro stats`.
-
-    The ``shard`` stats source flattens ShardMap counters to
-    ``shard_<idx>_<counter>`` (per shard) and ``shard_<counter>``
-    (topology-wide); render the former as one row per shard and the
-    latter as plain lines.
-    """
-    import re as _re
-
-    per_shard: dict[str, dict[str, object]] = {}
-    plain: dict[str, object] = {}
-    for key, value in counters.items():
-        match = _re.match(r"shard_(\d+)_(\w+)$", key)
-        if match:
-            per_shard.setdefault(match.group(1), {})[match.group(2)] = value
-        else:
-            plain[key[len("shard_"):]] = value
-    print("\nshard routing:", file=out)
-    for key in sorted(plain):
-        print(f"  {key}: {plain[key]}", file=out)
-    if not per_shard:
-        return
-    columns = sorted({name for row in per_shard.values() for name in row})
-    header = "  shard  " + "  ".join(f"{c:>17}" for c in columns)
-    print(header, file=out)
-    for index in sorted(per_shard, key=int):
-        row = per_shard[index]
-        cells = "  ".join(f"{row.get(c, 0):>17}" for c in columns)
-        print(f"  {index:>5}  {cells}", file=out)
 
 
 def _cmd_trace(args, out) -> int:
@@ -875,10 +864,11 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         # The shedder's interactive SLO doubles as the sampler's
         # keep-it-always latency bar unless the spec overrides it.
         sample_kwargs.setdefault("slo_ms", args.slo_ms)
-        # No registry= here: the trace_sampler stats source below
-        # already renders kept/dropped (plus the per-reason split);
-        # live counters too would duplicate the scrape sample names.
+        # No registry= here: the trace_sampler source renders
+        # kept/dropped (plus the per-reason split); live counters too
+        # would publish the same sample names twice.
         sampler = TailSampler(*file_sinks, **sample_kwargs)
+        metrics.attach_source("trace_sampler", sampler.stats)
         file_sinks = [sampler]
     consumers.extend(file_sinks)
     fanout = None
@@ -891,14 +881,10 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         TRACER.add_sink(fanout)
     dispatcher = None
     log = None
-    stats_sources = []
-    labeled_sources = []
     if not args.no_trace:
-        stats_sources.append(("statements", STATEMENTS.stats))
-        labeled_sources.append(
-            ("statement", "digest", STATEMENTS.labeled_stats))
-    if sampler is not None:
-        stats_sources.append(("trace_sampler", sampler.stats))
+        metrics.attach_source("statements", STATEMENTS.stats)
+        metrics.attach_source("statement", STATEMENTS.labeled_stats,
+                              label="digest")
     if args.gateway == "inprocess":
         registry = DatabaseRegistry()
         for name, path in _parse_bindings(args.database, "--database"):
@@ -918,14 +904,12 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         from repro.apps.site import build_site
         site = build_site(engine, library, stream=args.stream)
         router = site.router
-        stats_sources.append(("resilience", registry.resilience_stats))
+        metrics.attach_source("resilience", registry.resilience_stats)
         if sharded:
-            # Labeled view: shard index travels as a label value while
-            # the legacy shard_<idx>_<counter> keys keep rendering.
-            labeled_sources.append(
-                ("shard", "shard", registry.shard_labeled_stats))
+            metrics.attach_source("shard", registry.shard_labeled_stats,
+                                  label="shard")
         if config.query_cache is not None:
-            stats_sources.append(("query_cache", config.query_cache.stats))
+            metrics.attach_source("query_cache", config.query_cache.stats)
     else:
         from repro.cgi.gateway import CgiGateway
         gateway = CgiGateway()
@@ -933,15 +917,13 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             from repro.appserver import TcpPoolDispatcher
             dispatcher = TcpPoolDispatcher(args.connect,
                                            channels=args.workers)
-            gateway.install("db2www", dispatcher)
-            stats_sources.append(("appserver", dispatcher.stats))
         else:
             from repro.appserver import AppServerDispatcher
             dispatcher = AppServerDispatcher(
                 _worker_env(args), workers=args.workers,
                 recycle_after=args.recycle_after)
-            gateway.install("db2www", dispatcher)
-            stats_sources.append(("appserver", dispatcher.stats))
+        gateway.install("db2www", dispatcher)
+        metrics.attach_source("appserver", dispatcher.stats)
         router = Router(gateway=gateway, server_name=args.host)
     tenant_registry = None
     if args.tenant_config is not None:
@@ -953,11 +935,14 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             shared_cache = QueryResultCache(max_entries=args.query_cache)
         tenant_registry = _load_tenant_config(args.tenant_config,
                                               query_cache=shared_cache)
+        # Pooled like the in-process registry above: a WAL-mode tenant
+        # file is not checkpointed by every request's close.
+        tenant_registry.databases.enable_pools(size=EXECUTOR_THREADS)
         # Tenant dispatch is in-process regardless of --gateway: each
         # tenant runs its own engine over its scoped registry view.
         router.tenants = TenantHost(tenant_registry)
-        labeled_sources.append(
-            ("tenant", "tenant", tenant_registry.labeled_stats))
+        metrics.attach_source("tenant", tenant_registry.labeled_stats,
+                              label="tenant")
     # One registry feeds every read path: /metrics, /statusz, the
     # access log's #stats trailer, and `repro stats`.
     router.metrics = metrics
@@ -968,7 +953,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
     # Burn-rate gauges ride the same counters/histogram the router
     # maintains; args.slo_ms is also the shedder's interactive target.
     slo = SloTracker(metrics, latency_slo_ms=args.slo_ms)
-    stats_sources.append(("slo", slo.stats))
+    metrics.attach_source("slo", slo.stats)
     if args.overload:
         from repro.overload import (
             COST_CLASSES, OverloadController, RequestClassifier)
@@ -994,11 +979,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
                 probe=STATEMENTS.probe if not args.no_trace else None),
             metrics=metrics)
         router.overload = controller
-        stats_sources.append(("overload", controller.stats))
-    for name, source in stats_sources:
-        metrics.attach_stats_source(name, source)
-    for prefix, label, source in labeled_sources:
-        metrics.attach_labeled_source(prefix, label, source)
+        metrics.attach_source("overload", controller.stats)
     if args.access_log is not None:
         from repro.http.accesslog import AccessLog
         log = AccessLog(args.access_log, metrics=metrics)
@@ -1041,7 +1022,9 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             log.append_stats_note()
         if dispatcher is not None:
             dispatcher.shutdown()
+        # Checkpoints a WAL-mode file: whole again in its one file.
         if args.gateway == "inprocess":
-            # Checkpoints a WAL-mode file: whole again in its one file.
             registry.close_all()
+        if tenant_registry is not None:
+            tenant_registry.databases.close_all()
     return 0

@@ -19,7 +19,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.http.message import HttpRequest, HttpResponse
 
@@ -89,33 +89,11 @@ class AccessLog:
                  max_entries: int = 10_000, metrics=None):
         self.path = Path(path) if path is not None else None
         self.max_entries = max_entries
-        #: optional repro.obs.metrics.MetricsRegistry.  When attached,
-        #: stats sources live on the registry (one source of truth for
-        #: ``/statusz``, the ``#stats`` trailer and ``repro stats``) and
-        #: :meth:`stats` merges the registry's counters in.
+        #: optional repro.obs.metrics.MetricsRegistry whose samples the
+        #: ``#stats`` trailer carries (see :meth:`append_stats_note`).
         self.metrics = metrics
         self._entries: list[LogEntry] = []
         self._lock = threading.Lock()
-        self._stats_sources: dict[str, Callable[[], dict[str, int]]] = {}
-
-    def attach_stats_source(self, name: str,
-                            source: Callable[[], dict[str, int]]) -> None:
-        """Merge an extra counter source into :meth:`stats`.
-
-        ``source`` is called at stats time and its keys are prefixed with
-        ``name_``.  The deployment wires the query-result cache here
-        (``log.attach_stats_source("query_cache", cache.stats)``) so one
-        call reports traffic *and* cache effectiveness.
-
-        With a metrics registry attached this delegates to
-        :meth:`repro.obs.metrics.MetricsRegistry.attach_stats_source`, so
-        the same counters also surface on ``/metrics`` and ``/statusz``;
-        the flattened key names are identical either way.
-        """
-        if self.metrics is not None:
-            self.metrics.attach_stats_source(name, source)
-        else:
-            self._stats_sources[name] = source
 
     def record(self, request: HttpRequest, response: HttpResponse, *,
                remote_addr: str = "-",
@@ -155,12 +133,18 @@ class AccessLog:
 
         CLF has no place for server-side counters, so deployments write
         them as comment lines the CLF parser skips; ``repro stats``
-        recognises and reports them.  Returns the line written, or
-        ``None`` when the log has no file.
+        recognises and reports them.  With a metrics registry attached
+        the trailer is the registry's
+        :meth:`~repro.obs.metrics.MetricsRegistry.flat` view — every sample
+        under the name the ``/metrics`` scrape gives it — otherwise the
+        log's own :meth:`stats`.  Returns the line written, or ``None``
+        when the log has no file.
         """
         if self.path is None:
             return None
-        stats = self.stats()  # outside the lock: stats() locks too
+        # outside the lock: stats() locks too
+        stats = self.metrics.flat() if self.metrics is not None \
+            else self.stats()
         line = "#stats " + json.dumps(stats, sort_keys=True)
         with self._lock:
             with self.path.open("a", encoding="utf-8") as fh:
@@ -178,26 +162,11 @@ class AccessLog:
             return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """The webmaster's morning numbers: hits, errors, bytes.
-
-        Attached sources (see :meth:`attach_stats_source`) contribute
-        their counters under ``<name>_<counter>`` keys.  With a metrics
-        registry attached, every registry metric (request latency
-        histograms included, flattened to ``_count``/``_p50``/…) rides
-        along too — the ``#stats`` trailer then carries the full
-        instrument panel.
-        """
+        """The webmaster's morning numbers: hits, errors, bytes."""
         with self._lock:
             entries = list(self._entries)
-        stats = {
+        return {
             "hits": len(entries),
             "errors": sum(1 for e in entries if e.status >= 400),
             "bytes": sum(max(e.size, 0) for e in entries),
         }
-        if self.metrics is not None:
-            for key, value in self.metrics.flat().items():
-                stats.setdefault(key, value)
-        for name, source in self._stats_sources.items():
-            for key, value in source().items():
-                stats[f"{name}_{key}"] = value
-        return stats

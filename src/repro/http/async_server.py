@@ -31,7 +31,8 @@ no task, stream reader or per-read timer in between:
   only up to a fixed budget.
 * **One timer per connection**, re-armed only when it fires:
   ``idle_timeout`` bounds the wait for a request to begin, ``timeout``
-  each wait for the rest of it, nothing the time spent answering.
+  each wait for the rest of it and each wait for a paused client to
+  read on, nothing the time spent answering.
 * **Bounded connection budget.**  Past ``max_connections`` the edge
   answers an immediate 503 and closes — shedding at the door instead
   of queueing into collapse.
@@ -148,6 +149,7 @@ class AsyncHttpServer:
         self._connections: set[_Connection] = set()
         self._streams: set[asyncio.Task] = set()
         self._active = 0
+        self._stopping = False  # the shutdown sweep has run
         self._bind_metrics()
 
     # -- lifecycle ---------------------------------------------------------
@@ -213,8 +215,7 @@ class AsyncHttpServer:
             await self._stop.wait()
         finally:
             server.close()
-            for connection in list(self._connections):
-                connection.transport.abort()
+            self._drop_connections()
             for task in self._streams:
                 task.cancel()  # its pump still closes the iterator
             if self._streams:
@@ -222,6 +223,14 @@ class AsyncHttpServer:
                                      return_exceptions=True)
             await server.wait_closed()
             self._executor.shutdown(wait=False)
+
+    def _drop_connections(self) -> None:
+        """The shutdown sweep: abort every open connection.  One
+        accepted in the same loop iteration reaches ``connection_made``
+        only after this runs; it is aborted there."""
+        self._stopping = True
+        for connection in list(self._connections):
+            connection.transport.abort()
 
     # -- request policy ----------------------------------------------------
 
@@ -321,6 +330,9 @@ class _Connection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.Transport) -> None:
         server = self.server
         self.transport = transport
+        if server._stopping:
+            transport.abort()  # accepted after the shutdown sweep
+            return
         server._m_conns_total.inc()
         if server._active >= server.max_connections:
             server._m_shed.inc()
@@ -377,10 +389,12 @@ class _Connection(asyncio.Protocol):
     def pause_writing(self) -> None:
         """The client is more than ``_HIGH_WATER`` bytes behind."""
         self.write_paused = True
+        self.since = self.loop.time()
         self.server._m_backpressure.inc()
 
     def resume_writing(self) -> None:
         self.write_paused = False
+        self.since = self.loop.time()
         if self.drained is not None and not self.drained.done():
             self.drained.set_result(None)
         self._advance()
@@ -391,12 +405,22 @@ class _Connection(asyncio.Protocol):
         # Never sleep past the shorter limit: whatever the connection
         # is waiting for by then, its limit cannot have passed unseen.
         when = now + min(server.idle_timeout, server.timeout)
-        if not (self.busy or self.write_paused):
+        if self.write_paused:
+            # The client stopped reading what it was sent; each pause
+            # or resume starts the clock over, so a slow reader that
+            # keeps reading is never cut.
+            limit = self.since + server.timeout
+        elif not self.busy:
             # (no limit at all while a request is being answered)
             limit = self.since + (server.timeout if self.buffer
                                   else server.idle_timeout)
+        else:
+            limit = None
+        if limit is not None:
             if limit <= now:
-                self.transport.close()
+                # Unsent bytes (a response the client never reads, a
+                # closing one included) must not pin the slot: abort.
+                self.transport.abort()
                 return
             when = min(when, limit)
         self.timer = self.loop.call_at(when, self._on_timer)

@@ -3,8 +3,8 @@
 The gateway's instrument panel (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
-  with streaming p50/p95/p99, scraped at ``/metrics`` (text) and
-  ``/statusz`` (JSON), absorbing the legacy per-subsystem stats bags.
+  with streaming p50/p95/p99, labeled families and polled subsystem
+  sources, scraped at ``/metrics`` (text) and ``/statusz`` (JSON).
 * :mod:`repro.obs.trace` — a span tree per request with one trace id
   end-to-end (HTTP → CGI environment → app-server frames → SQL layer).
 * :mod:`repro.obs.sinks` — where finished traces go: the structured
@@ -17,8 +17,7 @@ same environment block that carries ``REPRO_MACRO_DIR``.
 
 from __future__ import annotations
 
-from repro.obs.labels import LabeledSourceView, LabeledValues
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import REGISTRY, LabeledValues, MetricsRegistry
 from repro.obs.sampling import TailSampler, parse_sample_spec
 from repro.obs.sinks import (FanoutSink, MetricsBridge, SlowQueryLog,
                              TraceLog)
@@ -29,7 +28,7 @@ __all__ = [
     "MetricsRegistry", "REGISTRY",
     "Tracer", "TRACER", "Span", "new_trace_id",
     "TraceLog", "SlowQueryLog", "MetricsBridge", "FanoutSink",
-    "LabeledValues", "LabeledSourceView",
+    "LabeledValues",
     "TailSampler", "parse_sample_spec", "SloTracker",
     "configure_from_env",
 ]

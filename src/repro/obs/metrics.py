@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges and streaming histograms.
+"""Process-wide metrics: counters, gauges, streaming histograms, sources.
 
 The 1996 webmaster's instrument panel was the access log; everything
 since (mod_status, FastCGI process managers, Prometheus) grew a second
@@ -9,14 +9,17 @@ that surface for the gateway — a :class:`MetricsRegistry` holding
 * **gauges** — point-in-time values (pool size, worker count),
 * **histograms** — latency distributions with streaming p50/p95/p99,
   implemented as log-spaced buckets so an observation costs one bisect
-  and one list increment regardless of how many samples came before.
+  and one list increment regardless of how many samples came before,
+* **labeled families** — one metric over one label, bounded in
+  cardinality (:class:`LabeledValues`),
+* **sources** — a subsystem's ``stats()`` callable, polled at read time
+  (:meth:`MetricsRegistry.attach_source`).  A polled key ending in
+  ``_total`` is a counter, any other a gauge.
 
-The registry also *absorbs* the pre-existing stats bags (query cache,
-resilience registry, app-server worker pool): legacy ``stats()``
-callables attach as polled **sources** whose counters appear — under
-their historical ``<name>_<key>`` names — in every rendering: the text
-``/metrics`` scrape, the JSON ``/statusz``, the access log's ``#stats``
-trailer, and ``repro stats``.  One registry, four read paths.
+Every read path — the text ``/metrics`` scrape, the JSON ``/statusz``,
+the access log's ``#stats`` trailer and ``repro stats`` — formats one
+walk over all of them (:meth:`MetricsRegistry._samples`), so a sample
+carries the same name and the same type wherever it is read.
 
 Everything is thread-safe (the HTTP server handles requests on
 threads); observation cost is a few dictionary operations, so metrics
@@ -29,19 +32,56 @@ import math
 import re
 import threading
 from bisect import bisect_right
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.obs.labels import LabeledSourceView, LabeledValues
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
+__all__ = ["Counter", "Gauge", "Histogram", "LabeledValues",
+           "MetricsRegistry", "OTHER_LABEL", "REGISTRY", "parse_sample",
            "quantile_from_counts"]
 
 _NAME_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
+_SAMPLE_RE = re.compile(r'^([\w:]+)\{(\w+)="((?:[^"\\]|\\.)*)"\}$')
+_UNESCAPE_RE = re.compile(r"\\(.)")
+
+#: The overflow series every capped family shares.
+OTHER_LABEL = "_other"
+
+#: Entities a labeled source renders before the rest collapse into
+#: :data:`OTHER_LABEL`.
+SOURCE_MAX_SERIES = 64
+
+#: A summary's quantile samples: (label value, snapshot key).
+_QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
+
+#: ``/statusz`` groups samples by type under these keys.
+_SNAPSHOT_GROUPS = {"counter": "counters", "gauge": "gauges",
+                    "summary": "summaries"}
 
 
 def _scrape_name(name: str) -> str:
     """A metric name made safe for the text exposition format."""
     return _NAME_SANITIZE_RE.sub("_", name)
+
+
+def _sample(name: str, label: str, value: str) -> str:
+    """The sample name ``name{label="value"}``, value escaped."""
+    escaped = (str(value).replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n"))
+    return f'{name}{{{label}="{escaped}"}}'
+
+
+def parse_sample(sample: str) -> tuple[str, Optional[str], Optional[str]]:
+    """Split a sample name into ``(name, label, label value)``.
+
+    The inverse of the rendering: ``tenant_requests_total{tenant="a"}``
+    gives ``("tenant_requests_total", "tenant", "a")``, an unlabeled
+    name gives ``(name, None, None)``.
+    """
+    match = _SAMPLE_RE.match(sample)
+    if match is None:
+        return sample, None, None
+    name, label, value = match.groups()
+    return name, label, _UNESCAPE_RE.sub(
+        lambda m: "\n" if m.group(1) == "n" else m.group(1), value)
 
 
 class Counter:
@@ -80,6 +120,53 @@ class Gauge:
     @property
     def value(self) -> float:
         return self._value
+
+
+class LabeledValues:
+    """One metric family over a single label, bounded in cardinality.
+
+    Values are plain accumulators (``inc``) or last-writes (``set``);
+    the first ``max_series`` distinct label values get their own
+    series, later ones merge into :data:`OTHER_LABEL`, so a hostile or
+    merely enthusiastic label source cannot blow up the scrape.
+    First-come membership is deterministic for a given traffic order
+    and never reshuffles, so a series that exists keeps existing.
+    """
+
+    __slots__ = ("name", "label", "kind", "max_series", "_series",
+                 "_lock")
+
+    def __init__(self, name: str, label: str, *, kind: str = "counter",
+                 max_series: int = 32):
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"unknown labeled metric kind {kind!r}")
+        self.name = name
+        self.label = label
+        self.kind = kind
+        self.max_series = max_series
+        self._series: dict[str, float] = {}
+        self._lock = threading.Lock()
+
+    def _slot(self, value: str) -> str:
+        if value in self._series or len(self._series) < self.max_series:
+            return value
+        return OTHER_LABEL
+
+    def inc(self, value: str, amount: float = 1) -> None:
+        with self._lock:
+            slot = self._slot(value)
+            self._series[slot] = self._series.get(slot, 0) + amount
+
+    def set(self, value: str, number: float) -> None:
+        # Overflow gauges share one slot last-write-wins: the bucket
+        # still reads as "some overflow series exists".
+        with self._lock:
+            self._series[self._slot(value)] = number
+
+    def series(self) -> dict[str, float]:
+        """A consistent ``label value -> number`` snapshot."""
+        with self._lock:
+            return dict(self._series)
 
 
 def _log_bounds(lowest: float, highest: float, factor: float) -> list[float]:
@@ -221,8 +308,12 @@ def quantile_from_counts(counts: list[int], q: float, *,
     return bounds[-1]  # pragma: no cover - defensive
 
 
+#: One family as the sample walk sees it: (name, type, [(sample, value)]).
+_Family = tuple[str, str, list[tuple[str, float]]]
+
+
 class MetricsRegistry:
-    """The process-wide bag of named metrics plus polled legacy sources.
+    """The process-wide bag of named metrics plus polled sources.
 
     Metric creation is get-or-create by name (``inc``/``observe``/
     ``set_gauge`` are the one-line forms), so instrumentation points
@@ -234,9 +325,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._sources: dict[str, Callable[[], dict]] = {}
         self._labeled: dict[str, LabeledValues] = {}
-        self._labeled_sources: dict[str, LabeledSourceView] = {}
+        self._sources: dict[str, tuple[Callable[[], dict],
+                                       Optional[str]]] = {}
 
     # -- get-or-create ---------------------------------------------------
 
@@ -265,7 +356,7 @@ class MetricsRegistry:
     def labeled(self, name: str, label: str, *, kind: str = "counter",
                 max_series: int = 32) -> LabeledValues:
         """Get-or-create a one-label metric family (bounded series;
-        overflow collapses into ``_other`` — see repro.obs.labels)."""
+        overflow collapses into :data:`OTHER_LABEL`)."""
         family = self._labeled.get(name)
         if family is None:
             with self._lock:
@@ -285,174 +376,132 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
-    # -- legacy stats bags as polled sources -----------------------------
+    # -- polled sources --------------------------------------------------
 
-    def attach_stats_source(self, name: str,
-                            source: Callable[[], dict]) -> None:
-        """Attach a legacy ``stats()`` callable under a prefix.
+    def attach_source(self, prefix: str, source: Callable[[], dict], *,
+                      label: Optional[str] = None) -> None:
+        """Poll ``source()`` at read time, its keys under ``prefix``.
 
-        The source is polled at read time; its counters appear as
-        ``<name>_<key>`` in :meth:`flat` and the scrape — the exact keys
-        :meth:`repro.http.accesslog.AccessLog.stats` produced before the
-        registry existed, so log-trailer consumers keep working.
+        ``source()`` returns ``{key: number}``, each rendered as
+        ``<prefix>_<key>``.  With ``label`` it returns one bag per
+        entity, ``{label_value: {key: number}}``, each key rendered
+        only as ``<prefix>_<key>{<label>="<label_value>"}`` — the
+        lexicographically first :data:`SOURCE_MAX_SERIES` entities
+        get their own series, the rest are summed into
+        :data:`OTHER_LABEL`.  The empty label value carries the
+        source's unlabeled keys (a shard map's topology-wide counts).
+        A key ending in ``_total`` is a counter, any other a gauge.
         """
         with self._lock:
-            self._sources[name] = source
+            self._sources[prefix] = (source, label)
 
-    def attach_labeled_source(self, prefix: str, label: str,
-                              source: Callable[[], dict], *,
-                              max_series: int = 64) -> None:
-        """Attach a per-entity stats bag as a *labeled* source.
-
-        ``source()`` returns ``{label_value: {key: number}}`` (the
-        empty label value marks topology-wide keys).  The scrape
-        renders each key both as ``<prefix>_<key>{<label>="value"}``
-        and under the historical flattened ``<prefix>_<value>_<key>``
-        name, so the flat tenant/shard key families migrate onto
-        labels without breaking a single legacy consumer.
-        """
+    def _polled(self) -> list[_Family]:
         with self._lock:
-            self._labeled_sources[prefix] = LabeledSourceView(
-                prefix, label, source, max_series=max_series)
-
-    def source_names(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._sources)
-                          | set(self._labeled_sources))
-
-    def _poll_sources(self) -> dict[str, dict]:
-        with self._lock:
-            sources = dict(self._sources)
-            labeled_sources = dict(self._labeled_sources)
-        polled: dict[str, dict] = {}
-        for name, source in sources.items():
+            sources = list(self._sources.items())
+        families: dict[str, dict[str, float]] = {}
+        for prefix, (source, label) in sources:
             try:
-                polled[name] = dict(source())
+                polled = dict(source())
+                bags = _capped(polled) if label else {"": polled}
             except Exception:  # noqa: BLE001 - a broken bag must not
-                polled[name] = {}  # take the metrics surface down
-        for name, view in labeled_sources.items():
-            # Labeled sources keep publishing their historical
-            # flattened keys through the same read paths.
-            bag = polled.setdefault(name, {})
-            bag.update(view.flat())
-        return polled
-
-    def _labeled_views(self) -> dict[str, LabeledSourceView]:
-        with self._lock:
-            return dict(self._labeled_sources)
-
-    def _labeled_families(self) -> dict[str, LabeledValues]:
-        with self._lock:
-            return dict(self._labeled)
+                continue       # take the metrics surface down
+            if label:
+                label = _scrape_name(label)
+            for value, bag in bags.items():
+                for key, number in bag.items():
+                    if not isinstance(number, (int, float)):
+                        continue
+                    name = _scrape_name(f"{prefix}_{key}")
+                    sample = _sample(name, label, value) if value else name
+                    families.setdefault(name, {})[sample] = number
+        return [(name, "counter" if name.endswith("_total") else "gauge",
+                 sorted(samples.items()))
+                for name, samples in families.items()]
 
     # -- read paths ------------------------------------------------------
 
-    def flat(self) -> dict[str, float]:
-        """Every metric as one flat ``name -> number`` dict.
+    def _samples(self) -> list[tuple[str, str, str, float]]:
+        """Every sample as ``(family, type, sample, value)``, sorted by
+        family.
 
-        Histograms flatten to ``<name>_count`` / ``<name>_mean`` /
-        ``<name>_p50`` / ``<name>_p95`` / ``<name>_p99``; sources to
-        their historical ``<source>_<key>`` names.  This is the shape
-        the access log's ``#stats`` trailer and ``repro stats`` consume.
+        ``sample`` is the name exactly as the text exposition prints it
+        — the family name, ``family{label="value"}``, or a summary's
+        ``family_count`` / ``family_sum`` — and the one name every read
+        path uses for it.
         """
-        flat: dict[str, float] = {}
-        for name, counter in sorted(self._counters.items()):
-            flat[name] = counter.value
-        for name, gauge in sorted(self._gauges.items()):
-            flat[name] = gauge.value
-        for name, histogram in sorted(self._histograms.items()):
+        with self._lock:
+            counters = list(self._counters.items())
+            gauges = list(self._gauges.items())
+            histograms = list(self._histograms.items())
+            labeled = list(self._labeled.items())
+        families: list[_Family] = []
+        for name, counter in counters:
+            name = _scrape_name(name)
+            families.append((name, "counter", [(name, counter.value)]))
+        for name, gauge in gauges:
+            name = _scrape_name(name)
+            families.append((name, "gauge", [(name, gauge.value)]))
+        for name, histogram in histograms:
+            name = _scrape_name(name)
             snap = histogram.snapshot()
-            for key in ("count", "mean", "p50", "p95", "p99"):
-                flat[f"{name}_{key}"] = snap[key]
-        for name, family in sorted(self._labeled_families().items()):
-            for value, number in sorted(family.series().items()):
-                flat[f"{name}_{value}"] = number
-        for source_name, counters in sorted(self._poll_sources().items()):
-            for key, value in counters.items():
-                flat[f"{source_name}_{key}"] = value
-        return flat
+            families.append((name, "summary", [
+                *((_sample(name, "quantile", q), snap[key])
+                  for q, key in _QUANTILES),
+                (f"{name}_count", snap["count"]),
+                (f"{name}_sum", snap["sum"])]))
+        for name, family in labeled:
+            name, label = _scrape_name(name), _scrape_name(family.label)
+            families.append((name, family.kind, [
+                (_sample(name, label, value), number)
+                for value, number in sorted(family.series().items())]))
+        families.extend(self._polled())
+        families.sort(key=lambda family: family[0])
+        return [(name, kind, sample, value)
+                for name, kind, samples in families
+                for sample, value in samples]
+
+    def flat(self) -> dict[str, float]:
+        """Every sample as one flat ``sample name -> number`` dict —
+        the access log's ``#stats`` trailer, read back by ``repro
+        stats``."""
+        return {sample: value for _, _, sample, value in self._samples()}
 
     def snapshot(self) -> dict:
-        """Nested JSON-ready view — the body of ``/statusz``."""
-        snapshot = {
-            "counters": {name: c.value
-                         for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value
-                       for name, g in sorted(self._gauges.items())},
-            "histograms": {name: h.snapshot()
-                           for name, h in
-                           sorted(self._histograms.items())},
-            "sources": dict(sorted(self._poll_sources().items())),
-        }
-        labeled: dict[str, dict] = {}
-        for name, family in sorted(self._labeled_families().items()):
-            labeled[name] = {"label": family.label,
-                             "series": dict(sorted(
-                                 family.series().items()))}
-        for prefix, view in sorted(self._labeled_views().items()):
-            for key, series in sorted(view.labeled().items()):
-                labeled[f"{prefix}_{key}"] = {
-                    "label": view.label,
-                    "series": dict(sorted(series.items()))}
-        if labeled:
-            snapshot["labeled"] = labeled
+        """The ``/statusz`` body: the samples grouped by type."""
+        snapshot: dict[str, dict] = {group: {} for group in
+                                     _SNAPSHOT_GROUPS.values()}
+        for _, kind, sample, value in self._samples():
+            snapshot[_SNAPSHOT_GROUPS[kind]][sample] = value
         return snapshot
 
     def render_text(self) -> str:
-        """The ``/metrics`` scrape body (Prometheus text exposition).
-
-        Histograms render as summaries (quantile-labelled samples plus
-        ``_count``/``_sum``); sources render as plain counters under
-        their historical flattened names.
-        """
+        """The ``/metrics`` scrape body (Prometheus text exposition):
+        one ``# TYPE`` line per family, histograms as summaries."""
         lines: list[str] = []
-        for name, counter in sorted(self._counters.items()):
-            scrape = _scrape_name(name)
-            lines.append(f"# TYPE {scrape} counter")
-            lines.append(f"{scrape} {counter.value}")
-        for name, gauge in sorted(self._gauges.items()):
-            scrape = _scrape_name(name)
-            lines.append(f"# TYPE {scrape} gauge")
-            lines.append(f"{scrape} {_number(gauge.value)}")
-        for name, histogram in sorted(self._histograms.items()):
-            scrape = _scrape_name(name)
-            snap = histogram.snapshot()
-            lines.append(f"# TYPE {scrape} summary")
-            for label, key in (("0.5", "p50"), ("0.95", "p95"),
-                               ("0.99", "p99")):
-                lines.append(
-                    f'{scrape}{{quantile="{label}"}} '
-                    f'{_number(snap[key])}')
-            lines.append(f"{scrape}_count {snap['count']}")
-            lines.append(f"{scrape}_sum {_number(snap['sum'])}")
-        for name, family in sorted(self._labeled_families().items()):
-            scrape = _scrape_name(name)
-            label = _scrape_name(family.label)
-            lines.append(f"# TYPE {scrape} {family.kind}")
-            for value, number in sorted(family.series().items()):
-                lines.append(f'{scrape}{{{label}="{_label_value(value)}"}}'
-                             f' {_number(number)}')
-        for source_name, counters in sorted(self._poll_sources().items()):
-            for key, value in sorted(counters.items()):
-                scrape = _scrape_name(f"{source_name}_{key}")
-                lines.append(f"# TYPE {scrape} counter")
-                lines.append(f"{scrape} {_number(value)}")
-        for prefix, view in sorted(self._labeled_views().items()):
-            label = _scrape_name(view.label)
-            for key, series in sorted(view.labeled().items()):
-                scrape = _scrape_name(f"{prefix}_{key}")
-                lines.append(f"# TYPE {scrape} counter")
-                for value, number in sorted(series.items()):
-                    lines.append(
-                        f'{scrape}{{{label}="{_label_value(value)}"}}'
-                        f' {_number(number)}')
+        current = None
+        for name, kind, sample, value in self._samples():
+            if name != current:
+                current = name
+                lines.append(f"# TYPE {name} {kind}")
+            lines.append(f"{sample} {_number(value)}")
         return "\n".join(lines) + "\n"
 
 
-def _label_value(value: str) -> str:
-    """Escape one label value for the text exposition format."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
+def _capped(polled: dict) -> dict[str, dict]:
+    """A labeled source's bags with every entity past the first
+    :data:`SOURCE_MAX_SERIES` (in sorted order) summed into
+    :data:`OTHER_LABEL`."""
+    bags = {str(value): bag for value, bag in polled.items()
+            if isinstance(bag, dict)}
+    entities = sorted(value for value in bags if value)
+    capped = {value: bags[value]
+              for value in ("", *entities[:SOURCE_MAX_SERIES])
+              if value in bags}
+    for value in entities[SOURCE_MAX_SERIES:]:
+        other = capped.setdefault(OTHER_LABEL, {})
+        for key, number in bags[value].items():
+            other[key] = other.get(key, 0) + number
+    return capped
 
 
 def _number(value) -> str:

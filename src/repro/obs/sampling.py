@@ -206,7 +206,7 @@ class TailSampler:
                 pass           # a broken sink must not take the request
 
     def stats(self) -> dict[str, float]:
-        """Kept/dropped counters by decision (tests, stats source)."""
+        """Kept/dropped counters by decision (tests, metrics source)."""
         with self._lock:
             stats: dict[str, float] = {
                 f"kept_{reason}": count

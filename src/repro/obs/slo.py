@@ -20,7 +20,7 @@ overload controller ticks its live p99 from) using the bucket-snapshot
 window-diff trick.  Each read takes a sample; burn rates are computed
 against the oldest sample inside each window, so accuracy follows the
 scrape cadence — exactly right for a surface whose consumer *is* the
-scraper.  It attaches as the ``slo`` stats source, so the gauges ride
+scraper.  It attaches as the ``slo`` metrics source, so the gauges ride
 ``/metrics``, ``/statusz``, the access-log trailer and ``repro stats``
 like every other family.
 """

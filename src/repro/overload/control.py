@@ -391,22 +391,14 @@ class OverloadController:
         self._m_rate_inter.set(1.0)
 
     def stats(self) -> dict[str, float]:
-        """Flat counters for ``attach_stats_source`` and tests."""
-        with self._lock:
-            return {
-                "inflight": self._inflight,
-                "queue_depth": len(self._queue),
-                "max_concurrent": self.max_concurrent,
-                "queue_limit": self.queue_limit,
-                "admit_rate_deferrable": round(
-                    self._rates[_DEFERRABLE], 3),
-                "admit_rate_interactive": round(
-                    self._rates[_INTERACTIVE], 3),
-                "service_rate_rps": round(self._service_rate, 3),
-                "admitted": self._m_admitted.value,
-                "queued": self._m_queued.value,
-                "shed": self._m_shed.value,
-                "expired_in_queue": self._m_expired.value,
-                "evicted": self._m_evicted.value,
-                "slo_ms": self.interactive_slo_ms,
-            }
+        """The configured limits, for the ``overload`` metrics source.
+
+        Everything that moves — in-flight, queue depth, admit rates,
+        service rate, admitted/queued/shed totals — is a live metric
+        (see :meth:`_bind_metrics`) and is not published again here.
+        """
+        return {
+            "max_concurrent": self.max_concurrent,
+            "queue_limit": self.queue_limit,
+            "slo_ms": self.interactive_slo_ms,
+        }

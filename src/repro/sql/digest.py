@@ -455,8 +455,8 @@ class StatementStats:
         }
 
     def labeled_stats(self) -> dict[str, dict[str, float]]:
-        """Per-digest counters for a labeled metrics source
-        (``statement_<counter>{digest="..."}`` on the scrape)."""
+        """Per-digest counters for the ``statement`` metrics source,
+        labeled by digest (``statement_<counter>{digest="..."}``)."""
         with self._lock:
             return {digest: {"calls_total": entry.calls,
                              "errors_total": entry.errors,
@@ -465,7 +465,7 @@ class StatementStats:
                     for digest, entry in self._entries.items()}
 
     def stats(self) -> dict[str, float]:
-        """Aggregate counters for ``attach_stats_source``."""
+        """Aggregate counters for the ``statements`` metrics source."""
         with self._lock:
             return {
                 "digests": len(self._entries),

@@ -267,33 +267,17 @@ class DatabaseRegistry:
         """The shard map behind a logical name (``None`` if unsharded)."""
         return self._shard_maps.get(name)
 
-    def shard_stats(self) -> dict[str, int]:
-        """Merged routing counters of every registered shard map.
-
-        Attached to the metrics registry as the ``shard`` stats source,
-        so the keys render as ``shard_<counter>``.  With several maps
-        the keys are prefixed by the (lowercased) logical name.
-        """
-        stats: dict[str, int] = {}
-        prefixed = len(self._shard_maps) > 1
-        for name, shard_map in self._shard_maps.items():
-            prefix = f"{name.lower()}_" if prefixed else ""
-            for key, value in shard_map.stats().items():
-                stats[prefix + key] = stats.get(prefix + key, 0) + value
-        return stats
-
     def shard_labeled_stats(self) -> dict[str, dict[str, int]]:
-        """:meth:`shard_stats` grouped by shard for a labeled source.
-
-        ``{shard_label: {counter: value}}``; the empty label holds the
-        topology-wide counters.  Label values are chosen so the labeled
-        source's legacy flattening (``shard_<label>_<counter>`` /
-        ``shard_<counter>``) reproduces :meth:`shard_stats` exactly.
+        """Routing counters of every shard map, for the ``shard``
+        metrics source: ``{shard_label: {counter: value}}``, the
+        topology-wide counters under the empty label.  With several
+        maps each label is prefixed by the (lowercased) logical name
+        and a map's topology-wide counters carry that name alone.
         """
         out: dict[str, dict[str, int]] = {}
         prefixed = len(self._shard_maps) > 1
         for name, shard_map in self._shard_maps.items():
-            for value, bag in shard_map.labeled_stats().items():
+            for value, bag in shard_map.stats().items():
                 if prefixed:
                     value = (f"{name.lower()}_{value}" if value
                              else name.lower())

@@ -164,7 +164,9 @@ class ShardMap:
         self.shards: list[Shard] = []
         self._rr = 0
         self._lock = threading.Lock()
-        self._counters: dict[str, int] = {}
+        #: routing counters keyed (shard label, counter); the empty
+        #: label holds the topology-wide ones
+        self._counters: dict[tuple[str, str], int] = {}
 
     # -- topology --------------------------------------------------------
 
@@ -239,40 +241,25 @@ class ShardMap:
 
     # -- observability ---------------------------------------------------
 
-    def count(self, key: str, amount: int = 1) -> None:
+    def count(self, key: str, *, label: str = "") -> None:
         with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + amount
+            slot = (label, key)
+            self._counters[slot] = self._counters.get(slot, 0) + 1
 
     def count_shard(self, shard: Shard, key: str) -> None:
-        self.count(f"{shard.label}_{key}")
+        self.count(key, label=shard.label)
 
-    def stats(self) -> dict[str, int]:
-        """Cumulative routing counters, shard-count gauge included."""
-        with self._lock:
-            stats = dict(self._counters)
-        stats["shards"] = len(self.shards)
-        stats["replicas"] = sum(len(s.replicas) for s in self.shards)
-        return stats
-
-    def labeled_stats(self) -> dict[str, dict[str, int]]:
-        """:meth:`stats` split by shard label for the labeled metrics
-        source: ``{shard_label: {counter: value}}``, topology-wide
-        counters under the empty label."""
+    def stats(self) -> dict[str, dict[str, int]]:
+        """Cumulative routing counters by shard label:
+        ``{label: {counter: value}}``, the topology-wide counters and
+        the shard/replica counts under the empty label."""
         with self._lock:
             counters = dict(self._counters)
-        out: dict[str, dict[str, int]] = {"": {}}
-        # Longest label first so "10_routed" never matches shard "1".
-        labels = sorted((shard.label for shard in self.shards),
-                        key=len, reverse=True)
-        for key, value in counters.items():
-            for label in labels:
-                if key.startswith(label + "_"):
-                    out.setdefault(label, {})[key[len(label) + 1:]] = value
-                    break
-            else:
-                out[""][key] = value
-        out[""]["shards"] = len(self.shards)
-        out[""]["replicas"] = sum(len(s.replicas) for s in self.shards)
+        out: dict[str, dict[str, int]] = {"": {
+            "shards": len(self.shards),
+            "replicas": sum(len(s.replicas) for s in self.shards)}}
+        for (label, key), value in counters.items():
+            out.setdefault(label, {})[key] = value
         return out
 
 

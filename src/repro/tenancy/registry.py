@@ -19,7 +19,8 @@ top of the existing machinery:
   admission-checked before dispatch and answer 429 with the unified
   ``Retry-After`` when exhausted;
 * per-tenant request/row/denial counters surface on ``/metrics`` via
-  :meth:`TenantRegistry.stats` (attach as a ``tenant`` stats source).
+  :meth:`TenantRegistry.labeled_stats` (attached as the ``tenant``
+  source, labeled by tenant).
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class Tenant:
             self._throttled += 1
 
     def stats(self) -> dict:
-        """This tenant's counters (rendered as ``tenant_<name>_<key>``)."""
+        """This tenant's counters (rendered as
+        ``tenant_<key>{tenant="<name>"}``)."""
         with self._lock:
             return {
                 "requests_total": self._requests,
@@ -271,30 +273,12 @@ class TenantRegistry:
 
     # -- observability -----------------------------------------------------
 
-    def stats(self) -> dict:
-        """Flat per-tenant counters for a metrics stats source.
-
-        Attached as ``metrics.attach_stats_source("tenant", registry
-        .stats)``, each key renders as ``tenant_<tenant>_<counter>``
-        on ``/metrics``.
-        """
-        flat: dict[str, int] = {}
-        with self._lock:
-            tenants = sorted(self._tenants.items())
-        for name, tenant in tenants:
-            for key, value in tenant.stats().items():
-                flat[f"{name}_{key}"] = value
-        return flat
-
     def labeled_stats(self) -> dict:
         """Per-tenant counter bags keyed by tenant name.
 
-        Attached as ``metrics.attach_labeled_source("tenant", "tenant",
-        registry.labeled_stats)``: the same numbers as :meth:`stats`,
-        but the tenant name travels as a label value
-        (``tenant_requests_total{tenant="acme"}``) instead of being
-        baked into the key — and the view's legacy flattening still
-        renders the exact ``tenant_<name>_<counter>`` keys.
+        Attached as ``metrics.attach_source("tenant", registry
+        .labeled_stats, label="tenant")``: the tenant name travels as a
+        label value, ``tenant_requests_total{tenant="acme"}``.
         """
         with self._lock:
             tenants = sorted(self._tenants.items())

@@ -216,59 +216,6 @@ class WorkerReport:
 
 
 @dataclass
-class LatencyReport:
-    """A server-side latency histogram in workload-report form.
-
-    Build one from a :meth:`repro.obs.metrics.Histogram.snapshot` dict,
-    or from the flattened ``<name>_count``/``<name>_p50``/… keys the
-    registry writes into the access log's ``#stats`` trailer — so
-    ``repro stats`` and workload harnesses print the server's own
-    latency numbers in the same table shape as client-side summaries.
-    """
-
-    count: int = 0
-    mean_ms: float = 0.0
-    p50_ms: float = 0.0
-    p95_ms: float = 0.0
-    p99_ms: float = 0.0
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "LatencyReport":
-        return cls(count=int(snap.get("count", 0)),
-                   mean_ms=float(snap.get("mean", 0.0)),
-                   p50_ms=float(snap.get("p50", 0.0)),
-                   p95_ms=float(snap.get("p95", 0.0)),
-                   p99_ms=float(snap.get("p99", 0.0)))
-
-    @classmethod
-    def from_flat(cls, flat: dict, name: str) -> "LatencyReport":
-        """Rebuild from ``<name>_count``/``<name>_p50``/… flat keys."""
-        return cls(count=int(flat.get(f"{name}_count", 0)),
-                   mean_ms=float(flat.get(f"{name}_mean", 0.0)),
-                   p50_ms=float(flat.get(f"{name}_p50", 0.0)),
-                   p95_ms=float(flat.get(f"{name}_p95", 0.0)),
-                   p99_ms=float(flat.get(f"{name}_p99", 0.0)))
-
-    @classmethod
-    def families(cls, flat: dict) -> list[str]:
-        """Histogram names present in a flattened stats dict."""
-        return sorted(key[:-len("_p50")] for key in flat
-                      if key.endswith("_p50")
-                      and f"{key[:-len('_p50')]}_count" in flat)
-
-    def row(self, label: str) -> str:
-        """One fixed-width table row (pairs with :meth:`header`)."""
-        return (f"{label:<28} {self.count:>7} {self.mean_ms:>9.3f} "
-                f"{self.p50_ms:>9.3f} {self.p95_ms:>9.3f} "
-                f"{self.p99_ms:>9.3f}")
-
-    @staticmethod
-    def header() -> str:
-        return (f"{'histogram':<28} {'n':>7} {'mean_ms':>9} "
-                f"{'p50_ms':>9} {'p95_ms':>9} {'p99_ms':>9}")
-
-
-@dataclass
 class LatencyRecorder:
     """Accumulates per-request latencies (seconds)."""
 

@@ -63,8 +63,8 @@ class TestStatsTrailerRoundTrip:
         registry = MetricsRegistry()
         registry.inc("http_requests_total", 2)
         registry.observe("request_latency_ms", 4.0)
-        registry.attach_stats_source("query_cache",
-                                     lambda: {"hits": 7, "misses": 3})
+        registry.attach_source("query_cache",
+                               lambda: {"hits": 7, "misses": 3})
         log = AccessLog(tmp_path / "access.log", metrics=registry)
         log.record(HttpRequest(target="/a"), HttpResponse(body=b"xx"))
         log.record(HttpRequest(target="/b"),
@@ -94,6 +94,34 @@ class TestStatsTrailerRoundTrip:
         assert "server latency:" in text
         assert "request_latency_ms" in text
         assert "request_latency_ms_p50:" not in text
+
+    def test_repro_stats_prints_one_table_per_label(self, tmp_path):
+        log = self.make_log(tmp_path)
+        registry = log.metrics
+        registry.labeled("overload_requests_by_class",
+                         "cost_class").inc("heavy", 2)
+        registry.attach_source(
+            "tenant", lambda: {"alpha": {"requests_total": 4,
+                                         "denied_total": 1},
+                               "beta": {"requests_total": 2}},
+            label="tenant")
+        registry.attach_source(
+            "shard", lambda: {"": {"shards": 2}, "0": {"routed": 5},
+                              "1": {"routed": 7, "failures": 1}},
+            label="shard")
+        log.append_stats_note()
+        out = io.StringIO()
+        assert cli_main(["stats", str(log.path)], out=out) == 0
+        text = out.getvalue()
+        for label in ("cost_class", "shard", "tenant"):
+            assert text.count(f"\nby {label}:\n") == 1
+        tenant_table = text.split("\nby tenant:\n")[1].splitlines()
+        assert tenant_table[0].split() == [
+            "tenant", "tenant_denied_total", "tenant_requests_total"]
+        assert tenant_table[1].split() == ["alpha", "1", "4"]
+        assert tenant_table[2].split() == ["beta", "0", "2"]
+        assert "  shard_shards: 2" in text  # unlabeled: a plain counter
+        assert "{" not in text  # no raw sample names leak through
 
     def test_later_trailers_supersede_earlier_ones(self, tmp_path):
         log = self.make_log(tmp_path)

@@ -100,6 +100,7 @@ class FakeTransport:
         self.socket = FakeSocket()
         self.written = b""
         self.closed = False
+        self.aborted = False
         self.reading = True
 
     def get_extra_info(self, name):
@@ -117,6 +118,9 @@ class FakeTransport:
 
     def close(self):
         self.closed = True
+
+    def abort(self):
+        self.closed = self.aborted = True
 
     def is_closing(self):
         return self.closed
@@ -343,6 +347,30 @@ class TestTheOneTimer:
             edge.finish_one()
         assert len(edge.loop.timers) == 1
 
+    def test_unread_closing_response_is_aborted_after_timeout(self, edge):
+        """A client that never reads its answer must not hold the slot:
+        ``close`` waits for a flush that will never come."""
+        protocol, transport = edge.connect(pause_on_write=True)
+        protocol.data_received(
+            b"GET /hello HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert transport.closed and not transport.aborted
+        edge.loop.advance(29.0)
+        assert not transport.aborted
+        edge.loop.advance(1.5)
+        assert transport.aborted
+
+    def test_a_slow_reader_that_keeps_reading_is_not_cut(self, edge):
+        protocol, transport = edge.connect(pause_on_write=True)
+        protocol.data_received(HELLO + HELLO)
+        for _ in range(3):  # it falls behind again each time
+            edge.loop.advance(20.0)
+            protocol.resume_writing()
+            protocol.pause_writing()
+        assert not transport.closed
+        assert edge.handled == ["/hello"] * 2
+        edge.loop.advance(30.5)  # ...until it stops reading for good
+        assert transport.aborted
+
     def test_a_lost_connection_cancels_its_timer(self, edge):
         protocol, _ = edge.connect()
         assert edge.server.active_connections == 1
@@ -400,6 +428,20 @@ class TestRouterFailure:
         assert b"Retry-After" in shed.written and shed.closed
         assert edge.server.active_connections == 1
         assert len(edge.loop.timers) == 1  # the shed one armed none
+
+
+class TestShutdownSweep:
+    def test_connection_made_after_the_shutdown_sweep_is_aborted(
+            self, edge):
+        """A connection accepted in the loop iteration that stops the
+        server reaches ``connection_made`` after the sweep."""
+        _, early = edge.connect()
+        edge.server._drop_connections()
+        assert early.aborted
+        _, late = edge.connect()
+        assert late.aborted and late.written == b""
+        assert edge.server.active_connections == 1  # the early one only
+        assert len(edge.loop.timers) == 1  # the late one armed none
 
 
 # -- the cost guard ---------------------------------------------------------

@@ -59,7 +59,7 @@ class TestMetricsEndpoint:
 
     def test_scrape_includes_attached_legacy_sources(self, site):
         _, site = site
-        site.router.metrics.attach_stats_source(
+        site.router.metrics.attach_source(
             "query_cache", lambda: {"hits": 5})
         text = get(site, "/metrics").body.decode()
         assert "query_cache_hits 5" in text
@@ -81,8 +81,8 @@ class TestStatusz:
             "application/json; charset=utf-8"
         snapshot = json.loads(response.body)
         assert snapshot["counters"]["http_requests_total"] == 1
-        assert snapshot["histograms"]["request_latency_ms"]["count"] == 1
-        assert "sources" in snapshot
+        assert snapshot["summaries"]["request_latency_ms_count"] == 1
+        assert set(snapshot) == {"counters", "gauges", "summaries"}
 
     def test_scrape_requests_are_counted_too(self, site):
         """Each scrape reflects the requests completed before it."""
@@ -104,8 +104,8 @@ class TestStatusz:
                     body = response.read()
         finally:
             server.shutdown()
-        handoff = json.loads(body)["histograms"]["edge_handoff_wait_ms"]
-        assert handoff["count"] == 1
+        summaries = json.loads(body)["summaries"]
+        assert summaries["edge_handoff_wait_ms_count"] == 1
 
 
 class TestRequestSpans:

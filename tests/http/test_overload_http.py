@@ -49,8 +49,8 @@ class TestRouterAdmission:
         router = make_router(overload=controller, metrics=metrics)
         response = router.handle(make_request())
         assert response.status == 200
-        assert controller.stats()["inflight"] == 0  # slot returned
-        assert controller.stats()["admitted"] == 1
+        assert metrics.gauge("overload_inflight").value == 0  # returned
+        assert metrics.counter("overload_admitted_total").value == 1
 
     def test_shed_request_answers_503_with_shared_retry_after(self):
         metrics = MetricsRegistry()
@@ -97,7 +97,7 @@ class TestRouterAdmission:
         router._route = explode
         with pytest.raises(RuntimeError):
             router.handle(make_request())
-        assert controller.stats()["inflight"] == 0
+        assert controller.metrics.gauge("overload_inflight").value == 0
 
 
 class TestAsyncEdgeExecutorGuard:

@@ -26,3 +26,49 @@ def test_deployment_guide_does_not_sell_method_replay_as_write_safety():
     assert "only if idempotent" not in guide
     assert "rather than risking a doubled write" not in guide
     assert "_PeerDispatcher.run" in guide
+
+
+def documented_families() -> list[tuple[str, str, str]]:
+    """``(token, family regex, label or "")`` for every backticked name
+    in the first column of docs/observability.md §2's family table."""
+    guide = (ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    section = guide.split("## 2. ", 1)[1].split("\n## ", 1)[0]
+    documented = []
+    for row in re.findall(r"^\| (`.*?) \|", section, re.M):
+        # (parenthesised names are examples or the keys a row covers)
+        for token in re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", row)):
+            family, _, label = token.partition("{")
+            pattern = "".join(
+                "[a-z0-9_]+" if part.startswith("<")
+                else "[a-z0-9_]*" if part == "*" else re.escape(part)
+                for part in re.split(r"(<[^>]+>|\*)", family))
+            documented.append((token, pattern, label.partition("=")[0]))
+    return documented
+
+
+def test_observability_table_matches_a_wired_registry():
+    """Every family and source prefix in the §2 table exists on a
+    registry wired the way ``repro serve`` wires it, with the label the
+    row names, and every family on that registry has a row."""
+    from repro.obs.metrics import parse_sample
+    from tests.obs.test_scrape_validity import wired_registry
+
+    labels: dict[str, str] = {}  # family -> its label ("" for none)
+    for line in wired_registry().render_text().splitlines():
+        if line.startswith("# TYPE "):
+            family = line.split()[2]
+            labels[family] = ""
+        elif line:
+            label = parse_sample(line.rsplit(" ", 1)[0])[1]
+            if label not in (None, "quantile"):
+                labels[family] = label
+    documented = documented_families()
+    for token, pattern, label in documented:
+        assert any(re.fullmatch(pattern, family)
+                   and (not label or labels[family] == label)
+                   for family in labels), \
+            f"documented, not on the registry: {token}"
+    undocumented = sorted(
+        f for f in labels
+        if not any(re.fullmatch(p, f) for _, p, _ in documented))
+    assert not undocumented, f"no §2 row: {undocumented}"

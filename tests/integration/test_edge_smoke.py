@@ -167,6 +167,36 @@ def test_inprocess_serve_keeps_its_connections_warm(tmp_path):
     assert not log.exists()
 
 
+def test_tenant_databases_are_pooled_like_the_main_registry(tmp_path):
+    """``--tenant-config`` databases lease pooled connections too: a
+    tenant's WAL-mode file keeps its log across a request, and Ctrl-C
+    folds it back."""
+    tenant_dir = tmp_path / "alpha"
+    tenant_dir.mkdir()
+    db_path, log = wal_deployment(tenant_dir)
+    config = tmp_path / "tenants.json"
+    config.write_text(json.dumps({"tenants": [
+        {"name": "alpha", "owner": "alice", "visibility": "public",
+         "macros": str(tenant_dir),
+         "databases": {"URLDB": str(db_path)}}]}), encoding="utf-8")
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--macros", str(tmp_path),
+         "--tenant-config", str(config), "--port", "0"],
+        env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    try:
+        base = read_banner(serve, r"on (http://[\d.]+:\d+)", "serve")
+        status, _, body = fetch(
+            base, REPORT.replace("/cgi-bin/db2www/", "/t/alpha/"))
+        assert status == 200 and b"URL Query Result" in body
+        assert log.exists()
+    finally:
+        serve.send_signal(signal.SIGINT)
+        serve.wait(timeout=10)
+        serve.stdout.close()
+    assert not log.exists()
+
+
 def test_sigterm_stops_serve_as_cleanly_as_ctrl_c(tmp_path):
     """SIGTERM — what ``--acceptors`` sends its children and what a
     supervisor sends by default — must run the same clean-up as Ctrl-C:

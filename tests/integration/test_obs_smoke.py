@@ -124,7 +124,7 @@ class TestLiveScrape:
         assert "traces_total" in text
         assert "span_sql_execute_ms_count" in text
         assert "slow_queries_total" in text
-        # absorbed legacy stats bags keep their historical names
+        # polled subsystem sources keep their historical names
         assert "query_cache_hits" in text
         assert "resilience_retries" in text
 
@@ -144,9 +144,9 @@ class TestLiveScrape:
         status, snapshot = scraped["statusz"]
         assert status == 200
         assert snapshot["counters"]["http_requests_total"] >= 4
-        assert snapshot["histograms"]["request_latency_ms"]["count"] >= 4
-        assert "query_cache" in snapshot["sources"]
-        assert "resilience" in snapshot["sources"]
+        assert snapshot["summaries"]["request_latency_ms_count"] >= 4
+        assert "query_cache_hits" in snapshot["gauges"]
+        assert "resilience_retries" in snapshot["gauges"]
 
     def test_statements_table_fills_after_traffic(self, scraped):
         """The digest analytics surface: report traffic must appear as
@@ -168,8 +168,8 @@ class TestLiveScrape:
         assert "slo_availability_burn_5m" in text
         assert "slo_latency_burn_1h" in text
         _, snapshot = scraped["statusz"]
-        assert "slo" in snapshot["sources"]
-        assert "statements" in snapshot["sources"]
+        assert "slo_latency_burn_1h" in snapshot["gauges"]
+        assert "statements_recorded_total" in snapshot["counters"]
 
 
 class TestShutdownArtifacts:

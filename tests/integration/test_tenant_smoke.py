@@ -190,7 +190,13 @@ class TestTenantSmoke:
         status, _, body = fetch(stack["base"], "/metrics")
         assert status == 200
         text = body.decode("utf-8")
-        assert re.search(r"tenant_alpha_requests_total \d+", text)
-        assert re.search(r"tenant_alpha_denied_total [1-9]", text)
-        assert re.search(r"tenant_alpha_throttled_total [1-9]", text)
-        assert re.search(r"tenant_beta_requests_total \d+", text)
+        assert "# TYPE tenant_requests_total counter" in text
+        assert re.search(r'tenant_requests_total\{tenant="alpha"\} \d+',
+                         text)
+        assert re.search(r'tenant_denied_total\{tenant="alpha"\} [1-9]',
+                         text)
+        assert re.search(
+            r'tenant_throttled_total\{tenant="alpha"\} [1-9]', text)
+        assert re.search(r'tenant_requests_total\{tenant="beta"\} \d+',
+                         text)
+        assert "tenant_alpha_" not in text  # one spelling per series

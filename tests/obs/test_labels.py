@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.obs.labels import OTHER_LABEL, LabeledSourceView, LabeledValues
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    OTHER_LABEL,
+    SOURCE_MAX_SERIES,
+    LabeledValues,
+    MetricsRegistry,
+)
 
 
 class TestLabeledValues:
@@ -40,42 +44,6 @@ class TestLabeledValues:
             LabeledValues("x", "l", kind="summary")
 
 
-class TestLabeledSourceView:
-    def source(self):
-        return {"": {"shards": 2},
-                "0": {"routed": 5},
-                "1": {"routed": 7}}
-
-    def test_flat_reproduces_legacy_key_names(self):
-        view = LabeledSourceView("shard", "shard", self.source)
-        assert view.flat() == {"shards": 2, "0_routed": 5,
-                               "1_routed": 7}
-
-    def test_labeled_groups_by_key(self):
-        view = LabeledSourceView("shard", "shard", self.source)
-        assert view.labeled() == {"routed": {"0": 5, "1": 7}}
-
-    def test_unlabeled_returns_the_topology_bag(self):
-        view = LabeledSourceView("shard", "shard", self.source)
-        assert view.unlabeled() == {"shards": 2}
-
-    def test_labeled_caps_series_but_flat_does_not(self):
-        bags = {str(i): {"requests": i} for i in range(5)}
-        view = LabeledSourceView("tenant", "tenant", lambda: bags,
-                                 max_series=2)
-        labeled = view.labeled()["requests"]
-        assert labeled == {"0": 0, "1": 1, OTHER_LABEL: 2 + 3 + 4}
-        assert len(view.flat()) == 5  # legacy consumers parse exact keys
-
-    def test_broken_source_yields_empty_views(self):
-        def boom():
-            raise RuntimeError("bag died")
-        view = LabeledSourceView("tenant", "tenant", boom)
-        assert view.flat() == {}
-        assert view.labeled() == {}
-        assert view.unlabeled() == {}
-
-
 class TestRegistryIntegration:
     def test_labeled_is_get_or_create(self):
         registry = MetricsRegistry()
@@ -87,34 +55,60 @@ class TestRegistryIntegration:
         registry = MetricsRegistry()
         registry.labeled("overload_requests_by_class",
                          "cost_class").inc("cached", 4)
-        flat = registry.flat()
-        assert flat["overload_requests_by_class_cached"] == 4
-        snapshot = registry.snapshot()
-        assert snapshot["labeled"]["overload_requests_by_class"] == {
-            "label": "cost_class", "series": {"cached": 4}}
+        sample = 'overload_requests_by_class{cost_class="cached"}'
+        assert registry.flat()[sample] == 4
+        assert registry.snapshot()["counters"] == {sample: 4}
 
-    def test_labeled_source_keeps_legacy_flat_keys(self):
+    def test_labeled_source_renders_only_labeled_samples(self):
         registry = MetricsRegistry()
-        registry.attach_labeled_source(
-            "tenant", "tenant",
-            lambda: {"acme": {"requests_total": 9}})
-        # the historical flattened name on every legacy read path
-        assert registry.flat()["tenant_acme_requests_total"] == 9
-        assert registry.snapshot()["sources"]["tenant"] == {
-            "acme_requests_total": 9}
-        assert "tenant" in registry.source_names()
+        registry.attach_source(
+            "tenant", lambda: {"acme": {"requests_total": 9}},
+            label="tenant")
+        sample = 'tenant_requests_total{tenant="acme"}'
+        assert registry.flat() == {sample: 9}
+        assert registry.snapshot()["counters"] == {sample: 9}
+        assert "tenant_acme" not in registry.render_text()
 
     def test_render_text_emits_both_shapes(self):
+        """A live labeled family and a labeled source: one shape."""
         registry = MetricsRegistry()
         registry.labeled("requests_by_class", "cost_class").inc("heavy")
-        registry.attach_labeled_source(
-            "tenant", "tenant",
-            lambda: {"acme": {"requests_total": 9}})
+        registry.attach_source(
+            "tenant", lambda: {"acme": {"requests_total": 9}},
+            label="tenant")
         text = registry.render_text()
         assert "# TYPE requests_by_class counter" in text
         assert 'requests_by_class{cost_class="heavy"} 1' in text
+        assert "# TYPE tenant_requests_total counter" in text
         assert 'tenant_requests_total{tenant="acme"} 9' in text
-        assert "tenant_acme_requests_total 9" in text  # legacy line
+        assert "tenant_acme_requests_total" not in text
+
+    def test_labeled_source_caps_entities_into_other(self):
+        bags = {f"t{i:03}": {"requests_total": 1}
+                for i in range(SOURCE_MAX_SERIES + 3)}
+        registry = MetricsRegistry()
+        registry.attach_source("tenant", lambda: bags, label="tenant")
+        flat = registry.flat()
+        assert len(flat) == SOURCE_MAX_SERIES + 1
+        assert flat[f'tenant_requests_total{{tenant="{OTHER_LABEL}"}}'] == 3
+
+    def test_empty_label_value_carries_the_unlabeled_keys(self):
+        registry = MetricsRegistry()
+        registry.attach_source(
+            "shard", lambda: {"": {"shards": 2}, "0": {"routed": 5},
+                              "1": {"routed": 7}},
+            label="shard")
+        assert registry.flat() == {"shard_shards": 2,
+                                   'shard_routed{shard="0"}': 5,
+                                   'shard_routed{shard="1"}': 7}
+
+    def test_a_broken_labeled_source_renders_nothing(self):
+        def boom():
+            raise RuntimeError("bag died")
+        registry = MetricsRegistry()
+        registry.attach_source("tenant", boom, label="tenant")
+        registry.inc("ok")
+        assert registry.flat() == {"ok": 1}
 
     def test_label_values_are_escaped_in_the_exposition(self):
         registry = MetricsRegistry()
@@ -123,4 +117,5 @@ class TestRegistryIntegration:
         assert 'f{l="we\\"ird\\nname"} 1' in text
 
     def test_snapshot_omits_labeled_key_when_empty(self):
-        assert "labeled" not in MetricsRegistry().snapshot()
+        assert MetricsRegistry().snapshot() == {
+            "counters": {}, "gauges": {}, "summaries": {}}

@@ -70,13 +70,14 @@ class TestFlatView:
         flat = registry.flat()
         assert flat["hits"] == 3
         assert flat["latency_ms_count"] == 1
-        for suffix in ("mean", "p50", "p95", "p99"):
-            assert f"latency_ms_{suffix}" in flat
+        assert flat["latency_ms_sum"] == 5.0
+        for quantile in ("0.5", "0.95", "0.99"):
+            assert f'latency_ms{{quantile="{quantile}"}}' in flat
 
     def test_sources_keep_historical_key_names(self):
         registry = MetricsRegistry()
-        registry.attach_stats_source("query_cache",
-                                     lambda: {"hits": 7, "misses": 2})
+        registry.attach_source("query_cache",
+                               lambda: {"hits": 7, "misses": 2})
         flat = registry.flat()
         assert flat["query_cache_hits"] == 7
         assert flat["query_cache_misses"] == 2
@@ -87,10 +88,10 @@ class TestFlatView:
         def broken():
             raise RuntimeError("bag exploded")
 
-        registry.attach_stats_source("bad", broken)
+        registry.attach_source("bad", broken)
         registry.inc("ok")
-        assert registry.flat()["ok"] == 1
-        assert registry.snapshot()["sources"]["bad"] == {}
+        assert registry.flat() == {"ok": 1}
+        assert registry.snapshot()["counters"] == {"ok": 1}
         assert "ok 1" in registry.render_text()
 
 
@@ -102,12 +103,11 @@ class TestSnapshot:
         registry.inc("hits")
         registry.set_gauge("pool", 3)
         registry.observe("latency_ms", 1.0)
-        registry.attach_stats_source("cache", lambda: {"hits": 1})
+        registry.attach_source("cache", lambda: {"hits": 1})
         snap = registry.snapshot()
         assert snap["counters"] == {"hits": 1}
-        assert snap["gauges"] == {"pool": 3}
-        assert snap["histograms"]["latency_ms"]["count"] == 1
-        assert snap["sources"]["cache"] == {"hits": 1}
+        assert snap["gauges"] == {"pool": 3, "cache_hits": 1}
+        assert snap["summaries"]["latency_ms_count"] == 1
         json.dumps(snap)  # must serialise as-is
 
 
@@ -133,10 +133,18 @@ class TestTextExposition:
         assert "request_latency_ms_count 1" in text
         assert "request_latency_ms_sum 10" in text
 
+    def test_polled_type_is_worked_out_from_the_key(self):
+        registry = MetricsRegistry()
+        registry.attach_source("slo", lambda: {"requests_total": 4,
+                                               "latency_burn_5m": 0.5})
+        text = registry.render_text()
+        assert "# TYPE slo_requests_total counter" in text
+        assert "# TYPE slo_latency_burn_5m gauge" in text
+
     def test_metric_names_are_sanitized_for_scraping(self):
         registry = MetricsRegistry()
-        registry.attach_stats_source("worker-pool",
-                                     lambda: {"busy%": 1})
+        registry.attach_source("worker-pool", lambda: {"busy%": 1})
         text = registry.render_text()
         assert "worker_pool_busy_ 1" in text
         assert "worker-pool" not in text
+        assert registry.flat() == {"worker_pool_busy_": 1}

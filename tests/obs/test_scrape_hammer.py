@@ -4,7 +4,7 @@ The registry is written from request threads, shard workers and the
 overload controller while /metrics and /statusz render on another —
 this hammer pins that every read path (flat, snapshot, render_text)
 survives concurrent mutation of counters, histograms, labeled families
-and labeled sources, and that a rendered histogram is never torn into
+and labeled sources, and that a rendered summary is never torn into
 an impossible state (quantiles present without a count, NaNs, ...).
 """
 
@@ -22,9 +22,9 @@ def test_concurrent_scrape_never_throws_or_tears():
     registry = MetricsRegistry()
     statements = StatementStats(max_digests=8)
     statements.enabled = True
-    registry.attach_labeled_source("statement", "digest",
-                                   statements.labeled_stats)
-    registry.attach_stats_source("statements", statements.stats)
+    registry.attach_source("statement", statements.labeled_stats,
+                           label="digest")
+    registry.attach_source("statements", statements.stats)
     errors = []
 
     def writer(seed: int):
@@ -52,13 +52,18 @@ def test_concurrent_scrape_never_throws_or_tears():
             flat = registry.flat()
             assert all(isinstance(v, (int, float))
                        for v in flat.values())
-            snapshot = registry.snapshot()
-            latency = snapshot["histograms"].get("request_latency_ms")
-            if latency is not None and latency["count"]:
-                # a torn histogram would show quantiles beyond max or
-                # a sum wildly off the observed range
-                assert 0.0 <= latency["p50"] <= latency["max"] + 1e-9
-                assert latency["sum"] >= 0.0
+            summaries = registry.snapshot()["summaries"]
+            count = summaries.get("request_latency_ms_count")
+            if count:
+                # a torn summary would show quantiles out of order or a
+                # sum wildly off the observed range
+                p50, p99 = (summaries[
+                    f'request_latency_ms{{quantile="{q}"}}']
+                    for q in ("0.5", "0.99"))
+                assert 0.0 < p50 <= p99 + 1e-9
+                assert summaries["request_latency_ms_sum"] >= 0.5 * count
+            assert not any(key.startswith("statement_d")
+                           for key in flat)  # digests only as labels
             text = registry.render_text()
             assert text.endswith("\n")
             statements.snapshot(limit=5)

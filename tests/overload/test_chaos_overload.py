@@ -75,4 +75,4 @@ class TestChaosWithShedder:
         assert statuses.get(200, 0) > 0
         assert registry.resilience_stats()["injected_total"] > 0
         # Every admission was balanced by a release.
-        assert controller.stats()["inflight"] == 0
+        assert controller.metrics.gauge("overload_inflight").value == 0

@@ -42,6 +42,11 @@ class FakeDeadline:
         self._remaining = 0.0
 
 
+def live(c: OverloadController, name: str) -> float:
+    """One of the controller's live metrics, as the scrape reads it."""
+    return c.metrics.flat()[name]
+
+
 def controller(**kwargs) -> OverloadController:
     kwargs.setdefault("metrics", MetricsRegistry())
     return OverloadController(**kwargs)
@@ -53,18 +58,18 @@ class TestAdmission:
         a = c.admit(cost_class=INTERACTIVE, client_key="x")
         b = c.admit(cost_class=INTERACTIVE, client_key="y")
         assert a.queued_ms == 0.0 and b.queued_ms == 0.0
-        assert c.stats()["inflight"] == 2
+        assert live(c, "overload_inflight") == 2
         c.release(a)
         c.release(b)
-        assert c.stats()["inflight"] == 0
-        assert c.stats()["admitted"] == 2
+        assert live(c, "overload_inflight") == 0
+        assert live(c, "overload_admitted_total") == 2
 
     def test_release_is_idempotent(self):
         c = controller(max_concurrent=1)
         ticket = c.admit(cost_class=CACHED, client_key="x")
         c.release(ticket)
         c.release(ticket)  # double release must not corrupt inflight
-        assert c.stats()["inflight"] == 0
+        assert live(c, "overload_inflight") == 0
 
     def test_expired_deadline_rejected_before_any_work(self):
         c = controller(max_concurrent=4)
@@ -72,7 +77,7 @@ class TestAdmission:
         with pytest.raises(DeadlineExceededError):
             c.admit(cost_class=INTERACTIVE, client_key="x",
                     deadline=dead)
-        assert c.stats()["inflight"] == 0
+        assert live(c, "overload_inflight") == 0
 
     def test_queue_timeout_sheds_with_honest_error(self):
         c = controller(max_concurrent=1, queue_limit=4,
@@ -102,12 +107,12 @@ class TestQueueing:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        _wait_for(lambda: c.stats()["queue_depth"] == 1)
+        _wait_for(lambda: live(c, "overload_queue_depth") == 1)
         c.release(holder)
         thread.join(timeout=5.0)
         assert len(admitted) == 1
         assert admitted[0].queued_ms >= 0.0
-        assert c.stats()["queued"] == 1
+        assert live(c, "overload_queued_total") == 1
 
     def test_wfq_interleaves_clients(self):
         """A burst from one client must not starve a newcomer."""
@@ -128,12 +133,12 @@ class TestQueueing:
                   for _ in range(3)]
         for thread in chatty:
             thread.start()
-            _wait_for(lambda n=len(order): c.stats()["queue_depth"]
+            _wait_for(lambda n=len(order): live(c, "overload_queue_depth")
                       >= chatty.index(thread) + 1)
         # ...then one from a fresh client.
         fresh = threading.Thread(target=client, args=("fresh",))
         fresh.start()
-        _wait_for(lambda: c.stats()["queue_depth"] == 4)
+        _wait_for(lambda: live(c, "overload_queue_depth") == 4)
         c.release(holder)
         for thread in chatty:
             thread.join(timeout=5.0)
@@ -166,11 +171,11 @@ class TestQueueing:
 
         heavy = threading.Thread(target=heavy_waiter)
         heavy.start()
-        _wait_for(lambda: c.stats()["queue_depth"] == 1)
+        _wait_for(lambda: live(c, "overload_queue_depth") == 1)
         cached = threading.Thread(target=cached_waiter)
         cached.start()
         heavy.join(timeout=5.0)  # evicted as soon as cached arrives
-        _wait_for(lambda: c.stats()["queue_depth"] == 1)
+        _wait_for(lambda: live(c, "overload_queue_depth") == 1)
         c.release(holder)
         cached.join(timeout=5.0)
         assert outcomes == {"heavy": "shed", "cached": "admitted"}
@@ -192,7 +197,7 @@ class TestQueueing:
 
         thread = threading.Thread(target=cached_waiter)
         thread.start()
-        _wait_for(lambda: c.stats()["queue_depth"] == 1)
+        _wait_for(lambda: live(c, "overload_queue_depth") == 1)
         # A heavy arrival cannot displace the queued cached read.
         with pytest.raises(OverloadShedError) as info:
             c.admit(cost_class=HEAVY, client_key="c")
@@ -219,14 +224,13 @@ class TestDeadlinesInQueue:
 
         thread = threading.Thread(target=doomed)
         thread.start()
-        _wait_for(lambda: c.stats()["queue_depth"] == 1)
+        _wait_for(lambda: live(c, "overload_queue_depth") == 1)
         dead.expire()
         c.release(holder)  # promotion finds the corpse, skips it
         thread.join(timeout=5.0)
         assert len(raised) == 1
-        stats = c.stats()
-        assert stats["expired_in_queue"] == 1
-        assert stats["inflight"] == 0  # the slot was NOT wasted on it
+        assert live(c, "overload_expired_in_queue_total") == 1
+        assert live(c, "overload_inflight") == 0  # slot NOT wasted on it
 
 
 class TestAimdShedder:
@@ -255,9 +259,11 @@ class TestAimdShedder:
                        interactive_slo_ms=100.0, tick_interval=10.0,
                        clock=clk)
         self._breach(c, clk)
-        stats = c.stats()
-        assert stats["admit_rate_deferrable"] == pytest.approx(0.5)
-        assert stats["admit_rate_interactive"] == pytest.approx(1.0)
+        stats = c.metrics.flat()
+        assert stats["overload_admit_rate_deferrable"] == \
+            pytest.approx(0.5)
+        assert stats["overload_admit_rate_interactive"] == \
+            pytest.approx(1.0)
 
     def test_sustained_breach_reaches_floor_then_hits_interactive(self):
         clk = FakeClock()
@@ -266,9 +272,10 @@ class TestAimdShedder:
                        clock=clk)
         for _ in range(6):  # 1.0 → .5 → .25 → .125 → .0625 → .05 floor
             self._breach(c, clk)
-        stats = c.stats()
-        assert stats["admit_rate_deferrable"] == pytest.approx(0.05)
-        assert stats["admit_rate_interactive"] < 1.0
+        stats = c.metrics.flat()
+        assert stats["overload_admit_rate_deferrable"] == \
+            pytest.approx(0.05)
+        assert stats["overload_admit_rate_interactive"] < 1.0
 
     def test_healthy_windows_recover_interactive_first(self):
         clk = FakeClock()
@@ -277,15 +284,16 @@ class TestAimdShedder:
                        clock=clk)
         for _ in range(8):
             self._breach(c, clk)
-        breached = c.stats()
-        assert breached["admit_rate_interactive"] < 1.0
+        breached = c.metrics.flat()
+        assert breached["overload_admit_rate_interactive"] < 1.0
         # Fast traffic: p99 well under the SLO's healthy fraction.
         for _ in range(12):
             self._breach(c, clk, service=0.001)
-        recovered = c.stats()
-        assert recovered["admit_rate_interactive"] == pytest.approx(1.0)
-        assert recovered["admit_rate_deferrable"] \
-            > breached["admit_rate_deferrable"]
+        recovered = c.metrics.flat()
+        assert recovered["overload_admit_rate_interactive"] == \
+            pytest.approx(1.0)
+        assert recovered["overload_admit_rate_deferrable"] \
+            > breached["overload_admit_rate_deferrable"]
 
     def test_floor_rate_sheds_deferrable_traffic_probabilistically(self):
         clk = FakeClock()
@@ -330,7 +338,7 @@ class TestRetryAfterHonesty:
             c.release(ticket)
         clk.advance(1.0)
         c.release(c.admit(cost_class=CACHED, client_key="tick"))
-        rate = c.stats()["service_rate_rps"]
+        rate = live(c, "overload_service_rate")
         assert rate > 0.0
         hint = c.retry_after_hint()
         assert hint == pytest.approx(1.0 / rate, rel=0.01)
@@ -338,15 +346,14 @@ class TestRetryAfterHonesty:
 
 class TestObservability:
     def test_stats_surface(self):
+        """The polled bag is the configuration; what moves is live."""
         c = controller(max_concurrent=3, queue_limit=5,
                        interactive_slo_ms=75.0)
         c.release(c.admit(cost_class=INTERACTIVE, client_key="x"))
-        stats = c.stats()
-        assert stats["max_concurrent"] == 3
-        assert stats["queue_limit"] == 5
-        assert stats["slo_ms"] == 75.0
-        assert stats["admitted"] == 1
-        assert stats["shed"] == 0
+        assert c.stats() == {"max_concurrent": 3, "queue_limit": 5,
+                             "slo_ms": 75.0}
+        assert live(c, "overload_admitted_total") == 1
+        assert live(c, "overload_shed_total") == 0
 
     def test_metrics_rendered_on_scrape(self):
         registry = MetricsRegistry()

@@ -218,8 +218,7 @@ class TestReplicaRouting:
                           shard_key=key_for(smap, 0))
         s.execute("SELECT label FROM stock")
         s.finish()
-        stats = smap.stats()
-        assert stats["0_replica_reads"] == 1
+        assert smap.stats()["0"]["replica_reads"] == 1
 
     def test_pragma_always_goes_to_primary(self, tmp_path):
         """Regression: replica eligibility consults is_cacheable_query,
@@ -234,7 +233,7 @@ class TestReplicaRouting:
             endpoints = {endpoint for (_, endpoint) in s._sessions}
             s.finish()
             assert endpoints == {"LOG#0"}, sql
-        assert smap.stats().get("0_replica_reads", 0) == 0
+        assert "replica_reads" not in smap.stats().get("0", {})
 
     def test_writes_always_go_to_primary(self, tmp_path):
         registry, smap = make_tier(tmp_path, replicas=1)
@@ -255,7 +254,7 @@ class TestReplicaRouting:
         endpoints = {endpoint for (_, endpoint) in s._sessions}
         s.finish()
         assert endpoints == {"LOG#0"}
-        assert smap.stats()["replica_lagged"] >= 1
+        assert smap.stats()[""]["replica_lagged"] >= 1
 
     def test_dead_replica_falls_back_to_primary(self, tmp_path):
         registry, smap = make_tier(tmp_path, replicas=1)
@@ -268,7 +267,7 @@ class TestReplicaRouting:
         result = s.execute("SELECT label FROM stock")
         s.finish()
         assert result.rows  # the read still succeeded
-        assert smap.stats()["0_replica_fallbacks"] == 1
+        assert smap.stats()["0"]["replica_fallbacks"] == 1
 
     def test_replica_session_reads_but_never_stores(self, tmp_path):
         """A replica session may serve primary-stamped cache hits (the

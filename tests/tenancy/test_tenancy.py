@@ -152,8 +152,9 @@ class TestIsolation:
         response = call(router, path)
         assert response.status in (400, 404)
         # Rejected before tenant resolution: no counter moved.
-        stats = tenants.stats()
-        assert all(value == 0 for value in stats.values())
+        assert all(value == 0
+                   for bag in tenants.labeled_stats().values()
+                   for value in bag.values())
 
 
 class TestReadOnly:
@@ -246,7 +247,7 @@ class TestQuota:
         assert throttled.status == 429
         retry_after = throttled.headers.get("Retry-After")
         assert retry_after and 0 < int(retry_after) <= 60
-        assert tenants.stats()["gamma_throttled_total"] == 1
+        assert tenants.labeled_stats()["gamma"]["throttled_total"] == 1
 
     def test_row_quota_charges_after_completion(self, tenants):
         delta = tenants.create_tenant(
@@ -282,21 +283,23 @@ class TestStats:
         call(router, "/t/alpha/items.d2w/report")          # 401
         call(router, "/t/alpha/items.d2w/report",
              user="bob", password="builder")               # 403
-        stats = tenants.stats()
-        assert stats["alpha_requests_total"] == 1
-        assert stats["alpha_rows_total"] == 2
-        assert stats["alpha_denied_total"] == 2
-        assert stats["beta_requests_total"] == 0
+        stats = tenants.labeled_stats()
+        assert stats["alpha"]["requests_total"] == 1
+        assert stats["alpha"]["rows_total"] == 2
+        assert stats["alpha"]["denied_total"] == 2
+        assert stats["beta"]["requests_total"] == 0
 
     def test_stats_render_on_metrics_scrape(self, tenants):
         from repro.obs.metrics import MetricsRegistry
         metrics = MetricsRegistry()
-        metrics.attach_stats_source("tenant", tenants.stats)
+        metrics.attach_source("tenant", tenants.labeled_stats,
+                              label="tenant")
         router = Router(tenants=TenantHost(tenants), metrics=metrics)
         call(router, "/t/beta/items.d2w/report")
         scrape = call(router, "/metrics")
         assert scrape.status == 200
-        assert "tenant_beta_requests_total 1" in scrape.text
+        assert 'tenant_requests_total{tenant="beta"} 1' in scrape.text
+        assert "tenant_beta_" not in scrape.text
 
 
 class TestLifecycle:
