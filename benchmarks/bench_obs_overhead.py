@@ -296,13 +296,10 @@ def _synthetic_root(rng: random.Random, index: int) -> tuple[Span, str]:
     sql_attrs = {"digest": rng.choice(DIGESTS), "rows": index % 20}
     if kind == "error":
         sql_attrs["error"] = "SQLError"
-    root = Span.from_dict({
-        "name": "request", "trace_id": f"tid-{index}", "span_id": 1,
-        "offset_ms": 0.0, "duration_ms": duration_ms, "attrs": attrs,
-        "children": [{"name": "sql.execute", "trace_id": f"tid-{index}",
-                      "span_id": 2, "offset_ms": 1.0,
-                      "duration_ms": duration_ms * 0.8,
-                      "attrs": sql_attrs}]})
+    root = Span.from_rows(
+        [["request", -1, 0, round(duration_ms * 1000), attrs],
+         ["sql.execute", 0, 1000, round(duration_ms * 800), sql_attrs]],
+        f"tid-{index}")
     return root, kind
 
 

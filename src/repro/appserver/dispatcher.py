@@ -69,6 +69,9 @@ from repro.obs.trace import TRACER
 #: GET, so it does not by itself prevent a doubled write (ROADMAP 2).
 _REPLAYABLE = frozenset({"GET", "HEAD"})
 
+#: What the local pool counts per worker slot (and sums pool-wide).
+_SLOT_COUNTERS = ("requests", "recycles", "crashes")
+
 
 class _PeerBroken(Exception):
     """The frame stream to a peer failed mid-exchange (as opposed to a
@@ -76,15 +79,17 @@ class _PeerBroken(Exception):
 
 
 class _Peer:
-    """What the core leases: a connection, its number in the pool and
-    the attributes its ``appserver.dispatch`` spans carry."""
+    """What the core leases: a connection and the reader of its frames,
+    its number in the pool and the attributes its
+    ``appserver.dispatch`` spans carry."""
 
-    __slots__ = ("slot", "conn", "span_attrs")
+    __slots__ = ("slot", "conn", "reader", "span_attrs")
 
     def __init__(self, slot: int, conn: socket.socket,
                  span_attrs: tuple):
         self.slot = slot
         self.conn = conn
+        self.reader = protocol.FrameReader(conn)
         self.span_attrs = span_attrs
 
 
@@ -157,7 +162,7 @@ class _PeerDispatcher:
         for peer in idle:
             try:
                 protocol.send_frame(peer.conn, protocol.FRAME_PING)
-                frame = protocol.recv_frame(peer.conn)
+                frame = peer.reader.read()
                 alive = frame is not None \
                     and frame[0] == protocol.FRAME_PONG
             except (OSError, CgiProtocolError):
@@ -217,7 +222,7 @@ class _PeerDispatcher:
             try:
                 protocol.send_frame(peer.conn, protocol.FRAME_REQUEST,
                                     protocol.encode_request(request))
-                frame = protocol.recv_frame(peer.conn)
+                frame = peer.reader.read()
             except (OSError, CgiProtocolError) as exc:
                 raise _PeerBroken(str(exc)) from exc
             if frame is None:
@@ -234,12 +239,12 @@ class _PeerDispatcher:
                     f"expected a RESPONSE frame, got type {frame_type}")
             try:
                 response = protocol.decode_response(payload)
+                if response.trace is not None:
+                    # Stitch the worker-side span rows into this
+                    # request's trace, under this dispatch span.
+                    TRACER.graft(response.trace)
             except CgiProtocolError as exc:
                 raise _PeerBroken(str(exc)) from exc
-            if response.trace is not None:
-                # Stitch the worker-side spans into this request's
-                # trace; their ids match (the frame carried the id).
-                TRACER.graft(response.trace)
             return response
 
 
@@ -298,9 +303,9 @@ class AppServerDispatcher(_PeerDispatcher):
         self._spawn_lock = threading.Lock()
         #: the thread running a planned replacement, if one is in flight
         self._recycler: Optional[threading.Thread] = None
-        self._slot_requests = {i: 0 for i in range(workers)}
-        self._slot_recycles = {i: 0 for i in range(workers)}
-        self._slot_crashes = {i: 0 for i in range(workers)}
+        #: slot -> its counters, summed over the slot's incarnations
+        self._slots = {slot: dict.fromkeys(_SLOT_COUNTERS, 0)
+                       for slot in range(workers)}
         try:
             for slot in range(workers):
                 # Stagger the first planned recycles across one period.
@@ -313,22 +318,24 @@ class AppServerDispatcher(_PeerDispatcher):
     # -- observability -----------------------------------------------------
 
     def stats(self) -> dict[str, int]:
-        """Aggregate and per-worker counters (flat, log-friendly keys)."""
+        """Pool-wide counters; per-slot ones are :meth:`labeled_stats`."""
         with self._lock:
-            stats = {
-                "workers": len(self._live),
-                "requests": sum(self._slot_requests.values()),
-                "recycles": sum(self._slot_recycles.values()),
-                "crashes": sum(self._slot_crashes.values()),
-                "crash_retries": self._replays,
-                "busy_timeouts": self._busy_timeouts,
-            }
-            for slot in sorted(self._slot_requests):
-                for name, counts in (("requests", self._slot_requests),
-                                     ("recycles", self._slot_recycles),
-                                     ("crashes", self._slot_crashes)):
-                    stats[f"worker_{slot}_{name}"] = counts[slot]
+            stats = {"workers": len(self._live)}
+            for name in _SLOT_COUNTERS:
+                stats[name] = sum(counts[name]
+                                  for counts in self._slots.values())
+            stats["crash_retries"] = self._replays
+            stats["busy_timeouts"] = self._busy_timeouts
         return stats
+
+    def labeled_stats(self) -> dict[str, dict[str, int]]:
+        """The ``appserver`` metrics source (``label="worker"``):
+        :meth:`stats` under the empty label, each slot's counters under
+        the slot number."""
+        with self._lock:
+            slots = {str(slot): dict(counts)
+                     for slot, counts in self._slots.items()}
+        return {"": self.stats(), **slots}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -396,7 +403,8 @@ class AppServerDispatcher(_PeerDispatcher):
                         f"app-server worker {slot} never connected "
                         f"(within {self.spawn_timeout:.3g}s)") from exc
                 conn.settimeout(self.request_timeout)
-                frame = protocol.recv_frame(conn)
+                worker = _Worker(slot, proc, conn, lifetime)
+                frame = worker.reader.read()
                 if frame is None or frame[0] != protocol.FRAME_HELLO:
                     raise CgiProtocolError(
                         f"app-server worker {slot} sent no HELLO")
@@ -412,7 +420,6 @@ class AppServerDispatcher(_PeerDispatcher):
                 proc.kill()
                 proc.wait()
                 raise
-        worker = _Worker(slot, proc, conn, lifetime)
         with self._lock:
             self._live[slot] = worker
         return worker
@@ -420,7 +427,7 @@ class AppServerDispatcher(_PeerDispatcher):
     def _checkin(self, worker: _Worker) -> None:
         worker.served += 1
         with self._lock:
-            self._slot_requests[worker.slot] += 1
+            self._slots[worker.slot]["requests"] += 1
             # At most one planned replacement at a time: a worker that
             # comes due while another is being replaced keeps serving
             # and is recycled at a later check-in.
@@ -441,7 +448,7 @@ class AppServerDispatcher(_PeerDispatcher):
         try:
             self._retire(worker)
             with self._lock:
-                self._slot_recycles[slot] += 1
+                self._slots[slot]["recycles"] += 1
             self._respawn(slot)
         finally:
             with self._lock:
@@ -452,7 +459,7 @@ class AppServerDispatcher(_PeerDispatcher):
         slot = worker.slot
         self._kill(worker)
         with self._lock:
-            self._slot_crashes[slot] += 1
+            self._slots[slot]["crashes"] += 1
             self._live.pop(slot, None)
         self._respawn(slot)
 

@@ -11,10 +11,38 @@ one frame —
 
 Control frames (``HELLO``/``PING``/``PONG``/``SHUTDOWN``/``ERROR``)
 carry a small JSON object or nothing.  ``REQUEST``/``RESPONSE``
-payloads are a JSON header (CGI environment, or status line and
-headers) length-prefixed the same way, followed by the raw body bytes —
-the body is never JSON-escaped, so a megabyte page costs a memcpy, not
-an encode.
+payloads are a JSON header length-prefixed the same way, followed by
+the raw body bytes — the body is never JSON-escaped, so a megabyte page
+costs a memcpy, not an encode.  Both headers are positional JSON lists:
+
+``REQUEST``
+    The :class:`~repro.cgi.environ.CgiEnvironment` fields in declaration
+    order: ``[method, script_name, path_info, query_string,
+    content_type, content_length, server_name, server_port,
+    remote_addr, remote_user, tenant, http_headers, trace_id]``.
+    ``http_headers`` is the environment's own dict, sent verbatim: its
+    names were canonicalised where the environment was built
+    (:func:`repro.cgi.environ.cgi_headers`).  The trace id, the
+    authenticated ``REMOTE_USER`` and the tenant all ride here, so a
+    worker serves a request with the identity the edge authenticated.
+``RESPONSE``
+    ``[status, reason, [[name, value], ...], spans]``.  ``spans`` is
+    ``null`` or the worker's span tree as flat rows ``[name,
+    parent_row, offset_us, duration_us, attrs]``, depth-first from the
+    root (row 0, parent ``-1``), offsets from the root's start
+    (:meth:`repro.obs.trace.Span.export`).  No trace or span id
+    crosses: the dispatcher grafts the rows under its live span and
+    they join that span's trace (:meth:`repro.obs.trace.Tracer.graft`).
+
+The decoders check each header's arity and every field's type (JSON
+``true`` is not an int) and raise :class:`~repro.errors.CgiProtocolError`
+on anything else.  Nothing is negotiated: both ends of a socket — a
+``--connect`` edge and its ``--listen`` daemon included — must run the
+same version of this module.
+
+Frames are read through one :class:`FrameReader` per socket, which
+takes a frame in a single ``recv`` when it fits and carries any bytes
+past the frame to the next read.
 
 The frame format is transport-agnostic: the same codecs run over the
 dispatcher's local ``AF_UNIX`` rendezvous socket and over TCP between
@@ -26,9 +54,12 @@ socket path (:func:`parse_endpoint`).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import struct
+from itertools import chain
+from operator import attrgetter
 from typing import Optional
 
 from repro.cgi.environ import CgiEnvironment
@@ -48,10 +79,33 @@ FRAME_ERROR = 0x07      # pool daemon → remote dispatcher: the request
                         # channel itself stays healthy
 
 _FRAME_HEAD = struct.Struct(">BI")
+_HEAD_SIZE = _FRAME_HEAD.size
 _JSON_LEN = struct.Struct(">I")
 
 #: A frame larger than this is a protocol violation, not a big page.
 MAX_FRAME_SIZE = 64 * 1024 * 1024
+
+#: Bytes asked of one ``recv``: a frame up to this size takes one read.
+_READ_SIZE = 65536
+
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+
+_ENV_NAMES = [field.name for field in dataclasses.fields(CgiEnvironment)]
+#: The request header, read off an environment in one call ...
+_env_values = attrgetter(*_ENV_NAMES)
+#: ... and the type each position must decode to: its default's type
+#: (``http_headers``, the one field built by a factory, is a dict).  A
+#: list, compared with a list: ``tuple(map(...))`` resizes as it fills,
+#: and every resized tuple is parked on the interpreter's tuple free
+#: list when freed — ~280 KB more resident per process once it fills.
+_ENV_TYPES = [
+    dict if field.default is dataclasses.MISSING else type(field.default)
+    for field in dataclasses.fields(CgiEnvironment)]
+_HEADERS_AT = _ENV_NAMES.index("http_headers")
+_JUST_STR = frozenset({str})
+_JUST_LIST = frozenset({list})
+_JUST_PAIRS = frozenset({2})
 
 
 def send_frame(sock: socket.socket, frame_type: int,
@@ -59,49 +113,71 @@ def send_frame(sock: socket.socket, frame_type: int,
     sock.sendall(_FRAME_HEAD.pack(frame_type, len(payload)) + payload)
 
 
-def recv_frame(sock: socket.socket) -> Optional[tuple[int, bytes]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+class FrameReader:
+    """Reads the frames arriving on one socket.
 
-    EOF in the *middle* of a frame means the peer died mid-message and
-    raises :class:`CgiProtocolError` — the dispatcher treats that as a
-    worker crash.
+    A frame that fits in one ``recv`` takes one.  Bytes past the end of
+    a frame are kept for the next :meth:`read`, never dropped: a peer
+    may write two frames in one ``send`` (``TcpPoolDispatcher.shutdown``
+    can put a ``SHUTDOWN`` right behind a busy channel's ``REQUEST``).
+    Use one reader per socket for the socket's whole life.
     """
-    head = _recv_exact(sock, _FRAME_HEAD.size, eof_ok=True)
-    if head is None:
-        return None
-    frame_type, length = _FRAME_HEAD.unpack(head)
-    if length > MAX_FRAME_SIZE:
-        raise CgiProtocolError(
-            f"app-server frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_SIZE}-byte limit")
-    payload = _recv_exact(sock, length) if length else b""
-    return frame_type, payload
 
+    __slots__ = ("sock", "_buffer")
 
-def _recv_exact(sock: socket.socket, count: int, *,
-                eof_ok: bool = False) -> Optional[bytes]:
-    parts = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 65536))
-        if not chunk:
-            if eof_ok and remaining == count:
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._buffer = b""
+
+    def read(self) -> Optional[tuple[int, bytes]]:
+        """The next frame; ``None`` on clean EOF at a frame boundary.
+
+        EOF in the *middle* of a frame means the peer died mid-message
+        and raises :class:`CgiProtocolError` — the dispatcher treats
+        that as a worker crash.
+        """
+        buffer = self._buffer
+        while len(buffer) < _HEAD_SIZE:
+            chunk = self.sock.recv(_READ_SIZE)
+            if not chunk:
+                if buffer:
+                    raise CgiProtocolError(
+                        "app-server connection closed mid-frame")
                 return None
+            buffer += chunk
+        frame_type, length = _FRAME_HEAD.unpack_from(buffer)
+        if length > MAX_FRAME_SIZE:
             raise CgiProtocolError(
-                "app-server connection closed mid-frame")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+                f"app-server frame of {length} bytes exceeds the "
+                f"{MAX_FRAME_SIZE}-byte limit")
+        end = _HEAD_SIZE + length
+        if len(buffer) >= end:
+            self._buffer = buffer[end:]
+            return frame_type, buffer[_HEAD_SIZE:end]
+        # Larger than what has arrived: read exactly the rest, so
+        # nothing past this frame is taken.
+        parts = [buffer[_HEAD_SIZE:]]
+        remaining = end - len(buffer)
+        while remaining:
+            chunk = self.sock.recv(min(remaining, _READ_SIZE))
+            if not chunk:
+                raise CgiProtocolError(
+                    "app-server connection closed mid-frame")
+            parts.append(chunk)
+            remaining -= len(chunk)
+        self._buffer = b""
+        return frame_type, b"".join(parts)
 
 
 # -- payload codecs --------------------------------------------------------
 
-def _pack_json(header: dict, body: bytes) -> bytes:
-    encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
+def _pack(header, body: bytes) -> bytes:
+    encoded = _encode_json(header).encode("utf-8")
     return _JSON_LEN.pack(len(encoded)) + encoded + body
 
 
-def _unpack_json(payload: bytes) -> tuple[dict, bytes]:
+def _unpack(payload: bytes, arity: int, what: str) -> tuple[list, bytes]:
+    """The positional header (a list of ``arity`` items) and the body."""
     if len(payload) < _JSON_LEN.size:
         raise CgiProtocolError("app-server payload too short for header")
     (length,) = _JSON_LEN.unpack_from(payload)
@@ -109,65 +185,53 @@ def _unpack_json(payload: bytes) -> tuple[dict, bytes]:
     if len(payload) < start + length:
         raise CgiProtocolError("app-server payload header truncated")
     try:
-        header = json.loads(payload[start:start + length])
+        header = _decode_json(payload[start:start + length].decode("utf-8"))
     except ValueError as exc:
         raise CgiProtocolError(
             f"malformed app-server header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CgiProtocolError("app-server header is not an object")
+    if type(header) is not list or len(header) != arity:
+        raise CgiProtocolError(
+            f"app-server {what} header is not a list of {arity} fields")
     return header, payload[start + length:]
 
 
 def encode_request(request: CgiRequest) -> bytes:
-    # The environment dict is the complete request context: the trace
-    # id, the authenticated REMOTE_USER and the tenant id (REPRO_TENANT)
-    # all ride it, so a worker process serves a multi-tenant request
-    # with the same identity the edge authenticated.
-    return _pack_json({"environ": request.environ.to_dict()},
-                      request.stdin)
+    return _pack(_env_values(request.environ), request.stdin)
 
 
 def decode_request(payload: bytes) -> CgiRequest:
-    header, body = _unpack_json(payload)
-    try:
-        environ = CgiEnvironment.from_dict(dict(header.get("environ", {})))
-    except (TypeError, ValueError) as exc:
-        # not an object, or a CONTENT_LENGTH / SERVER_PORT no int reads
+    header, body = _unpack(payload, len(_ENV_TYPES), "request")
+    if list(map(type, header)) != _ENV_TYPES \
+            or not set(map(type, header[_HEADERS_AT].values())) <= _JUST_STR:
         raise CgiProtocolError(
-            f"malformed app-server request header: {exc}") from exc
-    return CgiRequest(environ=environ, stdin=body)
+            "malformed app-server request header: a field has the "
+            "wrong type")
+    return CgiRequest(environ=CgiEnvironment(*header), stdin=body)
 
 
 def encode_response(response: CgiResponse,
-                    trace: Optional[dict] = None) -> bytes:
+                    trace: Optional[list] = None) -> bytes:
     # Workers answer with complete pages; a streaming body is drained
     # here (the dispatcher side of the socket re-buffers anyway).
     response.drain()
-    header = {
-        "status": response.status,
-        "reason": response.reason,
-        "headers": [[key, value] for key, value in response.headers],
-    }
-    if trace:
-        # The worker's exported span tree (Span.to_dict), grafted into
-        # the dispatcher's live request trace on the other side.
-        header["trace"] = trace
-    return _pack_json(header, response.body)
+    return _pack((response.status, response.reason, response.headers,
+                  trace or None), response.body)
 
 
 def decode_response(payload: bytes) -> CgiResponse:
-    header, body = _unpack_json(payload)
-    try:
-        status = int(header["status"])
-        reason = str(header.get("reason", "OK"))
-        headers = [(str(k), str(v)) for k, v in header.get("headers", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    (status, reason, headers, trace), body = _unpack(payload, 4, "response")
+    if type(status) is not int or type(reason) is not str \
+            or type(headers) is not list \
+            or not set(map(type, headers)) <= _JUST_LIST \
+            or not set(map(len, headers)) <= _JUST_PAIRS \
+            or not set(map(type, chain.from_iterable(headers))) <= _JUST_STR \
+            or (trace is not None and type(trace) is not list):
         raise CgiProtocolError(
-            f"malformed app-server response header: {exc}") from exc
-    trace = header.get("trace")
-    return CgiResponse(status=status, reason=reason, headers=headers,
-                       body=body,
-                       trace=trace if isinstance(trace, dict) else None)
+            "malformed app-server response header: a field has the "
+            "wrong type")
+    return CgiResponse(status=status, reason=reason,
+                       headers=list(map(tuple, headers)), body=body,
+                       trace=trace)
 
 
 # -- transport endpoints ---------------------------------------------------
@@ -255,7 +319,7 @@ def pool_error(payload: bytes) -> Exception:
 
 
 def encode_control(fields: dict) -> bytes:
-    return json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    return _encode_json(fields).encode("utf-8")
 
 
 def decode_control(payload: bytes) -> dict:

@@ -32,8 +32,10 @@ Two halves, both speaking the exact frame protocol of
     load-balance round-robin-ish across two pool hosts.
 
 Trace grafting is transport-independent: the ``RESPONSE`` frame carries
-the worker's exported span tree end-to-end (worker → daemon → edge), so
-one trace id covers all three processes.
+the worker's span rows end-to-end (worker → daemon → edge), so one
+trace id covers all three processes.  The edge and its daemons must run
+the same version: the frames carry no version and nothing negotiates
+one.
 """
 
 from __future__ import annotations
@@ -135,19 +137,22 @@ class WorkerPoolDaemon:
                              daemon=True).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
+        reader = protocol.FrameReader(conn)
         try:
             while not self._shutdown.is_set():
-                frame = protocol.recv_frame(conn)
+                frame = reader.read()
                 if frame is None:
                     return
                 frame_type, payload = frame
                 if frame_type == protocol.FRAME_SHUTDOWN:
                     return
                 if frame_type == protocol.FRAME_PING:
-                    stats = dict(self.pool.stats())
+                    # The pool's labeled counters, this daemon's own
+                    # beside the pool-wide ones.
+                    stats = self.pool.labeled_stats()
                     with self._lock:
-                        stats["daemon_requests"] = self._requests
-                        stats["daemon_errors"] = self._errors
+                        stats[""]["daemon_requests"] = self._requests
+                        stats[""]["daemon_errors"] = self._errors
                     protocol.send_frame(conn, protocol.FRAME_PONG,
                                         protocol.encode_control(stats))
                     continue
@@ -189,7 +194,7 @@ class WorkerPoolDaemon:
                     str(exc), kind="exhausted" if exhausted else "protocol",
                     retry_after=getattr(exc, "retry_after", None)))
             return
-        # Forward the worker's span tree untouched; the edge-side
+        # Forward the worker's span rows untouched; the edge-side
         # dispatcher grafts it so the trace id survives all three hops.
         protocol.send_frame(conn, protocol.FRAME_RESPONSE,
                             protocol.encode_response(
@@ -245,27 +250,40 @@ class TcpPoolDispatcher(_PeerDispatcher):
         #: total remote worker processes behind this dispatcher, summed
         #: across distinct backends (parity with the local pool's
         #: ``pool_size``).
-        self.pool_size = sum(
-            int(self._backend_stats(backend).get("workers", 0) or 0)
-            for backend in set(self.backends))
+        self.pool_size = int(self.stats().get("workers", 0))
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> dict[str, int]:
-        """Remote pool counters merged key-wise across backends, plus
-        the local channel counters (``channel_*`` keys)."""
-        merged: dict[str, int] = {}
-        for backend in self.backends:
-            for key, value in self._backend_stats(backend).items():
-                if isinstance(value, (int, float)):
-                    merged[key] = merged.get(key, 0) + value
+        """Remote pool counters summed across backends, plus the local
+        channel counters (``channel_*`` keys)."""
+        return self.labeled_stats()[""]
+
+    def labeled_stats(self) -> dict[str, dict[str, int]]:
+        """The ``appserver`` metrics source (``label="worker"``):
+        :meth:`stats` under the empty label and each remote worker's
+        counters under its slot — ``backend/slot`` once there is more
+        than one backend.  One ``PING`` per backend."""
+        merged: dict[str, dict[str, int]] = {"": {}}
+        backends = dict.fromkeys(self.backends)
+        for backend in backends:
+            for label, bag in self._backend_stats(backend).items():
+                if not isinstance(bag, dict):
+                    continue
+                if label and len(backends) > 1:
+                    label = f"{backend}/{label}"
+                into = merged.setdefault(label, {})
+                for key, value in bag.items():
+                    if isinstance(value, (int, float)):
+                        into[key] = into.get(key, 0) + value
+        totals = merged[""]
         with self._lock:
-            merged["channel_requests"] = self._channel_requests
-            merged["channel_reconnects"] = self._reconnects
-            merged["channel_replays"] = self._replays
-            merged["busy_timeouts"] = merged.get("busy_timeouts", 0) \
+            totals["channel_requests"] = self._channel_requests
+            totals["channel_reconnects"] = self._reconnects
+            totals["channel_replays"] = self._replays
+            totals["busy_timeouts"] = totals.get("busy_timeouts", 0) \
                 + self._busy_timeouts
-            merged["channels"] = len(self._live)
+            totals["channels"] = len(self._live)
         return merged
 
     # -- lifecycle ---------------------------------------------------------
@@ -334,7 +352,8 @@ class TcpPoolDispatcher(_PeerDispatcher):
         # next health_check (or break) tries again.
 
     def _backend_stats(self, backend: str) -> dict:
-        """One PING round-trip on a fresh connection (stats are rare)."""
+        """One PING round-trip on a fresh connection (stats are rare):
+        the daemon's pool counters, labeled as :meth:`labeled_stats`."""
         try:
             conn = protocol.connect_endpoint(
                 backend, timeout=self.connect_timeout)
@@ -343,7 +362,7 @@ class TcpPoolDispatcher(_PeerDispatcher):
         try:
             conn.settimeout(self.request_timeout)
             protocol.send_frame(conn, protocol.FRAME_PING)
-            frame = protocol.recv_frame(conn)
+            frame = protocol.FrameReader(conn).read()
             if frame is None or frame[0] != protocol.FRAME_PONG:
                 return {}
             return protocol.decode_control(frame[1])

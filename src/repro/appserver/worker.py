@@ -68,8 +68,9 @@ def worker_main(env: dict[str, str] | None = None) -> int:
 def _serve(sock: socket.socket, gateway: CgiGateway,
            injector: FaultInjector | None, worker_id: int) -> int:
     served = 0
+    reader = protocol.FrameReader(sock)
     while True:
-        frame = protocol.recv_frame(sock)
+        frame = reader.read()
         if frame is None:
             return 0  # dispatcher went away; nothing left to serve
         frame_type, payload = frame
@@ -92,10 +93,10 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
                 # has sent the frame and is waiting on the response.
                 os._exit(1)
         request = protocol.decode_request(payload)
-        # The request frame carries the dispatcher's trace id
-        # (REPRO_TRACE_ID in the CGI environment); the worker's spans
-        # run under it and ship home in the response frame, where the
-        # dispatcher grafts them into the live request trace.
+        # The request frame carries the dispatcher's trace id; the
+        # worker's spans run under it and ship home in the response
+        # frame as flat rows, which the dispatcher grafts into the live
+        # request trace.
         act = TRACER.begin("worker", trace_id=request.trace_id or None,
                            attrs={"worker_id": worker_id,
                                   "pid": os.getpid()})
@@ -109,7 +110,7 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
             response.drain()
             act.span.set("status", response.status)
             act.finish()
-            trace = act.span.to_dict()
+            trace = act.span.export()
         protocol.send_frame(sock, protocol.FRAME_RESPONSE,
                             protocol.encode_response(response,
                                                      trace=trace))

@@ -23,6 +23,12 @@ sets (the 1996 equivalent was the DB2WWW initialisation file):
     disables it).  Pointless for process-per-request CGI — the cache
     dies with the process — but the app-server workers live across
     requests and share it profitably.
+``REPRO_MACRO_STAT_TTL``
+    Seconds a loaded macro is served before its file is ``stat``-ed
+    again (``repro serve --macro-stat-ttl``, which app-server workers
+    receive).  Unset or ``0`` checks the file on every request — the
+    faithful edit-in-place behaviour, and the only sensible one for a
+    process that serves a single request.
 ``REPRO_POOL_SIZE``
     Size of a connection pool attached to each registered database
     (unset or ``0`` means a fresh connection per request).  Same story:
@@ -37,6 +43,7 @@ sets (the 1996 equivalent was the DB2WWW initialisation file):
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -63,6 +70,20 @@ def _int_env(env: dict[str, str], name: str) -> int:
     if value is None:
         raise RuntimeError(f"{name}: expected a non-negative integer, "
                            f"got {raw!r}")
+    return value
+
+
+def _seconds_env(env: dict[str, str], name: str) -> float:
+    raw = env.get(name, "").strip()
+    if not raw:
+        return 0.0
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise RuntimeError(f"{name}: expected a non-negative number of "
+                           f"seconds, got {raw!r}")
     return value
 
 
@@ -94,7 +115,8 @@ def build_program(env: dict[str, str]) -> Db2WwwProgram:
     engine = MacroEngine(registry,
                          config=EngineConfig(transaction_mode=mode,
                                              query_cache=cache))
-    library = MacroLibrary(macro_dir)
+    library = MacroLibrary(
+        macro_dir, stat_ttl=_seconds_env(env, "REPRO_MACRO_STAT_TTL"))
     return Db2WwwProgram(engine, library)
 
 

@@ -13,6 +13,7 @@ or to a real subprocess without differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 SERVER_SOFTWARE = "repro-httpd/1.0"
 GATEWAY_INTERFACE = "CGI/1.1"
@@ -87,10 +88,8 @@ class CgiEnvironment:
     @classmethod
     def from_dict(cls, env: dict[str, str]) -> "CgiEnvironment":
         """Reconstruct from a process environment (the CGI program side)."""
-        headers = {
-            key[5:].replace("_", "-").title(): value
-            for key, value in env.items() if key.startswith("HTTP_")
-        }
+        headers = cgi_headers((key[5:], value) for key, value in env.items()
+                              if key.startswith("HTTP_"))
         return cls(
             request_method=env.get("REQUEST_METHOD", "GET"),
             script_name=env.get("SCRIPT_NAME", ""),
@@ -106,6 +105,21 @@ class CgiEnvironment:
             http_headers=headers,
             trace_id=env.get("REPRO_TRACE_ID", ""),
         )
+
+
+def cgi_headers(items: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """The request headers as a CGI program sees them.
+
+    Each name is spelled the way a trip through the CGI environment
+    spells it (``HTTP_ACCEPT_LANGUAGE`` back to ``Accept-Language``), so
+    ``accept-language``, ``ACCEPT-LANGUAGE`` and ``Accept_Language``
+    are one header.  A repeated name keeps its last value, as one
+    environment variable would.  Build ``http_headers`` with this
+    wherever an environment is made: the in-process program and an
+    app-server worker, which receives the dict verbatim, then look
+    headers up in one dict.
+    """
+    return {name.replace("_", "-").title(): value for name, value in items}
 
 
 def split_cgi_path(url_path: str,

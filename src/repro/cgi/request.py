@@ -71,11 +71,11 @@ class CgiResponse:
     #: ``body`` is empty.  Transports that cannot stream call
     #: :meth:`drain` to fall back to a buffered body.
     body_iter: Optional[Iterator[bytes]] = None
-    #: Exported span tree of the process that produced this response
-    #: (:meth:`repro.obs.trace.Span.to_dict`).  App-server workers fill
+    #: Span rows of the process that produced this response
+    #: (:meth:`repro.obs.trace.Span.export`).  App-server workers fill
     #: it so the dispatcher can graft their spans into the live request
     #: trace; ``None`` everywhere else.
-    trace: Optional[dict] = None
+    trace: Optional[list] = None
 
     @property
     def streaming(self) -> bool:

@@ -612,9 +612,10 @@ _SERVE_OPTIONS = {
         "overload_queue", "slo_ms", "overload_rules", "tenant_config",
         "access_log", "trace_log", "slow_query_ms", "slow_query_log",
         "trace_sample", "request_deadline"),
-    "forwarded": ("macros", "database", "query_cache", "no_trace"),
+    "forwarded": ("macros", "database", "query_cache", "macro_stat_ttl",
+                  "no_trace"),
     "engine": (
-        "stream", "macro_stat_ttl", "inject_faults", "max_retries",
+        "stream", "inject_faults", "max_retries",
         "breaker_threshold", "degrade", "shards", "shard_replicas",
         "shard_key", "replica_lag_bound", "shard_timeout"),
 }
@@ -638,7 +639,8 @@ def _refuse_engine_options(args) -> None:
             f"{'requires' if len(ignored) == 1 else 'require'} --gateway "
             "inprocess (in-process engine settings; nothing forwards "
             "them to app-server workers or a --listen pool)")
-    ignored = given(("database", "query_cache")) if args.connect else []
+    ignored = (given(("database", "query_cache", "macro_stat_ttl"))
+               if args.connect else [])
     if ignored:
         raise SystemExit(
             f"{', '.join(ignored)} "
@@ -661,6 +663,9 @@ def _worker_env(args) -> dict[str, str]:
         env[f"REPRO_DATABASE_{name}"] = str(Path(path).resolve())
     if args.query_cache > 0:
         env["REPRO_QUERY_CACHE"] = str(args.query_cache)
+    # Default included: a worker serves a hot macro off its last stat
+    # for as long as in-process `serve` would.
+    env["REPRO_MACRO_STAT_TTL"] = str(args.macro_stat_ttl)
     # One request at a time per worker: a small pool just keeps the
     # connection warm between requests.
     env["REPRO_POOL_SIZE"] = "1"
@@ -923,7 +928,8 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
                 _worker_env(args), workers=args.workers,
                 recycle_after=args.recycle_after)
         gateway.install("db2www", dispatcher)
-        metrics.attach_source("appserver", dispatcher.stats)
+        metrics.attach_source("appserver", dispatcher.labeled_stats,
+                              label="worker")
         router = Router(gateway=gateway, server_name=args.host)
     tenant_registry = None
     if args.tenant_config is not None:

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.cgi.environ import CgiEnvironment, split_cgi_path
+from repro.cgi.environ import CgiEnvironment, cgi_headers, split_cgi_path
 from repro.cgi.gateway import CgiGateway
 from repro.cgi.request import CgiRequest
 from repro.errors import (
@@ -377,7 +377,7 @@ class Router:
             server_name=self.server_name,
             server_port=self.server_port,
             remote_addr=remote_addr,
-            http_headers=dict(request.headers.items()),
+            http_headers=cgi_headers(request.headers),
             trace_id=self.tracer.current_trace_id(),
         )
         cgi_request = CgiRequest(environ=environ, stdin=request.body,

@@ -9,10 +9,11 @@ that as a tree of **spans**, all carrying one **trace id** that is
   :class:`repro.http.router.Router`),
 * threaded through the CGI environment (``REPRO_TRACE_ID`` — so a
   subprocess CGI run and the app-server worker see it),
-* carried across the app-server's Unix-socket frames and back: a worker
-  runs its own span tree under the propagated id and ships it home in
-  the RESPONSE frame, where the dispatcher grafts it into the live
-  request trace (:meth:`Tracer.graft`).
+* carried across the app-server's frames and back: a worker runs its
+  own span tree under the propagated id and ships it home in the
+  RESPONSE frame as flat rows (:meth:`Span.export`), where the
+  dispatcher grafts them into the live request trace
+  (:meth:`Tracer.graft`).
 
 The current span travels in a :mod:`contextvars` context variable, so
 nested layers need no plumbing and the streaming-generator path stays
@@ -41,6 +42,8 @@ import os
 import threading
 import time
 from typing import Callable, Iterator, Optional
+
+from repro.errors import CgiProtocolError
 
 __all__ = ["Span", "ActiveSpan", "Tracer", "TRACER", "new_trace_id",
            "TraceSummary", "summarize",
@@ -173,7 +176,7 @@ class Span:
                                  + span.duration_ms)
         return {name: round(ms, 3) for name, ms in totals.items()}
 
-    # -- (de)serialisation -------------------------------------------------
+    # -- the trace-log form -------------------------------------------------
 
     def to_dict(self) -> dict:
         """Nested JSON-ready form; offsets are relative to the parent."""
@@ -198,28 +201,74 @@ class Span:
                                   for child in self._children]
         return record
 
+    # -- the cross-process form --------------------------------------------
+
+    def export(self) -> list[list]:
+        """This subtree as flat rows, for another process to graft.
+
+        One row per span, depth-first from this one: ``[name,
+        parent_row, offset_us, duration_us, attrs]``.  ``parent_row``
+        indexes an earlier row (``-1`` on this span's own row), offsets
+        count from this span's start, and both times are whole
+        microseconds.  No ids travel: the grafting side mints its own
+        under its own trace (:meth:`from_rows`).
+        """
+        base = self.start
+        rows: list[list] = []
+        stack: list[tuple[Span, int]] = [(self, -1)]
+        while stack:
+            span, parent_row = stack.pop()
+            end = span.end
+            rows.append([span.name, parent_row,
+                         int((span.start - base) * 1e6),
+                         0 if end is None else int((end - span.start) * 1e6),
+                         span._attrs or {}])
+            if span._children:
+                stack += zip(reversed(span._children),
+                             itertools.repeat(len(rows) - 1))
+        return rows
+
     @classmethod
-    def from_dict(cls, record: dict,
-                  parent: Optional["Span"] = None) -> "Span":
-        """Rebuild an exported tree (a worker's spans, a logged trace).
+    def from_rows(cls, rows: list, trace_id: str,
+                  parent_id: Optional[int] = None) -> "Span":
+        """Rebuild an exported subtree (:meth:`export`) in ``trace_id``.
 
         Timing is reconstructed on a synthetic clock: the rebuilt root
-        starts at 0, children at their recorded offsets, so durations
-        and relative layout survive while absolute times (another
-        process's ``perf_counter``) do not.
+        starts at 0 and every span at its recorded offset, so durations
+        and layout survive while absolute times (another process's
+        ``perf_counter``) do not.  Every rebuilt span is ``remote``.
+        The rows come off a socket, so a malformed one — not five
+        fields of the exported types, or a parent row that is not an
+        earlier row (``-1`` on row 0 only) — raises
+        :class:`~repro.errors.CgiProtocolError`.
         """
-        span = cls(str(record.get("name", "?")),
-                   str(record.get("trace_id", "")),
-                   parent.span_id if parent is not None else None,
-                   dict(record.get("attrs", {})))
-        base = parent.start if parent is not None else 0.0
-        offset = float(record.get("offset_ms", 0.0)) / 1000.0
-        span.start = base + offset
-        span.end = span.start + float(record.get("duration_ms", 0.0)) / 1000.0
-        span.remote = True
-        for child_record in record.get("children", ()):
-            span.add_child(cls.from_dict(child_record, span))
-        return span
+        spans: list[Span] = []
+        for index, row in enumerate(rows):
+            if type(row) is not list or list(map(type, row)) != _ROW_TYPES:
+                raise CgiProtocolError(
+                    f"span row {index} is not [str, int, int, int, dict]")
+            name, parent_row, offset_us, duration_us, attrs = row
+            if index == 0 and parent_row == -1:
+                span = cls(name, trace_id, parent_id, attrs or None)
+            elif 0 <= parent_row < index:
+                parent = spans[parent_row]
+                span = cls(name, trace_id, parent.span_id, attrs or None)
+                parent.add_child(span)
+            else:
+                raise CgiProtocolError(
+                    f"span row {index} names parent row {parent_row}")
+            span.start = offset_us / 1e6
+            span.end = span.start + duration_us / 1e6
+            span.remote = True
+            spans.append(span)
+        if not spans:
+            raise CgiProtocolError("no span rows to rebuild")
+        return spans[0]
+
+
+#: The field types of one exported row (``type(True)`` is not ``int``),
+#: compared as lists: see ``repro.appserver.protocol._ENV_TYPES``.
+_ROW_TYPES = [str, int, int, int, dict]
 
 
 class TraceSummary:
@@ -487,19 +536,20 @@ class Tracer:
 
     # -- cross-process stitches --------------------------------------------
 
-    def graft(self, tree: dict) -> Optional[Span]:
-        """Attach an exported span tree under the current span.
+    def graft(self, rows: list) -> Optional[Span]:
+        """Attach exported span rows (:meth:`Span.export`) under the
+        current span, in its trace.
 
         This is how worker-side spans join the dispatcher's trace: the
-        RESPONSE frame carries the worker's tree, the dispatcher grafts
-        it while its request span is still current.  No-op without an
-        active span (nothing to graft onto).
+        RESPONSE frame carries the worker's rows, the dispatcher grafts
+        them while its request span is still current.  No-op without an
+        active span (nothing to graft onto).  Malformed rows raise
+        :class:`~repro.errors.CgiProtocolError` and attach nothing.
         """
         parent = _current_span.get()
-        if not self.enabled or parent is None or not tree:
+        if not self.enabled or parent is None or not rows:
             return None
-        grafted = Span.from_dict(tree, None)
-        grafted.parent_id = parent.span_id
+        grafted = Span.from_rows(rows, parent.trace_id, parent.span_id)
         parent.add_child(grafted)
         return grafted
 

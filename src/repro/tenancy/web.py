@@ -27,7 +27,7 @@ import re
 import traceback
 from typing import Optional
 
-from repro.cgi.environ import CgiEnvironment
+from repro.cgi.environ import CgiEnvironment, cgi_headers
 from repro.cgi.request import CgiRequest, CgiResponse
 from repro.html.entities import escape_html
 from repro.http.headers import Headers
@@ -111,7 +111,7 @@ class TenantHost:
             remote_addr=remote_addr,
             remote_user=decision.user or "",
             tenant=tenant_name,
-            http_headers=dict(request.headers.items()),
+            http_headers=cgi_headers(request.headers),
             trace_id=router.tracer.current_trace_id(),
         )
         cgi_request = CgiRequest(environ=environ, stdin=request.body,

@@ -9,10 +9,13 @@ real-worker suite (``test_dispatcher.py``) provokes with fault
 injection and sleeps is reached in milliseconds, against both
 subclasses.
 
-The last test is the cost guard with no noise band: the number of
-Python calls one ``run()`` makes inside ``src/repro/appserver/``.
+The last tests are the cost guards with no noise band: the number of
+Python calls one ``run()`` makes inside ``src/repro/appserver/``, and
+the bytes a ``report_hot``-shaped exchange puts in its frames.
 """
 
+import dataclasses
+import json
 import socket
 import struct
 import subprocess
@@ -30,27 +33,36 @@ from repro.appserver import (
     WorkerPoolDaemon,
     protocol,
 )
+from repro.appserver import worker
 from repro.appserver.dispatcher import _Worker
 from repro.appserver.remote import _Channel
+from repro.apps import urlquery as urlquery_app
+from repro.apps.datasets import seed_urldb
+from repro.cgi.db2www_main import build_program
 from repro.cgi.environ import CgiEnvironment
+from repro.cgi.gateway import CgiGateway, FunctionProgram
 from repro.cgi.request import CgiRequest, CgiResponse
 from repro.errors import (
     CgiProtocolError,
     DeadlineExceededError,
     PoolExhaustedError,
 )
+from repro.http.message import HttpRequest
+from repro.http.router import Router
+from repro.obs.trace import TRACER
 from repro.resilience.deadline import Deadline
+from repro.sql.connection import Connection
 
 APPSERVER_DIR = str(Path(repro.appserver.__file__).resolve().parent)
 
 #: Python calls in ``src/repro/appserver/`` frames for one ``run()`` on
 #: a healthy peer, dispatching thread only: run, _checkout, _exchange,
-#: encode_request, _pack_json, send_frame, recv_frame, 2 x _recv_exact,
-#: decode_response (+ its header listcomp), _unpack_json, _checkin.
-#: The parent commit (two separate dispatchers) measured 13 for either
-#: with this same probe; the shared core adds none.
+#: encode_request, _pack, send_frame, FrameReader.read,
+#: decode_response, _unpack, _checkin.  Before the frame was read in
+#: one piece and both headers went positional the same probe measured
+#: 13 (a second _recv_exact and the response header's listcomp).
 PARENT_CALLS = 13
-CALL_CEILING = 13
+CALL_CEILING = 10
 
 OK = (protocol.FRAME_RESPONSE,
       protocol.encode_response(CgiResponse(body=b"<P>ok</P>")))
@@ -66,10 +78,11 @@ def scripted_peer(script):
     near, far = socket.socketpair()
 
     def answer():
+        reader = protocol.FrameReader(far)
         with far:
             for step in script:
                 try:
-                    if protocol.recv_frame(far) is None:
+                    if reader.read() is None:
                         return
                     if step is None:
                         return
@@ -147,7 +160,7 @@ class TcpPool(TcpPoolDispatcher):
         return channel
 
     def _backend_stats(self, backend):
-        return {"workers": 1}
+        return {"": {"workers": 1}}
 
     replays = property(lambda self: self.stats()["channel_replays"])
     replaced = property(lambda self: self.stats()["channel_reconnects"])
@@ -224,6 +237,22 @@ class TestReplay:
         pool = make_pool([(protocol.FRAME_PONG, b"")], [OK])
         assert pool.run(get()).status == 200
         assert pool.replaced == 1
+
+    def test_malformed_span_rows_count_as_broken(self, make_pool):
+        bad_rows = (protocol.FRAME_RESPONSE, protocol.encode_response(
+            CgiResponse(), trace=[["worker", 3, 0, 1, {}]]))
+        pool = make_pool([bad_rows], [OK])
+        TRACER.enable()
+        act = TRACER.begin("request")
+        try:
+            assert pool.run(get()).status == 200
+        finally:
+            act.finish()
+            TRACER.disable()
+        assert pool.replaced == 1 and pool.replays == 1
+        (dispatch, replayed) = act.span.children
+        assert not dispatch.children        # the bad rows attached nothing
+        assert replayed.name == "appserver.dispatch"
 
     def test_the_messages_name_the_kind_of_peer(self):
         local, tcp = LocalPool([[TORN], [OK]]), TcpPool([[TORN], [OK]])
@@ -330,8 +359,8 @@ class StubPool:
     def run(self, request):
         return CgiResponse(body=request.environ.path_info.encode())
 
-    def stats(self):
-        return {"workers": 1}
+    def labeled_stats(self):
+        return {"": {"workers": 1}}
 
     def shutdown(self):
         pass
@@ -341,10 +370,24 @@ def json_frame(header: bytes, body: bytes = b"") -> bytes:
     return struct.pack(">I", len(header)) + header + body
 
 
+def request_header(**fields) -> bytes:
+    """A positional REQUEST header with some fields replaced by raw
+    JSON values."""
+    header = json.loads(protocol.encode_request(get())[4:])
+    names = [field.name for field in dataclasses.fields(CgiEnvironment)]
+    for name, value in fields.items():
+        header[names.index(name)] = value
+    return json.dumps(header).encode()
+
+
 class TestDaemonMalformedRequest:
     @pytest.mark.parametrize("header", [
         b"[]", b"5", b'"environ"', b'{"environ": 5}',
         b'{"environ": {"CONTENT_LENGTH": "many"}}', b"{not json",
+        request_header()[:-1] + b',""]',                  # wrong arity
+        request_header(content_length=True),              # bool for int
+        request_header(server_port="80"),                 # str for int
+        request_header(http_headers={"Host": 5}),         # non-str value
     ])
     def test_error_frame_no_traceback_and_still_serving(self, header,
                                                         capfd):
@@ -353,17 +396,37 @@ class TestDaemonMalformedRequest:
             with bad:
                 protocol.send_frame(bad, protocol.FRAME_REQUEST,
                                     json_frame(header))
-                frame_type, payload = protocol.recv_frame(bad)
+                reader = protocol.FrameReader(bad)
+                frame_type, payload = reader.read()
                 assert frame_type == protocol.FRAME_ERROR
                 assert isinstance(protocol.pool_error(payload),
                                   CgiProtocolError)
-                assert protocol.recv_frame(bad) is None  # closed on us
+                assert reader.read() is None  # closed on us
             with TcpPoolDispatcher(daemon.endpoint, channels=1) as client:
                 assert client.run(get()).body == b"/x.d2w/report"
         assert capfd.readouterr().err == ""
 
 
-# -- the cost guard --------------------------------------------------------
+class TestDaemonFraming:
+    def test_request_and_shutdown_in_one_send_are_both_served(self):
+        """``TcpPoolDispatcher.shutdown`` writes SHUTDOWN to a channel
+        whose REQUEST may still be unread: one read takes both."""
+        with WorkerPoolDaemon({}, dispatcher=StubPool()) as daemon:
+            conn = protocol.connect_endpoint(daemon.endpoint, timeout=5.0)
+            with conn:
+                payload = protocol.encode_request(get())
+                conn.sendall(
+                    struct.pack(">BI", protocol.FRAME_REQUEST, len(payload))
+                    + payload + struct.pack(">BI", protocol.FRAME_SHUTDOWN, 0))
+                reader = protocol.FrameReader(conn)
+                frame_type, payload = reader.read()
+                assert frame_type == protocol.FRAME_RESPONSE
+                assert protocol.decode_response(payload).body \
+                    == b"/x.d2w/report"
+                assert reader.read() is None  # ... then the SHUTDOWN
+
+
+# -- the cost guards -------------------------------------------------------
 
 def appserver_calls(run) -> int:
     """``call`` events in ``src/repro/appserver/`` frames during ``run``
@@ -397,3 +460,70 @@ class TestDispatchHopCallCount:
             f"one dispatch now costs {count} calls in appserver/ "
             f"(ceiling {CALL_CEILING})")
         assert CALL_CEILING <= PARENT_CALLS + 1
+
+
+#: A ``report_hot`` request as the benchmark's client sends it.
+REPORT_HOT = (b"GET /cgi-bin/db2www/urlquery.d2w/report?SEARCH=ib&USE_URL=yes"
+              b"&USE_TITLE=yes&DBFIELDS=title HTTP/1.1\r\n"
+              b"Host: 127.0.0.1\r\n\r\n")
+#: Bytes the same exchange's trace took as a nested dict tree with a
+#: trace id and span id per span, before span rows replaced it.
+NESTED_TRACE_BYTES = 776
+
+
+def worker_answers(tmp_path, request, times):
+    """The RESPONSE payloads a warm worker (``worker._serve``, on a
+    thread over a socketpair) gives ``request`` asked ``times`` times."""
+    db_path = tmp_path / "urldb.sqlite"
+    conn = Connection(str(db_path))
+    seed_urldb(conn, 150)
+    conn.close()
+    (tmp_path / "urlquery.d2w").write_text(urlquery_app.URLQUERY_MACRO,
+                                          encoding="utf-8")
+    gateway = CgiGateway()
+    gateway.install("db2www", build_program({
+        "REPRO_MACRO_DIR": str(tmp_path),
+        "REPRO_DATABASE_URLDB": str(db_path),
+        "REPRO_QUERY_CACHE": "128", "REPRO_POOL_SIZE": "1"}))
+    near, far = socket.socketpair()
+    serving = threading.Thread(target=worker._serve,
+                               args=(far, gateway, None, 0))
+    serving.start()
+    reader = protocol.FrameReader(near)
+    answers = []
+    with near, far:
+        for _ in range(times):
+            protocol.send_frame(near, protocol.FRAME_REQUEST,
+                                protocol.encode_request(request))
+            answers.append(reader.read()[1])
+        protocol.send_frame(near, protocol.FRAME_SHUTDOWN)
+        serving.join(timeout=10.0)
+    return answers
+
+
+class TestHopBytes:
+    def test_report_hot_exchange_stays_compact(self, tmp_path):
+        """The request frame as the edge builds it, and the span rows
+        of a traced, cache-hot worker answer: a re-nested or id-laden
+        trace, or a keyed environment, fails here first."""
+        captured = []
+        edge = CgiGateway()
+        edge.install("db2www", FunctionProgram(
+            lambda request: captured.append(request) or CgiResponse()))
+        TRACER.enable()
+        try:
+            Router(gateway=edge).handle(HttpRequest.parse(REPORT_HOT))
+            (request,) = captured
+            assert request.trace_id  # the traced edge's id rides along
+            *_, hot = worker_answers(tmp_path, request, 2)
+        finally:
+            TRACER.disable()
+        frame = struct.calcsize(">BI") + len(protocol.encode_request(request))
+        assert frame <= 200
+        response = protocol.decode_response(hot)
+        assert response.status == 200
+        assert [row[0] for row in response.trace] == [
+            "worker", "macro.load", "substitute", "sql.execute",
+            "report.render"]
+        rows = json.dumps(response.trace, separators=(",", ":"))
+        assert len(rows) <= 0.6 * NESTED_TRACE_BYTES, rows

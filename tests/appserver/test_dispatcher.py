@@ -49,6 +49,9 @@ class TcpPoolStack:
     def stats(self):
         return self.client.stats()
 
+    def labeled_stats(self):
+        return self.client.labeled_stats()
+
     def health_check(self):
         return self.client.health_check()
 
@@ -152,11 +155,13 @@ class TestDispatch:
     def test_per_worker_counters(self, pool):
         for _ in range(4):
             pool.run(cgi_request("/urlquery.d2w/input"))
-        stats = pool.stats()
+        bags = pool.labeled_stats()
+        stats = bags.pop("")
         assert stats["requests"] >= 4
-        per_worker = [stats[f"worker_{slot}_requests"]
-                      for slot in range(pool.pool_size)]
-        assert sum(per_worker) == stats["requests"]
+        assert not [key for key in stats if key.startswith("worker_")]
+        assert sorted(bags) == [str(slot) for slot in range(pool.pool_size)]
+        assert sum(bag["requests"] for bag in bags.values()) \
+            == stats["requests"]
 
     def test_health_check_reports_alive(self, pool):
         results = pool.health_check()
@@ -175,7 +180,7 @@ class TestRecycling:
             stats = pool.stats()
             assert stats["requests"] == 7
             assert stats["recycles"] == 2  # after requests 3 and 6
-            assert stats["worker_0_recycles"] == 2
+            assert pool.labeled_stats()["0"]["recycles"] == 2
 
     @staticmethod
     def slow_spawns(pool, delay):

@@ -1,6 +1,7 @@
 """Frame codec round-trips and protocol-violation handling."""
 
 import socket
+import struct
 import threading
 
 import pytest
@@ -20,7 +21,7 @@ class TestFrames:
         a, b = socket_pair()
         try:
             protocol.send_frame(a, protocol.FRAME_PING, b"payload")
-            frame = protocol.recv_frame(b)
+            frame = protocol.FrameReader(b).read()
             assert frame == (protocol.FRAME_PING, b"payload")
         finally:
             a.close()
@@ -39,7 +40,7 @@ class TestFrames:
         a, b = socket_pair()
         a.close()
         try:
-            assert protocol.recv_frame(b) is None
+            assert protocol.FrameReader(b).read() is None
         finally:
             b.close()
 
@@ -50,7 +51,7 @@ class TestFrames:
             a.sendall(b"\x02\x00\x00\x00\x64partial")
             a.close()
             with pytest.raises(CgiProtocolError, match="mid-frame"):
-                protocol.recv_frame(b)
+                protocol.FrameReader(b).read()
         finally:
             b.close()
 
@@ -60,7 +61,7 @@ class TestFrames:
             big = protocol.MAX_FRAME_SIZE + 1
             a.sendall(b"\x02" + big.to_bytes(4, "big"))
             with pytest.raises(CgiProtocolError, match="exceeds"):
-                protocol.recv_frame(b)
+                protocol.FrameReader(b).read()
         finally:
             a.close()
             b.close()
@@ -73,16 +74,50 @@ class TestFrames:
                 target=protocol.send_frame,
                 args=(a, protocol.FRAME_RESPONSE, payload))
             writer.start()
-            frame = protocol.recv_frame(b)
+            frame = protocol.FrameReader(b).read()
             writer.join()
             assert frame == (protocol.FRAME_RESPONSE, payload)
         finally:
             a.close()
             b.close()
 
+    def test_bytes_past_a_frame_carry_to_the_next_read(self):
+        a, b = socket_pair()
+        try:
+            a.sendall(struct.pack(">BI", protocol.FRAME_REQUEST, 3) + b"abc"
+                      + struct.pack(">BI", protocol.FRAME_SHUTDOWN, 0)
+                      + struct.pack(">BI", protocol.FRAME_PING, 2) + b"x")
+            reader = protocol.FrameReader(b)
+            assert reader.read() == (protocol.FRAME_REQUEST, b"abc")
+            assert reader.read() == (protocol.FRAME_SHUTDOWN, b"")
+            a.sendall(b"y")  # the third frame's tail, in a later send
+            assert reader.read() == (protocol.FRAME_PING, b"xy")
+            a.close()
+            assert reader.read() is None
+        finally:
+            b.close()
+
+    def test_a_small_frame_takes_one_recv(self):
+        a, b = socket_pair()
+        calls = []
+
+        class Counting:
+            def recv(self, size):
+                calls.append(size)
+                return b.recv(size)
+
+        try:
+            protocol.send_frame(a, protocol.FRAME_RESPONSE, b"p" * 2000)
+            frame = protocol.FrameReader(Counting()).read()
+            assert frame == (protocol.FRAME_RESPONSE, b"p" * 2000)
+            assert len(calls) == 1
+        finally:
+            a.close()
+            b.close()
+
 
 def frame_type(sock):
-    frame = protocol.recv_frame(sock)
+    frame = protocol.FrameReader(sock).read()
     assert frame is not None
     return frame[0]
 

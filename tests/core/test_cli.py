@@ -260,7 +260,7 @@ class TestServeOptionPlacement:
     ENGINE_ONLY = [
         ["--stream"], ["--degrade"], ["--max-retries", "3"],
         ["--breaker-threshold", "5"], ["--inject-faults", "every:2"],
-        ["--macro-stat-ttl", "0"], ["--shards", "INV=a.db,b.db"],
+        ["--shards", "INV=a.db,b.db"],
         ["--shard-replicas", "INV.0=r.db"], ["--shard-key", "CUST"],
         ["--replica-lag-bound", "0.5"], ["--shard-timeout", "2"],
     ]
@@ -314,7 +314,8 @@ class TestServeOptionPlacement:
 
     @pytest.mark.parametrize("option", [
         ["--database", "URLDB=urldb.sqlite"], ["--query-cache", "0"],
-        ["--query-cache", "512"]], ids=lambda o: " ".join(o))
+        ["--query-cache", "512"], ["--macro-stat-ttl", "0"]],
+        ids=lambda o: " ".join(o))
     def test_connect_refuses_what_only_the_pool_daemon_can_use(
             self, tmp_path, option):
         """``--connect`` dispatches to a ``--listen`` daemon's workers,
@@ -378,6 +379,29 @@ class TestWorkerEnv:
         program = build_program(_worker_env(args))
         assert sorted(program.engine.registry.names()) \
             == ["Mixed_Case", "URLDB", "shop"]
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 1.0), (["--macro-stat-ttl", "0"], 0.0),
+        (["--macro-stat-ttl", "0.25"], 0.25)])
+    def test_macro_stat_ttl_reaches_a_worker(self, tmp_path, argv, expected):
+        """Workers keep ``serve``'s stat TTL, its 1 s default included,
+        instead of stat-ing the macro file on every request."""
+        from repro.cgi.db2www_main import build_program
+        from repro.cli import _worker_env, build_parser
+        args = build_parser().parse_args(
+            ["serve", "--macros", str(tmp_path), *argv])
+        program = build_program(_worker_env(args))
+        assert program.library.stat_ttl == expected
+
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "1s"])
+    def test_a_bad_stat_ttl_is_refused(self, tmp_path, raw):
+        from repro.cgi.db2www_main import build_program
+        with pytest.raises(RuntimeError, match="REPRO_MACRO_STAT_TTL"):
+            build_program({"REPRO_MACRO_DIR": str(tmp_path),
+                           "REPRO_MACRO_STAT_TTL": raw})
+        # Unset means "stat every request", as for a one-shot CGI run.
+        assert build_program({"REPRO_MACRO_DIR": str(tmp_path)}) \
+            .library.stat_ttl == 0.0
 
     @pytest.mark.parametrize("raw", ["1_0", "+3", "\u0663", "-1"])
     def test_integer_settings_are_plain_digits_or_refused(self, tmp_path,

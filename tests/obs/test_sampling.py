@@ -12,22 +12,12 @@ from repro.obs.trace import Span
 def make_root(*, name="request", duration_ms=1.0, attrs=None,
               digests=(), error_in_child=False):
     """A deterministic finished span tree (synthetic clock)."""
-    children = []
+    rows = [[name, -1, 0, round(duration_ms * 1000), dict(attrs or {})]]
     for digest in digests:
-        children.append({"name": "sql.execute", "trace_id": "t",
-                         "span_id": 2, "offset_ms": 0.0,
-                         "duration_ms": 0.5,
-                         "attrs": {"digest": digest}})
+        rows.append(["sql.execute", 0, 0, 500, {"digest": digest}])
     if error_in_child:
-        children.append({"name": "sql.execute", "trace_id": "t",
-                         "span_id": 3, "offset_ms": 0.0,
-                         "duration_ms": 0.5,
-                         "attrs": {"error": "SQLError"}})
-    return Span.from_dict({"name": name, "trace_id": "t", "span_id": 1,
-                           "offset_ms": 0.0,
-                           "duration_ms": duration_ms,
-                           "attrs": dict(attrs or {}),
-                           "children": children})
+        rows.append(["sql.execute", 0, 0, 500, {"error": "SQLError"}])
+    return Span.from_rows(rows, "t")
 
 
 class FakeClock:

@@ -42,11 +42,14 @@ ITEMS_MACRO = """\
 
 
 class DispatcherStub:
-    """The app-server dispatcher's ``stats()`` shape, no workers."""
+    """The app-server dispatcher's ``labeled_stats()`` shape, no
+    workers."""
 
-    def stats(self):
-        return {"workers": 2, "requests": 3, "recycles": 0,
-                "crashes": 0, "crash_retries": 0, "busy_timeouts": 0}
+    def labeled_stats(self):
+        return {"": {"workers": 2, "requests": 3, "recycles": 0,
+                     "crashes": 0, "crash_retries": 0, "busy_timeouts": 0},
+                "0": {"requests": 2, "recycles": 0, "crashes": 0},
+                "1": {"requests": 1, "recycles": 0, "crashes": 0}}
 
 
 def wired_registry() -> MetricsRegistry:
@@ -74,7 +77,8 @@ def wired_registry() -> MetricsRegistry:
     metrics.attach_source("shard", databases.shard_labeled_stats,
                           label="shard")
     metrics.attach_source("query_cache", QueryResultCache().stats)
-    metrics.attach_source("appserver", DispatcherStub().stats)
+    metrics.attach_source("appserver", DispatcherStub().labeled_stats,
+                          label="worker")
     tenants = TenantRegistry()
     for name in TENANTS:
         tenant = tenants.create_tenant(name, owner=name)
@@ -126,12 +130,13 @@ def test_per_entity_counters_appear_only_as_labels():
     metrics = wired_registry()
     flattened = re.compile(
         rf"\b(shard_\d+_|tenant_({'|'.join(TENANTS)})_|"
-        rf"statement_{DIGEST}_)")
+        rf"statement_{DIGEST}_)|worker_\d")
     text = metrics.render_text()
     assert not flattened.search(text)
     assert not flattened.search(" ".join(metrics.flat()))
     assert not flattened.search(json.dumps(metrics.snapshot()))
     for sample in ('shard_routed{shard="1"} 1',
+                   'appserver_requests{worker="0"} 2',
                    'tenant_requests_total{tenant="alpha"} 1',
                    f'statement_calls_total{{digest="{DIGEST}"}} 1'):
         assert sample in text

@@ -132,30 +132,39 @@ class TestSerialisation:
         assert child["offset_ms"] >= 0.0
         assert child["trace_id"] == root.trace_id
 
-    def test_from_dict_round_trips_shape_and_durations(self, tracer):
+    def test_export_round_trips_shape_and_durations(self, tracer):
         with tracer.span("worker") as root:
             root.set("pid", 42)
             with tracer.span("sql.execute"):
                 pass
-        rebuilt = Span.from_dict(root.to_dict())
+        rows = root.export()
+        assert [row[:2] for row in rows] == [["worker", -1],
+                                             ["sql.execute", 0]]
+        rebuilt = Span.from_rows(rows, "tid-2")
         assert rebuilt.name == "worker"
+        assert rebuilt.trace_id == "tid-2"
         assert rebuilt.remote is True
         assert rebuilt.attrs["pid"] == 42
         assert [child.name for child in rebuilt.children] == \
             ["sql.execute"]
         assert rebuilt.duration_ms == pytest.approx(
-            root.duration_ms, abs=0.002)
+            root.duration_ms, abs=0.001)
+
+    def test_export_is_depth_first_with_parent_rows(self, tracer):
+        with tracer.span("worker") as root:
+            with tracer.span("a"):
+                with tracer.span("a1"):
+                    pass
+            with tracer.span("b"):
+                pass
+        assert [row[:2] for row in root.export()] == [
+            ["worker", -1], ["a", 0], ["a1", 1], ["b", 0]]
 
 
 class TestGraft:
     def test_worker_tree_joins_the_live_trace(self, tracer):
-        exported = {
-            "name": "worker", "trace_id": "tid-9", "span_id": 1,
-            "offset_ms": 0.0, "duration_ms": 5.0,
-            "children": [{"name": "sql.execute", "trace_id": "tid-9",
-                          "span_id": 2, "offset_ms": 1.0,
-                          "duration_ms": 3.0}],
-        }
+        exported = [["worker", -1, 0, 5000, {}],
+                    ["sql.execute", 0, 1000, 3000, {}]]
         act = tracer.begin("request", trace_id="tid-9")
         grafted = tracer.graft(exported)
         act.finish()
@@ -169,14 +178,12 @@ class TestGraft:
     def test_remote_offsets_zero_at_the_clock_boundary(self, tracer):
         """A grafted tree's root offset is 0 — its clock is foreign."""
         with tracer.span("request") as root:
-            tracer.graft({"name": "worker", "trace_id": root.trace_id,
-                          "span_id": 1, "offset_ms": 123.0,
-                          "duration_ms": 5.0})
+            tracer.graft([["worker", -1, 123000, 5000, {}]])
         record = root.to_dict()
         assert record["children"][0]["offset_ms"] == 0.0
 
     def test_graft_without_active_span_is_a_noop(self, tracer):
-        assert tracer.graft({"name": "worker"}) is None
+        assert tracer.graft([["worker", -1, 0, 5, {}]]) is None
 
 
 class TestIds:

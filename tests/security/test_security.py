@@ -3,8 +3,11 @@
 import pytest
 
 from repro.cgi.environ import CgiEnvironment
-from repro.cgi.gateway import FunctionProgram
+from repro.cgi.gateway import CgiGateway, FunctionProgram
 from repro.cgi.request import CgiRequest, CgiResponse
+from repro.http.headers import Headers
+from repro.http.message import HttpRequest
+from repro.http.router import Router
 from repro.security.auth import (
     BasicAuthenticator,
     HostFilter,
@@ -149,6 +152,21 @@ class TestBasicAuth:
             http_headers={"Authorization":
                           basic_credentials("tam", "sigmod96")})))
         assert seen["user"] == "tam"
+
+    @pytest.mark.parametrize("name", ["authorization", "AUTHORIZATION"])
+    def test_header_name_case_is_the_clients_choice(self, auth, name):
+        """The router canonicalises header names where it builds the
+        CGI environment: any spelling authenticates in-process, as it
+        always did through an app-server worker's frame round trip."""
+        gateway = CgiGateway()
+        gateway.install("db2www", ProtectedProgram(
+            FunctionProgram(lambda r: CgiResponse(body=b"secret")), auth))
+        response = Router(gateway=gateway).handle(HttpRequest(
+            target="/cgi-bin/db2www/x.d2w/report", headers=Headers(
+                [(name, basic_credentials("tam", "sigmod96"))])))
+        response.drain()
+        assert response.status == 200
+        assert response.body == b"secret"
 
 
 class TestHostFilter:

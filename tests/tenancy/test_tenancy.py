@@ -202,6 +202,13 @@ class TestJsonNegotiation:
             "row_count": 1,
         }]
 
+    def test_lowercase_accept_header_negotiates_json(self, router):
+        response = call(router, "/t/beta/items.d2w/report",
+                        headers={"accept": JSON_CONTENT_TYPE})
+        assert response.headers.get("Content-Type").startswith(
+            JSON_CONTENT_TYPE)
+        assert json.loads(response.text)["tenant"] == "beta"
+
     def test_format_variable_negotiates_json(self, router):
         response = call(router, "/t/beta/items.d2w/report?format=json")
         assert response.status == 200
