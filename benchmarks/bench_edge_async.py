@@ -1,22 +1,13 @@
-"""PERF-EDGE — the asyncio edge and TCP app-server scale-out.
+"""PERF-EDGE — the capacity of the asyncio edge.
 
-Three measurements pin the ISSUE-6 transport work:
-
-* **Edge capacity** — the asyncio edge serving pipelined keep-alive
-  requests must sustain >= 5x the req/s of the recorded app-server
-  gateway baseline (``BENCH_appserver.json``).  The edge's job is to
-  never be the bottleneck: request framing, routing and response
-  writing must cost far less than a worker dispatch.
-* **Full-stack TCP dispatch** — the same edge fronting a worker-pool
-  daemon over loopback TCP, recorded informationally (on the 1-CPU CI
-  box the worker dominates, so no bar is asserted here).
-* **Two-pool scale-out** — one dispatcher fanning out over two pool
-  daemons ("two hosts" over loopback TCP) on a latency-bound workload
-  must beat a single pool by >= 1.4x: the paper's multi-host app-server
-  story, made measurable.
+The asyncio edge serving pipelined keep-alive requests must sustain
+>= 5x the req/s of the recorded app-server gateway baseline
+(``BENCH_appserver.json``).  The edge's job is to never be the
+bottleneck: request framing, routing and response writing must cost
+far less than a worker dispatch.
 
 Results land in ``out/bench_edge_async.txt`` and the machine-readable
-``out/BENCH_edge.json`` (checked in; CI re-asserts both bars under
+``out/BENCH_edge.json`` (checked in; CI re-asserts the bar under
 ``REPRO_BENCH_QUICK=1``).
 """
 
@@ -25,42 +16,18 @@ from __future__ import annotations
 import json
 import os
 import socket
-import threading
 import time
 from pathlib import Path
 
-import pytest
-
-from repro.apps import urlquery as urlquery_app
-from repro.apps.datasets import seed_urldb
-from repro.appserver.remote import TcpPoolDispatcher, WorkerPoolDaemon
-from repro.cgi.environ import CgiEnvironment
-from repro.cgi.request import CgiRequest
 from repro.http.async_server import AsyncHttpServer
-from repro.http.message import HttpRequest
-from repro.http.persistent import PersistentHttpClient
 from repro.http.router import Router
-from repro.http.urls import Url
-from repro.sql.connection import Connection
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-QUERY = "SEARCH=ib&USE_URL=yes&USE_TITLE=yes&DBFIELDS=title"
-REPORT_TARGET = f"/cgi-bin/db2www/urlquery.d2w/report?{QUERY}"
 
 #: pipelined requests per write on the capacity bench
 PIPELINE_DEPTH = 32
 #: total requests for the capacity measurement
 CAPACITY_REQUESTS = 2_048 if QUICK else 16_384
-#: sequential report requests through the full TCP stack
-FULL_STACK_ROUNDS = 30 if QUICK else 150
-#: requests per scale-out configuration
-SCALEOUT_ROUNDS = 80 if QUICK else 240
-#: client threads driving the scale-out dispatcher
-SCALEOUT_CLIENTS = 4
-#: injected per-request stall making the scale-out workload
-#: latency-bound (so adding a second pool, not a second CPU, pays)
-SLOW_SECONDS = 0.005
 
 #: the recorded single-pool gateway baseline the edge must beat 5x
 FALLBACK_BASELINE_RPS = 2257.35
@@ -76,33 +43,6 @@ def _baseline_rps() -> float:
             return float(recorded)
     return FALLBACK_BASELINE_RPS
 
-
-def report_request() -> CgiRequest:
-    return CgiRequest(CgiEnvironment(
-        request_method="GET", script_name="/cgi-bin/db2www",
-        path_info="/urlquery.d2w/report", query_string=QUERY))
-
-
-@pytest.fixture(scope="module")
-def deployment(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("edge-bench")
-    db_path = tmp_path / "urldb.sqlite"
-    conn = Connection(str(db_path))
-    seed_urldb(conn, 150)
-    conn.close()
-    macro_dir = tmp_path / "macros"
-    macro_dir.mkdir()
-    (macro_dir / "urlquery.d2w").write_text(
-        urlquery_app.URLQUERY_MACRO, encoding="utf-8")
-    return {"REPRO_MACRO_DIR": str(macro_dir),
-            "REPRO_DATABASE_URLDB": str(db_path),
-            "REPRO_QUERY_CACHE": "64",
-            "REPRO_POOL_SIZE": "1"}
-
-
-# ---------------------------------------------------------------------------
-# Edge capacity: pipelined keep-alive requests against the asyncio edge
-# ---------------------------------------------------------------------------
 
 def test_bench_edge_capacity(benchmark, artifact):
     """The asyncio edge >= 5x the recorded app-server gateway req/s."""
@@ -155,7 +95,7 @@ def test_bench_edge_capacity(benchmark, artifact):
         f"edge_speedup: {speedup:.2f}x",
     ]
     artifact("bench_edge_async.txt", "\n".join(lines) + "\n")
-    _merge_json(artifact, {
+    artifact("BENCH_edge.json", json.dumps({
         "quick": QUICK,
         "edge_capacity": {
             "pipeline_depth": PIPELINE_DEPTH,
@@ -165,149 +105,7 @@ def test_bench_edge_capacity(benchmark, artifact):
             "speedup": round(speedup, 2),
             "bar": 5.0,
         },
-    })
+    }, indent=2, sort_keys=True) + "\n")
     assert speedup >= 5.0, (
         f"async edge only {speedup:.2f}x the gateway baseline")
 
-
-# ---------------------------------------------------------------------------
-# Full stack over TCP: edge → dispatcher → pool daemon → worker
-# ---------------------------------------------------------------------------
-
-def test_bench_full_stack_tcp(benchmark, deployment, artifact):
-    """Report req/s through the complete TCP stack (informational)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    with WorkerPoolDaemon(deployment, workers=2) as daemon:
-        dispatcher = TcpPoolDispatcher(daemon.endpoint, channels=2)
-        try:
-            router = Router()
-            router.gateway.install("db2www", dispatcher)
-            with AsyncHttpServer(router) as server:
-                with PersistentHttpClient(http11=True) as client:
-                    url = Url.parse(server.base_url + REPORT_TARGET)
-
-                    def run() -> None:
-                        response = client.fetch(url, HttpRequest(
-                            method="GET", target=REPORT_TARGET))
-                        assert response.status == 200
-
-                    run()  # warm-up
-                    start = time.perf_counter()
-                    for _ in range(FULL_STACK_ROUNDS):
-                        run()
-                    elapsed = time.perf_counter() - start
-        finally:
-            dispatcher.shutdown()
-
-    stack_rps = FULL_STACK_ROUNDS / elapsed
-    _merge_json(artifact, {"full_stack_tcp": {
-        "rounds": FULL_STACK_ROUNDS,
-        "req_per_s": round(stack_rps, 2),
-    }})
-    assert stack_rps > 0
-
-
-# ---------------------------------------------------------------------------
-# Two-pool scale-out over loopback TCP
-# ---------------------------------------------------------------------------
-
-def _drive(dispatcher: TcpPoolDispatcher, total: int) -> float:
-    """``total`` report requests from SCALEOUT_CLIENTS threads."""
-    remaining = [total]
-    lock = threading.Lock()
-    failures: list[BaseException] = []
-
-    def client() -> None:
-        while True:
-            with lock:
-                if remaining[0] <= 0:
-                    return
-                remaining[0] -= 1
-            try:
-                response = dispatcher.run(report_request())
-                assert response.status == 200
-            except BaseException as exc:  # surfaced after join
-                with lock:
-                    failures.append(exc)
-                return
-
-    dispatcher.run(report_request())  # warm-up: channels + workers
-    threads = [threading.Thread(target=client)
-               for _ in range(SCALEOUT_CLIENTS)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if failures:
-        raise failures[0]
-    return total / elapsed
-
-
-def test_bench_two_pool_scaleout(benchmark, deployment, artifact):
-    """Two pool daemons >= 1.4x one on a latency-bound workload."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    # Each request stalls SLOW_SECONDS in the worker: throughput is
-    # bounded by (workers busy) / stall, not by the single CPU, so a
-    # second "host" genuinely adds capacity.
-    env = dict(deployment)
-    env["REPRO_WORKER_FAULTS"] = f"slow:1:{SLOW_SECONDS}"
-
-    with WorkerPoolDaemon(env, workers=2) as first:
-        one = TcpPoolDispatcher(first.endpoint,
-                                channels=SCALEOUT_CLIENTS)
-        try:
-            one_pool_rps = _drive(one, SCALEOUT_ROUNDS)
-        finally:
-            one.shutdown()
-
-        with WorkerPoolDaemon(env, workers=2) as second:
-            two = TcpPoolDispatcher(
-                [first.endpoint, second.endpoint],
-                channels=SCALEOUT_CLIENTS)
-            try:
-                two_pool_rps = _drive(two, SCALEOUT_ROUNDS)
-                stats = two.stats()
-            finally:
-                two.shutdown()
-
-    ratio = two_pool_rps / one_pool_rps
-    lines = [
-        f"PERF-EDGE — two-pool scale-out over loopback TCP "
-        f"({SCALEOUT_ROUNDS} requests, {SCALEOUT_CLIENTS} clients, "
-        f"{SLOW_SECONDS * 1000:.0f} ms injected stall/request)",
-        "",
-        f"{'configuration':<30}{'req_per_s':>12}",
-        f"{'one pool  (2 workers)':<30}{one_pool_rps:>12.1f}",
-        f"{'two pools (2 workers each)':<30}{two_pool_rps:>12.1f}",
-        "",
-        f"scaleout: {ratio:.2f}x",
-    ]
-    artifact("bench_edge_scaleout.txt", "\n".join(lines) + "\n")
-    _merge_json(artifact, {"scaleout": {
-        "rounds": SCALEOUT_ROUNDS,
-        "clients": SCALEOUT_CLIENTS,
-        "slow_ms": SLOW_SECONDS * 1000,
-        "one_pool_req_per_s": round(one_pool_rps, 2),
-        "two_pool_req_per_s": round(two_pool_rps, 2),
-        "ratio": round(ratio, 2),
-        "bar": 1.4,
-        "pool_size": stats.get("channels"),
-    }})
-    assert ratio >= 1.4, (
-        f"two pools only {ratio:.2f}x one pool on a "
-        f"latency-bound workload")
-
-
-def _merge_json(artifact, fields: dict) -> None:
-    """Accumulate the three tests' results into one JSON artifact."""
-    path = Path(__file__).parent / "out" / "BENCH_edge.json"
-    payload = {}
-    if path.is_file():
-        payload = json.loads(path.read_text())
-    payload.update(fields)
-    artifact("BENCH_edge.json",
-             json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -11,21 +11,17 @@ templates, pooled connections, a query-result cache), and speaks a small
 length-prefixed frame protocol to them over a Unix socket — so a request
 costs one dispatch instead of one ``exec``.
 
-The same frame protocol also runs over TCP (:mod:`repro.appserver.remote`):
-a :class:`WorkerPoolDaemon` hosts the pool behind ``--listen host:port``
-and a :class:`TcpPoolDispatcher` on the web-server host dispatches to any
-number of such pools via ``--connect`` — the three-tier separation the
-related work argues for.  Leasing, the exchange, crash replacement,
-GET/HEAD replay and health checks are one core under both dispatchers
-(:class:`repro.appserver.dispatcher._PeerDispatcher`).
+The workers live on the web server's host, as the paper's resident
+application does.  The tier boundary is the frame protocol
+(:mod:`repro.appserver.protocol`), not the socket family under it.
 
-The dispatchers implement the :class:`repro.cgi.gateway.CgiProgram`
-protocol and mount in a :class:`~repro.cgi.gateway.CgiGateway` exactly
-like the in-process program or :class:`~repro.cgi.process.SubprocessCgiRunner`,
-so the whole HTTP stack above is unchanged.
+:class:`AppServerDispatcher` implements the
+:class:`repro.cgi.gateway.CgiProgram` protocol and mounts in a
+:class:`~repro.cgi.gateway.CgiGateway` exactly like the in-process
+program or :class:`~repro.cgi.process.SubprocessCgiRunner`, so the whole
+HTTP stack above is unchanged.
 """
 
 from repro.appserver.dispatcher import AppServerDispatcher
-from repro.appserver.remote import TcpPoolDispatcher, WorkerPoolDaemon
 
-__all__ = ["AppServerDispatcher", "TcpPoolDispatcher", "WorkerPoolDaemon"]
+__all__ = ["AppServerDispatcher"]

@@ -1,26 +1,20 @@
-"""The app-server dispatchers' shared core, and the local worker pool.
+"""The app-server dispatcher: a pre-forked pool of worker processes.
 
-:class:`_PeerDispatcher` is the one frame-protocol dispatcher: it
-leases a **peer** (a connection that answers ``REQUEST`` frames) from
-an idle queue, runs one exchange on it, replaces a peer whose frame
-stream broke and replays the request once when its method allows,
-and hands the peer back.  The wait for a peer is capped by the
-request's deadline, and :meth:`~_PeerDispatcher.health_check` pings
-the idle ones.  Its two subclasses differ only in what a peer *is*:
+:class:`AppServerDispatcher` leases an idle worker (a process of
+:mod:`repro.appserver.worker` that connected back over a Unix
+rendezvous socket) from a queue, runs one ``REQUEST``→``RESPONSE``
+exchange on it, replaces a worker whose frame stream broke and replays
+the request once when its method allows, and hands the worker back.
+Both the wait for a worker and the wait for its answer are capped by
+the request's deadline.
 
-* :class:`AppServerDispatcher` (here) — a pre-forked worker process
-  (:mod:`repro.appserver.worker`) that connected back over a Unix
-  rendezvous socket;
-* :class:`~repro.appserver.remote.TcpPoolDispatcher` — a TCP
-  connection to a pool daemon on another host.
-
-Both implement the :class:`repro.cgi.gateway.CgiProgram` protocol, so
-the whole web stack mounts them exactly like the in-process program or
+It implements the :class:`repro.cgi.gateway.CgiProgram` protocol, so
+the whole web stack mounts it exactly like the in-process program or
 the process-per-request :class:`~repro.cgi.process.SubprocessCgiRunner`
 — the execution models of the gateway-comparison bench differ only in
 what sits behind ``gateway.install``.
 
-Worker lifecycle (the local pool):
+Worker lifecycle:
 
 * **spawn** — workers are pre-forked at construction; each connects
   back over the Unix socket and announces itself with a ``HELLO``.
@@ -31,15 +25,20 @@ Worker lifecycle (the local pool):
   ``i`` lives ``i/pool_size`` of a period less, so round-robin traffic
   does not bring every worker to the threshold together.
 * **crash** — a worker dying mid-request is detected by the broken
-  frame stream, replaced immediately, and the request is retried once
-  on a fresh worker when its method is GET or HEAD; other in-flight
-  requests ride their own workers and never notice.
+  frame stream, killed, reaped and replaced before anything else
+  happens; then the request is retried once on a fresh worker when its
+  method is GET or HEAD.  Other in-flight requests ride their own
+  workers and never notice.
+* **deadline** — a worker still silent when the request's deadline
+  runs out is killed and replaced the same way (it could still
+  commit), and the request fails with
+  :class:`~repro.errors.DeadlineExceededError` instead of a replay.
 * **drain** — :meth:`shutdown` stops handing out workers, tells each
   one to finish and exit, and reaps stragglers.
 
-Concurrency is peer-granular: a checked-out peer is exclusively owned
-by one request thread (a :class:`queue.Queue` of idle peers is the
-scheduler), so no frame interleaving can occur.
+Concurrency is worker-granular: a checked-out worker is exclusively
+owned by one request thread (a :class:`queue.Queue` of idle workers is
+the scheduler), so no frame interleaving can occur.
 """
 
 from __future__ import annotations
@@ -64,217 +63,48 @@ from repro.errors import (
 )
 from repro.obs.trace import TRACER
 
-#: Request methods replayed on a fresh peer after a broken exchange.
+#: Request methods replayed on a fresh worker after a broken exchange.
 #: The rule keys on the method alone — every macro is reachable by
 #: GET, so it does not by itself prevent a doubled write (ROADMAP 2).
 _REPLAYABLE = frozenset({"GET", "HEAD"})
 
-#: What the local pool counts per worker slot (and sums pool-wide).
+#: What the pool counts per worker slot (and sums pool-wide).
+#: ``crashes`` is every unplanned replacement: a broken frame stream
+#: or a worker killed at its request's deadline.
 _SLOT_COUNTERS = ("requests", "recycles", "crashes")
 
-
-class _PeerBroken(Exception):
-    """The frame stream to a peer failed mid-exchange (as opposed to a
-    pool-side failure that arrived intact in an ``ERROR`` frame)."""
-
-
-class _Peer:
-    """What the core leases: a connection and the reader of its frames,
-    its number in the pool and the attributes its
-    ``appserver.dispatch`` spans carry."""
-
-    __slots__ = ("slot", "conn", "reader", "span_attrs")
-
-    def __init__(self, slot: int, conn: socket.socket,
-                 span_attrs: tuple):
-        self.slot = slot
-        self.conn = conn
-        self.reader = protocol.FrameReader(conn)
-        self.span_attrs = span_attrs
+#: The shortest socket wait a deadline-capped exchange sets (a timeout
+#: of 0 would make the socket non-blocking instead).
+_MIN_WAIT = 1e-3
 
 
-class _PeerDispatcher:
-    """Lease → exchange → (replace, replay once) → hand back.
-
-    Subclasses supply ``_checkin(peer)`` (count the request, queue the
-    peer), ``_replace(peer)`` (dispose of a broken peer, queue a fresh
-    one if it can), ``stats()`` and ``shutdown()``, and keep ``_live``
-    (slot → peer) current.
-    """
-
-    _PEER = "peer"      # what a peer is called in messages
-    _BROKE = "broke"    # ... and what it did when its stream failed
-
-    def __init__(self, request_timeout: float):
-        self.request_timeout = request_timeout
-        self._idle: "queue.Queue[_Peer]" = queue.Queue()
-        self._lock = threading.Lock()       # registry + counters
-        self._closed = False
-        self._live: dict[int, _Peer] = {}
-        self._replays = 0
-        self._busy_timeouts = 0
-
-    # -- CgiProgram --------------------------------------------------------
-
-    def run(self, request: CgiRequest) -> CgiResponse:
-        deadline = getattr(request, "deadline", None)
-        peer = self._checkout(deadline)
-        try:
-            response = self._exchange(peer, request)
-        except _PeerBroken as exc:
-            # The frame stream broke: the worker crashed (or hung past
-            # the timeout), the daemon or the network went away.
-            # Replace the peer; other in-flight requests own other
-            # peers and are unaffected.
-            self._replace(peer)
-            if request.environ.request_method.upper() not in _REPLAYABLE:
-                raise CgiProtocolError(
-                    f"app-server {self._PEER} {self._BROKE} "
-                    f"mid-request: {exc}") from exc
-            with self._lock:
-                self._replays += 1
-            peer = self._checkout(deadline)
-            try:
-                response = self._exchange(peer, request)
-            except _PeerBroken as again:
-                self._replace(peer)
-                raise CgiProtocolError(
-                    f"app-server {self._PEER} {self._BROKE} on the "
-                    f"replay as well: {again}") from again
-        self._checkin(peer)
-        return response
-
-    def health_check(self) -> dict[int, bool]:
-        """Ping every idle peer; dead ones are replaced.
-
-        Returns slot → alive-before-check.  Busy peers are skipped
-        (their liveness is proven by the request they are serving).
-        """
-        idle: list[_Peer] = []
-        while True:
-            try:
-                idle.append(self._idle.get_nowait())
-            except queue.Empty:
-                break
-        # Drained first: a replacement queued below is not pinged (and
-        # its slot's verdict overwritten) in the same pass.
-        results: dict[int, bool] = {}
-        for peer in idle:
-            try:
-                protocol.send_frame(peer.conn, protocol.FRAME_PING)
-                frame = peer.reader.read()
-                alive = frame is not None \
-                    and frame[0] == protocol.FRAME_PONG
-            except (OSError, CgiProtocolError):
-                alive = False
-            results[peer.slot] = alive
-            if alive:
-                self._idle.put(peer)
-            else:
-                self._replace(peer)
-        return results
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    # -- internals ---------------------------------------------------------
-
-    def _checkout(self, deadline=None) -> _Peer:
-        if self._closed:
-            raise CgiProtocolError("app-server dispatcher is shut down")
-        # The wait for a peer is bounded by the request's remaining
-        # deadline budget: a request with 50 ms left must not sit 30 s
-        # in the checkout queue doing dead work.
-        timeout = self.request_timeout
-        if deadline is not None:
-            if deadline.expired:
-                raise DeadlineExceededError(
-                    f"request deadline expired before a {self._PEER} "
-                    "was free")
-            timeout = min(timeout, deadline.remaining())
-        try:
-            return self._idle.get(timeout=timeout)
-        except queue.Empty:
-            with self._lock:
-                self._busy_timeouts += 1
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceededError(
-                    "request deadline expired waiting for an "
-                    f"app-server {self._PEER}") from None
-            raise PoolExhaustedError(
-                f"all {len(self._live)} app-server {self._PEER}s "
-                f"stayed busy for {timeout:.3g}s") from None
-
-    def _exchange(self, peer: _Peer, request: CgiRequest) -> CgiResponse:
-        """One REQUEST→RESPONSE round trip on a checked-out peer.
-
-        Transport trouble raises :class:`_PeerBroken` (replace the
-        peer, maybe replay).  An ``ERROR`` frame is a pool-side
-        failure that crossed a healthy stream: the peer goes back to
-        the queue and the pool's own exception is re-raised as-is.
-        """
-        with TRACER.span("appserver.dispatch") as span:
-            for key, value in peer.span_attrs:
-                span.set(key, value)
-            try:
-                protocol.send_frame(peer.conn, protocol.FRAME_REQUEST,
-                                    protocol.encode_request(request))
-                frame = peer.reader.read()
-            except (OSError, CgiProtocolError) as exc:
-                raise _PeerBroken(str(exc)) from exc
-            if frame is None:
-                raise _PeerBroken(
-                    "connection closed instead of responding")
-            frame_type, payload = frame
-            if frame_type == protocol.FRAME_ERROR:
-                # Handed back before decoding: a garbled ERROR payload
-                # raises too, and must not take the healthy peer along.
-                self._checkin(peer)
-                raise protocol.pool_error(payload)
-            if frame_type != protocol.FRAME_RESPONSE:
-                raise _PeerBroken(
-                    f"expected a RESPONSE frame, got type {frame_type}")
-            try:
-                response = protocol.decode_response(payload)
-                if response.trace is not None:
-                    # Stitch the worker-side span rows into this
-                    # request's trace, under this dispatch span.
-                    TRACER.graft(response.trace)
-            except CgiProtocolError as exc:
-                raise _PeerBroken(str(exc)) from exc
-            return response
+class _StreamBroken(Exception):
+    """The frame stream to a worker failed mid-exchange."""
 
 
-class _Worker(_Peer):
-    """One live worker process and its dispatcher-side connection."""
+class _Worker:
+    """One live worker process, its dispatcher-side connection and the
+    reader of that connection's frames."""
 
-    __slots__ = ("proc", "served", "lifetime")
+    __slots__ = ("slot", "proc", "conn", "reader", "served", "lifetime")
 
     def __init__(self, slot: int, proc: subprocess.Popen,
                  conn: socket.socket, lifetime: int):
-        super().__init__(slot, conn, (("slot", slot),))
+        self.slot = slot
         self.proc = proc
+        self.conn = conn
+        self.reader = protocol.FrameReader(conn)
         self.served = 0  # requests served by this incarnation
         self.lifetime = lifetime  # ... and how many it may serve
 
 
-class AppServerDispatcher(_PeerDispatcher):
+class AppServerDispatcher:
     """Dispatches CGI requests to a pool of persistent worker processes.
 
     ``worker_env`` carries the application configuration the workers
     read (``REPRO_MACRO_DIR``, ``REPRO_DATABASE_<NAME>``, and friends —
     see :mod:`repro.cgi.db2www_main`).  Everything else is pool tuning.
     """
-
-    _PEER = "worker"
-    _BROKE = "died"
-
-    #: benchmarks/e2e/spans.py wraps ``AppServerDispatcher.__dict__
-    #: ["run"]``; inherited only, the dispatch layer would read 0.0.
-    run = _PeerDispatcher.run
 
     def __init__(self, worker_env: dict[str, str], *,
                  workers: int = 4,
@@ -286,13 +116,19 @@ class AppServerDispatcher(_PeerDispatcher):
             raise ValueError("workers must be at least 1")
         if recycle_after < 1:
             raise ValueError("recycle_after must be at least 1")
-        super().__init__(request_timeout)
         self.worker_env = dict(worker_env)
         self.pool_size = workers
         self.recycle_after = recycle_after
+        self.request_timeout = request_timeout
         self.spawn_timeout = spawn_timeout
         self.argv = argv or [sys.executable, "-m",
                              "repro.appserver.worker"]
+        self._idle: "queue.Queue[_Worker]" = queue.Queue()
+        self._lock = threading.Lock()       # registry + counters
+        self._closed = False
+        self._live: dict[int, _Worker] = {}
+        self._replays = 0
+        self._busy_timeouts = 0
         self._dir = tempfile.mkdtemp(prefix="repro-appserver-")
         self.socket_path = os.path.join(self._dir, "dispatch.sock")
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -314,6 +150,42 @@ class AppServerDispatcher(_PeerDispatcher):
         except BaseException:
             self.shutdown()
             raise
+
+    # -- CgiProgram --------------------------------------------------------
+
+    def run(self, request: CgiRequest) -> CgiResponse:
+        """Lease → exchange → (replace, replay once) → hand back."""
+        deadline = request.deadline
+        worker = self._checkout(deadline)
+        try:
+            response = self._exchange(worker, request, deadline)
+        except _StreamBroken as exc:
+            # The frame stream broke: the worker crashed or hung past
+            # the timeout.  It is dead and reaped before anything is
+            # replayed; other in-flight requests own other workers and
+            # are unaffected.
+            self._replace(worker)
+            if request.environ.request_method.upper() not in _REPLAYABLE:
+                raise CgiProtocolError(
+                    f"app-server worker died mid-request: {exc}") from exc
+            with self._lock:
+                self._replays += 1
+            worker = self._checkout(deadline)
+            try:
+                response = self._exchange(worker, request, deadline)
+            except _StreamBroken as again:
+                self._replace(worker)
+                raise CgiProtocolError(
+                    "app-server worker died on the replay as well: "
+                    f"{again}") from again
+        self._checkin(worker)
+        return response
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
 
     # -- observability -----------------------------------------------------
 
@@ -376,6 +248,77 @@ class AppServerDispatcher(_PeerDispatcher):
                 pass
 
     # -- internals ---------------------------------------------------------
+
+    def _checkout(self, deadline=None) -> _Worker:
+        if self._closed:
+            raise CgiProtocolError("app-server dispatcher is shut down")
+        # The wait for a worker is bounded by the request's remaining
+        # deadline budget: a request with 50 ms left must not sit 30 s
+        # in the checkout queue doing dead work.
+        timeout = self.request_timeout
+        if deadline is not None:
+            if deadline.expired:
+                raise DeadlineExceededError(
+                    "request deadline expired before a worker was free")
+            timeout = min(timeout, deadline.remaining())
+        try:
+            return self._idle.get(timeout=timeout)
+        except queue.Empty:
+            with self._lock:
+                self._busy_timeouts += 1
+            if deadline is not None and deadline.expired:
+                raise DeadlineExceededError(
+                    "request deadline expired waiting for an "
+                    "app-server worker") from None
+            raise PoolExhaustedError(
+                f"all {len(self._live)} app-server workers "
+                f"stayed busy for {timeout:.3g}s") from None
+
+    def _exchange(self, worker: _Worker, request: CgiRequest,
+                  deadline) -> CgiResponse:
+        """One REQUEST→RESPONSE round trip on a checked-out worker.
+
+        Transport trouble raises :class:`_StreamBroken` (replace the
+        worker, maybe replay); so does any frame but a ``RESPONSE``.
+        Running out of deadline replaces the worker and raises
+        :class:`DeadlineExceededError`.
+        """
+        with TRACER.span("appserver.dispatch") as span:
+            span.set("slot", worker.slot)
+            try:
+                if deadline is not None:
+                    worker.conn.settimeout(max(
+                        deadline.cap(self.request_timeout), _MIN_WAIT))
+                protocol.send_frame(worker.conn, protocol.FRAME_REQUEST,
+                                    protocol.encode_request(request))
+                frame = worker.reader.read()
+            except (OSError, CgiProtocolError) as exc:
+                if deadline is not None and deadline.expired:
+                    # The worker may still be running the request, and
+                    # may still commit: it dies before the error leaves.
+                    self._replace(worker)
+                    raise DeadlineExceededError(
+                        "request deadline expired waiting for app-server "
+                        f"worker {worker.slot}") from exc
+                raise _StreamBroken(str(exc)) from exc
+            if frame is None:
+                raise _StreamBroken(
+                    "connection closed instead of responding")
+            frame_type, payload = frame
+            if frame_type != protocol.FRAME_RESPONSE:
+                raise _StreamBroken(
+                    f"expected a RESPONSE frame, got type {frame_type}")
+            try:
+                response = protocol.decode_response(payload)
+                if response.trace is not None:
+                    # Stitch the worker-side span rows into this
+                    # request's trace, under this dispatch span.
+                    TRACER.graft(response.trace)
+            except CgiProtocolError as exc:
+                raise _StreamBroken(str(exc)) from exc
+            if deadline is not None:
+                worker.conn.settimeout(self.request_timeout)
+            return response
 
     def _spawn(self, slot: int, lifetime: int) -> _Worker:
         env = dict(os.environ)
@@ -455,7 +398,7 @@ class AppServerDispatcher(_PeerDispatcher):
                 self._recycler = None
 
     def _replace(self, worker: _Worker) -> None:
-        """A worker whose frame stream broke: kill, count, respawn."""
+        """An unplanned replacement: kill and reap, count, respawn."""
         slot = worker.slot
         self._kill(worker)
         with self._lock:

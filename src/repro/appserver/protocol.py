@@ -1,4 +1,4 @@
-"""The dispatcher↔worker frame protocol, over Unix *or* TCP sockets.
+"""The dispatcher↔worker frame protocol, over the pool's Unix socket.
 
 FastCGI-flavoured but deliberately tiny: every message on the socket is
 one frame —
@@ -9,11 +9,11 @@ one frame —
 ``N bytes``   payload
 ===========  =========================================================
 
-Control frames (``HELLO``/``PING``/``PONG``/``SHUTDOWN``/``ERROR``)
-carry a small JSON object or nothing.  ``REQUEST``/``RESPONSE``
-payloads are a JSON header length-prefixed the same way, followed by
-the raw body bytes — the body is never JSON-escaped, so a megabyte page
-costs a memcpy, not an encode.  Both headers are positional JSON lists:
+Control frames (``HELLO``/``SHUTDOWN``) carry a small JSON object or
+nothing.  ``REQUEST``/``RESPONSE`` payloads are a JSON header
+length-prefixed the same way, followed by the raw body bytes — the
+body is never JSON-escaped, so a megabyte page costs a memcpy, not an
+encode.  Both headers are positional JSON lists:
 
 ``REQUEST``
     The :class:`~repro.cgi.environ.CgiEnvironment` fields in declaration
@@ -36,20 +36,13 @@ costs a memcpy, not an encode.  Both headers are positional JSON lists:
 
 The decoders check each header's arity and every field's type (JSON
 ``true`` is not an int) and raise :class:`~repro.errors.CgiProtocolError`
-on anything else.  Nothing is negotiated: both ends of a socket — a
-``--connect`` edge and its ``--listen`` daemon included — must run the
-same version of this module.
+on anything else.  Nothing is negotiated: the dispatcher and the
+workers it spawns run the same version of this module.
 
 Frames are read through one :class:`FrameReader` per socket, which
 takes a frame in a single ``recv`` when it fits and carries any bytes
-past the frame to the next read.
-
-The frame format is transport-agnostic: the same codecs run over the
-dispatcher's local ``AF_UNIX`` rendezvous socket and over TCP between
-hosts (``repro serve --listen`` pool daemons and ``--connect``
-dispatchers — see :mod:`repro.appserver.remote`).  Endpoint strings
-pick the transport: ``host:port`` means TCP, anything else is a Unix
-socket path (:func:`parse_endpoint`).
+past the frame to the next read.  Nothing here depends on the socket
+family: the tier boundary is this protocol, not the transport under it.
 """
 
 from __future__ import annotations
@@ -64,19 +57,12 @@ from typing import Optional
 
 from repro.cgi.environ import CgiEnvironment
 from repro.cgi.request import CgiRequest, CgiResponse
-from repro.errors import CgiProtocolError, PoolExhaustedError
-from repro.overload.retryafter import clamp_retry_hint
+from repro.errors import CgiProtocolError
 
 FRAME_HELLO = 0x01      # worker → dispatcher, on connect
 FRAME_REQUEST = 0x02    # dispatcher → worker
 FRAME_RESPONSE = 0x03   # worker → dispatcher
-FRAME_PING = 0x04       # dispatcher → worker, health check
-FRAME_PONG = 0x05       # worker → dispatcher, carries counters
 FRAME_SHUTDOWN = 0x06   # dispatcher → worker, drain and exit
-FRAME_ERROR = 0x07      # pool daemon → remote dispatcher: the request
-                        # failed pool-side (worker died on a
-                        # non-replayable request, pool exhausted); the
-                        # channel itself stays healthy
 
 _FRAME_HEAD = struct.Struct(">BI")
 _HEAD_SIZE = _FRAME_HEAD.size
@@ -117,10 +103,9 @@ class FrameReader:
     """Reads the frames arriving on one socket.
 
     A frame that fits in one ``recv`` takes one.  Bytes past the end of
-    a frame are kept for the next :meth:`read`, never dropped: a peer
-    may write two frames in one ``send`` (``TcpPoolDispatcher.shutdown``
-    can put a ``SHUTDOWN`` right behind a busy channel's ``REQUEST``).
-    Use one reader per socket for the socket's whole life.
+    a frame are kept for the next :meth:`read`, never dropped: nothing
+    stops a peer from writing two frames in one ``send``.  Use one
+    reader per socket for the socket's whole life.
     """
 
     __slots__ = ("sock", "_buffer")
@@ -234,89 +219,7 @@ def decode_response(payload: bytes) -> CgiResponse:
                        trace=trace)
 
 
-# -- transport endpoints ---------------------------------------------------
-
-def parse_endpoint(spec: str) -> tuple[str, object]:
-    """Classify an endpoint string: ``("tcp", (host, port))`` when it
-    looks like ``host:port`` (the port numeric), else ``("unix", path)``.
-
-    A Unix socket path can contain colons, but never ends in ``:<int>``
-    the way a TCP authority does, so the two spellings cannot collide in
-    practice; TCP specs may also be written ``tcp:host:port`` to be
-    explicit.
-    """
-    text = spec
-    if text.startswith("tcp:"):
-        text = text[len("tcp:"):]
-        host, sep, port = text.rpartition(":")
-        if not sep:
-            raise ValueError(f"bad TCP endpoint {spec!r}: expected "
-                             f"host:port")
-        return "tcp", (host or "127.0.0.1", int(port))
-    host, sep, port = text.rpartition(":")
-    if sep and port.isdigit():
-        return "tcp", (host or "127.0.0.1", int(port))
-    return "unix", text
-
-
-def connect_endpoint(spec: str, *,
-                     timeout: Optional[float] = None) -> socket.socket:
-    """Connect a stream socket to a Unix-path or ``host:port`` endpoint.
-
-    TCP connections get ``TCP_NODELAY``: frames are written whole and
-    waited on synchronously, so Nagle coalescing only adds latency.
-    """
-    kind, address = parse_endpoint(spec)
-    if kind == "tcp":
-        sock = socket.create_connection(address, timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    if timeout is not None:
-        sock.settimeout(timeout)
-    try:
-        sock.connect(address)
-    except OSError:
-        sock.close()
-        raise
-    return sock
-
-
-def format_endpoint(kind: str, address) -> str:
-    """The canonical spec string for a bound endpoint."""
-    if kind == "tcp":
-        host, port = address[0], address[1]
-        return f"{host}:{port}"
-    return str(address)
-
-
 # -- control frames --------------------------------------------------------
-
-def encode_error(message: str, *, kind: str = "protocol",
-                 retry_after: float | None = None) -> bytes:
-    """An ``ERROR`` frame payload (pool-side failure classification).
-
-    ``retry_after`` rides along for ``exhausted`` errors so the
-    dispatcher side can rebuild the pool's honest retry hint instead of
-    inventing its own (shared semantics: repro.overload.retryafter).
-    """
-    fields: dict = {"error": str(message), "kind": kind}
-    if retry_after is not None:
-        fields["retry_after"] = float(retry_after)
-    return encode_control(fields)
-
-
-def pool_error(payload: bytes) -> Exception:
-    """Rebuild the pool-side exception an ``ERROR`` frame carries."""
-    fields = decode_control(payload)
-    message = str(fields.get("error", "unknown pool-side failure"))
-    if fields.get("kind") == "exhausted":
-        hint = fields.get("retry_after")
-        return PoolExhaustedError(
-            message, retry_after=clamp_retry_hint(
-                float(hint) if hint is not None else None))
-    return CgiProtocolError(message)
-
 
 def encode_control(fields: dict) -> bytes:
     return _encode_json(fields).encode("utf-8")

@@ -11,8 +11,7 @@ Configuration rides the same environment variables as the stand-alone
 CGI executable (:mod:`repro.cgi.db2www_main`), plus:
 
 ``REPRO_APPSERVER_SOCKET``
-    The dispatcher's rendezvous endpoint: a Unix socket path, or
-    ``host:port`` for the TCP transport.  Required.
+    The path of the dispatcher's Unix rendezvous socket.  Required.
 ``REPRO_APPSERVER_WORKER_ID``
     Slot number announced in the ``HELLO`` frame.
 ``REPRO_WORKER_FAULTS``
@@ -54,8 +53,9 @@ def worker_main(env: dict[str, str] | None = None) -> int:
     if faults:
         injector = FaultInjector.parse(faults)
 
-    sock = protocol.connect_endpoint(socket_path)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
+        sock.connect(socket_path)
         protocol.send_frame(
             sock, protocol.FRAME_HELLO,
             protocol.encode_control({"worker_id": worker_id,
@@ -67,7 +67,6 @@ def worker_main(env: dict[str, str] | None = None) -> int:
 
 def _serve(sock: socket.socket, gateway: CgiGateway,
            injector: FaultInjector | None, worker_id: int) -> int:
-    served = 0
     reader = protocol.FrameReader(sock)
     while True:
         frame = reader.read()
@@ -76,13 +75,6 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
         frame_type, payload = frame
         if frame_type == protocol.FRAME_SHUTDOWN:
             return 0
-        if frame_type == protocol.FRAME_PING:
-            protocol.send_frame(
-                sock, protocol.FRAME_PONG,
-                protocol.encode_control({"worker_id": worker_id,
-                                         "pid": os.getpid(),
-                                         "served": served}))
-            continue
         if frame_type != protocol.FRAME_REQUEST:
             return 1  # protocol violation; die and be replaced
         if injector is not None:
@@ -114,7 +106,6 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
         protocol.send_frame(sock, protocol.FRAME_RESPONSE,
                             protocol.encode_response(response,
                                                      trace=trace))
-        served += 1
 
 
 if __name__ == "__main__":  # pragma: no cover - spawned by dispatcher

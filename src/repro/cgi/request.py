@@ -28,9 +28,10 @@ class CgiRequest:
     stdin: bytes = b""
     #: Optional per-request deadline budget
     #: (:class:`repro.resilience.deadline.Deadline`).  Process-local
-    #: and deliberately *not* serialised: dispatchers use it to cap
-    #: their own waits (worker checkout, channel checkout); a worker
-    #: process re-derives its budget from engine configuration.
+    #: and deliberately *not* serialised: the app-server dispatcher
+    #: uses it to cap its own waits (worker checkout, the worker's
+    #: answer); a worker process re-derives its budget from engine
+    #: configuration.
     deadline: Optional[object] = None
 
     def input_pairs(self) -> list[tuple[str, str]]:

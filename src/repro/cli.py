@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--recycle-after", type=int, default=500,
                        metavar="N", dest="recycle_after",
                        help="recycle each app-server worker after N "
-                            "requests")
+                            "requests (--gateway appserver only)")
     serve.add_argument("--stream", action="store_true",
                        help="stream report pages off the live SQL "
                             "cursor (chunked to HTTP/1.1 clients, "
@@ -166,17 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "as CLASS (cached/interactive/heavy/"
                             "unclassified); repeatable, first match "
                             "wins, checked before the learned profile")
-    serve.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="worker-pool daemon mode: no HTTP edge; "
-                            "host the app-server worker pool behind a "
-                            "TCP endpoint for --connect dispatchers "
-                            "on other machines")
-    serve.add_argument("--connect", action="append", default=[],
-                       metavar="HOST:PORT",
-                       help="dispatch /cgi-bin/db2www to remote "
-                            "worker-pool daemons instead of a local "
-                            "pool (repeatable to balance across "
-                            "pools; --gateway appserver only)")
     serve.add_argument("--backlog", type=int, default=128,
                        help="listen(2) backlog of the HTTP server")
     serve.add_argument("--query-cache", type=int, default=128,
@@ -323,11 +312,22 @@ def _apply_sharding(args, registry: DatabaseRegistry) -> bool:
     return True
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse a command line, refusing a ``serve`` option that its
+    gateway would ignore.  The parser does not outlive this call, so a
+    serving process keeps none of it."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve":
+        _refuse_ignored_options(args, parser)
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None,
          out=None) -> int:
     """CLI entry point; returns the process exit status."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "lint":
             return _cmd_lint(args, out)
@@ -599,19 +599,22 @@ def _slow_query_path(args) -> Path:
 
 
 #: Where each `serve` option takes effect.  "edge" options configure
-#: the serving process itself; "forwarded" ones reach app-server workers
-#: through :func:`_worker_env`; "engine" ones configure the in-process
-#: macro engine and nothing carries them to a worker, so they are
-#: refused rather than dropped wherever workers run the macros.  Keyed
-#: by argparse dest; tests/core/test_cli.py fails on a dest missing here.
+#: the serving process itself, under either gateway; "pool" ones size
+#: the app-server worker pool; "forwarded" ones reach app-server
+#: workers through :func:`_worker_env` and configure the in-process
+#: engine otherwise; "engine" ones configure the in-process macro
+#: engine and nothing carries them to a worker.  A "pool" or "engine"
+#: option the chosen gateway would ignore is refused, not dropped.
+#: Keyed by argparse dest; tests/core/test_cli.py fails on a dest
+#: missing here.
 _SERVE_OPTIONS = {
     "edge": (
-        "help", "host", "port", "gateway", "workers", "recycle_after",
-        "acceptors", "reuse_port", "max_connections", "backlog",
-        "listen", "connect", "overload", "overload_concurrency",
+        "help", "host", "port", "gateway", "acceptors", "reuse_port",
+        "max_connections", "backlog", "overload", "overload_concurrency",
         "overload_queue", "slo_ms", "overload_rules", "tenant_config",
         "access_log", "trace_log", "slow_query_ms", "slow_query_log",
         "trace_sample", "request_deadline"),
+    "pool": ("workers", "recycle_after"),
     "forwarded": ("macros", "database", "query_cache", "macro_stat_ttl",
                   "no_trace"),
     "engine": (
@@ -621,32 +624,28 @@ _SERVE_OPTIONS = {
 }
 
 
-def _refuse_engine_options(args) -> None:
-    """Exit naming every engine-only option given a non-default value
-    while worker processes, not this one, will run the macros — and,
-    under ``--connect``, every forwarded one: the workers belong to the
-    ``--listen`` daemon, which forwards its own."""
-    defaults = build_parser().parse_args(["serve", "--macros", "."])
-
-    def given(dests) -> list[str]:
-        return ["--" + dest.replace("_", "-") for dest in dests
-                if getattr(args, dest) != getattr(defaults, dest)]
-
-    ignored = given(_SERVE_OPTIONS["engine"])
+def _refuse_ignored_options(args, parser: argparse.ArgumentParser) -> None:
+    """Exit naming every option given a non-default value that the
+    chosen gateway would ignore: the engine-only ones while worker
+    processes, not this one, run the macros, and the pool ones while
+    this process runs them.  ``parser`` is the one that parsed
+    ``args``: its defaults are what "given" is measured against."""
+    if args.gateway == "inprocess":
+        side, needs, why = ("pool", "appserver",
+                            "app-server pool settings; the in-process "
+                            "engine runs no workers")
+    else:
+        side, needs, why = ("engine", "inprocess",
+                            "in-process engine settings; nothing "
+                            "forwards them to app-server workers")
+    defaults = parser.parse_args(["serve", "--macros", "."])
+    ignored = ["--" + dest.replace("_", "-") for dest in _SERVE_OPTIONS[side]
+               if getattr(args, dest) != getattr(defaults, dest)]
     if ignored:
         raise SystemExit(
             f"{', '.join(ignored)} "
             f"{'requires' if len(ignored) == 1 else 'require'} --gateway "
-            "inprocess (in-process engine settings; nothing forwards "
-            "them to app-server workers or a --listen pool)")
-    ignored = (given(("database", "query_cache", "macro_stat_ttl"))
-               if args.connect else [])
-    if ignored:
-        raise SystemExit(
-            f"{', '.join(ignored)} "
-            f"{'has' if len(ignored) == 1 else 'have'} no effect with "
-            "--connect: the workers belong to the --listen daemon, so "
-            f"give {'it' if len(ignored) == 1 else 'them'} there")
+            f"{needs} ({why})")
 
 
 def _worker_env(args) -> dict[str, str]:
@@ -696,32 +695,6 @@ def _wait_for_stop() -> None:  # pragma: no cover - interactive
             signal.pause()
     except KeyboardInterrupt:
         pass
-
-
-def _cmd_pool_daemon(args, out) -> int:  # pragma: no cover - interactive
-    """``repro serve --listen host:port`` — the standalone worker-pool
-    daemon: no HTTP edge, just the app-server pool behind TCP for
-    ``--connect`` dispatchers on other machines."""
-    from repro.appserver import WorkerPoolDaemon
-    from repro.appserver.protocol import parse_endpoint
-
-    kind, address = parse_endpoint(args.listen)
-    if kind != "tcp":
-        raise SystemExit(f"--listen expects host:port, got {args.listen!r}")
-    host, port = address
-    # No TRACER.enable() here: the daemon only forwards the trace tree
-    # riding the RESPONSE frame; workers trace via REPRO_TRACE.
-    daemon = WorkerPoolDaemon(_worker_env(args), workers=args.workers,
-                              host=host, port=port,
-                              recycle_after=args.recycle_after)
-    print(f"worker pool listening on {daemon.endpoint} "
-          f"({args.workers} workers)", file=out, flush=True)
-    print("press Ctrl-C to stop", file=out, flush=True)
-    try:
-        _wait_for_stop()
-    finally:
-        daemon.shutdown()
-    return 0
 
 
 def _cmd_multi_acceptor(args, out) -> int:  # pragma: no cover - interactive
@@ -833,12 +806,6 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         SlowQueryLog, TailSampler, TraceLog, parse_sample_spec)
     from repro.sql.digest import STATEMENTS
 
-    if args.listen is not None or args.gateway != "inprocess":
-        _refuse_engine_options(args)
-    if args.listen is not None:
-        return _cmd_pool_daemon(args, out)
-    if args.connect and args.gateway != "appserver":
-        raise SystemExit("--connect requires --gateway appserver")
     if args.acceptors > 1:
         return _cmd_multi_acceptor(args, out)
     metrics = REGISTRY
@@ -916,17 +883,12 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         if config.query_cache is not None:
             metrics.attach_source("query_cache", config.query_cache.stats)
     else:
+        from repro.appserver import AppServerDispatcher
         from repro.cgi.gateway import CgiGateway
         gateway = CgiGateway()
-        if args.connect:
-            from repro.appserver import TcpPoolDispatcher
-            dispatcher = TcpPoolDispatcher(args.connect,
-                                           channels=args.workers)
-        else:
-            from repro.appserver import AppServerDispatcher
-            dispatcher = AppServerDispatcher(
-                _worker_env(args), workers=args.workers,
-                recycle_after=args.recycle_after)
+        dispatcher = AppServerDispatcher(
+            _worker_env(args), workers=args.workers,
+            recycle_after=args.recycle_after)
         gateway.install("db2www", dispatcher)
         metrics.attach_source("appserver", dispatcher.labeled_stats,
                               label="worker")

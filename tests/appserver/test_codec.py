@@ -4,7 +4,7 @@ A request's environment and a worker's span tree are the two things a
 frame carries besides the body.  Both must come back unchanged, and
 anything a peer could send that is not the exported shape must be a
 :class:`CgiProtocolError` — never a ``TypeError`` or ``IndexError``
-escaping into the dispatcher or the pool daemon.
+escaping into the dispatcher or the worker.
 """
 
 import json

@@ -1,20 +1,17 @@
-"""The dispatchers' shared core, driven without processes.
+"""The dispatcher's core, driven without processes.
 
-``AppServerDispatcher`` and ``TcpPoolDispatcher`` inherit one lease /
-exchange / replay / health-check core and differ only in how a peer is
-made (``_spawn`` / ``_open``) and disposed of.  Here those two seams
-hand out ``socket.socketpair()`` ends whose far side is a thread
-answering from a script of canned frames, so every ordering the
-real-worker suite (``test_dispatcher.py``) provokes with fault
-injection and sleeps is reached in milliseconds, against both
-subclasses.
+``AppServerDispatcher`` leases, exchanges, replaces and replays; only
+``_spawn`` touches a process.  Here that seam hands out
+``socket.socketpair()`` ends whose far side is a thread answering from a
+script of canned frames, and a ``FakeProc`` in place of the ``Popen``,
+so every ordering the real-worker suite (``test_dispatcher.py``)
+provokes with fault injection and sleeps is reached in milliseconds.
 
 The last tests are the cost guards with no noise band: the number of
 Python calls one ``run()`` makes inside ``src/repro/appserver/``, and
 the bytes a ``report_hot``-shaped exchange puts in its frames.
 """
 
-import dataclasses
 import json
 import socket
 import struct
@@ -27,15 +24,8 @@ from pathlib import Path
 import pytest
 
 import repro.appserver
-from repro.appserver import (
-    AppServerDispatcher,
-    TcpPoolDispatcher,
-    WorkerPoolDaemon,
-    protocol,
-)
-from repro.appserver import worker
+from repro.appserver import AppServerDispatcher, protocol, worker
 from repro.appserver.dispatcher import _Worker
-from repro.appserver.remote import _Channel
 from repro.apps import urlquery as urlquery_app
 from repro.apps.datasets import seed_urldb
 from repro.cgi.db2www_main import build_program
@@ -70,11 +60,13 @@ OK = (protocol.FRAME_RESPONSE,
 TORN = struct.pack(">BI", protocol.FRAME_RESPONSE, 100) + b"abc"
 
 
-def scripted_peer(script):
+def scripted_peer(script, log, name):
     """A connected socket whose far end answers each frame it reads
     with the next step of ``script``: a ``(type, payload)`` frame, raw
-    bytes followed by a close (a peer dying mid-frame), or ``None``
-    (close without a word).  The far end closes when the script ends."""
+    bytes followed by a close (a peer dying mid-frame), ``None`` (close
+    without a word) or a number of seconds to stay silent before
+    answering ``OK``.  The far end closes when the script ends, and
+    appends ``(name, "read")`` to ``log`` for each frame it reads."""
     near, far = socket.socketpair()
 
     def answer():
@@ -84,11 +76,15 @@ def scripted_peer(script):
                 try:
                     if reader.read() is None:
                         return
+                    log.append((name, "read"))
                     if step is None:
                         return
                     if isinstance(step, bytes):
                         far.sendall(step)
                         return
+                    if isinstance(step, float):
+                        time.sleep(step)
+                        step = OK
                     protocol.send_frame(far, *step)
                 except (OSError, CgiProtocolError):
                     return
@@ -103,9 +99,13 @@ def scripted_peer(script):
 
 
 class FakeProc:
-    """The four ``Popen`` methods the local pool touches."""
+    """The ``Popen`` methods the pool touches; a kill and a completed
+    reap are appended to ``log`` as ``(name, "kill")``/``(name,
+    "wait")``."""
 
-    def __init__(self):
+    def __init__(self, log, name):
+        self.log = log
+        self.name = name
         self.killed = False
 
     def poll(self):
@@ -113,23 +113,30 @@ class FakeProc:
 
     def kill(self):
         self.killed = True
+        self.log.append((self.name, "kill"))
 
     def wait(self, timeout=None):
         if not self.killed and timeout is not None:
             raise subprocess.TimeoutExpired("worker", timeout)
+        self.log.append((self.name, "wait"))
         return -9
 
 
 class LocalPool(AppServerDispatcher):
-    """The local pool with scripted sockets in place of processes."""
+    """The pool with scripted sockets in place of processes; ``log``
+    holds what every peer and fake process did, in order, each named by
+    its place in ``made``."""
 
     def __init__(self, scripts, **kwargs):
         self.scripts = iter(scripts)
         self.made = []
-        super().__init__({}, workers=kwargs.pop("peers", 1), **kwargs)
+        self.log = []
+        super().__init__({}, workers=1, **kwargs)
 
     def _spawn(self, slot, lifetime):
-        worker = _Worker(slot, FakeProc(), scripted_peer(next(self.scripts)),
+        name = len(self.made)
+        worker = _Worker(slot, FakeProc(self.log, name),
+                         scripted_peer(next(self.scripts), self.log, name),
                          lifetime)
         worker.conn.settimeout(self.request_timeout)
         with self._lock:
@@ -141,32 +148,8 @@ class LocalPool(AppServerDispatcher):
     replaced = property(lambda self: self.stats()["crashes"])
 
 
-class TcpPool(TcpPoolDispatcher):
-    """The TCP client with scripted sockets in place of connections."""
-
-    def __init__(self, scripts, **kwargs):
-        self.scripts = iter(scripts)
-        self.made = []
-        super().__init__("pool.test:9", channels=kwargs.pop("peers", 1),
-                         **kwargs)
-
-    def _open(self, index, backend):
-        channel = _Channel(index, backend,
-                           scripted_peer(next(self.scripts)))
-        channel.conn.settimeout(self.request_timeout)
-        with self._lock:
-            self._live[index] = channel
-        self.made.append(channel)
-        return channel
-
-    def _backend_stats(self, backend):
-        return {"": {"workers": 1}}
-
-    replays = property(lambda self: self.stats()["channel_replays"])
-    replaced = property(lambda self: self.stats()["channel_reconnects"])
-
-
-@pytest.fixture(params=[LocalPool, TcpPool], ids=["local", "tcp"])
+# One transport, so one parameter; it keeps the tests' ids as they were.
+@pytest.fixture(params=[LocalPool], ids=["local"])
 def make_pool(request):
     pools = []
 
@@ -233,8 +216,18 @@ class TestReplay:
         assert len(pool.made) == 3
         assert idle(pool) == [pool.made[2]]
 
+    def test_a_broken_worker_is_reaped_before_the_replay_is_sent(
+            self, make_pool):
+        """The replay never overlaps the first attempt: the worker that
+        broke is killed and reaped before the fresh one reads a byte,
+        so it cannot commit behind the replay's back (ROADMAP 2(d))."""
+        pool = make_pool([TORN], [OK])
+        assert pool.run(get()).status == 200
+        assert pool.log == [(0, "read"), (0, "kill"), (0, "wait"),
+                            (1, "read")]
+
     def test_an_unexpected_frame_type_counts_as_broken(self, make_pool):
-        pool = make_pool([(protocol.FRAME_PONG, b"")], [OK])
+        pool = make_pool([(protocol.FRAME_HELLO, b"")], [OK])
         assert pool.run(get()).status == 200
         assert pool.replaced == 1
 
@@ -255,33 +248,9 @@ class TestReplay:
         assert replayed.name == "appserver.dispatch"
 
     def test_the_messages_name_the_kind_of_peer(self):
-        local, tcp = LocalPool([[TORN], [OK]]), TcpPool([[TORN], [OK]])
-        with local, tcp:
+        with LocalPool([[TORN], [OK]]) as pool:
             with pytest.raises(CgiProtocolError, match="worker died"):
-                local.run(post())
-            with pytest.raises(CgiProtocolError, match="channel broke"):
-                tcp.run(post())
-
-
-class TestErrorFrame:
-    def test_pool_side_failure_is_reraised_and_the_peer_kept(
-            self, make_pool):
-        exhausted = (protocol.FRAME_ERROR, protocol.encode_error(
-            "all 2 workers stayed busy", kind="exhausted", retry_after=-3))
-        lost = (protocol.FRAME_ERROR,
-                protocol.encode_error("worker died mid-request: gone"))
-        pool = make_pool([exhausted, lost, OK])
-        with pytest.raises(PoolExhaustedError, match="stayed busy") as info:
-            pool.run(get())
-        assert info.value.retry_after == 0.0    # clamped, not -3
-        (peer,) = pool.made
-        assert idle(pool) == [peer]
-        with pytest.raises(CgiProtocolError, match="gone"):
-            pool.run(get())
-        assert idle(pool) == [peer]
-        assert pool.run(get()).status == 200
-        assert pool.replays == 0 and pool.replaced == 0
-        assert len(pool.made) == 1
+                pool.run(post())
 
 
 class TestCheckout:
@@ -320,110 +289,39 @@ class TestCheckout:
             pool.run(get())
 
 
-class TestHealthCheck:
-    def test_anything_but_pong_gets_the_peer_replaced(self, make_pool):
-        pong = (protocol.FRAME_PONG, protocol.encode_control({}))
-        pool = make_pool([pong, OK], [OK], [pong], [OK], peers=2)
-        healthy, confused = pool.made
-        assert pool.health_check() == {0: True, 1: False}
-        assert confused.conn.fileno() == -1
-        assert len(pool.made) == 3
-        assert sorted(peer.slot for peer in idle(pool)) == [0, 1]
-        assert healthy in idle(pool) and confused not in idle(pool)
-        # the replacement answers for itself only on the next pass
-        assert pool.health_check() == {0: False, 1: True}
+class TestDeadline:
+    def test_a_worker_silent_past_the_deadline_is_killed_not_replayed(
+            self, make_pool):
+        """The wait for the answer is capped like the wait for a worker.
+        The worker may still be running the request, so it is killed
+        and replaced, and the request fails instead of being replayed."""
+        pool = make_pool([1.0], [OK], request_timeout=30.0)
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceededError,
+                           match="waiting for app-server worker 0"):
+            pool.run(get(Deadline.after(0.05)))
+        assert time.perf_counter() - started < 0.5
+        slow, fresh = pool.made
+        assert slow.proc.killed and slow.conn.fileno() == -1
+        assert pool.replays == 0 and pool.replaced == 1
+        assert idle(pool) == [fresh]
+        assert fresh.conn.gettimeout() == 30.0
 
-    def test_busy_peers_are_skipped(self, make_pool):
-        pool = make_pool([OK])
-        held = pool._checkout()
-        assert pool.health_check() == {}
-        pool._checkin(held)
+    def test_an_answer_in_time_restores_the_request_timeout(
+            self, make_pool):
+        pool = make_pool([OK, OK], request_timeout=30.0)
+        assert pool.run(get(Deadline.after(5.0))).status == 200
+        (worker,) = pool.made
+        assert worker.conn.gettimeout() == 30.0
+        assert pool.run(get()).status == 200
+        assert pool.replaced == 0
 
 
 class TestOneCore:
-    def test_both_dispatchers_inherit_the_same_methods(self):
-        for name in ("run", "health_check", "_checkout", "_exchange",
-                     "__enter__", "__exit__"):
-            assert getattr(AppServerDispatcher, name) \
-                is getattr(TcpPoolDispatcher, name), name
-
     def test_run_stays_in_the_local_pools_own_namespace(self):
         """``benchmarks/e2e/spans.py`` wraps ``owner.__dict__[attr]``;
         an inherited ``run`` makes ``appserver.dispatch.self_us`` 0.0."""
         assert "run" in AppServerDispatcher.__dict__
-
-
-# -- the pool daemon and outside input -------------------------------------
-
-class StubPool:
-    def run(self, request):
-        return CgiResponse(body=request.environ.path_info.encode())
-
-    def labeled_stats(self):
-        return {"": {"workers": 1}}
-
-    def shutdown(self):
-        pass
-
-
-def json_frame(header: bytes, body: bytes = b"") -> bytes:
-    return struct.pack(">I", len(header)) + header + body
-
-
-def request_header(**fields) -> bytes:
-    """A positional REQUEST header with some fields replaced by raw
-    JSON values."""
-    header = json.loads(protocol.encode_request(get())[4:])
-    names = [field.name for field in dataclasses.fields(CgiEnvironment)]
-    for name, value in fields.items():
-        header[names.index(name)] = value
-    return json.dumps(header).encode()
-
-
-class TestDaemonMalformedRequest:
-    @pytest.mark.parametrize("header", [
-        b"[]", b"5", b'"environ"', b'{"environ": 5}',
-        b'{"environ": {"CONTENT_LENGTH": "many"}}', b"{not json",
-        request_header()[:-1] + b',""]',                  # wrong arity
-        request_header(content_length=True),              # bool for int
-        request_header(server_port="80"),                 # str for int
-        request_header(http_headers={"Host": 5}),         # non-str value
-    ])
-    def test_error_frame_no_traceback_and_still_serving(self, header,
-                                                        capfd):
-        with WorkerPoolDaemon({}, dispatcher=StubPool()) as daemon:
-            bad = protocol.connect_endpoint(daemon.endpoint, timeout=5.0)
-            with bad:
-                protocol.send_frame(bad, protocol.FRAME_REQUEST,
-                                    json_frame(header))
-                reader = protocol.FrameReader(bad)
-                frame_type, payload = reader.read()
-                assert frame_type == protocol.FRAME_ERROR
-                assert isinstance(protocol.pool_error(payload),
-                                  CgiProtocolError)
-                assert reader.read() is None  # closed on us
-            with TcpPoolDispatcher(daemon.endpoint, channels=1) as client:
-                assert client.run(get()).body == b"/x.d2w/report"
-        assert capfd.readouterr().err == ""
-
-
-class TestDaemonFraming:
-    def test_request_and_shutdown_in_one_send_are_both_served(self):
-        """``TcpPoolDispatcher.shutdown`` writes SHUTDOWN to a channel
-        whose REQUEST may still be unread: one read takes both."""
-        with WorkerPoolDaemon({}, dispatcher=StubPool()) as daemon:
-            conn = protocol.connect_endpoint(daemon.endpoint, timeout=5.0)
-            with conn:
-                payload = protocol.encode_request(get())
-                conn.sendall(
-                    struct.pack(">BI", protocol.FRAME_REQUEST, len(payload))
-                    + payload + struct.pack(">BI", protocol.FRAME_SHUTDOWN, 0))
-                reader = protocol.FrameReader(conn)
-                frame_type, payload = reader.read()
-                assert frame_type == protocol.FRAME_RESPONSE
-                assert protocol.decode_response(payload).body \
-                    == b"/x.d2w/report"
-                assert reader.read() is None  # ... then the SHUTDOWN
 
 
 # -- the cost guards -------------------------------------------------------

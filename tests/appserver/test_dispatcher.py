@@ -2,12 +2,6 @@
 
 These spawn real worker processes (the whole point of the subsystem),
 so the pool fixtures are module-scoped where the tests allow it.
-
-Every test runs twice — against the local Unix-socket pool and against
-the same pool behind a TCP daemon (``WorkerPoolDaemon`` +
-``TcpPoolDispatcher``).  The ISSUE-6 contract is that the two
-transports are behaviourally identical: same responses, same stats
-keys, same crash/replay semantics, same exceptions.
 """
 
 import threading
@@ -15,64 +9,23 @@ import time
 
 import pytest
 
-from repro.appserver import (
-    AppServerDispatcher,
-    TcpPoolDispatcher,
-    WorkerPoolDaemon,
-)
+from repro.appserver import AppServerDispatcher
 from repro.apps import urlquery as urlquery_app
 from repro.apps.datasets import seed_urldb
 from repro.cgi.environ import CgiEnvironment
 from repro.cgi.gateway import CgiGateway
 from repro.cgi.request import CgiRequest
-from repro.errors import CgiProtocolError
+from repro.errors import CgiProtocolError, DeadlineExceededError
+from repro.resilience.deadline import Deadline
 from repro.sql.connection import Connection
 
 REPORT_QUERY = "SEARCH=ib&USE_URL=yes&DBFIELDS=title"
 
-TRANSPORTS = ["unix", "tcp"]
-
-
-class TcpPoolStack:
-    """A worker pool behind a loopback TCP daemon, presenting the same
-    surface as the local ``AppServerDispatcher``."""
-
-    def __init__(self, env, workers=2, **daemon_kwargs):
-        self.daemon = WorkerPoolDaemon(env, workers=workers,
-                                       **daemon_kwargs)
-        self.client = TcpPoolDispatcher(self.daemon.endpoint,
-                                        channels=workers)
-
-    def run(self, request):
-        return self.client.run(request)
-
-    def stats(self):
-        return self.client.stats()
-
-    def labeled_stats(self):
-        return self.client.labeled_stats()
-
-    def health_check(self):
-        return self.client.health_check()
-
-    @property
-    def pool_size(self):
-        return self.client.pool_size
-
-    def shutdown(self):
-        self.client.shutdown()
-        self.daemon.shutdown()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()
+#: The one transport, a parameter only so the tests keep their ids.
+TRANSPORTS = ["unix"]
 
 
 def make_pool(transport, env, workers=2, **kwargs):
-    if transport == "tcp":
-        return TcpPoolStack(env, workers=workers, **kwargs)
     return AppServerDispatcher(env, workers=workers, **kwargs)
 
 
@@ -162,11 +115,6 @@ class TestDispatch:
         assert sorted(bags) == [str(slot) for slot in range(pool.pool_size)]
         assert sum(bag["requests"] for bag in bags.values()) \
             == stats["requests"]
-
-    def test_health_check_reports_alive(self, pool):
-        results = pool.health_check()
-        assert results  # at least the idle workers answered
-        assert all(results.values())
 
 
 class TestRecycling:
@@ -347,72 +295,24 @@ class TestShutdown:
         pool.shutdown()
 
 
-class TestDaemonShutdown:
-    def test_shutdown_wakes_the_accept_thread(self):
-        """Closing a listener from another thread does not wake an
-        ``accept()`` blocked on it (Linux): ``shutdown`` used to sit out
-        its whole 5 s ``join`` and leak the thread, every time."""
-
-        class NoPool:
-            def shutdown(self):
-                pass
-
-        daemon = WorkerPoolDaemon({}, dispatcher=NoPool())
-        time.sleep(0.2)  # the accept thread is inside accept() by now
-        assert daemon._thread.is_alive()
-        started = time.perf_counter()
-        daemon.shutdown()
-        elapsed = time.perf_counter() - started
-        assert not daemon._thread.is_alive()
-        assert elapsed < 1.0
-
-
-class TestTcpChannelResilience:
-    """TCP-transport specifics: channel breakage and replay."""
-
-    def test_daemon_death_replays_idempotent_requests(self, tmp_path):
+class TestDeadline:
+    def test_a_slow_worker_past_the_deadline_is_replaced_not_replayed(
+            self, tmp_path):
+        """A worker still busy when the request's deadline runs out may
+        yet commit: it is killed and replaced, and the client gets the
+        deadline error (a 504) instead of a late page or a replay."""
         env = deployment_env(tmp_path)
-        first = WorkerPoolDaemon(env, workers=1)
-        second = WorkerPoolDaemon(env, workers=1)
-        client = TcpPoolDispatcher(
-            [first.endpoint, second.endpoint], channels=2)
-        try:
-            assert client.run(
-                cgi_request("/urlquery.d2w/input")).status == 200
-            # Kill one backend outright: its channel breaks on next
-            # use, and the idempotent GET replays on a fresh channel.
-            first.shutdown()
-            served = 0
-            for _ in range(4):
-                response = client.run(
-                    cgi_request("/urlquery.d2w/input"))
-                assert response.status == 200
-                served += 1
-            assert served == 4
-            stats = client.stats()
-            assert stats["channel_reconnects"] >= 1
-        finally:
-            client.shutdown()
-            second.shutdown()
-
-    def test_broken_channel_does_not_replay_posts(self, tmp_path):
-        env = deployment_env(tmp_path)
-        daemon = WorkerPoolDaemon(env, workers=1)
-        client = TcpPoolDispatcher(daemon.endpoint, channels=1)
-        try:
-            assert client.run(
-                cgi_request("/urlquery.d2w/input")).status == 200
-            daemon.shutdown()
-            body = b"SEARCH=x"
-            request = CgiRequest(
-                CgiEnvironment(
-                    request_method="POST",
-                    script_name="/cgi-bin/db2www",
-                    path_info="/urlquery.d2w/report",
-                    content_type="application/x-www-form-urlencoded",
-                    content_length=len(body)),
-                stdin=body)
-            with pytest.raises(CgiProtocolError, match="broke"):
-                client.run(request)
-        finally:
-            client.shutdown()
+        env["REPRO_WORKER_FAULTS"] = "slow:1:1.5"
+        with AppServerDispatcher(env, workers=1) as pool:
+            (slow,) = [worker.proc for worker in pool._live.values()]
+            request = cgi_request("/urlquery.d2w/input")
+            request.deadline = Deadline.after(0.2)
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceededError):
+                pool.run(request)
+            assert time.perf_counter() - started < 1.0
+            assert slow.poll() is not None      # killed and reaped
+            stats = pool.stats()
+            assert stats["crashes"] == 1 and stats["crash_retries"] == 0
+            assert stats["requests"] == 0
+            assert stats["workers"] == 1        # the replacement is live

@@ -20,9 +20,9 @@ class TestFrames:
     def test_round_trip(self):
         a, b = socket_pair()
         try:
-            protocol.send_frame(a, protocol.FRAME_PING, b"payload")
+            protocol.send_frame(a, protocol.FRAME_HELLO, b"payload")
             frame = protocol.FrameReader(b).read()
-            assert frame == (protocol.FRAME_PING, b"payload")
+            assert frame == (protocol.FRAME_HELLO, b"payload")
         finally:
             a.close()
             b.close()
@@ -86,12 +86,12 @@ class TestFrames:
         try:
             a.sendall(struct.pack(">BI", protocol.FRAME_REQUEST, 3) + b"abc"
                       + struct.pack(">BI", protocol.FRAME_SHUTDOWN, 0)
-                      + struct.pack(">BI", protocol.FRAME_PING, 2) + b"x")
+                      + struct.pack(">BI", protocol.FRAME_HELLO, 2) + b"x")
             reader = protocol.FrameReader(b)
             assert reader.read() == (protocol.FRAME_REQUEST, b"abc")
             assert reader.read() == (protocol.FRAME_SHUTDOWN, b"")
             a.sendall(b"y")  # the third frame's tail, in a later send
-            assert reader.read() == (protocol.FRAME_PING, b"xy")
+            assert reader.read() == (protocol.FRAME_HELLO, b"xy")
             a.close()
             assert reader.read() is None
         finally:
@@ -144,8 +144,8 @@ class TestRequestCodec:
         assert decoded.stdin == b"SEARCH=ib"
 
     def test_identity_and_tenant_ride_the_frame(self):
-        # The edge authenticates; the worker process — possibly on
-        # another host — must serve with the same identity and tenant.
+        # The edge authenticates; the worker process must serve with
+        # the same identity and tenant.
         request = CgiRequest(CgiEnvironment(
             script_name="/t/alpha",
             path_info="/items.d2w/report",

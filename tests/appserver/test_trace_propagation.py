@@ -12,7 +12,6 @@ import pytest
 from repro.apps import urlquery as urlquery_app
 from repro.apps.datasets import seed_urldb
 from repro.appserver.dispatcher import AppServerDispatcher
-from repro.appserver.remote import TcpPoolDispatcher, WorkerPoolDaemon
 from repro.cgi.gateway import CgiGateway
 from repro.http.message import HttpRequest
 from repro.http.router import Router
@@ -149,47 +148,3 @@ class TestWorkerSpansJoinTheRequestTrace:
         assert response.status == 200
         assert not response.headers.get("X-Trace-Id")
         assert b"URL Query Result" in response.body
-
-
-@pytest.fixture(scope="module")
-def tcp_router(deployment_env):
-    """The same stack with the pool behind a loopback TCP daemon."""
-    daemon = WorkerPoolDaemon(deployment_env, workers=1)
-    dispatcher = TcpPoolDispatcher(daemon.endpoint, channels=1)
-    gateway = CgiGateway()
-    gateway.install("db2www", dispatcher)
-    yield Router(gateway=gateway)
-    dispatcher.shutdown()
-    daemon.shutdown()
-
-
-class TestTraceCrossesTheTcpTransport:
-    """ISSUE-6 acceptance: one trace id end-to-end over TCP dispatch —
-    edge process → pool daemon → worker process and back."""
-
-    def test_one_trace_id_across_three_processes(self, tcp_router,
-                                                 traced):
-        response = tcp_router.handle(HttpRequest(target=REPORT_TARGET),
-                                     trace_id="trace-tcp-1")
-        response.drain()
-        assert response.status == 200
-        assert response.headers.get("X-Trace-Id") == "trace-tcp-1"
-        # The in-process daemon's handler threads may root their own
-        # (orphan) traces; the request trace is the one with our id.
-        roots = [r for r in traced if r.trace_id == "trace-tcp-1"]
-        (root,) = roots
-        assert {span.trace_id for span in root.walk()} == {"trace-tcp-1"}
-        worker = worker_subtree(root)
-        assert worker.remote is True
-        assert worker.attrs["status"] == 200
-        names = {span.name for span in worker.walk()}
-        assert {"worker", "sql.execute", "report.render"} <= names
-
-    def test_dispatch_span_names_the_backend(self, tcp_router, traced):
-        tcp_router.handle(HttpRequest(target=REPORT_TARGET),
-                          trace_id="trace-tcp-2").drain()
-        (root,) = [r for r in traced if r.trace_id == "trace-tcp-2"]
-        (dispatch,) = [span for span in root.walk()
-                       if span.name == "appserver.dispatch"]
-        assert ":" in str(dispatch.attrs["backend"])  # host:port
-        assert [child.name for child in dispatch.children] == ["worker"]

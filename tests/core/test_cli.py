@@ -264,13 +264,14 @@ class TestServeOptionPlacement:
         ["--shard-replicas", "INV.0=r.db"], ["--shard-key", "CUST"],
         ["--replica-lag-bound", "0.5"], ["--shard-timeout", "2"],
     ]
-    WORKER_MODES = [["--gateway", "appserver"],
-                    ["--listen", "127.0.0.1:0"]]
+    WORKER_MODES = [["--gateway", "appserver"]]
 
     @staticmethod
-    def parse(*argv):
-        from repro.cli import build_parser
-        return build_parser().parse_args(["serve", *argv])
+    def refuse(*argv):
+        """What ``main`` checks before serving ``serve *argv``."""
+        from repro.cli import _refuse_ignored_options, build_parser
+        parser = build_parser()
+        _refuse_ignored_options(parser.parse_args(["serve", *argv]), parser)
 
     def test_every_serve_dest_is_classified_exactly_once(self):
         import argparse
@@ -312,45 +313,33 @@ class TestServeOptionPlacement:
         assert "--degrade" in message and "--max-retries" in message
         assert "--request-deadline" not in message  # the edge applies it
 
-    @pytest.mark.parametrize("option", [
-        ["--database", "URLDB=urldb.sqlite"], ["--query-cache", "0"],
-        ["--query-cache", "512"], ["--macro-stat-ttl", "0"]],
-        ids=lambda o: " ".join(o))
-    def test_connect_refuses_what_only_the_pool_daemon_can_use(
-            self, tmp_path, option):
-        """``--connect`` dispatches to a ``--listen`` daemon's workers,
-        which never see this process's databases or cache size."""
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "2"], ["--recycle-after", "10"],
+        ["--workers", "2", "--recycle-after", "10"]],
+        ids=lambda a: " ".join(a))
+    def test_pool_options_are_refused_in_process(self, argv):
+        """The in-process engine runs no workers: sizing a pool it does
+        not have is refused, naming each option given."""
         with pytest.raises(SystemExit) as info:
-            main(["serve", "--macros", str(tmp_path), "--gateway",
-                  "appserver", "--connect", "127.0.0.1:9", *option])
+            self.refuse("--macros", "m", *argv)
         message = str(info.value.code)
-        assert option[0] in message and "--listen" in message
-        # ...and without --connect both reach the workers as before.
-        from repro.cli import _refuse_engine_options
-        _refuse_engine_options(self.parse(
-            "--macros", "m", "--gateway", "appserver", *option))
-
-    def test_connect_names_both_flags_at_once(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["serve", "--macros", str(tmp_path), "--gateway",
-                  "appserver", "--connect", "127.0.0.1:9", "--database",
-                  "A=a.db", "--query-cache", "0"])
-        assert "--database, --query-cache have no effect" in \
-            str(info.value.code)
+        for flag in argv[::2]:
+            assert flag in message
+        assert "--gateway appserver" in message
+        # ...and the defaults, spelled out, are not "given".
+        self.refuse("--macros", "m", "--workers", "4",
+                    "--recycle-after", "500")
 
     def test_benchmark_argv_passes(self):
-        from repro.cli import _refuse_engine_options
-        _refuse_engine_options(self.parse(
-            "--macros", "m", "--gateway", "appserver", "--workers", "2",
-            "--recycle-after", "1000000", "--query-cache", "128",
-            "--no-trace"))
+        self.refuse("--macros", "m", "--gateway", "appserver", "--workers",
+                    "2", "--recycle-after", "1000000", "--query-cache", "128",
+                    "--no-trace")
 
     def test_deployment_guide_examples_parse_and_pass(self):
         import re
         import shlex
         from pathlib import Path
 
-        from repro.cli import _refuse_engine_options
         guide = (Path(__file__).resolve().parents[2]
                  / "docs" / "deployment.md").read_text(encoding="utf-8")
         commands = [
@@ -358,11 +347,9 @@ class TestServeOptionPlacement:
             for block in re.findall(r"```sh\n(.*?)```", guide, re.S)
             for line in block.replace("\\\n", " ").splitlines()
             if re.match(r"(python -m )?repro serve ", line)]
-        assert len(commands) >= 8, commands
+        assert len(commands) >= 6, commands
         for argv in commands:
-            args = self.parse(*argv)
-            if args.listen is not None or args.gateway != "inprocess":
-                _refuse_engine_options(args)
+            self.refuse(*argv)
 
 
 class TestWorkerEnv:

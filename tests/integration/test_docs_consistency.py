@@ -25,7 +25,7 @@ def test_deployment_guide_does_not_sell_method_replay_as_write_safety():
     guide = (ROOT / "docs" / "deployment.md").read_text(encoding="utf-8")
     assert "only if idempotent" not in guide
     assert "rather than risking a doubled write" not in guide
-    assert "_PeerDispatcher.run" in guide
+    assert "AppServerDispatcher.run" in guide
 
 
 def documented_families() -> list[tuple[str, str, str]]:

@@ -1,17 +1,14 @@
-"""The CI edge-smoke path: HTTP edge → TCP pool daemon, for real.
+"""The CI edge-smoke path: the HTTP edge and its worker pool, for real.
 
-Two subprocesses, exactly as a two-host deployment would run them:
-
-* ``repro serve --listen 127.0.0.1:0`` — the standalone worker-pool
-  daemon, owning the CGI worker processes;
-* ``repro serve --gateway appserver --connect <endpoint>`` — the HTTP
-  edge dispatching over loopback TCP.
-
-Then real requests through the whole stack, plus a scrape of
-``/statusz`` for the edge gauges and pool stats.
+One ``repro serve --gateway appserver --workers 2`` subprocess — the
+asyncio edge, the dispatcher and two worker processes — then real
+requests through the whole stack, a scrape of ``/statusz`` for the edge
+gauges and the per-worker counters, and a SIGTERM that must take every
+worker down with the server.
 """
 
 import json
+import os
 import re
 import signal
 import subprocess
@@ -56,10 +53,9 @@ def read_banner(proc, pattern, what):
     raise RuntimeError(f"{what} never announced itself")
 
 
-@pytest.fixture(scope="module")
-def stack(tmp_path_factory):
-    """Daemon + edge subprocess pair, shared by the tests."""
-    tmp_path = tmp_path_factory.mktemp("edge-smoke")
+def appserver_deployment(tmp_path):
+    """``serve --gateway appserver --workers 2`` argv over a seeded
+    URLDB and the urlquery macro."""
     db_path = tmp_path / "urldb.sqlite"
     conn = Connection(str(db_path))
     seed_urldb(conn, 20)
@@ -68,47 +64,38 @@ def stack(tmp_path_factory):
     macro_dir.mkdir()
     (macro_dir / "urlquery.d2w").write_text(
         urlquery_app.URLQUERY_MACRO, encoding="utf-8")
-    common = ["--macros", str(macro_dir),
-              "--database", f"URLDB={db_path}"]
-    daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--listen", "127.0.0.1:0", "--workers", "2", *common],
+    return [sys.executable, "-m", "repro", "serve",
+            "--gateway", "appserver", "--workers", "2",
+            "--macros", str(macro_dir), "--database", f"URLDB={db_path}",
+            "--host", "127.0.0.1", "--port", "0"]
+
+
+@pytest.fixture(scope="module")
+def stack(tmp_path_factory):
+    """One app-server ``serve`` process, shared by the tests."""
+    serve = subprocess.Popen(
+        appserver_deployment(tmp_path_factory.mktemp("edge-smoke")),
         env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True)
-    procs = [daemon]
     try:
-        endpoint = read_banner(
-            daemon, r"worker pool listening on ([\d.]+:\d+)",
-            "pool daemon")
-        # The databases are the daemon's: serve refuses --database here.
-        edge = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--gateway", "appserver", "--connect", endpoint,
-             "--workers", "2", "--macros", str(macro_dir),
-             "--host", "127.0.0.1", "--port", "0"],
-            env=SUBPROCESS_ENV, stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT, text=True)
-        procs.append(edge)
-        base = read_banner(edge, r"on (http://[\d.]+:\d+)", "edge")
-        yield {"base": base, "endpoint": endpoint}
+        yield {"base": read_banner(serve, r"on (http://[\d.]+:\d+)",
+                                   "serve")}
     finally:
-        for proc in reversed(procs):
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGINT)
-        for proc in reversed(procs):
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+        if serve.poll() is None:
+            serve.send_signal(signal.SIGINT)
+            try:
+                serve.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                serve.kill()
+        serve.stdout.close()
 
 
 class TestEdgeSmoke:
-    def test_report_served_over_tcp_dispatch(self, stack):
+    def test_report_served_by_the_worker_pool(self, stack):
         status, headers, body = fetch(stack["base"], REPORT)
         assert status == 200
         assert b"URL Query Result" in body
-        # minted at the edge, threaded through daemon and worker
+        # minted at the edge, threaded through the worker
         assert headers.get("X-Trace-Id")
 
     def test_sequential_requests_reuse_the_stack(self, stack):
@@ -118,6 +105,7 @@ class TestEdgeSmoke:
             assert b"URL Query Result" in body
 
     def test_statusz_shows_edge_and_pool(self, stack):
+        fetch(stack["base"], REPORT)
         status, _, body = fetch(stack["base"], "/statusz")
         assert status == 200
         page = json.loads(body)
@@ -125,9 +113,46 @@ class TestEdgeSmoke:
         # the edge's gauges made it into the registry
         assert "edge_connections_active" in flat
         assert "edge_requests_total" in flat
-        # pool stats crossed the TCP transport via PING
-        assert "appserver" in flat
-        assert "daemon_requests" in flat
+        # ...and so did the pool's per-worker counters
+        samples = {name for group in page.values()
+                   if isinstance(group, dict) for name in group}
+        assert 'appserver_requests{worker="0"}' in samples
+
+
+def child_pids(pid):
+    """The pids whose parent is ``pid``.  Read from each process's
+    ``/proc/<pid>/stat`` (its fourth field): the ``task/*/children``
+    files exist only on kernels built with ``CONFIG_PROC_CHILDREN``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # gone while we looked
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process parentage from /proc")
+def test_sigterm_takes_every_worker_down_with_serve(tmp_path):
+    """SIGTERM stops an app-server ``serve`` with status 0, and the
+    drained pool leaves no worker process behind."""
+    serve = subprocess.Popen(
+        appserver_deployment(tmp_path), env=SUBPROCESS_ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        base = read_banner(serve, r"on (http://[\d.]+:\d+)", "serve")
+        assert fetch(base, REPORT)[0] == 200
+        workers = child_pids(serve.pid)
+        assert len(workers) == 2, workers
+    finally:
+        serve.send_signal(signal.SIGTERM)
+        exit_status = serve.wait(timeout=10)
+        serve.stdout.close()
+    assert exit_status == 0
+    assert [pid for pid in workers if os.path.exists(f"/proc/{pid}")] == []
 
 
 def wal_deployment(tmp_path):
