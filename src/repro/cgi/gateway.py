@@ -59,6 +59,9 @@ class CgiGateway:
     def names(self) -> list[str]:
         return sorted(self._programs)
 
+    def program(self, name: str) -> Optional[CgiProgram]:
+        return self._programs.get(name)
+
     def dispatch(self, name: str, request: CgiRequest) -> CgiResponse:
         """Run the named program; errors become 5xx pages, not crashes.
 
@@ -166,6 +169,14 @@ class Db2WwwProgram:
         #: still map to the error pages below; later failures surface
         #: mid-stream as a truncated page.
         self.stream = stream
+
+    @property
+    def loop_safe(self) -> bool:
+        """Whether the edge may try a page on its event loop: a buffered
+        page runs in this process, and each step of it that would block
+        signals first (:mod:`repro.blocking`).  A stream's producer
+        thread owns its cursors, so a streamed page never is."""
+        return not self.stream
 
     def run(self, request: CgiRequest) -> CgiResponse:
         components = request.path_components()

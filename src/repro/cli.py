@@ -40,7 +40,6 @@ from repro.core.lint import lint_macro
 from repro.core.macrofile import MacroLibrary
 from repro.core.parser import parse_macro
 from repro.errors import ReproError
-from repro.html.render import render_markup
 from repro.sql.gateway import DatabaseRegistry
 from repro.sql.transactions import TransactionMode
 
@@ -419,6 +418,7 @@ def _cmd_run(args, out, *, as_text: bool) -> int:
     inputs = _parse_bindings(args.inputs, "input variable")
     result = engine.execute(macro, args.mode, inputs)
     if as_text:
+        from repro.html.render import render_markup
         print(render_markup(result.html), file=out)
     else:
         print(result.html, file=out)
@@ -799,6 +799,7 @@ def _load_tenant_config(path: Path, *, query_cache=None):
 
 
 def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
+    from repro.cgi.gateway import CgiGateway, Db2WwwProgram
     from repro.http.async_server import EXECUTOR_THREADS, AsyncHttpServer
     from repro.http.router import Router
     from repro.obs import (
@@ -857,6 +858,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         metrics.attach_source("statements", STATEMENTS.stats)
         metrics.attach_source("statement", STATEMENTS.labeled_stats,
                               label="digest")
+    gateway = CgiGateway()
     if args.gateway == "inprocess":
         registry = DatabaseRegistry()
         for name, path in _parse_bindings(args.database, "--database"):
@@ -873,9 +875,8 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         _apply_resilience(args, registry, config)
         engine = MacroEngine(registry, config=config)
         library = MacroLibrary(args.macros, stat_ttl=args.macro_stat_ttl)
-        from repro.apps.site import build_site
-        site = build_site(engine, library, stream=args.stream)
-        router = site.router
+        gateway.install("db2www", Db2WwwProgram(engine, library,
+                                                stream=args.stream))
         metrics.attach_source("resilience", registry.resilience_stats)
         if sharded:
             metrics.attach_source("shard", registry.shard_labeled_stats,
@@ -884,15 +885,13 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
             metrics.attach_source("query_cache", config.query_cache.stats)
     else:
         from repro.appserver import AppServerDispatcher
-        from repro.cgi.gateway import CgiGateway
-        gateway = CgiGateway()
         dispatcher = AppServerDispatcher(
             _worker_env(args), workers=args.workers,
             recycle_after=args.recycle_after)
         gateway.install("db2www", dispatcher)
         metrics.attach_source("appserver", dispatcher.labeled_stats,
                               label="worker")
-        router = Router(gateway=gateway, server_name=args.host)
+    router = Router(gateway=gateway, server_name=args.host)
     tenant_registry = None
     if args.tenant_config is not None:
         from repro.tenancy import TenantHost

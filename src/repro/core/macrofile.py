@@ -19,6 +19,7 @@ from typing import Optional
 
 from typing import Callable
 
+from repro.blocking import BLOCKING
 from repro.core.ast import (
     HtmlInputSection,
     HtmlReportSection,
@@ -145,6 +146,8 @@ class MacroLibrary:
         if (cached is not None and self.stat_ttl > 0
                 and now - cached[1] < self.stat_ttl):
             return cached[2]
+        if BLOCKING.attempt is not None:
+            BLOCKING.attempt.block("stat")
         path = self._disk_path(name)
         if path is None:
             raise MacroNameError(f"no such macro: {name!r}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.blocking import BLOCKING
 from repro.core.values import Escape, Literal, Reference, ValueString
 from repro.core.variables import (
     ConditionalEntry,
@@ -197,6 +198,10 @@ class Evaluator:
                 f"executable variable {name!r} referenced but no exec "
                 "runner is configured")
         command = self._eval_value(entry.command, strict=False)[0]
+        # Every runner is called from here, so this one check keeps any
+        # of them off the edge's event loop (repro.blocking).
+        if BLOCKING.attempt is not None:
+            BLOCKING.attempt.block("exec")
         output, error_code = self.exec_runner.run(command)
         entry.last_error = error_code
         return output

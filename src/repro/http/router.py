@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 from typing import Iterator, Optional
 
+from repro.blocking import WouldBlock
 from repro.cgi.environ import CgiEnvironment, cgi_headers, split_cgi_path
 from repro.cgi.gateway import CgiGateway
 from repro.cgi.request import CgiRequest
@@ -112,7 +113,9 @@ class Router:
     def handle(self, request: HttpRequest, *,
                remote_addr: str = "127.0.0.1",
                trace_id: str = "",
-               deadline=None) -> HttpResponse:
+               deadline=None, edge: str = "") -> HttpResponse:
+        """Answer one request.  ``edge`` names the thread the socket edge
+        answers it on (``loop`` or ``executor``), for the request span."""
         tracer = self.tracer
         start = time.perf_counter()
         # -- admission control (before any per-request work) --------------
@@ -140,12 +143,20 @@ class Router:
             target = request.path
             if request.query:
                 target = f"{request.path}?{request.query}"
-            act = tracer.begin(
-                "request", trace_id=trace_id or None,
-                attrs={"method": request.method, "path": request.path,
-                       "target": target})
+            attrs = {"method": request.method, "path": request.path,
+                     "target": target}
+            if edge:
+                attrs["edge"] = edge
+            act = tracer.begin("request", trace_id=trace_id or None,
+                               attrs=attrs)
         try:
             response = self._route(request, remote_addr, deadline)
+        except WouldBlock:
+            # The edge's loop attempt stopped before anything that
+            # blocks: no trace, no books — the edge runs it again.
+            if act is not None:
+                act.deactivate()
+            raise
         except BaseException:
             if ticket is not None:
                 self.overload.release(ticket, status=500)

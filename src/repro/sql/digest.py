@@ -297,21 +297,26 @@ class StatementStats:
 
     def _record_locked(self, digest, statement, duration_ms, rows,
                        cached, error, sqlstate, fanout) -> None:
+        # The kept text is the statement's shape, never its literals:
+        # normalised once per digest, when the digest first brings text.
         entry = self._entries.get(digest)
         if entry is None:
             if len(self._entries) < self.max_digests:
-                entry = _DigestEntry(digest,
-                                     statement[:self.TEXT_LIMIT])
+                entry = _DigestEntry(digest, self._shape(statement))
                 self._entries[digest] = entry
             else:
                 entry = self._other
                 self._overflowed += 1
         elif not entry.text and statement:
-            entry.text = statement[:self.TEXT_LIMIT]
+            entry.text = self._shape(statement)
         self._recorded += 1
         entry.record(duration_ms=duration_ms, rows=rows,
                      cached=cached, error=error, sqlstate=sqlstate,
                      fanout=fanout)
+
+    def _shape(self, statement: str) -> str:
+        return normalize_statement(statement)[:self.TEXT_LIMIT] \
+            if statement else ""
 
     def __call__(self, root) -> None:
         """Tracer-sink entry point: harvest one finished span tree."""
@@ -346,7 +351,12 @@ class StatementStats:
             if children:
                 fanout = sum(1 for child in children
                              if child.name == SHARD_SPAN_NAME) or 1
-            record = (digest, attrs.get("sql", ""), span.duration_ms,
+            # A tenant's statement (its scoped registry names the
+            # database "TENANT/NAME") counts, but its text stays off
+            # this process-wide store.
+            statement = "" if "/" in attrs.get("database", "") \
+                else attrs.get("sql", "")
+            record = (digest, statement, span.duration_ms,
                       int(attrs.get("rows", 0) or 0),
                       bool(attrs.get("cached")), "error" in attrs,
                       attrs.get("sqlstate"), fanout)

@@ -49,6 +49,7 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable, Optional
 
+from repro.blocking import BLOCKING
 from repro.sql.dialect import is_cacheable_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,6 +70,12 @@ class WriteGeneration:
     __slots__ = ("_value", "_lock", "token")
 
     _tokens = itertools.count(1)
+    _epochs = itertools.count(1)
+
+    #: A number no earlier bump of *any* counter in the process left
+    #: here: while it reads the same, nothing has been written since.
+    #: (Each bump stores a fresh one, so a racing pair still changes it.)
+    epoch = 0
 
     def __init__(self) -> None:
         self._value = 0
@@ -79,6 +86,7 @@ class WriteGeneration:
         """Record a write; returns the new generation."""
         with self._lock:
             self._value += 1
+            WriteGeneration.epoch = next(WriteGeneration._epochs)
             return self._value
 
     @property
@@ -130,18 +138,25 @@ class QueryResultCache:
         key = (database, sql)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry[0] != generation:
+                if BLOCKING.attempt is not None:
+                    BLOCKING.attempt.block("miss")
                 self._misses += 1
-                return None
-            cached_generation, result = entry
-            if cached_generation != generation:
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
+                if entry is not None:
+                    del self._entries[key]
+                    self._invalidations += 1
                 return None
             self._entries.move_to_end(key)
+            if BLOCKING.attempt is None:
+                self._hits += 1
+            else:
+                BLOCKING.attempt.hits.append(self)
+            return entry[1]
+
+    def count_hit(self) -> None:
+        """Count a hit deferred by an edge attempt (repro.blocking)."""
+        with self._lock:
             self._hits += 1
-            return result
 
     def put(self, database: str, sql: str, generation: Hashable,
             result: "ExecutionResult") -> bool:
@@ -162,6 +177,8 @@ class QueryResultCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
+        if BLOCKING.attempt is not None:
+            BLOCKING.attempt.stores += 1
         return True
 
     # -- invalidation ---------------------------------------------------

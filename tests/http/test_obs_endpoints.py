@@ -8,6 +8,7 @@ import pytest
 from repro.apps import urlquery as urlquery_app
 from repro.apps.site import build_site
 from repro.http.message import HttpRequest
+from repro.http.router import Router
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 
@@ -240,3 +241,49 @@ class TestStatementsEndpoint:
         assert row["calls"] >= 1
         assert row["rows"] >= 1
         assert "select" in row["statement"].lower()
+
+    def test_statement_text_is_the_shape_not_the_literals(
+            self, site, statements, traced):
+        """The table promises the normalized statement: a client's
+        search term must not be readable off ``/statements``."""
+        app, site = site
+        site.router.statements = statements
+        TRACER.add_sink(statements)
+        get(site, f"{app.report_path}?{QUERY}")
+        (row,) = json.loads(get(site, "/statements").body)["statements"]
+        assert row["statement"] == ("select url, title from urldb "
+                                    "where urldb.url like ? order by title")
+
+    def test_private_tenant_sql_stays_off_the_process_wide_table(
+            self, statements, traced):
+        """One authenticated request to a private tenant, then an
+        anonymous read: the digest counts, its text is not there."""
+        from repro.security.auth import basic_credentials
+        from repro.tenancy import TenantHost, TenantRegistry
+
+        tenants = TenantRegistry()
+        alpha = tenants.create_tenant("alpha", owner="alice",
+                                      password="wonder",
+                                      visibility="private")
+        db = alpha.databases.register_memory("SHOP")
+        with db.connect() as conn:
+            conn.executescript("CREATE TABLE items (id INTEGER, name TEXT);"
+                               "INSERT INTO items VALUES (1, 'apple');")
+        alpha.library.add_text("items.d2w", (
+            '%DEFINE DATABASE = "SHOP"\n'
+            "%SQL{ SELECT id, name FROM items "
+            "WHERE name <> 'alice-salary-98000' ORDER BY id %}\n"
+            "%HTML_REPORT{\n%EXEC_SQL\n%}\n"))
+        router = Router(tenants=TenantHost(tenants), statements=statements)
+        TRACER.add_sink(statements)
+        owner = HttpRequest(target="/t/alpha/items.d2w/report")
+        owner.headers.set("Authorization",
+                          basic_credentials("alice", "wonder"))
+        page = router.handle(owner)
+        page.drain()  # a tenant page streams; its trace ends here
+        assert page.status == 200
+        response = router.handle(HttpRequest(target="/statements"))
+        assert response.status == 200
+        assert b"alice-salary" not in response.body
+        (row,) = json.loads(response.body)["statements"]
+        assert row["calls"] == 1 and row["statement"] == ""

@@ -28,6 +28,16 @@ def test_deployment_guide_does_not_sell_method_replay_as_write_safety():
     assert "AppServerDispatcher.run" in guide
 
 
+def test_deployment_guide_opens_the_edge_with_the_loop_rule():
+    """§8's first paragraph says which CGI pages the loop answers and
+    names the counter that shows when it guessed wrong."""
+    guide = (ROOT / "docs" / "deployment.md").read_text(encoding="utf-8")
+    opening = guide.split("## 8. ", 1)[1].split("\n\n", 2)[1]
+    for phrase in ("switch interval", "query cache",
+                   "edge_loop_abandoned_total", "never tried"):
+        assert phrase in " ".join(opening.split()), phrase
+
+
 def documented_families() -> list[tuple[str, str, str]]:
     """``(token, family regex, label or "")`` for every backticked name
     in the first column of docs/observability.md §2's family table."""

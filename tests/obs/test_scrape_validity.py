@@ -152,6 +152,17 @@ def test_polled_values_are_typed_by_their_key():
         assert line in text
 
 
+def test_edge_families_are_typed_once_with_their_counts():
+    """The loop's give-ups are a counter of their own; the hand-off
+    summary's count stays "requests handed to the executor"."""
+    text = wired_registry().render_text()
+    for line in ("# TYPE edge_loop_abandoned_total counter",
+                 "edge_loop_abandoned_total 0",
+                 "# TYPE edge_handoff_wait_ms summary",
+                 "edge_handoff_wait_ms_count 0"):
+        assert line in text.splitlines()
+
+
 def test_every_read_path_carries_the_scrape_sample_names(tmp_path):
     metrics = wired_registry()
     scraped = set(scrape_samples(metrics.render_text()))
