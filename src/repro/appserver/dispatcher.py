@@ -102,8 +102,8 @@ class AppServerDispatcher:
     """Dispatches CGI requests to a pool of persistent worker processes.
 
     ``worker_env`` carries the application configuration the workers
-    read (``REPRO_MACRO_DIR``, ``REPRO_DATABASE_<NAME>``, and friends —
-    see :mod:`repro.cgi.db2www_main`).  Everything else is pool tuning.
+    read (``Settings.to_env()``, see :mod:`repro.settings`); no other
+    ``REPRO_*`` variable reaches them.  Everything else is pool tuning.
     """
 
     def __init__(self, worker_env: dict[str, str], *,
@@ -321,7 +321,10 @@ class AppServerDispatcher:
             return response
 
     def _spawn(self, slot: int, lifetime: int) -> _Worker:
-        env = dict(os.environ)
+        # ``worker_env`` alone configures a worker: an ambient REPRO_*
+        # variable would reach it and not the in-process engine.
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
         env.update(self.worker_env)
         env["REPRO_APPSERVER_SOCKET"] = self.socket_path
         env["REPRO_APPSERVER_WORKER_ID"] = str(slot)

@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.engine import EngineConfig, MacroEngine
 from repro.core.lint import lint_macro
-from repro.core.macrofile import MacroLibrary
 from repro.core.parser import parse_macro
 from repro.errors import ReproError
-from repro.sql.gateway import DatabaseRegistry
-from repro.sql.transactions import TransactionMode
+from repro.settings import Settings, build, parse_bindings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stream", action="store_true",
                        help="stream report pages off the live SQL "
                             "cursor (chunked to HTTP/1.1 clients, "
-                            "close-delimited on HTTP/1.0; --gateway "
-                            "inprocess only)")
+                            "close-delimited on HTTP/1.0)")
     serve.add_argument("--acceptors", type=int, default=1, metavar="N",
                        help="acceptor processes sharing the port via "
                             "SO_REUSEPORT (N>1 spawns N serve "
@@ -276,49 +273,20 @@ def _add_shard_options(cmd: argparse.ArgumentParser) -> None:
                           "scatter-gather workers")
 
 
-def _apply_sharding(args, registry: DatabaseRegistry) -> bool:
-    """Register any ``--shards`` topologies; True when sharding is on."""
-    specs = getattr(args, "shards", [])
-    if not specs:
-        return False
-    from repro.sql.sharding import build_shard_map
-    replica_specs: dict[str, dict[int, list[str]]] = {}
-    for item in getattr(args, "shard_replicas", []):
-        target, sep, paths = item.partition("=")
-        name, dot, index_text = target.rpartition(".")
-        if not sep or not dot or not index_text.isdigit():
-            raise SystemExit(f"bad --shard-replicas {item!r}: expected "
-                             "NAME.IDX=PATH[,PATH...]")
-        replica_specs.setdefault(name, {})[int(index_text)] = \
-            [p for p in paths.split(",") if p]
-    for name, paths_text in _parse_bindings(specs, "--shards"):
-        paths = [p for p in paths_text.split(",") if p]
-        if not paths:
-            raise SystemExit(f"bad --shards {name!r}: no shard paths")
-        shard_map = build_shard_map(
-            registry, name, paths,
-            replica_paths=replica_specs.pop(name, None),
-            key_variable=getattr(args, "shard_key", "SHARD_KEY"),
-            lag_bound=getattr(args, "replica_lag_bound", 1.0))
-        shard_map.shard_timeout = getattr(args, "shard_timeout", None)
-    if replica_specs:
-        unknown = ", ".join(sorted(replica_specs))
-        raise SystemExit(f"--shard-replicas names unknown logical "
-                         f"database(s): {unknown}")
-    # Per-endpoint pools are created lazily on first use, so shards
-    # that serve no requests hold no connections (and leak none).
-    registry.enable_pools()
-    return True
-
-
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """Parse a command line, refusing a ``serve`` option that its
-    gateway would ignore.  The parser does not outlive this call, so a
-    serving process keeps none of it."""
+    """Parse a command line, refusing app-server pool options under the
+    in-process gateway, which runs no workers.  The parser does not
+    outlive this call, so a serving process keeps none of it."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "serve":
-        _refuse_ignored_options(args, parser)
+    if args.command == "serve" and args.gateway == "inprocess":
+        defaults = parser.parse_args(["serve", "--macros", "."])
+        given = [f"--{dest.replace('_', '-')}"
+                 for dest in ("workers", "recycle_after")
+                 if getattr(args, dest) != getattr(defaults, dest)]
+        if given:
+            raise SystemExit(f"{', '.join(given)}: app-server pool "
+                             "settings need --gateway appserver")
     return args
 
 
@@ -372,51 +340,12 @@ def _cmd_lint(args, out) -> int:
     return 1 if worst == "error" else 0
 
 
-def _parse_bindings(pairs: list[str],
-                    what: str) -> list[tuple[str, str]]:
-    bindings = []
-    for item in pairs:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise SystemExit(f"bad {what} {item!r}: expected name=value")
-        bindings.append((name, value))
-    return bindings
-
-
-def _apply_resilience(args, registry: DatabaseRegistry,
-                      config: EngineConfig) -> None:
-    """Wire the shared resilience options into a registry and config."""
-    if getattr(args, "inject_faults", None):
-        registry.inject_faults(args.inject_faults)
-    if getattr(args, "breaker_threshold", 0) > 0:
-        registry.enable_breakers(failure_threshold=args.breaker_threshold)
-    if getattr(args, "max_retries", 0) > 0:
-        from repro.resilience.retry import RetryPolicy
-        config.retry_policy = RetryPolicy(
-            max_attempts=args.max_retries + 1)
-    if getattr(args, "request_deadline", None):
-        config.request_deadline = args.request_deadline
-    if getattr(args, "degrade", False):
-        config.degrade_sql_errors = True
-
-
-def _build_engine(args) -> MacroEngine:
-    registry = DatabaseRegistry()
-    for name, path in _parse_bindings(args.database, "--database"):
-        registry.register_path(name, path)
-    _apply_sharding(args, registry)
-    config = EngineConfig(
-        transaction_mode=TransactionMode.parse(args.transaction_mode))
-    _apply_resilience(args, registry, config)
-    return MacroEngine(registry, config=config)
-
-
 def _cmd_run(args, out, *, as_text: bool) -> int:
-    library = MacroLibrary(args.file.parent)
-    macro = library.load(args.file.name)
-    engine = _build_engine(args)
-    inputs = _parse_bindings(args.inputs, "input variable")
-    result = engine.execute(macro, args.mode, inputs)
+    program = build(replace(Settings.from_args(args),
+                            macros=str(args.file.parent)))
+    macro = program.library.load(args.file.name)
+    inputs = parse_bindings(args.inputs, "input variable")
+    result = program.engine.execute(macro, args.mode, inputs)
     if as_text:
         from repro.html.render import render_markup
         print(render_markup(result.html), file=out)
@@ -598,83 +527,6 @@ def _slow_query_path(args) -> Path:
     return base / "slow_query.log"
 
 
-#: Where each `serve` option takes effect.  "edge" options configure
-#: the serving process itself, under either gateway; "pool" ones size
-#: the app-server worker pool; "forwarded" ones reach app-server
-#: workers through :func:`_worker_env` and configure the in-process
-#: engine otherwise; "engine" ones configure the in-process macro
-#: engine and nothing carries them to a worker.  A "pool" or "engine"
-#: option the chosen gateway would ignore is refused, not dropped.
-#: Keyed by argparse dest; tests/core/test_cli.py fails on a dest
-#: missing here.
-_SERVE_OPTIONS = {
-    "edge": (
-        "help", "host", "port", "gateway", "acceptors", "reuse_port",
-        "max_connections", "backlog", "overload", "overload_concurrency",
-        "overload_queue", "slo_ms", "overload_rules", "tenant_config",
-        "access_log", "trace_log", "slow_query_ms", "slow_query_log",
-        "trace_sample", "request_deadline"),
-    "pool": ("workers", "recycle_after"),
-    "forwarded": ("macros", "database", "query_cache", "macro_stat_ttl",
-                  "no_trace"),
-    "engine": (
-        "stream", "inject_faults", "max_retries",
-        "breaker_threshold", "degrade", "shards", "shard_replicas",
-        "shard_key", "replica_lag_bound", "shard_timeout"),
-}
-
-
-def _refuse_ignored_options(args, parser: argparse.ArgumentParser) -> None:
-    """Exit naming every option given a non-default value that the
-    chosen gateway would ignore: the engine-only ones while worker
-    processes, not this one, run the macros, and the pool ones while
-    this process runs them.  ``parser`` is the one that parsed
-    ``args``: its defaults are what "given" is measured against."""
-    if args.gateway == "inprocess":
-        side, needs, why = ("pool", "appserver",
-                            "app-server pool settings; the in-process "
-                            "engine runs no workers")
-    else:
-        side, needs, why = ("engine", "inprocess",
-                            "in-process engine settings; nothing "
-                            "forwards them to app-server workers")
-    defaults = parser.parse_args(["serve", "--macros", "."])
-    ignored = ["--" + dest.replace("_", "-") for dest in _SERVE_OPTIONS[side]
-               if getattr(args, dest) != getattr(defaults, dest)]
-    if ignored:
-        raise SystemExit(
-            f"{', '.join(ignored)} "
-            f"{'requires' if len(ignored) == 1 else 'require'} --gateway "
-            f"{needs} ({why})")
-
-
-def _worker_env(args) -> dict[str, str]:
-    """Application configuration for app-server workers.
-
-    No file sinks are forwarded: worker spans are grafted into the
-    dispatcher's trace and logged by the serving process — worker-side
-    sinks would record every slow query twice.
-    """
-    env = {"REPRO_MACRO_DIR": str(args.macros.resolve())}
-    for name, path in _parse_bindings(args.database, "--database"):
-        # Verbatim: registry lookups are case-sensitive, so `shop` must
-        # not become `SHOP` on its way to a worker.
-        env[f"REPRO_DATABASE_{name}"] = str(Path(path).resolve())
-    if args.query_cache > 0:
-        env["REPRO_QUERY_CACHE"] = str(args.query_cache)
-    # Default included: a worker serves a hot macro off its last stat
-    # for as long as in-process `serve` would.
-    env["REPRO_MACRO_STAT_TTL"] = str(args.macro_stat_ttl)
-    # One request at a time per worker: a small pool just keeps the
-    # connection warm between requests.
-    env["REPRO_POOL_SIZE"] = "1"
-    if not getattr(args, "no_trace", False):
-        # Workers join the server's traces: the tracer must be on so
-        # their spans exist to ship home in the response frames.
-        env["REPRO_TRACE"] = "1"
-    return env
-
-
 def _wait_for_stop() -> None:  # pragma: no cover - interactive
     """Sleep until SIGINT or SIGTERM; either means "stop cleanly".
 
@@ -750,7 +602,8 @@ def _acceptor_child_argv(argv: list[str], port: int) -> list[str]:
                   "--reuse-port"]
 
 
-def _load_tenant_config(path: Path, *, query_cache=None):
+def _load_tenant_config(path: Path, settings: Settings, *,
+                        query_cache=None):
     """Build a TenantRegistry from a JSON descriptor file.
 
     The file is either ``{"tenants": [...]}`` or a bare list; each
@@ -765,7 +618,8 @@ def _load_tenant_config(path: Path, *, query_cache=None):
 
     ``password`` registers the owner with the shared authenticator
     (omit for owners declared by an earlier tenant); a database path of
-    ``:memory:`` provisions a fresh shared in-memory database.
+    ``:memory:`` provisions a fresh shared in-memory database.  The
+    tenants are built from ``settings``.
     """
     import json as _json
 
@@ -773,7 +627,7 @@ def _load_tenant_config(path: Path, *, query_cache=None):
 
     spec = _json.loads(path.read_text(encoding="utf-8"))
     entries = spec.get("tenants", []) if isinstance(spec, dict) else spec
-    registry = TenantRegistry(query_cache=query_cache)
+    registry = TenantRegistry(settings, query_cache=query_cache)
     for entry in entries:
         quota = None
         quota_spec = entry.get("quota")
@@ -799,7 +653,7 @@ def _load_tenant_config(path: Path, *, query_cache=None):
 
 
 def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
-    from repro.cgi.gateway import CgiGateway, Db2WwwProgram
+    from repro.cgi.gateway import CgiGateway
     from repro.http.async_server import EXECUTOR_THREADS, AsyncHttpServer
     from repro.http.router import Router
     from repro.obs import (
@@ -858,35 +712,35 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         metrics.attach_source("statements", STATEMENTS.stats)
         metrics.attach_source("statement", STATEMENTS.labeled_stats,
                               label="digest")
+    settings = Settings.from_args(args)
+    # This process's engines run on the edge's executor threads: a warm
+    # connection per thread, so no request pays (or, by overlapping
+    # another, escapes) SQLite's open/close of the file.
+    local = replace(settings, pool_size=EXECUTOR_THREADS)
+    cache = None  # this process's one query-result cache
+    registries = []
     gateway = CgiGateway()
     if args.gateway == "inprocess":
-        registry = DatabaseRegistry()
-        for name, path in _parse_bindings(args.database, "--database"):
-            registry.register_path(name, path)
-        sharded = _apply_sharding(args, registry)
-        # A warm connection per edge thread, so no request pays (or, by
-        # overlapping another, escapes) SQLite's open/close of the file.
-        registry.enable_pools(size=EXECUTOR_THREADS)
-        config = EngineConfig()
-        if args.query_cache > 0:
-            from repro.sql.querycache import QueryResultCache
-            config.query_cache = QueryResultCache(
-                max_entries=args.query_cache)
-        _apply_resilience(args, registry, config)
-        engine = MacroEngine(registry, config=config)
-        library = MacroLibrary(args.macros, stat_ttl=args.macro_stat_ttl)
-        gateway.install("db2www", Db2WwwProgram(engine, library,
-                                                stream=args.stream))
+        program = build(local)
+        cache = program.engine.config.query_cache
+        gateway.install("db2www", program)
+        registry = program.engine.registry
+        registries.append(registry)
         metrics.attach_source("resilience", registry.resilience_stats)
-        if sharded:
+        if settings.shards:
             metrics.attach_source("shard", registry.shard_labeled_stats,
                                   label="shard")
-        if config.query_cache is not None:
-            metrics.attach_source("query_cache", config.query_cache.stats)
     else:
         from repro.appserver import AppServerDispatcher
+        # One request at a time per worker: one pooled connection keeps
+        # it warm between requests.
+        worker_env = replace(settings, pool_size=1).to_env()
+        if not args.no_trace:
+            # Workers join the server's traces (their spans ship home in
+            # the response frames and are logged here: no worker sinks).
+            worker_env["REPRO_TRACE"] = "1"
         dispatcher = AppServerDispatcher(
-            _worker_env(args), workers=args.workers,
+            worker_env, workers=args.workers,
             recycle_after=args.recycle_after)
         gateway.install("db2www", dispatcher)
         metrics.attach_source("appserver", dispatcher.labeled_stats,
@@ -896,20 +750,18 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
     if args.tenant_config is not None:
         from repro.tenancy import TenantHost
 
-        shared_cache = None
-        if args.query_cache > 0:
-            from repro.sql.querycache import QueryResultCache
-            shared_cache = QueryResultCache(max_entries=args.query_cache)
-        tenant_registry = _load_tenant_config(args.tenant_config,
-                                              query_cache=shared_cache)
-        # Pooled like the in-process registry above: a WAL-mode tenant
-        # file is not checkpointed by every request's close.
-        tenant_registry.databases.enable_pools(size=EXECUTOR_THREADS)
+        # Tenants share the in-process program's cache, if any.
+        tenant_registry = _load_tenant_config(args.tenant_config, local,
+                                              query_cache=cache)
+        cache = tenant_registry.query_cache
+        registries.append(tenant_registry.databases)
         # Tenant dispatch is in-process regardless of --gateway: each
         # tenant runs its own engine over its scoped registry view.
         router.tenants = TenantHost(tenant_registry)
         metrics.attach_source("tenant", tenant_registry.labeled_stats,
                               label="tenant")
+    if cache is not None:
+        metrics.attach_source("query_cache", cache.stats)
     # One registry feeds every read path: /metrics, /statusz, the
     # access log's #stats trailer, and `repro stats`.
     router.metrics = metrics
@@ -990,8 +842,6 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         if dispatcher is not None:
             dispatcher.shutdown()
         # Checkpoints a WAL-mode file: whole again in its one file.
-        if args.gateway == "inprocess":
+        for registry in registries:
             registry.close_all()
-        if tenant_registry is not None:
-            tenant_registry.databases.close_all()
     return 0

@@ -32,14 +32,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from repro.cgi.gateway import Db2WwwProgram
 from repro.cgi.request import CgiRequest
-from repro.core.engine import EngineConfig, MacroEngine, MacroResult
-from repro.core.macrofile import MacroLibrary
+from repro.core.engine import MacroResult
 from repro.errors import SQLObjectError
 from repro.security.auth import BasicAuthenticator
 from repro.security.tenants import VISIBILITIES
-from repro.sql.gateway import DatabaseRegistry, ScopedDatabaseRegistry
+from repro.settings import Settings, build, build_registry
+from repro.sql.gateway import ScopedDatabaseRegistry
 from repro.sql.querycache import QueryResultCache
 from repro.tenancy.jsonapi import negotiated_renderer
 
@@ -116,31 +115,32 @@ class _QuotaWindow:
 
 
 class Tenant:
-    """One hosted application: macros + scoped databases + identity."""
+    """One hosted application: macros + scoped databases + identity,
+    its program built from ``settings`` over its scoped registry."""
 
     def __init__(self, name: str, *, owner: str,
                  visibility: str, read_only: bool,
-                 databases: ScopedDatabaseRegistry,
-                 library: MacroLibrary, engine: MacroEngine,
-                 quota: Optional[TenantQuota] = None,
-                 stream: bool = True):
+                 databases: ScopedDatabaseRegistry, settings: Settings,
+                 query_cache: Optional[QueryResultCache] = None,
+                 quota: Optional[TenantQuota] = None):
         self.name = name
         self.owner = owner
         self.visibility = visibility
         self.read_only = read_only
         self.databases = databases
-        self.library = library
-        self.engine = engine
         self.quota = _QuotaWindow(quota or TenantQuota())
         self._lock = threading.Lock()
         self._requests = 0
         self._rows = 0
         self._denied = 0
         self._throttled = 0
-        self.program = Db2WwwProgram(
-            engine, library, stream=stream,
+        self.program = build(
+            settings, registry=databases, query_cache=query_cache,
+            read_only=read_only,
             negotiate=lambda request: negotiated_renderer(request.environ),
             result_hook=self._settle)
+        self.engine = self.program.engine
+        self.library = self.program.library
 
     # -- accounting --------------------------------------------------------
 
@@ -180,20 +180,22 @@ class TenantRegistry:
     One shared physical :class:`DatabaseRegistry`, one shared
     :class:`BasicAuthenticator` (owners are global identities), one
     optional shared query cache whose keys the scoped registries keep
-    disjoint per tenant.
+    disjoint per tenant.  Registry and tenants are built from the
+    process's :class:`~repro.settings.Settings`; a tenant's macro root,
+    scoped registry and read-only switch are its own.
     """
 
-    def __init__(self, databases: Optional[DatabaseRegistry] = None, *,
+    def __init__(self, settings: Optional[Settings] = None, *,
                  authenticator: Optional[BasicAuthenticator] = None,
-                 query_cache: Optional[QueryResultCache] = None,
-                 engine_defaults: Optional[EngineConfig] = None,
-                 stream: bool = True):
-        self.databases = databases or DatabaseRegistry()
+                 query_cache: Optional[QueryResultCache] = None):
+        self.settings = settings or Settings()
+        self.databases = build_registry(self.settings)
         self.authenticator = authenticator or BasicAuthenticator(
             realm="tenants")
+        if query_cache is None and self.settings.query_cache:
+            query_cache = QueryResultCache(
+                max_entries=self.settings.query_cache)
         self.query_cache = query_cache
-        self.engine_defaults = engine_defaults or EngineConfig()
-        self.stream = stream
         self._tenants: dict[str, Tenant] = {}
         self._lock = threading.Lock()
 
@@ -220,15 +222,12 @@ class TenantRegistry:
                 f"{'/'.join(VISIBILITIES)}")
         if not owner:
             raise ValueError("tenant owner must be non-empty")
-        scoped = ScopedDatabaseRegistry(self.databases, name)
-        config = replace(self.engine_defaults, read_only=read_only,
-                         query_cache=self.query_cache)
-        engine = MacroEngine(scoped, config=config)
-        library = MacroLibrary(macro_root)
         tenant = Tenant(
             name, owner=owner, visibility=visibility,
-            read_only=read_only, databases=scoped, library=library,
-            engine=engine, quota=quota, stream=self.stream)
+            read_only=read_only,
+            databases=ScopedDatabaseRegistry(self.databases, name),
+            settings=replace(self.settings, macros=macro_root),
+            query_cache=self.query_cache, quota=quota)
         with self._lock:
             if name in self._tenants:
                 raise SQLObjectError(

@@ -253,65 +253,40 @@ class TestTopCommand:
 
 
 class TestServeOptionPlacement:
-    """Every ``serve`` option is classified by where it takes effect,
-    and one that never reaches the process running the macros is
-    refused there instead of being parsed and dropped."""
+    """Every engine setting is a ``serve`` option that reaches the
+    process running the macros, in either gateway; only the app-server
+    pool options are refused where no pool runs."""
 
-    ENGINE_ONLY = [
-        ["--stream"], ["--degrade"], ["--max-retries", "3"],
-        ["--breaker-threshold", "5"], ["--inject-faults", "every:2"],
-        ["--shards", "INV=a.db,b.db"],
-        ["--shard-replicas", "INV.0=r.db"], ["--shard-key", "CUST"],
-        ["--replica-lag-bound", "0.5"], ["--shard-timeout", "2"],
-    ]
-    WORKER_MODES = [["--gateway", "appserver"]]
+    #: Settings fields ``serve`` pins instead of taking as options:
+    #: auto-commit always, and a pool sized for the process's threads.
+    PINNED = {"transaction_mode", "pool_size"}
 
     @staticmethod
     def refuse(*argv):
         """What ``main`` checks before serving ``serve *argv``."""
-        from repro.cli import _refuse_ignored_options, build_parser
-        parser = build_parser()
-        _refuse_ignored_options(parser.parse_args(["serve", *argv]), parser)
+        from repro.cli import _parse_args
+        _parse_args(["serve", *argv])
 
-    def test_every_serve_dest_is_classified_exactly_once(self):
+    @staticmethod
+    def serve_dests():
         import argparse
 
-        from repro.cli import _SERVE_OPTIONS, build_parser
+        from repro.cli import build_parser
         (commands,) = [action for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction)]
-        dests = sorted(action.dest
-                       for action in commands.choices["serve"]._actions)
-        classified = sorted(dest for side in _SERVE_OPTIONS.values()
-                            for dest in side)
-        assert classified == dests, (
-            "decide where a new serve option takes effect (edge, "
-            "forwarded to workers, or in-process engine only) and list "
-            "it in cli._SERVE_OPTIONS")
+        return {action.dest
+                for action in commands.choices["serve"]._actions}
 
-    def test_the_table_covers_every_flag_refused_here(self):
-        from repro.cli import _SERVE_OPTIONS
-        flags = {"--" + dest.replace("_", "-")
-                 for dest in _SERVE_OPTIONS["engine"]}
-        assert flags == {argv[0] for argv in self.ENGINE_ONLY}
+    def test_every_settings_field_is_a_serve_dest(self):
+        from dataclasses import fields
 
-    @pytest.mark.parametrize("mode", WORKER_MODES, ids=lambda m: m[0])
-    @pytest.mark.parametrize("option", ENGINE_ONLY, ids=lambda o: o[0])
-    def test_engine_only_option_is_refused_where_workers_run(
-            self, tmp_path, mode, option):
-        with pytest.raises(SystemExit) as info:
-            main(["serve", "--macros", str(tmp_path), *mode, *option])
-        assert info.value.code not in (0, None)
-        assert option[0] in str(info.value.code)
-        assert "--gateway inprocess" in str(info.value.code)
+        from repro.settings import Settings
+        names = {f.name for f in fields(Settings)}
+        assert names - self.PINNED <= self.serve_dests()
+        assert not self.PINNED & self.serve_dests()
 
-    def test_every_offending_flag_is_named(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            main(["serve", "--macros", str(tmp_path), "--gateway",
-                  "appserver", "--degrade", "--max-retries", "2",
-                  "--request-deadline", "5"])
-        message = str(info.value.code)
-        assert "--degrade" in message and "--max-retries" in message
-        assert "--request-deadline" not in message  # the edge applies it
+    def test_serve_still_has_36_options(self):
+        assert len(self.serve_dests() - {"help"}) == 36
 
     @pytest.mark.parametrize("argv", [
         ["--workers", "2"], ["--recycle-after", "10"],
@@ -350,6 +325,16 @@ class TestServeOptionPlacement:
         assert len(commands) >= 6, commands
         for argv in commands:
             self.refuse(*argv)
+        # §3's table names every variable Settings.from_env reads, in
+        # field order; a bindings field as REPRO_<FIELD>_<NAME>.
+        from dataclasses import fields
+
+        from repro.settings import Settings, _env_name
+        variables = [_env_name(f) + "_<NAME>" * (f.type == "Bindings")
+                     for f in fields(Settings)]
+        section = guide[guide.index("## 3."):guide.index("## 4.")]
+        assert re.findall(r"^\| `(REPRO_\S+)` \|", section, re.M) \
+            == variables
 
 
 class TestWorkerEnv:
@@ -357,13 +342,14 @@ class TestWorkerEnv:
         """``--database shop=...`` is ``shop`` in-process; it used to be
         ``SHOP`` in a worker, where lookups are case-sensitive too."""
         from repro.cgi.db2www_main import build_program
-        from repro.cli import _worker_env, build_parser
+        from repro.cli import build_parser
+        from repro.settings import Settings
         args = build_parser().parse_args([
             "serve", "--macros", str(tmp_path), "--no-trace",
             "--database", f"shop={tmp_path / 'shop.sqlite'}",
             "--database", f"URLDB={tmp_path / 'urldb.sqlite'}",
             "--database", f"Mixed_Case={tmp_path / 'mixed.sqlite'}"])
-        program = build_program(_worker_env(args))
+        program = build_program(Settings.from_args(args).to_env())
         assert sorted(program.engine.registry.names()) \
             == ["Mixed_Case", "URLDB", "shop"]
 
@@ -374,10 +360,11 @@ class TestWorkerEnv:
         """Workers keep ``serve``'s stat TTL, its 1 s default included,
         instead of stat-ing the macro file on every request."""
         from repro.cgi.db2www_main import build_program
-        from repro.cli import _worker_env, build_parser
+        from repro.cli import build_parser
+        from repro.settings import Settings
         args = build_parser().parse_args(
             ["serve", "--macros", str(tmp_path), *argv])
-        program = build_program(_worker_env(args))
+        program = build_program(Settings.from_args(args).to_env())
         assert program.library.stat_ttl == expected
 
     @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "1s"])

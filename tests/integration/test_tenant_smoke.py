@@ -186,6 +186,22 @@ class TestTenantSmoke:
             assert status == 200
         assert saw_429
 
+    def test_a_tenant_cache_hit_shows_on_metrics(self, stack):
+        """Tenants share the process's one query cache, and its
+        counters are the ones /metrics shows."""
+        def hits():
+            _, _, body = fetch(stack["base"], "/metrics")
+            match = re.search(r"^query_cache_hits (\d+)$",
+                              body.decode("utf-8"), re.M)
+            assert match, "no query_cache_hits on /metrics"
+            return int(match.group(1))
+
+        before = hits()
+        for _ in range(2):
+            status, _, _ = fetch(stack["base"], "/t/beta/items.d2w/report")
+            assert status == 200
+        assert hits() > before
+
     def test_metrics_expose_tenant_counters(self, stack):
         status, _, body = fetch(stack["base"], "/metrics")
         assert status == 200

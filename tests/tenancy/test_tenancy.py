@@ -11,6 +11,7 @@ from repro.http.message import HttpRequest
 from repro.http.router import Router
 from repro.security.auth import basic_credentials
 from repro.security.tenants import TenantAccessPolicy
+from repro.settings import Settings
 from repro.sql.gateway import DatabaseRegistry
 from repro.sql.querycache import QueryResultCache
 from repro.tenancy import (
@@ -268,6 +269,20 @@ class TestQuota:
         assert call(router, "/t/delta/items.d2w/report").status == 200
         assert call(router, "/t/delta/items.d2w/report").status == 200
         assert call(router, "/t/delta/items.d2w/report").status == 429
+
+    def test_streamed_pages_charge_rows_once_drained(self):
+        """Under ``serve --stream`` tenant pages stream too, and a
+        page's rows are charged when its stream settles."""
+        registry = TenantRegistry(Settings(stream=True))
+        delta = registry.create_tenant(
+            "delta", owner="dora",
+            quota=TenantQuota(rows=3, window_seconds=60.0))
+        seed_shop(delta, [(1, "d1"), (2, "d2")])
+        delta.library.add_text("items.d2w", ITEMS_MACRO)
+        assert delta.program.stream
+        router = Router(tenants=TenantHost(registry))
+        assert [call(router, "/t/delta/items.d2w/report").status
+                for _ in range(3)] == [200, 200, 429]
 
     def test_window_rolls_over(self):
         window = _QuotaWindow(TenantQuota(requests=1,
