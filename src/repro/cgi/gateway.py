@@ -8,6 +8,7 @@ standard input, and emitting a dynamically generated HTML page.
 
 from __future__ import annotations
 
+import codecs
 import traceback
 from typing import Callable, Optional, Protocol
 
@@ -152,6 +153,7 @@ class Db2WwwProgram:
         self.engine = engine
         self.library = library
         self.charset = charset
+        self._utf8 = codecs.lookup(charset).name == "utf-8"
         #: Content negotiation: called per request, may return a
         #: :class:`~repro.core.report.RowRenderer` to swap the page's
         #: presentation (the tenancy JSON API), or ``None`` for the
@@ -225,12 +227,15 @@ class Db2WwwProgram:
                                   f"{type(exc).__name__}: {exc}")
         if self.result_hook is not None:
             self.result_hook(request, result)
-        body = result.html.encode(self.charset, "replace")
+        # The page's UTF-8 parts go out as they are (row memos by
+        # reference); another charset is an encoding of the text view.
+        parts = result.parts if self._utf8 \
+            else [result.html.encode(self.charset, "replace")]
         content_type = result.content_type
         if "charset=" not in content_type:
             content_type = f"{content_type}; charset={self.charset}"
         return CgiResponse(
-            headers=[("Content-Type", content_type)], body=body)
+            headers=[("Content-Type", content_type)], parts=parts)
 
     # -- streaming ---------------------------------------------------------
 

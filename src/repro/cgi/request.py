@@ -10,7 +10,7 @@ benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.cgi.environ import CgiEnvironment
@@ -60,33 +60,55 @@ class CgiRequest:
         return self.environ.trace_id
 
 
-@dataclass
 class CgiResponse:
-    """Parsed CGI program output."""
+    """Parsed CGI program output.
 
-    status: int = 200
-    reason: str = "OK"
-    headers: list[tuple[str, str]] = field(default_factory=list)
-    body: bytes = b""
-    #: Streaming body: when set, the page arrives as byte chunks and
-    #: ``body`` is empty.  Transports that cannot stream call
-    #: :meth:`drain` to fall back to a buffered body.
-    body_iter: Optional[Iterator[bytes]] = None
-    #: Span rows of the process that produced this response
-    #: (:meth:`repro.obs.trace.Span.export`).  App-server workers fill
-    #: it so the dispatcher can graft their spans into the live request
-    #: trace; ``None`` everywhere else.
-    trace: Optional[list] = None
+    The page is :attr:`parts`, byte strings in order: a buffered DB2WWW
+    page passes its row memos on by reference instead of copying them
+    into one string (see :class:`repro.core.engine.MacroResult`).
+    :attr:`body` is their join, for the readers that need one piece.
+    """
+
+    __slots__ = ("status", "reason", "headers", "parts", "body_iter",
+                 "trace")
+
+    def __init__(self, status: int = 200, reason: str = "OK",
+                 headers: Optional[list[tuple[str, str]]] = None,
+                 body: bytes = b"",
+                 body_iter: Optional[Iterator[bytes]] = None,
+                 trace: Optional[list] = None, *,
+                 parts: Optional[list[bytes]] = None):
+        self.status = status
+        self.reason = reason
+        self.headers = headers if headers is not None else []
+        self.parts = parts if parts is not None else [body] if body else []
+        #: Streaming body: when set, the page arrives as byte chunks
+        #: after :attr:`parts`.  Transports that cannot stream call
+        #: :meth:`drain` to fall back to a buffered body.
+        self.body_iter = body_iter
+        #: Span rows of the process that produced this response
+        #: (:meth:`repro.obs.trace.Span.export`).  App-server workers
+        #: fill it so the dispatcher can graft their spans into the live
+        #: request trace; ``None`` everywhere else.
+        self.trace = trace
+
+    @property
+    def body(self) -> bytes:
+        return b"".join(self.parts)
+
+    @body.setter
+    def body(self, value: bytes) -> None:
+        self.parts = [value] if value else []
 
     @property
     def streaming(self) -> bool:
         return self.body_iter is not None
 
     def drain(self) -> None:
-        """Materialise a streaming body into ``body`` (no-op otherwise)."""
+        """Materialise a streaming body into the parts (no-op otherwise)."""
         if self.body_iter is not None:
             chunks, self.body_iter = self.body_iter, None
-            self.body = self.body + b"".join(chunks)
+            self.parts = self.parts + [b"".join(chunks)]
 
     def header(self, name: str, default: str = "") -> str:
         folded = name.lower()

@@ -30,7 +30,8 @@ from repro.blocking import BLOCKING
 from repro.core import ast
 from repro.core.messages import resolve_message
 from repro.core.program import CompiledEvaluator, program_of
-from repro.core.report import ReportGenerator, RowRenderer
+from repro.core.report import (Chunk, ReportGenerator, RowRenderer,
+                               chunk_text)
 from repro.core.substitution import Evaluator
 from repro.core.variables import VariableStore
 from repro.errors import (
@@ -147,8 +148,13 @@ class EngineConfig:
 class MacroResult:
     """The outcome of one macro invocation."""
 
-    html: str
     command: MacroCommand
+    #: The buffered page as UTF-8 byte parts, in page order: each run of
+    #: text encoded once, each materialised result's printed rows the
+    #: very bytes its row memo holds (:meth:`ReportGenerator._render_rows
+    #: <repro.core.report.ReportGenerator._render_rows>`).  Empty for a
+    #: stream, whose chunks are the page.
+    parts: list[bytes] = field(default_factory=list)
     statements: list[str] = field(default_factory=list)
     sql_errors: list[SQLError] = field(default_factory=list)
     aborted: bool = False
@@ -165,6 +171,11 @@ class MacroResult:
     content_type: str = "text/html"
 
     @property
+    def html(self) -> str:
+        """The page as text: a view of :attr:`parts`."""
+        return b"".join(self.parts).decode("utf-8")
+
+    @property
     def ok(self) -> bool:
         return not self.sql_errors and not self.aborted
 
@@ -178,7 +189,7 @@ class MacroStream:
     live cursor.  ``result`` is the same object the buffered path
     returns; its ``statements``/``sql_errors``/``retries`` fields fill in
     as the stream advances and are final once ``chunks`` is exhausted
-    (``result.html`` stays empty — the chunks *are* the page).
+    (``result.parts`` stays empty — the chunks *are* the page).
     ``result.content_type`` is valid as soon as the first chunk has been
     produced, so a transport can emit headers before the body.
     """
@@ -307,7 +318,7 @@ class _MacroRun:
         self.deadline = (Deadline.after(engine.config.request_deadline)
                          if engine.config.request_deadline is not None
                          else None)
-        self.result = MacroResult(html="", command=command)
+        self.result = MacroResult(command=command)
         self._emitted_target_section = False
         #: the run's single ``substitute`` span (created lazily); see
         #: :meth:`_substitute`.
@@ -316,16 +327,48 @@ class _MacroRun:
     # ------------------------------------------------------------------
 
     def execute(self) -> MacroResult:
-        out = list(self.stream())
-        self.result.html = "".join(out)
+        """The page buffered as byte parts: each run of text joined and
+        encoded once (a lone surrogate becomes ``?``, as the page's
+        ``encode(..., "replace")`` always made it), row memos kept."""
+        parts: list[bytes] = []
+        text: list[str] = []
+        for chunk in self._run():
+            if chunk.__class__ is str:
+                if chunk:
+                    text.append(chunk)
+                continue
+            for piece in chunk:
+                if piece.__class__ is str:
+                    if piece:
+                        text.append(piece)
+                    continue
+                if text:
+                    parts.append("".join(text).encode("utf-8", "replace"))
+                    text = []
+                parts.append(piece)
+        if text:
+            parts.append("".join(text).encode("utf-8", "replace"))
+        self.result.parts = parts
         return self.result
 
     def stream(self) -> Iterator[str]:
+        """The page as text chunks, for the streaming transports: a
+        section over a fetched result comes joined into one
+        (:func:`~repro.core.report.chunk_text`)."""
+        run = self._run()
+        try:
+            for chunk in run:
+                yield chunk if chunk.__class__ is str else chunk_text(chunk)
+        finally:
+            run.close()
+
+    def _run(self) -> Iterator[Chunk]:
         """The page as a chunk generator (the single processing path).
 
-        The buffered :meth:`execute` joins this stream; the streaming
-        transports forward it chunk by chunk.  Session finalisation runs
-        even when the consumer abandons the iterator early.
+        The buffered :meth:`execute` gathers it into byte parts, the
+        streaming transports forward it chunk by chunk.  Session
+        finalisation runs even when the consumer abandons the iterator
+        early.
         """
         try:
             yield from self._walk()
@@ -354,7 +397,7 @@ class _MacroRun:
         if declared:
             self.result.content_type = declared
 
-    def _walk(self) -> Iterator[str]:
+    def _walk(self) -> Iterator[Chunk]:
         # SQL sections were registered macro-wide by the program (Section
         # 3.4's directives are not positional); FreeText is ignored.
         for section, table, lists, execs in self.program.steps:
@@ -389,8 +432,8 @@ class _MacroRun:
     # Report mode
     # ------------------------------------------------------------------
 
-    def _process_report(self,
-                        section: ast.HtmlReportSection) -> Iterator[str]:
+    def _process_report(self, section: ast.HtmlReportSection
+                        ) -> Iterator[Chunk]:
         """Emit the report section; returns True when 'exit' stopped it."""
         for piece in section.pieces:
             if isinstance(piece, ast.ExecSqlDirective):
@@ -424,8 +467,8 @@ class _MacroRun:
         finally:
             span.end += time.perf_counter() - tick
 
-    def _run_directive(self,
-                       directive: ast.ExecSqlDirective) -> Iterator[str]:
+    def _run_directive(self, directive: ast.ExecSqlDirective
+                       ) -> Iterator[Chunk]:
         """Run one %EXEC_SQL; returns True when processing must stop."""
         sections = self._resolve_directive(directive)
         for sql_section in sections:
@@ -451,7 +494,8 @@ class _MacroRun:
                 "which names no SQL section in this macro")
         return [section]
 
-    def _run_sql_section(self, section: ast.SqlSection) -> Iterator[str]:
+    def _run_sql_section(self, section: ast.SqlSection
+                         ) -> Iterator[Chunk]:
         """Execute one SQL section; returns True when processing must stop.
 
         Terminal SQL failures degrade, not crash: the section's
@@ -504,7 +548,7 @@ class _MacroRun:
         return False
 
     def _render_section(self, section: ast.SqlSection,
-                        result) -> Iterator[str]:
+                        result) -> Iterator[Chunk]:
         """Render the section's report, under a ``report.render`` span.
 
         The span measures *production* time only: the clock runs while a

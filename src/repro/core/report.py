@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from itertools import islice
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from repro.core.ast import SqlReportBlock, SqlSection
 from repro.core.compiled import NotRowPure, RenderRow, specialise_row
@@ -54,6 +54,10 @@ LIST_CONCAT_SEPARATOR = " "
 #: Rows per emitted chunk of the compiled and default-table loops (the
 #: interpreted loop stays one row per chunk: its side effects are per row).
 _ROW_BLOCK = 64
+
+#: What report and engine generators yield: text, or a buffered
+#: section's pieces (text, and a row memo's UTF-8 bytes) in one list.
+Chunk = Union[str, list]
 
 
 class RowRenderer:
@@ -125,15 +129,20 @@ class ReportGenerator:
 
     def render(self, section: SqlSection, result: ExecutionResult) -> str:
         """Render one executed SQL section's result."""
-        return "".join(self.render_iter(section, result))
+        return "".join(map(chunk_text, self.render_iter(section, result)))
 
     def render_iter(self, section: SqlSection,
-                    result: ExecutionResult) -> Iterator[str]:
+                    result: ExecutionResult) -> Iterator[Chunk]:
         """Render one result as a chunk stream (header, rows, footer).
 
-        The buffered :meth:`render` is exactly the join of this stream;
-        the streaming HTTP path consumes it chunk by chunk so a 100k-row
-        report never exists as one string.
+        The buffered :meth:`render` is the join of this stream; the
+        streaming HTTP path consumes it chunk by chunk so a 100k-row
+        report never exists as one string.  A materialised result means
+        a buffered page, which only gathers its chunks: such a section
+        goes up the chain as one chunk, the list of its pieces — text,
+        and the printed rows as the UTF-8 ``bytes`` of the result's row
+        memo (:meth:`_render_rows`), which the page passes on by
+        reference.
         """
         self.row_path = None
         if self.row_renderer is not None:
@@ -142,17 +151,15 @@ class ReportGenerator:
                   if section.report is not None
                   else self._render_default(result))
         if result.is_query and result.row_iter is None:
-            # Fetched rows mean a buffered page, whose chunks are only
-            # ever joined: hand the section up the chain in one.
-            return _joined(chunks)
-        return chunks
+            return _gathered(chunks)
+        return chunks  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Custom %SQL_REPORT rendering
     # ------------------------------------------------------------------
 
     def _render_custom(self, block: SqlReportBlock,
-                       result: ExecutionResult) -> Iterator[str]:
+                       result: ExecutionResult) -> Iterator[str | bytes]:
         self._install_column_names(result)
         yield self.evaluator.evaluate(block.header)
         first, last = self._print_window()
@@ -194,18 +201,57 @@ class ReportGenerator:
 
     def _render_rows(self, render: RenderRow, result: ExecutionResult,
                      first: int, last: int, *,
-                     install_last_row: bool = False) -> Iterator[str]:
-        """The compiled and default-table row loop: one chunk per block.
+                     install_last_row: bool = False
+                     ) -> Iterator[str | bytes]:
+        """The compiled and default-table row loop; returns the row count.
+
+        Only rows in the print window (``first``..``last``) are rendered.
+        With ``install_last_row`` the *last* fetched row is installed
+        into the store exactly as the interpreted loop would have left
+        it, so the footer, an error block and any later SQL section see
+        the same system variables.
+
+        A materialised result's printed rows are rendered once, to one
+        UTF-8 ``bytes`` chunk kept on the result (``result.rendered``):
+        a later render of the same result — a query-cache hit — by the
+        same row function (the one plan object its guards reused, or the
+        default table's) over the same clipped window yields those bytes
+        again and renders nothing.  That output depends on nothing else:
+        a plan's guards pin every store value it read, and rows and row
+        numbers are the result's and the window's.
+        """
+        if result.row_iter is None:
+            rows = result.rows
+            count = len(rows)
+            last = min(last, count)
+            first = min(first, last + 1)
+            memo = result.rendered
+            if (memo is None or memo[0] is not render
+                    or memo[1] != first or memo[2] != last):
+                text = "".join(map(render, rows[first - 1:last],
+                                   range(first, last + 1)))
+                memo = result.rendered = (
+                    render, first, last, text.encode("utf-8", "replace"))
+            if memo[3]:
+                yield memo[3]
+            if install_last_row and rows:
+                self._install_row(result.columns,
+                                  [value_to_text(value)
+                                   for value in rows[-1]], count)
+            return count
+        return (yield from self._stream_rows(render, result, first, last,
+                                             install_last_row))
+
+    def _stream_rows(self, render: RenderRow, result: ExecutionResult,
+                     first: int, last: int,
+                     install_last_row: bool) -> Iterator[str]:
+        """:meth:`_render_rows` off a live cursor: one chunk per block.
 
         Rows are taken :data:`_ROW_BLOCK` at a time and the print window
-        (``first``..``last``) becomes a slice of the block: rows outside
-        it are counted, never rendered (or even text-converted).  A live
-        cursor failing mid-fetch leaves a partial block, which prints
-        before the error surfaces.  With ``install_last_row`` the *last*
-        fetched row is installed into the store exactly as the
-        interpreted loop would have left it — on that failure too — so
-        the footer, an error block and any later SQL section see the
-        same system variables.  Returns the row count.
+        becomes a slice of the block: rows outside it are counted, never
+        rendered (or even text-converted).  A cursor failing mid-fetch
+        leaves a partial block, which prints before the error surfaces;
+        the last row fetched is installed on that failure too.
         """
         rows = result.iter_rows()
         row_num = 0
@@ -276,7 +322,8 @@ class ReportGenerator:
     # Default table format
     # ------------------------------------------------------------------
 
-    def _render_default(self, result: ExecutionResult) -> Iterator[str]:
+    def _render_default(self,
+                        result: ExecutionResult) -> Iterator[str | bytes]:
         """The paper's "default table format".
 
         Values are always HTML-escaped here: the table markup is ours, so
@@ -307,8 +354,16 @@ class ReportGenerator:
         yield "</TABLE>\n"
 
 
-def _joined(chunks: Iterator[str]) -> Iterator[str]:
-    yield "".join(chunks)
+def chunk_text(chunk: Chunk) -> str:
+    """A chunk as text (a row memo decoded)."""
+    if chunk.__class__ is str:
+        return chunk  # type: ignore[return-value]
+    return "".join(piece if piece.__class__ is str else piece.decode("utf-8")
+                   for piece in chunk)
+
+
+def _gathered(chunks: Iterator[str | bytes]) -> Iterator[Chunk]:
+    yield list(chunks)
 
 
 def _default_table_row(row: Sequence[Any], _row_num: int) -> str:

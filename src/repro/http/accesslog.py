@@ -102,9 +102,9 @@ class AccessLog:
         """Record one served request.
 
         ``size`` is the number of body bytes actually emitted.  It must
-        be passed for streamed responses — ``response.body`` is empty
-        while ``body_iter`` carries the page, so the historical
-        ``len(response.body)`` default would log 0 bytes.  The router's
+        be passed for streamed responses — ``response.size`` counts only
+        the buffered prefix while ``body_iter`` carries the page, so the
+        default would log that alone.  The router's
         streaming wrapper counts chunks as the transport pulls them and
         records the entry at stream close with the true total.
         """
@@ -117,7 +117,7 @@ class AccessLog:
             request_line=(f"{request.method} {request.target} "
                           f"{request.version}"),
             status=response.status,
-            size=size if size is not None else len(response.body),
+            size=size if size is not None else response.size,
         )
         with self._lock:
             self._entries.append(entry)

@@ -23,9 +23,10 @@ between:
   survives for the next request.  HTTP/1.0 clients get a
   close-delimited stream.  Only a streaming response gets a coroutine.
 * **Backpressure, both ways.**  A buffered response is one
-  ``transport.write``; once a slow reader leaves 64 KiB of it unsent
-  (``pause_writing``) that connection starts no further request until
-  ``resume_writing``.  A streaming response waits there too while its
+  ``transport.write`` (plus one per large body part, written by
+  reference: a cached report's rows); once a slow reader leaves 64 KiB
+  of it unsent (``pause_writing``) that connection starts no further
+  request until ``resume_writing``.  A streaming response waits there too while its
   engine-side producer blocks on a bounded queue — a client that stops
   reading stops the query, it does not balloon server memory.  Bytes
   pipelined behind a request in flight are read (``pause_reading``)
@@ -103,6 +104,9 @@ _HIGH_WATER = 64 * 1024
 #: pipelined bytes buffered behind an in-flight request before the edge
 #: stops reading the socket
 _PIPELINE_BUDGET = 64 * 1024
+#: body parts at least this long get their own ``transport.write``:
+#: copying one into the message would cost more than the extra send
+_OWN_WRITE = 32 * 1024
 #: engine chunks in flight between producer thread and event loop
 _STREAM_BUFFER = 8
 #: threads serving requests that block (gateway, tenants, admission)
@@ -701,9 +705,24 @@ class _Connection(asyncio.Protocol):
             self._send(response, keep_alive=keep_alive)
 
     def _send(self, response: HttpResponse, *, keep_alive: bool) -> None:
+        """Write a buffered response: runs of small parts joined into one
+        ``transport.write`` (a ``report_hot`` page is one), a part of
+        :data:`_OWN_WRITE` bytes or more (a large report's rows) written
+        on its own, by reference, never copied into a message string."""
         response.headers.set("Connection",
                              "Keep-Alive" if keep_alive else "close")
-        self.transport.write(response.serialize())
+        write = self.transport.write
+        run: list[bytes] = []
+        for part in response.wire_parts():
+            if len(part) < _OWN_WRITE:
+                run.append(part)
+                continue
+            if run:
+                write(b"".join(run))
+                run = []
+            write(part)
+        if run:
+            write(b"".join(run))
         if not keep_alive:
             self.transport.close()  # once what is written is flushed
 

@@ -68,18 +68,44 @@ class HttpRequest:
                    version=version)
 
 
-@dataclass
 class HttpResponse:
-    """One HTTP response."""
+    """One HTTP response.
 
-    status: int = 200
-    headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
-    version: str = HTTP_VERSION
-    #: Streaming body: when set, the body arrives as byte chunks and the
-    #: response is emitted HTTP/1.0 style — no ``Content-Length``, the
-    #: connection close delimiting the body (``Connection: close``).
-    body_iter: Optional[Iterator[bytes]] = None
+    The body is :attr:`parts`, byte strings sent in order (a cached
+    report's rows are one of them, shared, never copied into a page
+    string); :attr:`body` is their join, for the readers that need one
+    piece.
+    """
+
+    __slots__ = ("status", "headers", "parts", "version", "body_iter")
+
+    def __init__(self, status: int = 200,
+                 headers: Optional[Headers] = None, body: bytes = b"",
+                 version: str = HTTP_VERSION,
+                 body_iter: Optional[Iterator[bytes]] = None, *,
+                 parts: Optional[list[bytes]] = None):
+        self.status = status
+        self.headers = headers if headers is not None else Headers()
+        self.parts = parts if parts is not None else [body] if body else []
+        self.version = version
+        #: Streaming body: when set, the body arrives as byte chunks
+        #: after :attr:`parts` and the response is emitted HTTP/1.0
+        #: style — no ``Content-Length``, the connection close
+        #: delimiting the body (``Connection: close``).
+        self.body_iter = body_iter
+
+    @property
+    def body(self) -> bytes:
+        return b"".join(self.parts)
+
+    @body.setter
+    def body(self, value: bytes) -> None:
+        self.parts = [value] if value else []
+
+    @property
+    def size(self) -> int:
+        """The buffered body's length in bytes (without joining it)."""
+        return sum(map(len, self.parts))
 
     @property
     def reason(self) -> str:
@@ -90,10 +116,10 @@ class HttpResponse:
         return self.body_iter is not None
 
     def drain(self) -> None:
-        """Materialise a streaming body into ``body`` (no-op otherwise)."""
+        """Materialise a streaming body into the parts (no-op otherwise)."""
         if self.body_iter is not None:
             chunks, self.body_iter = self.body_iter, None
-            self.body = self.body + b"".join(chunks)
+            self.parts = self.parts + [b"".join(chunks)]
 
     @property
     def content_type(self) -> str:
@@ -108,14 +134,19 @@ class HttpResponse:
                 charset = value.strip('"')
         return self.body.decode(charset, "replace")
 
-    def serialize(self) -> bytes:
+    def wire_parts(self) -> list[bytes]:
+        """The whole message as byte parts: the status line and headers
+        (with ``Content-Length``), then the body's parts as they are."""
         self.drain()
         headers = Headers(self.headers.items())
-        headers.set("Content-Length", str(len(self.body)))
+        headers.set("Content-Length", str(sum(map(len, self.parts))))
         headers.setdefault("Content-Type", "text/html")
         head = (f"{self.version} {self.status} {self.reason}\r\n"
                 + headers.serialize() + "\r\n")
-        return head.encode("latin-1") + self.body
+        return [head.encode("latin-1"), *self.parts]
+
+    def serialize(self) -> bytes:
+        return b"".join(self.wire_parts())
 
     def serialize_head(self) -> bytes:
         """The status line and headers for close-delimited streaming.

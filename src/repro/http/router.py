@@ -183,7 +183,8 @@ class Router:
         if ticket is not None:
             self.overload.release(ticket, status=response.status)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self._observe(request, response, len(response.body), elapsed_ms)
+        self._observe(request, response, sum(map(len, response.parts)),
+                      elapsed_ms)
         if self.access_log is not None:
             self.access_log.record(request, response,
                                    remote_addr=remote_addr)
@@ -208,7 +209,7 @@ class Router:
             response.headers.set("X-Trace-Id",
                                  trace_id or new_trace_id())
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self._observe(request, response, len(response.body), elapsed_ms)
+        self._observe(request, response, response.size, elapsed_ms)
         if self.access_log is not None:
             self.access_log.record(request, response,
                                    remote_addr=remote_addr)
@@ -279,7 +280,7 @@ class Router:
                     emit_span.finish()
                 # Any buffered prefix went over the wire before the
                 # stream; the logged size covers both.
-                total = emitted + len(response.body)
+                total = emitted + response.size
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 self._observe(request, response, total, elapsed_ms)
                 if self.access_log is not None:
@@ -400,7 +401,7 @@ class Router:
         headers = Headers(cgi_response.headers)
         headers.setdefault("Content-Type", "text/html")
         return HttpResponse(status=cgi_response.status, headers=headers,
-                            body=cgi_response.body,
+                            parts=cgi_response.parts,
                             body_iter=cgi_response.body_iter)
 
     # -- static files ------------------------------------------------------

@@ -207,6 +207,15 @@ def _paths(text: str) -> list[str]:
     return [path for path in text.split(",") if path]
 
 
+def build_query_cache(settings: Settings) -> Optional[QueryResultCache]:
+    """The query cache ``settings`` ask for.  None under ``stream``: a
+    streamed statement's rows ride the cursor, so its cache would never
+    be read or filled, only scraped at 0."""
+    if settings.stream or not settings.query_cache:
+        return None
+    return QueryResultCache(max_entries=settings.query_cache)
+
+
 def build(settings: Settings, *,
           registry: Optional[DatabaseRegistry] = None,
           query_cache: Optional[QueryResultCache] = None,
@@ -217,8 +226,8 @@ def build(settings: Settings, *,
     (:class:`Db2WwwProgram` keywords) are a tenant's own."""
     if registry is None:
         registry = build_registry(settings)
-    if query_cache is None and settings.query_cache:
-        query_cache = QueryResultCache(max_entries=settings.query_cache)
+    if query_cache is None:
+        query_cache = build_query_cache(settings)
     config = EngineConfig(
         transaction_mode=TransactionMode.parse(settings.transaction_mode),
         query_cache=query_cache,

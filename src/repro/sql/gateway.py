@@ -69,6 +69,15 @@ class ExecutionResult:
     partial: bool = False
     #: Labels of the shards whose rows are missing from a partial result.
     failed_shards: tuple[str, ...] = ()
+    #: The printed rows of a materialised result as a report last
+    #: rendered them: ``(row function, first, last, UTF-8 bytes)``, the
+    #: window clipped to the rows (see
+    #: :meth:`repro.core.report.ReportGenerator._render_rows`).  The one
+    #: field written after the query cache shares a result, and only
+    #: whole, so a reader sees one memo or the next, never a mix; it
+    #: lives and dies with the result.
+    rendered: Optional[tuple[Callable[..., str], int, int, bytes]] = \
+        field(default=None, repr=False, compare=False)
 
     @property
     def streaming(self) -> bool:

@@ -38,8 +38,12 @@ The cache is bypassed entirely:
   :class:`~repro.sql.gateway.DatabaseRegistry` has no invalidation
   source, so reuse would be unsound).
 
-Thread-safe; shared ``ExecutionResult`` objects are treated as immutable
-by all consumers (the report generator only reads them).
+Thread-safe.  A shared ``ExecutionResult`` is read-only but for one
+field: ``rendered``, the row memo a report leaves on it (its printed
+rows as UTF-8 bytes; see ``ReportGenerator._render_rows``), assigned
+whole after the result is stored, so a reader sees one memo or the
+next.  At most one per entry, freed with it: the memo needs no
+invalidation or bound of its own.
 """
 
 from __future__ import annotations

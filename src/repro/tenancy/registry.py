@@ -37,7 +37,8 @@ from repro.core.engine import MacroResult
 from repro.errors import SQLObjectError
 from repro.security.auth import BasicAuthenticator
 from repro.security.tenants import VISIBILITIES
-from repro.settings import Settings, build, build_registry
+from repro.settings import (Settings, build, build_query_cache,
+                            build_registry)
 from repro.sql.gateway import ScopedDatabaseRegistry
 from repro.sql.querycache import QueryResultCache
 from repro.tenancy.jsonapi import negotiated_renderer
@@ -192,10 +193,8 @@ class TenantRegistry:
         self.databases = build_registry(self.settings)
         self.authenticator = authenticator or BasicAuthenticator(
             realm="tenants")
-        if query_cache is None and self.settings.query_cache:
-            query_cache = QueryResultCache(
-                max_entries=self.settings.query_cache)
-        self.query_cache = query_cache
+        self.query_cache = query_cache if query_cache is not None \
+            else build_query_cache(self.settings)
         self._tenants: dict[str, Tenant] = {}
         self._lock = threading.Lock()
 

@@ -121,7 +121,7 @@ class TenantHost:
         headers.setdefault("Content-Type", "text/html")
         return HttpResponse(status=cgi_response.status,
                             headers=headers,
-                            body=cgi_response.body,
+                            parts=cgi_response.parts,
                             body_iter=cgi_response.body_iter)
 
     # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import paging
 from repro.apps.site import build_site
+from repro.sql.querycache import QueryResultCache
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,25 @@ class TestPaging:
         _, app = site_and_app
         page = browser.get(app.report_path + "?q=Ibm")
         assert 0 < list_items(page) <= 10
+
+
+def test_a_cached_walk_pages_as_an_uncached_one():
+    """Next, Next, Previous, Previous: the window moves over one cached
+    statement (and its result's row memo), and each page is the one an
+    engine without a query cache renders."""
+    walks = []
+    for cache in (None, QueryResultCache()):
+        app = paging.install(rows=25)
+        app.engine.config.query_cache = cache
+        browser = build_site(app.engine, app.library).new_browser()
+        pages = [browser.get(app.report_path + "?q=")]
+        for link in ("Next page", "Next page", "Previous page",
+                     "Previous page"):
+            pages.append(browser.follow(link))
+        walks.append([page.html for page in pages])
+    assert walks[0] == walks[1]
+    assert len(set(walks[1])) == 3
+    assert cache.stats()["hits"] == 4
 
 
 class TestExecRunnerCommands:

@@ -116,3 +116,51 @@ class TestDb2WwwProgram:
     def test_content_type_carries_charset(self, program):
         response = program.run(db2www_request("/shop.d2w/input"))
         assert response.content_type == "text/html; charset=utf-8"
+
+
+#: Non-ASCII page text, rows and a lone surrogate (from the macro text,
+#: the one place a page can get one), in the rows and out of them.
+MIXED_MACRO = """
+%DEFINE{
+DATABASE = "MIXED"
+mark = "é\ud800"
+%}
+%SQL{ SELECT name FROM items ORDER BY id
+%SQL_REPORT{<P>Résumé $(mark)</P>
+%ROW{<LI>$(V1) $(mark) ☃
+%}%}
+%}
+%HTML_REPORT{<H1>Café</H1>%EXEC_SQL<P>$(mark)</P>%}
+"""
+
+
+@pytest.mark.parametrize("charset", ["utf-8", "latin-1"])
+@pytest.mark.parametrize("stream", [False, True])
+def test_served_bytes_are_the_page_text_encoded(charset, stream):
+    """Whatever parts a page travels in (text encoded once, cached rows
+    by reference), its bytes are its text encoded the way a page always
+    was: ``encode(charset, "replace")``, a miss and a hit alike."""
+    from repro.core.engine import EngineConfig
+    from repro.sql.gateway import DatabaseRegistry
+    from repro.sql.querycache import QueryResultCache
+
+    registry = DatabaseRegistry()
+    with registry.register_memory("MIXED").connect() as conn:
+        conn.execute("CREATE TABLE items (id INTEGER, name TEXT)")
+        conn.execute("INSERT INTO items VALUES (1, 'naïve'), "
+                     "(2, '日本'), (3, 'plain')")
+        conn.commit()
+    library = MacroLibrary()
+    library.add_text("mixed.d2w", MIXED_MACRO)
+    engine = MacroEngine(registry, config=EngineConfig(
+        query_cache=QueryResultCache()))
+    text = "".join(engine.execute_stream(
+        library.load("mixed.d2w"), "report").chunks)
+    assert "\ud800" in text and "日" in text
+    program = Db2WwwProgram(engine, library, charset=charset,
+                            stream=stream)
+    for _ in range(2):
+        response = program.run(db2www_request("/mixed.d2w/report"))
+        response.drain()
+        assert response.body == text.encode(charset, "replace")
+        assert response.content_type.endswith(f"charset={charset}")

@@ -7,13 +7,13 @@ match the small fixed grammar below, whatever the macro, the client or
 the database said, and client text must not be able to grow the memo
 without bound.  The cost guards pin what the compiled path buys in
 counts, which have no noise band (``sys.setprofile`` "call" events,
-identical from run to run): one Python call per printed row, generator
-resumes per block rather than per row, a reused row plan's few guard
+identical from run to run): one Python call per printed row, rows that
+climb the generator chain as one chunk rather than one per row, none at
+all for a cached result rendered before, a reused row plan's few guard
 checks, and the whole engine path of a cached ``report_hot`` request.
 """
 
 import gc
-import math
 import re
 import sys
 from collections import Counter
@@ -24,7 +24,7 @@ from repro.apps import urlquery as urlquery_app
 from repro.core import ast, compiled
 from repro.core.engine import EngineConfig, MacroEngine
 from repro.core.parser import parse_macro
-from repro.core.report import _ROW_BLOCK, ReportGenerator
+from repro.core.report import ReportGenerator
 from repro.core.substitution import Evaluator
 from repro.core.values import ValueString
 from repro.core.variables import VariableStore
@@ -263,17 +263,36 @@ def test_one_python_call_per_row_and_resumes_per_block():
     assert calls[("<%ROW plan>", "render")] == ROWS + 1
     assert sum(calls.values()) - ROWS <= 480
 
-    # Rows climb the generator chain a block at a time: 16 blocks + 5
-    # other chunks (page text, header, footer, ...), not 1 005.
-    blocks = math.ceil(ROWS / _ROW_BLOCK)
-    assert calls[("engine.py", "stream")] <= blocks + 5
-    assert calls[("report.py", "_render_rows")] <= blocks + 1
+    # A fetched result's rows are rendered in one pass and climb the
+    # generator chain as one chunk, inside their section's: 4 resumes of
+    # the page's generator in all (16 blocks + 5 before the row memo),
+    # not 1 005.
+    assert calls[("engine.py", "_run")] <= 5
+    assert calls[("report.py", "_render_rows")] <= 2
 
     # Reusing the program's plan: its guards, checked by one _consult per
     # name the row reaches (27 calls to rebuild it, 47 for the closure
     # op-list before that).
     assert ("compiled.py", "_compile") not in calls
     assert plan_calls <= 8
+
+
+def test_a_cached_report_renders_its_rows_once():
+    """The row memo: a query-cache hit whose result the same plan last
+    rendered over the same window renders no row.  The one other
+    generated call is the %SQL statement's plan, made every request."""
+    app = urlquery_app.install(rows=ROWS, engine=MacroEngine(
+        None, config=EngineConfig(query_cache=QueryResultCache())))
+    macro = app.library.load(app.macro_name)
+    app.engine.execute_report(macro, APPENDIX_A)  # compile the shape
+    app.engine.config.query_cache.clear()
+    first, _ = profiled_report(app, macro)
+    assert first[("<%ROW plan>", "render")] == ROWS + 1
+    for _ in range(2):
+        again, plan_calls = profiled_report(app, macro)
+        assert again[("<%ROW plan>", "render")] == 1  # no row's
+        assert plan_calls <= 8
+    assert sum(again.values()) < 200
 
 
 REPORT_HOT = [("SEARCH", "ib"), ("USE_URL", "yes"), ("USE_TITLE", "yes")]

@@ -440,6 +440,9 @@ class WholeCase:
     requests: list
     rows: list
     mode: TransactionMode
+    #: indices of the requests served with ``escape_report_values`` on
+    #: (the engine, and so its query cache, stays the same)
+    escaped: frozenset = frozenset()
 
 
 def statement(draw, exec_ok):
@@ -519,13 +522,18 @@ def whole_cases(draw):
     # where the SQL sections sit does not matter.
     sections = draw(st.permutations(walked)) + sqls
     # The requests mostly send the same names with other values, so the
-    # compiled side reuses its plans under changed answers.
+    # compiled side reuses its plans under changed answers; a print
+    # window that moves over a cached result moves its row memo's too.
     names = draw(st.lists(st.sampled_from(CLIENT_NAMES), max_size=5))
-    inputs = st.one_of(
+    window = st.lists(st.tuples(
+        st.sampled_from(["RPT_MAXROWS", "START_ROW_NUM"]),
+        st.sampled_from(["1", "2", "3", "9"])), max_size=2)
+    inputs = st.tuples(st.one_of(
         st.tuples(*[st.tuples(st.just(name), st.sampled_from(CLIENT_VALUES))
                     for name in names]).map(list),
         st.lists(st.tuples(st.sampled_from(CLIENT_NAMES),
-                           st.sampled_from(CLIENT_VALUES)), max_size=5))
+                           st.sampled_from(CLIENT_VALUES)), max_size=5)),
+        window).map(lambda drawn: drawn[0] + drawn[1])
     return WholeCase(
         macro=ast.MacroFile(sections),
         command=draw(st.sampled_from([MacroCommand.REPORT] * 3
@@ -562,13 +570,17 @@ def whole_outcomes(case, *, compiled, stream):
                                  transaction_mode=case.mode,
                                  query_cache=QueryResultCache(max_entries=64)))
         seen = []
-        for inputs in case.requests:
+        for index, inputs in enumerate(case.requests):
+            engine.config.escape_report_values = index in case.escaped
             run = _MacroRun(engine, case.macro, case.command, inputs,
                             stream_rows=stream)
             chunks, raised = [], None
             try:
-                for chunk in run.stream():
-                    chunks.append(chunk)
+                if stream:
+                    for chunk in run.stream():
+                        chunks.append(chunk)
+                else:  # the buffered page: byte parts, row memos kept
+                    chunks.append(run.execute().html)
             except Exception as error:  # noqa: BLE001 - compared
                 raised = (type(error).__name__, str(error))
             result = run.result
@@ -604,10 +616,11 @@ def test_whole_reports_match_the_interpreter(case):
 # Named cases: each way a reused plan could answer for a changed store
 # ----------------------------------------------------------------------
 
-def named_case(text, *requests, command=MacroCommand.REPORT):
+def named_case(text, *requests, command=MacroCommand.REPORT,
+               escaped=frozenset()):
     return WholeCase(parse_macro(text), command, list(requests),
                      rows=[(1, "x", "y", 0, 0), (2, None, "", 0, 0)],
-                     mode=TransactionMode.AUTO_COMMIT)
+                     mode=TransactionMode.AUTO_COMMIT, escaped=escaped)
 
 
 REUSE_CASES = {
@@ -659,6 +672,38 @@ t = x ? "failed" : "fine"
 %}
 %HTML_REPORT{$(t) $(x) $(t)%}
 """, [], []),
+    # One cached result printed through a moving window: each request's
+    # rows are its own (a window past the rows prints as none, one
+    # longer than them as all of them).
+    "print window": named_case("""
+%SQL(rows){ SELECT c0 AS a, c1 AS b FROM t
+%SQL_REPORT{[%ROW{<$(ROW_NUM):$(V_a)$(V2)>%}]$(ROW_NUM)%}
+%}
+%SQL(table){ SELECT c1, c0 FROM t ORDER BY c0 DESC %}
+%HTML_REPORT{%EXEC_SQL(rows)%EXEC_SQL(table)%}
+""", [], [("RPT_MAXROWS", "1")], [("START_ROW_NUM", "2")],
+        [("RPT_MAXROWS", "1"), ("START_ROW_NUM", "2")],
+        [("START_ROW_NUM", "3")], [("RPT_MAXROWS", "5")], []),
+    # One statement text, so one cached result, under three row
+    # templates (the default table's among them) in one page.
+    "one statement, three rows": named_case("""
+%SQL(angle){ SELECT c0 AS a FROM t
+%SQL_REPORT{%ROW{<$(V1)>%}%}
+%}
+%SQL(square){ SELECT c0 AS a FROM t
+%SQL_REPORT{%ROW{[$(V1)]%}%}
+%}
+%SQL(table){ SELECT c0 AS a FROM t %}
+%HTML_REPORT{%EXEC_SQL(angle)%EXEC_SQL(square)%EXEC_SQL(table)%EXEC_SQL(angle)%}
+""", [], []),
+    # Escaping switched on and off over one cache: the escaping and the
+    # raw row are two plans.
+    "escape toggled": named_case("""
+%SQL{ SELECT '<b>' || c1 AS a, c0 FROM t
+%SQL_REPORT{%ROW{[$(V_a)|$(VLIST)]%}%}
+%}
+%HTML_REPORT{%EXEC_SQL%}
+""", [], [], [], [], escaped=frozenset({1, 3})),
     # Client values that are themselves references.
     "referencing client": named_case("""
 %DEFINE{

@@ -103,6 +103,7 @@ class FakeTransport:
         self.pause_on_write = pause_on_write
         self.socket = FakeSocket()
         self.written = b""
+        self.writes = []  # each write's bytes object, as handed over
         self.closed = False
         self.aborted = False
         self.reading = True
@@ -116,6 +117,7 @@ class FakeTransport:
 
     def write(self, data):
         self.written += data
+        self.writes.append(data)
         if self.pause_on_write:  # a reader more than high-water behind
             self.pause_on_write = False
             self.protocol.pause_writing()
@@ -308,6 +310,48 @@ class TestBackpressure:
         assert len(edge.executor.jobs) == 1
 
 
+class TestBodyWrites:
+    """A buffered response's parts: small ones joined into one write, a
+    large one (a cached report's rows) written as the very bytes object
+    its result's row memo holds."""
+
+    def served(self, edge, rows, target):
+        app = urlquery_app.install(rows=rows)
+        app.engine.config.query_cache = QueryResultCache()
+        edge.router.gateway.install("db2www",
+                                    Db2WwwProgram(app.engine, app.library))
+        protocol, transport = edge.connect()
+        for _ in range(2):  # the second is a query-cache hit
+            transport.writes.clear()
+            protocol.data_received(
+                b"GET " + target + b" HTTP/1.1\r\nHost: t\r\n\r\n")
+            while edge.executor.jobs:
+                edge.finish_one()
+        (cached,) = app.engine.config.query_cache._entries.values()
+        return transport, cached[1]
+
+    def test_a_report_hot_page_leaves_in_one_write(self, edge):
+        transport, _ = self.served(
+            edge, 150, REPORT.split()[1])  # the report_hot page
+        (message,) = transport.writes
+        assert statuses(message) == [b"200"]
+        head, body = message.split(b"\r\n\r\n", 1)
+        assert b"Content-Length: %d" % len(body) in head
+
+    def test_large_rows_are_written_by_reference(self, edge):
+        transport, result = self.served(
+            edge, 1000, b"/cgi-bin/db2www/urlquery.d2w/report"
+                        b"?DBFIELDS=title")
+        rows = result.rendered[3]
+        assert len(rows) > 100_000
+        assert [part is rows for part in transport.writes] \
+            == [False, True, False]  # head + page header, rows, footer
+        message = b"".join(transport.writes)
+        head, body = message.split(b"\r\n\r\n", 1)
+        assert b"Content-Length: %d" % len(body) in head
+        assert body.count(b"<LI> <A HREF=") == 1000
+
+
 class TestTheOneTimer:
     def test_idle_connection_is_closed_at_idle_timeout(self, edge):
         protocol, transport = edge.connect()
@@ -461,8 +505,15 @@ class TestAnsweredOnTheLoop:
     """A report whose last run needed no thread is answered inside
     ``data_received``; anything else goes to the executor."""
 
-    def learned(self, edge):
-        """A connection, and the report run once on a thread."""
+    def learned(self, edge, monkeypatch, switch_interval=60.0):
+        """A connection, and the report run once on a thread.
+
+        The loop memoises a run only when it beat the interpreter's
+        switch interval (5 ms), which a loaded host can miss: the helper
+        sets one no run takes (or ``0.0``, which every run exceeds).
+        """
+        monkeypatch.setattr(sys, "getswitchinterval",
+                            lambda: switch_interval)
         app = mount_reports(edge)
         protocol, transport = edge.connect()
         protocol.data_received(REPORT)
@@ -470,8 +521,9 @@ class TestAnsweredOnTheLoop:
         edge.finish_one()
         return app, protocol, transport
 
-    def test_memoised_all_hit_report_never_leaves_the_loop(self, edge):
-        _, protocol, transport = self.learned(edge)
+    def test_memoised_all_hit_report_never_leaves_the_loop(
+            self, edge, monkeypatch):
+        _, protocol, transport = self.learned(edge, monkeypatch)
         first = transport.written
         protocol.data_received(REPORT)
         assert edge.executor.jobs == [] and edge.loop.posted == []
@@ -482,14 +534,16 @@ class TestAnsweredOnTheLoop:
         assert flat["edge_handoff_wait_ms_count"] == 1
         assert flat["edge_loop_abandoned_total"] == 0
 
-    def test_another_target_goes_straight_to_the_executor(self, edge):
-        _, protocol, _ = self.learned(edge)
+    def test_another_target_goes_straight_to_the_executor(
+            self, edge, monkeypatch):
+        _, protocol, _ = self.learned(edge, monkeypatch)
         protocol.data_received(REPORT.replace(b"SEARCH=ib", b"SEARCH=ac"))
         assert len(edge.executor.jobs) == 1
         assert edge.metrics.flat()["edge_loop_abandoned_total"] == 0
 
-    def test_a_miss_abandons_the_attempt_for_a_thread(self, edge):
-        app, protocol, transport = self.learned(edge)
+    def test_a_miss_abandons_the_attempt_for_a_thread(
+            self, edge, monkeypatch):
+        app, protocol, transport = self.learned(edge, monkeypatch)
         app.engine.config.query_cache.clear()
         protocol.data_received(REPORT)
         assert len(edge.executor.jobs) == 1
@@ -500,8 +554,9 @@ class TestAnsweredOnTheLoop:
         protocol.data_received(REPORT)  # the thread's run stored it again
         assert edge.executor.jobs == []
 
-    def test_a_write_anywhere_sends_the_next_run_to_a_thread(self, edge):
-        app, protocol, _ = self.learned(edge)
+    def test_a_write_anywhere_sends_the_next_run_to_a_thread(
+            self, edge, monkeypatch):
+        app, protocol, _ = self.learned(edge, monkeypatch)
         app.registry.generation("SCRATCH").bump()  # another database
         protocol.data_received(REPORT)
         assert len(edge.executor.jobs) == 1
@@ -509,8 +564,8 @@ class TestAnsweredOnTheLoop:
 
     def test_a_page_longer_than_a_switch_interval_is_not_tried(
             self, edge, monkeypatch):
-        monkeypatch.setattr(sys, "getswitchinterval", lambda: 0.0)
-        _, protocol, _ = self.learned(edge)
+        _, protocol, _ = self.learned(edge, monkeypatch,
+                                      switch_interval=0.0)
         protocol.data_received(REPORT)
         assert len(edge.executor.jobs) == 1
 
@@ -519,8 +574,9 @@ class TestAnsweredOnTheLoop:
         # (HEAD: the fake loop cannot pump a stream's body)
         REPORT.replace(b"GET /cgi-bin/db2www/", b"HEAD /cgi-bin/streamed/"),
     ])
-    def test_writes_and_streams_are_never_tried(self, edge, raw):
-        app, protocol, _ = self.learned(edge)
+    def test_writes_and_streams_are_never_tried(self, edge, raw,
+                                                monkeypatch):
+        app, protocol, _ = self.learned(edge, monkeypatch)
         edge.router.gateway.install("streamed", Db2WwwProgram(
             app.engine, app.library, stream=True))
         for _ in range(2):

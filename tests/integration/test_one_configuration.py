@@ -70,3 +70,49 @@ def test_an_ambient_transaction_mode_reaches_no_gateway(tmp_path):
     app_server = rows_left(tmp_path, "--gateway", "appserver",
                            "--workers", "1")
     assert in_process == app_server == 1  # serve is auto-commit
+
+
+def metrics_after_two_reports(tmp_path, *flags):
+    """``/metrics`` of ``serve *flags`` (default ``--query-cache``) after
+    the same URL query report was fetched twice."""
+    from repro.apps import urlquery as urlquery_app
+    from repro.apps.datasets import seed_urldb
+
+    root = tmp_path / ("-".join(flags) or "buffered")
+    (root / "macros").mkdir(parents=True)
+    (root / "macros" / "urlquery.d2w").write_text(
+        urlquery_app.URLQUERY_MACRO, encoding="utf-8")
+    database = root / "urldb.sqlite"
+    with sqlite3.connect(database) as conn:
+        seed_urldb(conn, 20)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--macros",
+         str(root / "macros"), "--database", f"URLDB={database}",
+         "--port", "0", "--no-trace", *flags],
+        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        base = read_banner(proc, r"on (http://[\d.]+:\d+)", "serve")
+        for _ in range(2):
+            with urllib.request.urlopen(
+                    base + "/cgi-bin/db2www/urlquery.d2w/report"
+                    "?DBFIELDS=title", timeout=10) as response:
+                assert b"<LI>" in response.read()
+        with urllib.request.urlopen(base + "/metrics",
+                                    timeout=10) as response:
+            return response.read().decode("utf-8")
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+
+
+def test_a_streaming_serve_builds_no_query_cache(tmp_path):
+    """A streamed page never reads or fills the query cache, so
+    ``--stream`` builds none: ``/metrics`` shows no counters stuck at 0."""
+    assert "query_cache_hits 1" in metrics_after_two_reports(tmp_path)
+    assert "query_cache_" not in metrics_after_two_reports(
+        tmp_path, "--stream")
