@@ -12,8 +12,9 @@ one frame —
 Control frames (``HELLO``/``SHUTDOWN``) carry a small JSON object or
 nothing.  ``REQUEST``/``RESPONSE`` payloads are a JSON header
 length-prefixed the same way, followed by the raw body bytes — the
-body is never JSON-escaped, so a megabyte page costs a memcpy, not an
-encode.  Both headers are positional JSON lists:
+body is never JSON-escaped, and a worker hands a page's byte parts to
+the socket as they are (:func:`send_frame`), so a megabyte page costs
+no encode and no copy.  Both headers are positional JSON lists:
 
 ``REQUEST``
     The :class:`~repro.cgi.environ.CgiEnvironment` fields in declaration
@@ -94,9 +95,31 @@ _JUST_LIST = frozenset({list})
 _JUST_PAIRS = frozenset({2})
 
 
+#: Buffers handed to one ``sendmsg`` at most (Linux allows 1024); a
+#: payload in more parts than this is joined first.
+_MAX_BUFFERS = 64
+
+
 def send_frame(sock: socket.socket, frame_type: int,
-               payload: bytes = b"") -> None:
-    sock.sendall(_FRAME_HEAD.pack(frame_type, len(payload)) + payload)
+               *payload: bytes) -> None:
+    """Send one frame whose payload is the ``payload`` parts in order.
+
+    The parts go out as they are, behind the frame head, in one
+    ``sendmsg`` — a page's cached row bytes are not copied into a frame
+    first — and in more only when the kernel takes part of it.
+    """
+    buffers = [_FRAME_HEAD.pack(frame_type, sum(map(len, payload))),
+               *payload]
+    if len(buffers) > _MAX_BUFFERS:
+        buffers[1:] = [b"".join(payload)]
+    while True:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers.pop(0))
+        if not buffers:
+            return
+        if sent:
+            buffers[0] = memoryview(buffers[0])[sent:]
 
 
 class FrameReader:
@@ -194,13 +217,21 @@ def decode_request(payload: bytes) -> CgiRequest:
     return CgiRequest(environ=CgiEnvironment(*header), stdin=body)
 
 
-def encode_response(response: CgiResponse,
-                    trace: Optional[list] = None) -> bytes:
+def response_parts(response: CgiResponse,
+                   trace: Optional[list] = None) -> list[bytes]:
+    """A RESPONSE payload as parts: the header, then the body's own
+    parts, uncopied (what :func:`send_frame` takes; joined, they are
+    :func:`encode_response`)."""
     # Workers answer with complete pages; a streaming body is drained
     # here (the dispatcher side of the socket re-buffers anyway).
     response.drain()
-    return _pack((response.status, response.reason, response.headers,
-                  trace or None), response.body)
+    return [_pack((response.status, response.reason, response.headers,
+                   trace or None), b""), *response.parts]
+
+
+def encode_response(response: CgiResponse,
+                    trace: Optional[list] = None) -> bytes:
+    return b"".join(response_parts(response, trace))
 
 
 def decode_response(payload: bytes) -> CgiResponse:

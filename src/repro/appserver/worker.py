@@ -104,8 +104,7 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
             act.finish()
             trace = act.span.export()
         protocol.send_frame(sock, protocol.FRAME_RESPONSE,
-                            protocol.encode_response(response,
-                                                     trace=trace))
+                            *protocol.response_parts(response, trace))
 
 
 if __name__ == "__main__":  # pragma: no cover - spawned by dispatcher

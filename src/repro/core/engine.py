@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -49,6 +50,7 @@ from repro.html.entities import escape_html
 from repro.obs.trace import TRACER, Span
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy, call_with_retry
+from repro.sql.digest import statement_digest
 from repro.sql.dialect import is_cacheable_query
 from repro.sql.gateway import DatabaseRegistry, MacroSqlSession
 from repro.sql.querycache import QueryResultCache
@@ -153,8 +155,9 @@ class MacroResult:
     #: text encoded once, each materialised result's printed rows the
     #: very bytes its row memo holds (:meth:`ReportGenerator._render_rows
     #: <repro.core.report.ReportGenerator._render_rows>`).  Empty for a
-    #: stream, whose chunks are the page.
-    parts: list[bytes] = field(default_factory=list)
+    #: stream, whose chunks are the page.  A tuple: a page the query
+    #: cache keeps (:class:`_Page`) shares it with every answer.
+    parts: tuple[bytes, ...] = ()
     statements: list[str] = field(default_factory=list)
     sql_errors: list[SQLError] = field(default_factory=list)
     aborted: bool = False
@@ -236,12 +239,48 @@ class MacroEngine:
         ``row_renderer`` swaps the presentation layer (e.g. the JSON
         API) while keeping execution identical; ``None`` — the default —
         is the paper's HTML pipeline, byte for byte.
+
+        With a query cache, an HTML page whose run found every statement
+        a hit is kept in the cache, and the same request (program,
+        command, inputs in order, the settings that shape the page) is
+        answered with it, macro not run, while every result it read is
+        still the cache's current entry (:class:`_Page`).
         """
         if isinstance(command, str):
             command = MacroCommand.parse(command)
+        config = self.config
+        cache = config.query_cache
+        deadline = (Deadline.after(config.request_deadline)
+                    if config.request_deadline is not None else None)
+        key = None
+        if (row_renderer is None and cache is not None
+                and config.compiled_reports
+                and config.transaction_mode is TransactionMode.AUTO_COMMIT):
+            program = macro.program or program_of(macro)
+            if not program.has_exec:
+                key = (self, program, command, tuple(client_inputs),
+                       config.escape_report_values,
+                       config.show_sql_variable, config.default_database)
+                page = cache.page(key)
+                if page is not None and (deadline is None
+                                         or not deadline.expired):
+                    result = page.reuse(self, cache, command)
+                    if result is not None:
+                        return result
+                    cache.drop_page(key)
         run = _MacroRun(self, macro, command, client_inputs,
-                        row_renderer=row_renderer)
-        return run.execute()
+                        row_renderer=row_renderer, deadline=deadline)
+        result = run.execute()
+        if key is not None and not result.sql_errors \
+                and not result.aborted:
+            session = run.session
+            if session is None:
+                cache.put_page(key, _Page(result, run))
+            elif (type(session) is MacroSqlSession
+                    and session.reads is not None):
+                cache.put_page(key, _Page(result, run),
+                               frozenset((session.database,)))
+        return result
 
     def execute_input(self, macro: ast.MacroFile,
                       client_inputs: Sequence[tuple[str, str]] = ()) -> MacroResult:
@@ -280,6 +319,82 @@ class MacroEngine:
                                    client_inputs)
 
 
+class _Page:
+    """A buffered page kept in the query cache for the next identical
+    request (:meth:`MacroEngine.execute`): its bytes, what its result
+    says besides them, and the results it read.
+
+    The page is pure: a compiled, auto-commit run with no executable
+    variable, no SQL error and every statement a query-cache hit (so a
+    page is kept from its first repeat on; a run that had to execute a
+    statement is one the next request may not repeat).  While each of
+    those results is still the cache's current entry under its
+    database's current stamp, running the macro again would build these
+    very bytes, and :meth:`reuse` answers with them.  The parts are a
+    tuple and each answer gets its own :class:`MacroResult`: nothing
+    downstream can change the page.
+    """
+
+    __slots__ = ("parts", "statements", "rows", "content_type",
+                 "logical", "database", "generation", "reads")
+
+    def __init__(self, result: MacroResult, run: "_MacroRun") -> None:
+        self.parts = result.parts
+        self.statements = tuple(result.statements)
+        self.rows = result.rows
+        self.content_type = result.content_type
+        session = run.session
+        #: the DATABASE the run named, its resolved name and the write
+        #: counter its reads were stamped by (unset when it ran no SQL)
+        self.logical = run.database
+        self.database = session.database if session is not None else ""
+        self.generation = session.generation if session is not None \
+            else None
+        #: ``(sql, result, rows)`` per statement; a weak reference, so a
+        #: page never keeps alive a result the cache has dropped
+        reads = []
+        for sql, read in session.reads if session is not None else ():
+            reads.append((sql, weakref.ref(read), read.row_total))
+        self.reads = tuple(reads)
+
+    def reuse(self, engine: MacroEngine, cache: QueryResultCache,
+              command: MacroCommand) -> Optional[MacroResult]:
+        """The page's result, or ``None`` when a result it read is no
+        longer the cache's current entry (or the database's counter is
+        not the one it read under).  A reuse counts a cache hit per
+        statement, deferred like any hit on an edge attempt
+        (:mod:`repro.blocking`), and with tracing on leaves the
+        ``sql.execute`` spans those hits would."""
+        reads = self.reads
+        if reads:
+            database, generation = self.database, self.generation
+            if engine.registry.generation(self.logical) is not generation:
+                return None
+            stamp = generation.stamp()
+            for sql, read, _ in reads:
+                current = cache.peek(database, sql, stamp)
+                if current is None or current is not read():
+                    return None
+            if BLOCKING.attempt is None:
+                cache.count_hit(len(reads))
+            else:
+                BLOCKING.attempt.hits.extend([cache] * len(reads))
+            if TRACER.enabled:
+                for sql, _, rows in reads:
+                    span = TRACER.leaf("sql.execute")
+                    if span is None:
+                        break
+                    span.set("digest", statement_digest(sql))
+                    span.set("database", database)
+                    span.set("sql", sql if len(sql) <= 200 else sql[:200])
+                    span.set("cached", True)
+                    span.set("rows", rows)
+                    span.finish()
+        return MacroResult(command=command, parts=self.parts,
+                           statements=list(self.statements),
+                           rows=self.rows, content_type=self.content_type)
+
+
 class _MacroRun:
     """State for one macro invocation (kept off the engine for clarity)."""
 
@@ -287,7 +402,8 @@ class _MacroRun:
                  command: MacroCommand,
                  client_inputs: Sequence[tuple[str, str]], *,
                  stream_rows: bool = False,
-                 row_renderer: Optional[RowRenderer] = None):
+                 row_renderer: Optional[RowRenderer] = None,
+                 deadline: Optional[Deadline] = None):
         self.engine = engine
         self.program = program = program_of(macro)
         self.command = command
@@ -315,9 +431,11 @@ class _MacroRun:
         #: When true, SQL results ride the live cursor (streaming mode).
         self.stream_rows = stream_rows
         self.session: Optional[MacroSqlSession] = None
-        self.deadline = (Deadline.after(engine.config.request_deadline)
-                         if engine.config.request_deadline is not None
-                         else None)
+        #: the macro's DATABASE, once its first statement resolved it
+        self.database = ""
+        self.deadline = deadline if deadline is not None else (
+            Deadline.after(engine.config.request_deadline)
+            if engine.config.request_deadline is not None else None)
         self.result = MacroResult(command=command)
         self._emitted_target_section = False
         #: the run's single ``substitute`` span (created lazily); see
@@ -348,7 +466,7 @@ class _MacroRun:
                 parts.append(piece)
         if text:
             parts.append("".join(text).encode("utf-8", "replace"))
-        self.result.parts = parts
+        self.result.parts = tuple(parts)
         return self.result
 
     def stream(self) -> Iterator[str]:
@@ -625,6 +743,7 @@ class _MacroRun:
                 raise MacroExecutionError(
                     "macro executed SQL but defines no DATABASE variable "
                     "and the engine has no default_database")
+            self.database = database
             shard_map = self.engine.registry.shard_map(database)
             if shard_map is not None:
                 # A logical sharded database: the macro's shard-key

@@ -65,6 +65,9 @@ class MacroProgram:
             elif not isinstance(section, _WALKED):
                 continue
             self.steps.append((section, table, lists, execs))
+        #: Whether a %DEFINE holds an executable variable: its page is
+        #: never reused whole (``MacroEngine.execute``).
+        self.has_exec = any(step[3] for step in self.steps)
         #: plans by template identity (see :mod:`repro.core.compiled`)
         self.sites: dict[int, tuple] = {}
         self.rows: dict[int, tuple] = {}

@@ -691,6 +691,10 @@ class MacroSqlSession:
         self.deadline = deadline
         #: Cache hits served by this session (request-level observability).
         self.cache_hits = 0
+        #: What the page read, for reusing it whole (``MacroEngine.
+        #: execute``): ``(sql, result)`` per statement, in order, while
+        #: every one was a query-cache hit; ``None`` once one was not.
+        self.reads: Optional[list[tuple[str, ExecutionResult]]] = []
         #: Statement retries performed by this session.
         self.retries = 0
 
@@ -805,7 +809,10 @@ class MacroSqlSession:
             if cached is not None:
                 self.cache_hits += 1
                 self.scope.statements_run += 1  # counted, not bracketed
+                if self.reads is not None:
+                    self.reads.append((sql, cached))
                 return cached
+        self.reads = None
         if self.connection is None:
             self._lease()
         ambient = fault_injection.ambient_injector()

@@ -44,6 +44,18 @@ rows as UTF-8 bytes; see ``ReportGenerator._render_rows``), assigned
 whole after the result is stored, so a reader sees one memo or the
 next.  At most one per entry, freed with it: the memo needs no
 invalidation or bound of its own.
+
+**Pages.**  The cache also keeps whole buffered pages for the engine
+(:meth:`page` / :meth:`put_page`; see ``MacroEngine.execute``), each
+with the results it read.  A page is reused only while every one of
+those results is still the current entry under its database's current
+stamp (:meth:`peek`, the same object), so a page is exactly as fresh as
+the results it was built from.  Pages share :attr:`max_entries` with
+the results but never displace one: storing a result evicts the oldest
+page first, and a page finds room only by evicting another page.  They
+are dropped with their database (:meth:`invalidate_database`) and by
+:meth:`clear`, hold their results by weak reference only, and appear in
+no counter: a reused page counts a hit per statement it read.
 """
 
 from __future__ import annotations
@@ -122,6 +134,8 @@ class QueryResultCache:
         self.max_entries = max_entries
         self.max_rows_per_entry = max_rows_per_entry
         self._entries: "OrderedDict[tuple[str, str], tuple[Hashable, ExecutionResult]]" = OrderedDict()
+        #: page key -> (databases it read, page); see :meth:`page`
+        self._pages: "OrderedDict[Hashable, tuple[frozenset, object]]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -157,10 +171,24 @@ class QueryResultCache:
                 BLOCKING.attempt.hits.append(self)
             return entry[1]
 
-    def count_hit(self) -> None:
-        """Count a hit deferred by an edge attempt (repro.blocking)."""
+    def peek(self, database: str, sql: str,
+             generation: Hashable) -> Optional["ExecutionResult"]:
+        """The entry :meth:`get` would return, counting nothing and
+        dropping nothing (a stale entry stays for :meth:`get` to count).
+        A found entry is refreshed in the LRU, as a hit is."""
+        key = (database, sql)
         with self._lock:
-            self._hits += 1
+            entry = self._entries.get(key)
+            if entry is None or entry[0] != generation:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    def count_hit(self, count: int = 1) -> None:
+        """Count hits deferred by an edge attempt (repro.blocking) or
+        served by a reused page."""
+        with self._lock:
+            self._hits += count
 
     def put(self, database: str, sql: str, generation: Hashable,
             result: "ExecutionResult") -> bool:
@@ -178,27 +206,65 @@ class QueryResultCache:
             self._entries[key] = (generation, result)
             self._entries.move_to_end(key)
             self._stores += 1
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) + len(self._pages) > self.max_entries:
+                if self._pages:
+                    self._pages.popitem(last=False)
+                    continue
                 self._entries.popitem(last=False)
                 self._evictions += 1
         if BLOCKING.attempt is not None:
             BLOCKING.attempt.stores += 1
         return True
 
+    # -- pages ----------------------------------------------------------
+
+    def page(self, key: Hashable):
+        """The page stored under ``key``, or ``None``; the caller checks
+        that what it read is still current (:meth:`peek`)."""
+        with self._lock:
+            entry = self._pages.get(key)
+            if entry is None:
+                return None
+            self._pages.move_to_end(key)
+            return entry[1]
+
+    def put_page(self, key: Hashable, page,
+                 databases: frozenset = frozenset()) -> bool:
+        """Keep ``page`` (which read ``databases``) under ``key``, in
+        room left by the results or made by evicting older pages; False
+        when the results fill the budget."""
+        with self._lock:
+            self._pages.pop(key, None)
+            while len(self._entries) + len(self._pages) >= self.max_entries:
+                if not self._pages:
+                    return False
+                self._pages.popitem(last=False)
+            self._pages[key] = (databases, page)
+            return True
+
+    def drop_page(self, key: Hashable) -> None:
+        with self._lock:
+            self._pages.pop(key, None)
+
     # -- invalidation ---------------------------------------------------
 
     def invalidate_database(self, database: str) -> int:
-        """Drop every entry of one database; returns the count dropped."""
+        """Drop every entry of one database (and each page that read
+        it); returns the count of entries dropped."""
         with self._lock:
             stale = [key for key in self._entries if key[0] == database]
             for key in stale:
                 del self._entries[key]
+            for key in [key for key, (databases, _) in self._pages.items()
+                        if database in databases]:
+                del self._pages[key]
             self._invalidations += len(stale)
             return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._pages.clear()
 
     # -- inspection -----------------------------------------------------
 

@@ -115,6 +115,42 @@ class TestFrames:
             a.close()
             b.close()
 
+    def test_parts_go_out_uncopied_and_survive_partial_sends(self):
+        """A response frame sent as its parts is byte for byte the
+        frame of its joined payload, however little of it each
+        ``sendmsg`` takes — here 7 bytes a call, cutting the head, the
+        header and every part, and an empty part on the way."""
+        body = [b"<P>head</P>", b"", b"row " * 20, b"<P>tail</P>"]
+        response = CgiResponse(headers=[("Content-Type", "text/html")],
+                               parts=body)
+        payload = protocol.encode_response(response, trace=[["w", -1]])
+        sent, seen = [], []
+
+        class Trickle:
+            def sendmsg(self, buffers):
+                seen.extend(b for b in buffers if type(b) is bytes)
+                data = b"".join(bytes(b) for b in buffers)[:7]
+                sent.append(data)
+                return len(data)
+
+        protocol.send_frame(Trickle(), protocol.FRAME_RESPONSE,
+                            *protocol.response_parts(response,
+                                                     [["w", -1]]))
+        head = struct.pack(">BI", protocol.FRAME_RESPONSE, len(payload))
+        assert b"".join(sent) == head + payload
+        assert any(part is body[2] for part in seen)  # by reference
+
+    def test_a_frame_in_many_parts_is_one_frame(self):
+        a, b = socket_pair()
+        parts = [bytes([i % 256]) * 3 for i in range(200)]
+        try:
+            protocol.send_frame(a, protocol.FRAME_RESPONSE, *parts)
+            assert protocol.FrameReader(b).read() == (
+                protocol.FRAME_RESPONSE, b"".join(parts))
+        finally:
+            a.close()
+            b.close()
+
 
 def frame_type(sock):
     frame = protocol.FrameReader(sock).read()

@@ -217,7 +217,7 @@ ROWS = 1000
 APPENDIX_A = [("DBFIELDS", "title"), ("DBFIELDS", "description")]
 
 
-def profiled_report(app, macro):
+def profiled_report(app, macro, inputs=APPENDIX_A):
     """``{(file, function): Python "call" events}`` for one buffered
     request, plus the calls made while ``specialise_row`` was running."""
     calls = Counter()
@@ -239,7 +239,7 @@ def profiled_report(app, macro):
     gc.disable()
     sys.setprofile(profile)
     try:
-        html = app.engine.execute_report(macro, APPENDIX_A).html
+        html = app.engine.execute_report(macro, inputs).html
     finally:
         sys.setprofile(None)
         gc.enable()
@@ -280,7 +280,9 @@ def test_one_python_call_per_row_and_resumes_per_block():
 def test_a_cached_report_renders_its_rows_once():
     """The row memo: a query-cache hit whose result the same plan last
     rendered over the same window renders no row.  The one other
-    generated call is the %SQL statement's plan, made every request."""
+    generated call is the %SQL statement's plan, made every request.
+    Each request adds an input the SQL does not read, so the page is
+    new while its result is a hit."""
     app = urlquery_app.install(rows=ROWS, engine=MacroEngine(
         None, config=EngineConfig(query_cache=QueryResultCache())))
     macro = app.library.load(app.macro_name)
@@ -288,11 +290,29 @@ def test_a_cached_report_renders_its_rows_once():
     app.engine.config.query_cache.clear()
     first, _ = profiled_report(app, macro)
     assert first[("<%ROW plan>", "render")] == ROWS + 1
-    for _ in range(2):
-        again, plan_calls = profiled_report(app, macro)
+    for turn in range(2):
+        again, plan_calls = profiled_report(
+            app, macro, APPENDIX_A + [("UNREAD", str(turn))])
+        assert again[("engine.py", "_run")] >= 1  # the macro ran
         assert again[("<%ROW plan>", "render")] == 1  # no row's
         assert plan_calls <= 8
     assert sum(again.values()) < 200
+
+
+def test_an_identical_repeat_reuses_the_whole_page():
+    """The page memo: the same request again, every result it read
+    still current, runs no macro at all — no ``_MacroRun``, no plan."""
+    app = urlquery_app.install(rows=ROWS, engine=MacroEngine(
+        None, config=EngineConfig(query_cache=QueryResultCache())))
+    macro = app.library.load(app.macro_name)
+    for _ in range(2):  # a miss, then the hit whose page is kept
+        app.engine.execute_report(macro, APPENDIX_A)
+    for _ in range(2):
+        again, plan_calls = profiled_report(app, macro)
+        assert ("engine.py", "__init__") not in again  # no _MacroRun
+        assert ("engine.py", "_run") not in again
+        assert not any(name == "<%ROW plan>" for name, _ in again)
+        assert plan_calls == 0
 
 
 REPORT_HOT = [("SEARCH", "ib"), ("USE_URL", "yes"), ("USE_TITLE", "yes")]
@@ -328,16 +348,21 @@ def test_a_cached_report_request_stays_off_the_interpreter():
     3.11: 232 (one ``DBFIELDS``) and 240 (two) while every request
     replayed the %DEFINEs, interpreted its templates and leased a
     connection; 99 and 98 with the macro compiled at load.  The
-    ceilings are those counts (3.12 inlines comprehensions: fewer)."""
+    ceilings are those counts (3.12 inlines comprehensions: fewer).
+    The first repeat, whose statement is a hit, still runs the macro
+    (and keeps its page: 97 and 97); from then on the page is reused
+    whole, 7 calls, no macro run."""
     engine = MacroEngine(None, config=EngineConfig(
         query_cache=QueryResultCache(max_entries=128)))
     app = urlquery_app.install(rows=150, engine=engine)
     app.registry.enable_pools(size=2)
-    counts = {}
+    counts, reused = {}, {}
     for fields in (["title"], ["title", "description"]):
         inputs = REPORT_HOT + [("DBFIELDS", name) for name in fields]
-        engine_path_calls(app, inputs)  # plans built, page cached
+        engine_path_calls(app, inputs)  # plans built, result cached
+        counts[len(fields)] = engine_path_calls(app, inputs)  # page kept
         runs = {engine_path_calls(app, inputs) for _ in range(3)}
         assert len(runs) == 1
-        counts[len(fields)] = runs.pop()
+        reused[len(fields)] = runs.pop()
     assert counts[1] <= 99 and counts[2] <= 98, counts
+    assert reused[1] <= 7 and reused[2] <= 7, reused
