@@ -9,7 +9,8 @@ strategies from the test-suite):
 
 * ORACLE-ROW: specialised ``%ROW`` rendering is indistinguishable from
   the interpreter — page bytes, system variables afterwards, ``%EXEC``
-  runs, exceptions; buffered and streaming — over 3 000 macros;
+  runs, exceptions; results under, at and one row past the spill
+  budget — over 3 000 macros;
 * ORACLE-WHOLE: whole macros run by their load-time program, several
   requests in a row on one engine (so compiled plans are reused under
   changed client inputs), are indistinguishable from the interpreter —
@@ -64,7 +65,8 @@ def test_oracle_row_specialiser_soak(benchmark, artifact):
     checked = soaked(cases(), check, EXAMPLES)
     artifact("oracle_row_specialiser.txt",
              f"ORACLE-ROW — compiled_reports on vs off, seed {SEED}\n\n"
-             f"{checked} generated macros x (buffered, streaming): "
+             f"{checked} generated macros x (under, at, past the spill "
+             "budget): "
              "no difference\n")
     assert checked >= EXAMPLES
 
@@ -75,7 +77,8 @@ def test_oracle_whole_report_soak(benchmark, artifact):
     artifact("oracle_whole_report.txt",
              f"ORACLE-WHOLE — compiled_reports on vs off, seed {SEED}\n\n"
              f"{checked} generated macros, 2-4 requests each on one "
-             "engine x (buffered, streaming): no difference\n")
+             "engine x (under, at, past the spill budget): "
+             "no difference\n")
     assert checked >= WHOLE_EXAMPLES
 
 

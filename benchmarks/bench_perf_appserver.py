@@ -1,4 +1,4 @@
-"""PERF-APPSRV — persistent app-server gateway and the streaming path.
+"""PERF-APPSRV — persistent app-server gateway and the spill path.
 
 Two acceptance claims from the app-server work:
 
@@ -6,10 +6,11 @@ Two acceptance claims from the app-server work:
   macros, pooled connections) must serve the same report at >= 5x the
   requests/sec of faithful process-per-request CGI, which re-pays
   interpreter start-up and a fresh DBMS connect every time.
-* **Memory** — a streaming render of a 100k-row report must hold peak
-  RSS within 1.5x of a small-report baseline, while the buffered render
-  grows with the page (it materialises every row before the first byte
-  leaves).
+* **Memory** — a 100k-row report, whose result spills past the row
+  budget (``repro.sql.gateway.SPILL_ROWS``) and is written as it
+  renders, must hold peak RSS within 1.5x of a small-report baseline,
+  while the same page drained whole (as app-server workers and the
+  in-process transport take it) grows with the page.
 
 Both are measured here and written to ``out/perf_appserver.txt`` (with
 the ``speedup:`` line summarize.py lifts into the perf baseline) and
@@ -137,13 +138,16 @@ def test_perf_appserver_throughput(benchmark, deployment, artifact):
 
 
 # ---------------------------------------------------------------------------
-# Memory: streaming vs buffered render of a large report
+# Memory: a spilled report written as it renders vs drained whole
 # ---------------------------------------------------------------------------
 
 #: Run in a child interpreter so ru_maxrss is a clean high-water mark
-#: for exactly one render mode (the mark cannot be reset in-process).
+#: for exactly one way of taking the page (the mark cannot be reset
+#: in-process).  Both run the one path, ``engine.execute_report``:
+#: "stream" writes its parts, then its rest, and keeps none of them;
+#: "buffer" drains the page into one string.
 _RSS_PROBE = """
-import json, resource, sys
+import itertools, json, resource, sys
 from repro.core.engine import MacroEngine
 from repro.core.parser import parse_macro
 from repro.sql.gateway import DatabaseRegistry
@@ -164,12 +168,14 @@ macro = parse_macro(
     '%SQL_REPORT{%ROW{<LI>$(V1): $(V2)\\n%}%}\\n%}\\n'
     '%HTML_REPORT{%EXEC_SQL done%}')
 engine = MacroEngine(registry)
+result = engine.execute_report(macro)
 emitted = 0
 if mode == "stream":
-    for chunk in engine.execute_report_stream(macro).chunks:
-        emitted += len(chunk)   # consume and discard, like a socket
+    for part in itertools.chain(result.parts, result.rest or ()):
+        emitted += len(part)   # consume and discard, like a socket
 else:
-    emitted = len(engine.execute_report(macro).html)
+    result.html   # the page whole, its rest read into the parts
+    emitted = sum(map(len, result.parts))
 print(json.dumps({
     "mode": mode, "rows": rows, "page_bytes": emitted,
     "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -188,7 +194,7 @@ def _probe(mode: str, rows: int) -> dict:
 
 
 def test_perf_appserver_streaming_rss(benchmark, artifact):
-    """Streaming a 100k-row report stays flat; buffering grows with it."""
+    """A spilled 100k-row report stays flat; draining it grows with it."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     baseline = _probe("stream", SMALL_ROWS)
@@ -210,9 +216,9 @@ def test_perf_appserver_streaming_rss(benchmark, artifact):
         f"{'buffered':<26}{BIG_ROWS:>9}"
         f"{buffered['peak_rss_kb']:>13}{buffer_ratio:>9.2f}x",
         "",
-        "Shape: the streaming path rides the live cursor, so peak",
-        "memory is independent of report size; the buffered path",
-        "materialises the page and grows linearly with it.",
+        "Shape: past the spill budget the page rides the live cursor,",
+        "so peak memory is independent of report size; draining the",
+        "page whole grows linearly with it.",
     ]
     artifact("perf_appserver_rss.txt", "\n".join(lines) + "\n")
     _merge_json(artifact, {"streaming_rss": {

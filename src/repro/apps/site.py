@@ -43,17 +43,10 @@ class Site:
 
 def build_site(engine: MacroEngine, library: MacroLibrary, *,
                server_name: str = "www.example.com",
-               home_page: str | None = None,
-               stream: bool = False) -> Site:
-    """Mount DB2WWW (and optionally a home page) on a fresh router.
-
-    ``stream`` mounts the program in streaming mode: pages ride the live
-    SQL cursor and are emitted close-delimited over sockets (in-process
-    transports materialise them, so browsers see identical pages).
-    """
+               home_page: str | None = None) -> Site:
+    """Mount DB2WWW (and optionally a home page) on a fresh router."""
     gateway = CgiGateway()
-    gateway.install(DB2WWW_PROGRAM_NAME,
-                    Db2WwwProgram(engine, library, stream=stream))
+    gateway.install(DB2WWW_PROGRAM_NAME, Db2WwwProgram(engine, library))
     router = Router(gateway=gateway, server_name=server_name)
     if home_page is not None:
         router.add_page("/index.html", home_page)

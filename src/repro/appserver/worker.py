@@ -97,7 +97,7 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
         response = gateway.dispatch(_PROGRAM_NAME, request)
         trace = None
         if act is not None:
-            # Drain before closing the span: streamed pages fill in
+            # Drain before closing the span: spilled pages fill in
             # their sql.execute row counts as the cursor empties.
             response.drain()
             act.span.set("status", response.status)

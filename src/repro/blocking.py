@@ -19,9 +19,10 @@ the edge is not watching, one attribute read.  On the loop thread an
 attempt's ``block(step)`` raises :class:`WouldBlock` and the edge hands
 the request to a thread, where it runs from the start as it always
 did; on a thread the edge is recording it notes the step instead.  A
-query-cache hit appends its cache to ``attempt.hits`` (counted only when
-the run completes, so an abandoned attempt leaves no count) and a store
-adds one to ``attempt.stores``.
+query-cache hit appends its cache to ``attempt.hits``, a reused page
+one entry for all its hits (counted only when the run completes, so an
+abandoned attempt leaves no count), and a store adds one to
+``attempt.stores``.
 """
 
 from __future__ import annotations

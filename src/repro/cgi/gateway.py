@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import codecs
 import traceback
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterator, Optional, Protocol
 
 from repro.cgi.request import CgiRequest, CgiResponse
 from repro.core.engine import MacroCommand, MacroEngine, MacroResult
@@ -144,8 +144,14 @@ class Db2WwwProgram:
     bad command → 400, macro/SQL failures → 500 with the engine's message.
     """
 
+    #: Whether the edge may try a page on its event loop: a page runs in
+    #: this process, and each step of it that would block signals first
+    #: (:mod:`repro.blocking`).  A page that spills has executed a
+    #: statement, which on the loop already signalled at its connect.
+    loop_safe = True
+
     def __init__(self, engine: MacroEngine, library: MacroLibrary, *,
-                 charset: str = "utf-8", stream: bool = False,
+                 charset: str = "utf-8",
                  negotiate: Optional[
                      Callable[[CgiRequest], Optional[RowRenderer]]] = None,
                  result_hook: Optional[
@@ -160,25 +166,10 @@ class Db2WwwProgram:
         #: default HTML pipeline.
         self.negotiate = negotiate
         #: Called with ``(request, result)`` once a page completes —
-        #: buffered pages right after execution, streamed pages when the
-        #: chunk stream closes (so ``result.rows`` is final).  Used for
+        #: buffered pages right after execution, spilled pages when the
+        #: body closes (so ``result.rows`` is final).  Used for
         #: per-tenant accounting.
         self.result_hook = result_hook
-        #: When true, report pages are produced as a chunk stream riding
-        #: the live SQL cursor (close-delimited HTTP emission) instead of
-        #: one buffered body — first-byte latency and peak memory stay
-        #: flat as reports grow.  Errors raised before the first chunk
-        #: still map to the error pages below; later failures surface
-        #: mid-stream as a truncated page.
-        self.stream = stream
-
-    @property
-    def loop_safe(self) -> bool:
-        """Whether the edge may try a page on its event loop: a buffered
-        page runs in this process, and each step of it that would block
-        signals first (:mod:`repro.blocking`).  A stream's producer
-        thread owns its cursors, so a streamed page never is."""
-        return not self.stream
 
     def run(self, request: CgiRequest) -> CgiResponse:
         components = request.path_components()
@@ -209,9 +200,6 @@ class Db2WwwProgram:
         inputs = request.input_pairs()
         renderer = (self.negotiate(request)
                     if self.negotiate is not None else None)
-        if self.stream:
-            return self._run_stream(request, macro, command, inputs,
-                                    renderer)
         try:
             result = self.engine.execute(macro, command, inputs,
                                          row_renderer=renderer)
@@ -225,81 +213,40 @@ class Db2WwwProgram:
         except (MacroError, MacroExecutionError, SQLError) as exc:
             return error_response(500, "Macro Execution Error",
                                   f"{type(exc).__name__}: {exc}")
-        if self.result_hook is not None:
-            self.result_hook(request, result)
         # The page's UTF-8 parts go out as they are (row memos by
-        # reference); another charset is an encoding of the text view.
-        parts = result.parts if self._utf8 \
-            else [result.html.encode(self.charset, "replace")]
+        # reference); another charset is an encoding of the text.
+        parts = result.parts if self._utf8 else [b"".join(
+            result.parts).decode("utf-8").encode(self.charset, "replace")]
         content_type = result.content_type
         if "charset=" not in content_type:
             content_type = f"{content_type}; charset={self.charset}"
-        return CgiResponse(
-            headers=[("Content-Type", content_type)], parts=parts)
-
-    # -- streaming ---------------------------------------------------------
-
-    def _run_stream(self, request: CgiRequest, macro,
-                    command: MacroCommand,
-                    inputs: list[tuple[str, str]],
-                    renderer: Optional[RowRenderer] = None) -> CgiResponse:
-        """Produce the page as a streaming response.
-
-        The first substantive chunk is pulled eagerly: it forces macro
-        processing up to the first output, so page-level failures (bad
-        macro, unreachable database, missing section, a write against a
-        read-only engine) surface here and map to the same error pages
-        as the buffered path — and by then ``result.content_type`` is
-        pinned, so the headers can go out before the rest of the body
-        exists.  Whitespace-only chunks (the newline after an
-        ``%HTML_REPORT{``) are buffered into the prefix rather than
-        treated as first output, so they cannot commit a 200 ahead of a
-        failure in the first SQL section.
-        """
-        stream = self.engine.execute_stream(macro, command, inputs,
-                                            row_renderer=renderer)
-        chunks = stream.chunks
-        prefix: list[str] = []
-        try:
-            first = ""
-            for chunk in chunks:
-                if chunk and chunk.strip():
-                    first = chunk
-                    break
-                if chunk:
-                    prefix.append(chunk)
-        except ReadOnlySqlError as exc:
-            return forbidden_response(exc)
-        except (CircuitOpenError, PoolExhaustedError) as exc:
-            return unavailable_response(exc)
-        except DeadlineExceededError as exc:
-            return error_response(504, "Gateway Timeout",
-                                  f"{type(exc).__name__}: {exc}")
-        except (MacroError, MacroExecutionError, SQLError) as exc:
-            return error_response(500, "Macro Execution Error",
-                                  f"{type(exc).__name__}: {exc}")
-        content_type = stream.result.content_type
-        if "charset=" not in content_type:
-            content_type = f"{content_type}; charset={self.charset}"
-        return CgiResponse(
-            headers=[("Content-Type", content_type)],
-            body=("".join(prefix) + first).encode(self.charset,
-                                                  "replace"),
-            body_iter=self._encode_chunks(request, stream, chunks))
-
-    def _encode_chunks(self, request, stream, chunks):
-        try:
-            for chunk in chunks:
-                if chunk:
-                    yield chunk.encode(self.charset, "replace")
-        finally:
-            close = getattr(chunks, "close", None)
-            if close is not None:
-                close()
+        headers = [("Content-Type", content_type)]
+        if result.rest is None:
             if self.result_hook is not None:
-                # The stream has settled (drained or abandoned);
+                self.result_hook(request, result)
+            return CgiResponse(headers=headers, parts=parts)
+        # A spilled page: the rest follows as the transport reads it,
+        # failing mid-body as a truncated page.
+        body = self._rest(request, result)
+        next(body)
+        return CgiResponse(headers=headers, parts=parts, body_iter=body)
+
+    def _rest(self, request: CgiRequest,
+              result: MacroResult) -> Iterator[bytes]:
+        """A spilled page's rest in the program's charset.  :meth:`run`
+        starts it (the bare ``yield``), so closing it settles the page
+        and calls the result hook even before the first chunk is read."""
+        rest = result.rest
+        try:
+            yield  # type: ignore[misc]
+            for chunk in rest:
+                yield chunk if self._utf8 else chunk.decode(
+                    "utf-8").encode(self.charset, "replace")
+        finally:
+            rest.close()
+            if self.result_hook is not None:
                 # result.rows/sql_errors are as final as they will get.
-                self.result_hook(request, stream.result)
+                self.result_hook(request, result)
 
 
 class FunctionProgram:

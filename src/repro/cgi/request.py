@@ -108,7 +108,7 @@ class CgiResponse:
         """Materialise a streaming body into the parts (no-op otherwise)."""
         if self.body_iter is not None:
             chunks, self.body_iter = self.body_iter, None
-            self.parts = self.parts + [b"".join(chunks)]
+            self.parts = [*self.parts, b"".join(chunks)]
 
     def header(self, name: str, default: str = "") -> str:
         folded = name.lower()

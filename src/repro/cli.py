@@ -31,6 +31,7 @@ Variables are passed as ``name=value`` arguments; databases as
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -119,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N", dest="recycle_after",
                        help="recycle each app-server worker after N "
                             "requests (--gateway appserver only)")
-    serve.add_argument("--stream", action="store_true",
-                       help="stream report pages off the live SQL "
-                            "cursor (chunked to HTTP/1.1 clients, "
-                            "close-delimited on HTTP/1.0)")
     serve.add_argument("--acceptors", type=int, default=1, metavar="N",
                        help="acceptor processes sharing the port via "
                             "SO_REUSEPORT (N>1 spawns N serve "
@@ -350,7 +347,10 @@ def _cmd_run(args, out, *, as_text: bool) -> int:
         from repro.html.render import render_markup
         print(render_markup(result.html), file=out)
     else:
-        print(result.html, file=out)
+        # A spilled page is written as it renders, never joined.
+        for part in itertools.chain(result.parts, result.rest or ()):
+            out.write(part.decode("utf-8"))
+        print(file=out)
     return 0 if result.ok else 1
 
 
@@ -814,7 +814,6 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
     print(f"serving macros from {args.macros} on {server.base_url} "
           f"({args.gateway} gateway"
           + (f", {args.workers} workers" if dispatcher else "")
-          + (", streaming" if args.stream else "")
           + (", overload control" if args.overload else "")
           + (f", {len(tenant_registry.names())} tenants"
              if tenant_registry is not None else "")

@@ -31,8 +31,7 @@ from repro.blocking import BLOCKING
 from repro.core import ast
 from repro.core.messages import resolve_message
 from repro.core.program import CompiledEvaluator, program_of
-from repro.core.report import (Chunk, ReportGenerator, RowRenderer,
-                               chunk_text)
+from repro.core.report import Chunk, ReportGenerator, RowRenderer
 from repro.core.substitution import Evaluator
 from repro.core.variables import VariableStore
 from repro.errors import (
@@ -151,13 +150,22 @@ class MacroResult:
     """The outcome of one macro invocation."""
 
     command: MacroCommand
-    #: The buffered page as UTF-8 byte parts, in page order: each run of
-    #: text encoded once, each materialised result's printed rows the
-    #: very bytes its row memo holds (:meth:`ReportGenerator._render_rows
-    #: <repro.core.report.ReportGenerator._render_rows>`).  Empty for a
-    #: stream, whose chunks are the page.  A tuple: a page the query
-    #: cache keeps (:class:`_Page`) shares it with every answer.
+    #: The buffered page (up to its spill, if it has a :attr:`rest`) as
+    #: UTF-8 byte parts, in page order: each run of text encoded once,
+    #: each materialised result's printed rows the very bytes its row
+    #: memo holds (:meth:`ReportGenerator._render_rows
+    #: <repro.core.report.ReportGenerator._render_rows>`).  A tuple: a
+    #: page the query cache keeps (:class:`_Page`) shares it with every
+    #: answer.
     parts: tuple[bytes, ...] = ()
+    #: The rest of a page whose statement spilled
+    #: (:data:`~repro.sql.gateway.SPILL_ROWS`), as UTF-8 byte chunks
+    #: rendered off the live cursor while it is read; ``None`` when
+    #: :attr:`parts` are the whole page.  Single-use: once it is
+    #: exhausted or closed the run has settled (session finished) and
+    #: the fields below are final.  Read it or close it: the run refers
+    #: back to this result, so a dropped one waits for the collector.
+    rest: Optional[Iterator[bytes]] = None
     statements: list[str] = field(default_factory=list)
     sql_errors: list[SQLError] = field(default_factory=list)
     aborted: bool = False
@@ -165,7 +173,7 @@ class MacroResult:
     retries: int = 0
     #: Query rows fetched across every SQL section (printed or not) —
     #: what a per-tenant row quota charges for.  Final once the page
-    #: (or stream) is complete.
+    #: (its :attr:`rest` too) is complete.
     rows: int = 0
     #: Media type for the generated page.  Macros may override the
     #: default by defining a ``CONTENT_TYPE`` variable — Section 2.1
@@ -175,7 +183,11 @@ class MacroResult:
 
     @property
     def html(self) -> str:
-        """The page as text: a view of :attr:`parts`."""
+        """The whole page as text (a :attr:`rest` is read into the
+        parts first)."""
+        if self.rest is not None:
+            rest, self.rest = self.rest, None
+            self.parts += tuple(rest)
         return b"".join(self.parts).decode("utf-8")
 
     @property
@@ -183,22 +195,9 @@ class MacroResult:
         return not self.sql_errors and not self.aborted
 
 
-@dataclass
-class MacroStream:
-    """A macro invocation rendered as a chunk stream.
-
-    ``chunks`` yields the page incrementally — first byte out as soon as
-    the first HTML piece is evaluated, SQL rows rendered straight off the
-    live cursor.  ``result`` is the same object the buffered path
-    returns; its ``statements``/``sql_errors``/``retries`` fields fill in
-    as the stream advances and are final once ``chunks`` is exhausted
-    (``result.parts`` stays empty — the chunks *are* the page).
-    ``result.content_type`` is valid as soon as the first chunk has been
-    produced, so a transport can emit headers before the body.
-    """
-
-    chunks: Iterator[str]
-    result: MacroResult
+#: What :meth:`_MacroRun._run` yields where a statement spilled: the
+#: page past it streams (:attr:`MacroResult.rest`).
+_SPILL = object()
 
 
 def _should_propagate(error: SQLError) -> bool:
@@ -236,6 +235,13 @@ class MacroEngine:
         arrival order (repeats become list variables).  Returns a
         :class:`MacroResult` whose ``html`` is the generated page body.
 
+        The page is buffered, unless a statement's result spills
+        (:data:`~repro.sql.gateway.SPILL_ROWS`): then the result's
+        ``parts`` are the page up to that statement and its ``rest``
+        renders the remainder off the live cursor as it is read.
+        Errors raised before the spill surface here; later ones
+        propagate from ``rest``.
+
         ``row_renderer`` swaps the presentation layer (e.g. the JSON
         API) while keeping execution identical; ``None`` — the default —
         is the paper's HTML pipeline, byte for byte.
@@ -244,7 +250,9 @@ class MacroEngine:
         a hit is kept in the cache, and the same request (program,
         command, inputs in order, the settings that shape the page) is
         answered with it, macro not run, while every result it read is
-        still the cache's current entry (:class:`_Page`).
+        still the cache's current entry (:class:`_Page`).  A spilled
+        page is never kept: the statement that spilled was executed, so
+        its session's ``reads`` is ``None``.
         """
         if isinstance(command, str):
             command = MacroCommand.parse(command)
@@ -290,34 +298,6 @@ class MacroEngine:
                        client_inputs: Sequence[tuple[str, str]] = ()) -> MacroResult:
         return self.execute(macro, MacroCommand.REPORT, client_inputs)
 
-    def execute_stream(self, macro: ast.MacroFile,
-                       command: MacroCommand | str,
-                       client_inputs: Sequence[tuple[str, str]] = (), *,
-                       row_renderer: Optional[RowRenderer] = None
-                       ) -> MacroStream:
-        """Process ``macro`` as an incremental chunk stream.
-
-        Identical processing to :meth:`execute` — the buffered path is
-        literally the join of this stream — except that SQL result rows
-        ride the live cursor instead of being fetched up front, so first
-        byte latency and peak memory stay flat as reports grow.  Query
-        results consumed this way bypass the query cache (their rows
-        stream once).  Errors raised before the first chunk surface
-        exactly as in :meth:`execute`; after that they propagate from
-        the iterator mid-stream.
-        """
-        if isinstance(command, str):
-            command = MacroCommand.parse(command)
-        run = _MacroRun(self, macro, command, client_inputs,
-                        stream_rows=True, row_renderer=row_renderer)
-        return MacroStream(chunks=run.stream(), result=run.result)
-
-    def execute_report_stream(self, macro: ast.MacroFile,
-                              client_inputs: Sequence[tuple[str, str]] = ()
-                              ) -> MacroStream:
-        return self.execute_stream(macro, MacroCommand.REPORT,
-                                   client_inputs)
-
 
 class _Page:
     """A buffered page kept in the query cache for the next identical
@@ -362,9 +342,10 @@ class _Page:
         """The page's result, or ``None`` when a result it read is no
         longer the cache's current entry (or the database's counter is
         not the one it read under).  A reuse counts a cache hit per
-        statement, deferred like any hit on an edge attempt
-        (:mod:`repro.blocking`), and with tracing on leaves the
-        ``sql.execute`` spans those hits would."""
+        statement and a page hit (:meth:`QueryResultCache.count_page_hit
+        <repro.sql.querycache.QueryResultCache.count_page_hit>`), and
+        with tracing on leaves the ``sql.execute`` spans those hits
+        would."""
         reads = self.reads
         if reads:
             database, generation = self.database, self.generation
@@ -375,10 +356,6 @@ class _Page:
                 current = cache.peek(database, sql, stamp)
                 if current is None or current is not read():
                     return None
-            if BLOCKING.attempt is None:
-                cache.count_hit(len(reads))
-            else:
-                BLOCKING.attempt.hits.extend([cache] * len(reads))
             if TRACER.enabled:
                 for sql, _, rows in reads:
                     span = TRACER.leaf("sql.execute")
@@ -390,6 +367,7 @@ class _Page:
                     span.set("cached", True)
                     span.set("rows", rows)
                     span.finish()
+        cache.count_page_hit(len(reads))
         return MacroResult(command=command, parts=self.parts,
                            statements=list(self.statements),
                            rows=self.rows, content_type=self.content_type)
@@ -401,7 +379,6 @@ class _MacroRun:
     def __init__(self, engine: MacroEngine, macro: ast.MacroFile,
                  command: MacroCommand,
                  client_inputs: Sequence[tuple[str, str]], *,
-                 stream_rows: bool = False,
                  row_renderer: Optional[RowRenderer] = None,
                  deadline: Optional[Deadline] = None):
         self.engine = engine
@@ -428,8 +405,6 @@ class _MacroRun:
             escape_values=engine.config.escape_report_values,
             compile_templates=engine.config.compiled_reports,
             row_renderer=row_renderer)
-        #: When true, SQL results ride the live cursor (streaming mode).
-        self.stream_rows = stream_rows
         self.session: Optional[MacroSqlSession] = None
         #: the macro's DATABASE, once its first statement resolved it
         self.database = ""
@@ -447,14 +422,22 @@ class _MacroRun:
     def execute(self) -> MacroResult:
         """The page buffered as byte parts: each run of text joined and
         encoded once (a lone surrogate becomes ``?``, as the page's
-        ``encode(..., "replace")`` always made it), row memos kept."""
+        ``encode(..., "replace")`` always made it), row memos kept.
+
+        Gathering stops where a statement spilled: the run continues as
+        the result's :attr:`~MacroResult.rest`."""
         parts: list[bytes] = []
         text: list[str] = []
-        for chunk in self._run():
+        run = self._run()
+        for chunk in run:
             if chunk.__class__ is str:
                 if chunk:
                     text.append(chunk)
                 continue
+            if chunk is _SPILL:
+                rest = self.result.rest = self._rest(run)
+                next(rest)
+                break
             for piece in chunk:
                 if piece.__class__ is str:
                     if piece:
@@ -469,24 +452,30 @@ class _MacroRun:
         self.result.parts = tuple(parts)
         return self.result
 
-    def stream(self) -> Iterator[str]:
-        """The page as text chunks, for the streaming transports: a
-        section over a fetched result comes joined into one
-        (:func:`~repro.core.report.chunk_text`)."""
-        run = self._run()
+    @staticmethod
+    def _rest(run: Iterator[Chunk]) -> Iterator[bytes]:
+        """``run`` past its spill, as UTF-8 byte chunks.  :meth:`execute`
+        starts it (the bare ``yield``), so closing it settles the run
+        even before the first chunk is read."""
         try:
+            yield  # type: ignore[misc]
             for chunk in run:
-                yield chunk if chunk.__class__ is str else chunk_text(chunk)
+                if chunk.__class__ is str:
+                    if chunk:
+                        yield chunk.encode("utf-8", "replace")
+                elif chunk is not _SPILL:
+                    for piece in chunk:
+                        if piece.__class__ is str:
+                            piece = piece.encode("utf-8", "replace")
+                        if piece:
+                            yield piece
         finally:
             run.close()
 
     def _run(self) -> Iterator[Chunk]:
-        """The page as a chunk generator (the single processing path).
-
-        The buffered :meth:`execute` gathers it into byte parts, the
-        streaming transports forward it chunk by chunk.  Session
-        finalisation runs even when the consumer abandons the iterator
-        early.
+        """The page as a chunk generator (the single processing path),
+        which :meth:`execute` gathers.  Session finalisation runs even
+        when the consumer abandons the iterator early.
         """
         try:
             yield from self._walk()
@@ -534,10 +523,9 @@ class _MacroRun:
             elif isinstance(section, ast.HtmlReportSection):
                 if self.command is MacroCommand.REPORT:
                     self._emitted_target_section = True
-                    # Streaming transports read the content type off the
-                    # result as soon as the first chunk arrives; pin it
-                    # before anything is emitted (the end-of-run refresh
-                    # still wins for the buffered path).
+                    # A spilled page's headers go out at the spill; pin
+                    # the content type before anything is emitted (the
+                    # end-of-run refresh still wins for a buffered page).
                     self._refresh_content_type()
                     if (yield from self._process_report(section)):
                         return  # an 'exit' action stopped processing
@@ -569,7 +557,7 @@ class _MacroRun:
         Substitution runs once per free-text piece; a span per piece
         would dominate both the trace and the overhead budget, so the
         whole run shares one span whose duration is the *accumulated*
-        evaluation time (the same accrued-clock idiom as the streaming
+        evaluation time (the same accrued-clock idiom as the
         ``report.render`` span).
         """
         span = self._subst_span
@@ -641,25 +629,24 @@ class _MacroRun:
             yield f"<P><TT>{escape_html(sql_text)}</TT></P>\n"
         try:
             session = self._ensure_session()
-            result = session.execute(sql_text,
-                                     stream=self.stream_rows)
+            result = session.execute(sql_text)
         except SQLError as error:
             return (yield from self._emit_sql_error(section, error))
         self.result.statements.append(sql_text)
         try:
+            if result.row_iter is not None:
+                yield _SPILL  # the page streams from here (execute())
             yield from self._render_section(section, result)
         except SQLError as error:
-            # Streaming rides the live cursor, so a fetch failure can
-            # surface mid-render; the buffered path never reaches here
-            # (execute() drains the cursor above).
+            # A spilled result rides the live cursor, so a fetch failure
+            # can surface mid-render; a materialised one never does.
             return (yield from self._emit_sql_error(section, error))
         finally:
             # A row-time error that is not the cursor's own (a reference
-            # cycle, an abandoned stream) leaves the cursor live: settle
-            # it and its read bracket now, while stream()'s finally has
+            # cycle, an abandoned page) leaves the cursor live: settle
+            # it and its read bracket now, while _run()'s finally has
             # yet to hand the connection back.  No-op once exhausted.
-            if result.row_iter is not None:
-                result.row_iter.close()
+            result.close()
         if result.is_query:
             # Valid only after the render loop drained the cursor.
             self.result.rows += result.row_total
@@ -671,8 +658,8 @@ class _MacroRun:
 
         The span measures *production* time only: the clock runs while a
         chunk is being rendered and stops across each ``yield``, so a
-        slow consumer (network sends on the streaming path) cannot
-        inflate the rendering phase.
+        slow consumer (network sends past a spill) cannot inflate the
+        rendering phase.
         """
         inner = self.reporter.render_iter(section, result)
         parent = TRACER.current() if TRACER.enabled else None
@@ -681,23 +668,6 @@ class _MacroRun:
             return
         span = Span("report.render", parent.trace_id, parent.span_id)
         parent.add_child(span)
-
-        def describe() -> None:
-            """Say why a report was slow: how many rows, which loop."""
-            if result.is_query:
-                span.set("rows", result.row_total)
-            if self.reporter.row_path is not None:
-                span.set("row_path", self.reporter.row_path)
-
-        if not self.stream_rows:
-            # Buffered path: execute() drains the stream immediately, so
-            # wall time *is* production time — skip the per-chunk clock.
-            try:
-                yield from inner
-            finally:
-                span.finish()
-                describe()
-            return
         active = 0.0
         try:
             while True:
@@ -710,8 +680,12 @@ class _MacroRun:
                 active += time.perf_counter() - tick
                 yield chunk
         finally:
+            # Say why a report was slow: how many rows, which loop.
             span.end = span.start + active
-            describe()
+            if result.is_query:
+                span.set("rows", result.row_total)
+            if self.reporter.row_path is not None:
+                span.set("row_path", self.reporter.row_path)
 
     def _emit_sql_error(self, section: ast.SqlSection,
                         error: SQLError) -> Iterator[str]:

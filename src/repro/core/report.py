@@ -135,14 +135,13 @@ class ReportGenerator:
                     result: ExecutionResult) -> Iterator[Chunk]:
         """Render one result as a chunk stream (header, rows, footer).
 
-        The buffered :meth:`render` is the join of this stream; the
-        streaming HTTP path consumes it chunk by chunk so a 100k-row
-        report never exists as one string.  A materialised result means
-        a buffered page, which only gathers its chunks: such a section
-        goes up the chain as one chunk, the list of its pieces — text,
-        and the printed rows as the UTF-8 ``bytes`` of the result's row
-        memo (:meth:`_render_rows`), which the page passes on by
-        reference.
+        :meth:`render` is the join of this stream.  A materialised
+        result is gathered into the buffered page: its section goes up
+        the chain as one chunk, the list of its pieces — text, and the
+        printed rows as the UTF-8 ``bytes`` of the result's row memo
+        (:meth:`_render_rows`), which the page passes on by reference.
+        A spilled result's rows come a block per chunk off the live
+        cursor, so a 100k-row report never exists as one string.
         """
         self.row_path = None
         if self.row_renderer is not None:
@@ -239,12 +238,12 @@ class ReportGenerator:
                                   [value_to_text(value)
                                    for value in rows[-1]], count)
             return count
-        return (yield from self._stream_rows(render, result, first, last,
-                                             install_last_row))
+        return (yield from self._live_rows(render, result, first, last,
+                                           install_last_row))
 
-    def _stream_rows(self, render: RenderRow, result: ExecutionResult,
-                     first: int, last: int,
-                     install_last_row: bool) -> Iterator[str]:
+    def _live_rows(self, render: RenderRow, result: ExecutionResult,
+                   first: int, last: int,
+                   install_last_row: bool) -> Iterator[str]:
         """:meth:`_render_rows` off a live cursor: one chunk per block.
 
         Rows are taken :data:`_ROW_BLOCK` at a time and the print window
@@ -331,7 +330,7 @@ class ReportGenerator:
         non-query statement there is no table; a short confirmation line is
         produced instead (and ``ROWCOUNT`` is set for the report text).
 
-        A streaming result's ``row_total`` is only correct after the row
+        A spilled result's ``row_total`` is only correct after the row
         loop, so ``ROWCOUNT`` for queries is (re)installed at the end.
         """
         self.row_path = "default-table"

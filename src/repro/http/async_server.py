@@ -398,7 +398,8 @@ class _Attempt:
     def __init__(self, key: str, *, on_loop: bool = False):
         self.key = key
         self.on_loop = on_loop
-        self.hits: list = []   # caches owed a hit, counted if run returns
+        self.hits: list = []   # caches (or reused pages) owed hits,
+        #                        counted if the run returns
         self.stores = 0        # results the query cache kept
         self.misses = 0
         self.clean = True      # no step but misses and the lease they need

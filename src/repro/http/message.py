@@ -119,7 +119,7 @@ class HttpResponse:
         """Materialise a streaming body into the parts (no-op otherwise)."""
         if self.body_iter is not None:
             chunks, self.body_iter = self.body_iter, None
-            self.parts = self.parts + [b"".join(chunks)]
+            self.parts = [*self.parts, b"".join(chunks)]
 
     @property
     def content_type(self) -> str:

@@ -85,7 +85,6 @@ class Settings:
     #: connections pooled per database: set by the caller for its
     #: threads, not an option
     pool_size: int = 0
-    stream: bool = False
     degrade: bool = False
     max_retries: int = 0
     request_deadline: Optional[float] = None
@@ -208,10 +207,8 @@ def _paths(text: str) -> list[str]:
 
 
 def build_query_cache(settings: Settings) -> Optional[QueryResultCache]:
-    """The query cache ``settings`` ask for.  None under ``stream``: a
-    streamed statement's rows ride the cursor, so its cache would never
-    be read or filled, only scraped at 0."""
-    if settings.stream or not settings.query_cache:
+    """The query cache ``settings`` ask for (``None``: no cache)."""
+    if not settings.query_cache:
         return None
     return QueryResultCache(max_entries=settings.query_cache)
 
@@ -239,4 +236,4 @@ def build(settings: Settings, *,
     library = MacroLibrary(settings.macros,
                            stat_ttl=settings.macro_stat_ttl)
     return Db2WwwProgram(MacroEngine(registry, config=config), library,
-                         stream=settings.stream, **program)
+                         **program)

@@ -13,8 +13,7 @@ DESIGN.md's substitution table).  Public surface:
 * :class:`QueryResultCache` / :class:`WriteGeneration` —
   generation-keyed SELECT result reuse (see repro.sql.querycache)
 * :class:`ShardMap` / :class:`ShardedSqlSession` — hash/range-sharded
-  logical databases with read replicas and streaming scatter-gather
-  merge (see repro.sql.sharding)
+  logical databases with read replicas and a scatter-gather merge (see repro.sql.sharding)
 * :mod:`repro.sql.dialect` — SQL text helpers (quoting, LIKE patterns)
 * :mod:`repro.sql.catalog` — table/column introspection
 """

@@ -10,6 +10,7 @@ transaction mode.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,21 +36,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sql.sharding import ShardMap
 
 
+#: The most rows a statement's result holds in memory.  A query that
+#: returns more *spills*: its first ``SPILL_ROWS + 1`` rows are fetched
+#: and the rest ride the live cursor (:attr:`ExecutionResult.row_iter`),
+#: so the page streams from that point on and the result is never
+#: cached.  One constant, not an option: ten times the largest page the
+#: benchmark serves, and about 3.5 MB of the RSS probe's rows.
+SPILL_ROWS = 10_000
+
+
 @dataclass
 class ExecutionResult:
     """The outcome of executing one SQL statement.
 
     For queries, ``columns`` carries the result column names and ``rows``
-    the fetched data (the report generator consumed rows one at a time in
-    1996; we fetch eagerly inside the statement's transaction bracket so a
-    later rollback cannot invalidate an open cursor mid-report).
+    the fetched data: up to :data:`SPILL_ROWS` rows are fetched inside
+    the statement's transaction bracket, so a later rollback cannot
+    invalidate an open cursor mid-report.
 
-    A *streaming* result (``row_iter`` set) carries no materialised
-    ``rows``: the rows come straight off the live cursor, one at a time,
-    and may be consumed exactly once.  ``rows_fetched`` counts them as
-    they pass, so :attr:`row_total` is correct after exhaustion — which
-    is the only point the report machinery reads it (``ROW_NUM`` /
-    ``ROWCOUNT`` are footer-time variables).
+    A *spilled* result (``row_iter`` set) is one that outgrew that
+    budget, the way the 1996 report generator consumed rows one at a
+    time: it carries no materialised ``rows``, its rows come off the
+    live cursor and may be consumed exactly once.  ``rows_fetched``
+    counts them as they are fetched, so :attr:`row_total` is correct
+    after exhaustion — which is the only point the report machinery
+    reads it (``ROW_NUM`` / ``ROWCOUNT`` are footer-time variables).
     """
 
     sql: str
@@ -57,11 +68,11 @@ class ExecutionResult:
     rows: list[tuple[Any, ...]] = field(default_factory=list)
     rowcount: int = 0
     is_query: bool = False
-    #: Live-cursor row source for streaming execution; ``None`` for the
-    #: (default) eager result.  Single-use; a generator, so the engine
-    #: can ``close()`` it to settle the cursor when a page dies mid-row.
+    #: A spilled result's rows, off the live cursor; ``None`` for a
+    #: materialised one.  Single-use; a generator, so the engine can
+    #: ``close()`` it to settle the cursor when a page dies mid-row.
     row_iter: Optional[Generator[tuple[Any, ...], None, None]] = None
-    #: Rows that have passed through ``row_iter`` so far.
+    #: Rows a spilled result has fetched so far.
     rows_fetched: int = 0
     #: True when a sharded scatter-gather lost one or more shards and
     #: degradation kept the survivors (see repro.sql.sharding).  Partial
@@ -79,12 +90,8 @@ class ExecutionResult:
     rendered: Optional[tuple[Callable[..., str], int, int, bytes]] = \
         field(default=None, repr=False, compare=False)
 
-    @property
-    def streaming(self) -> bool:
-        return self.row_iter is not None
-
     def iter_rows(self) -> Iterator[tuple[Any, ...]]:
-        """The result rows, eager or streaming (single-use when streaming)."""
+        """The result rows, materialised or spilled (single-use)."""
         if self.row_iter is not None:
             return self.row_iter
         return iter(self.rows)
@@ -99,6 +106,16 @@ class ExecutionResult:
         if self.row_iter is not None:
             return self.rows_fetched
         return len(self.rows)
+
+    def close(self) -> None:
+        """Settle a spilled result's cursor and bracket, whether or not
+        a row was read (closing a generator that never started would
+        skip its ``finally``).  No-op for a materialised result."""
+        rows = self.row_iter
+        if rows is not None:
+            if inspect.getgeneratorstate(rows) == inspect.GEN_CREATED:
+                next(rows, None)
+            rows.close()
 
 
 class DatabaseRegistry:
@@ -711,7 +728,7 @@ class MacroSqlSession:
                 and not self.connection.in_transaction
                 and is_cacheable_query(sql))
 
-    def execute(self, sql: str, *, stream: bool = False) -> ExecutionResult:
+    def execute(self, sql: str) -> ExecutionResult:
         """Run one dynamically assembled SQL statement.
 
         Raises :class:`SQLError` on failure *after* recording it with the
@@ -733,32 +750,31 @@ class MacroSqlSession:
         before the statement touches the database — and, absent an
         explicit policy, is absorbed by a default one.
 
-        ``stream=True`` asks for a lazy result: a query's rows ride a
-        live cursor (:attr:`ExecutionResult.row_iter`) instead of being
-        fetched up front, and the statement's transaction bracket closes
-        when the iterator is exhausted (or abandoned).  Streaming
-        results bypass the query cache — their rows can be consumed only
-        once — and only the *initial* execute is retryable; a failure
-        mid-iteration propagates, since rows already handed out cannot
-        be taken back.  Non-query statements execute eagerly either way.
+        A query of more than :data:`SPILL_ROWS` rows spills: its rows
+        ride the live cursor (:attr:`ExecutionResult.row_iter`) and the
+        statement's transaction bracket closes when the iterator is
+        exhausted (or abandoned).  A spilled result is never cached —
+        its rows can be consumed only once — and only fetching its first
+        rows is retryable; a failure past them propagates, since rows
+        already handed out cannot be taken back.
 
         With tracing enabled, each call runs under a ``sql.execute``
         span carrying the statement digest, database, truncated SQL
-        text, cache outcome and row count.  For a streaming result the
-        span's duration covers statement dispatch only (rows are
+        text, cache outcome and row count.  For a spilled result the
+        span's duration covers the first fetch only (the rest are
         fetched later, inside ``report.render``); the ``rows``
         attribute is still filled in as the cursor drains.
         """
         span = TRACER.leaf("sql.execute")
         if span is None:
-            return self._execute(sql, stream=stream)
+            return self._execute(sql)
         try:
             span.set("digest", statement_digest(sql))
             if self.database:
                 span.set("database", self.database)
             span.set("sql", sql if len(sql) <= 200 else sql[:200])
             hits_before = self.cache_hits
-            result = self._execute(sql, stream=stream)
+            result = self._execute(sql)
             if self.cache_hits > hits_before:
                 span.set("cached", True)
             if result.row_iter is not None:
@@ -793,13 +809,12 @@ class MacroSqlSession:
         finally:
             span.set("rows", result.rows_fetched)
 
-    def _execute(self, sql: str, *, stream: bool = False) -> ExecutionResult:
+    def _execute(self, sql: str) -> ExecutionResult:
         """The uninstrumented execution path (see :meth:`execute`)."""
         self.statement_log.append(sql)
         if self.deadline is not None:
             self.deadline.check("statement")
-        use_cache = (not stream
-                     and self.cache is not None
+        use_cache = (self.cache is not None
                      and self.generation is not None
                      and self.scope.mode is not TransactionMode.SINGLE
                      and is_cacheable_query(sql))
@@ -825,8 +840,7 @@ class MacroSqlSession:
             try:
                 if ambient is not None and retryable:
                     ambient.before_query(sql)
-                result = (self._execute_streaming(sql) if stream
-                          else self._execute_once(sql))
+                result = self._execute_once(sql)
             except SQLError as exc:
                 if (not retryable or policy is None
                         or attempt >= policy.max_attempts
@@ -845,25 +859,14 @@ class MacroSqlSession:
             return result
 
     def _execute_once(self, sql: str) -> ExecutionResult:
-        """One bracketed attempt at a statement."""
-        self.scope.before_statement()
-        try:
-            cursor = self.connection.execute(sql)
-        except SQLError as exc:
-            self.scope.after_statement(exc)
-            raise
-        result = self._drain(cursor, sql)
-        self.scope.after_statement(None)
-        return result
+        """One bracketed attempt at a statement.
 
-    def _execute_streaming(self, sql: str) -> ExecutionResult:
-        """One attempt at a statement whose rows stream off the cursor.
-
-        For a result-set statement the transaction bracket stays open
-        until the row iterator is exhausted or dropped; the engine
-        consumes each result fully before running the next directive, so
-        no two brackets ever overlap.  Statements without a result set
-        complete their bracket here, exactly like the eager path.
+        A result set is fetched up to one row past :data:`SPILL_ROWS`.
+        Within the budget it is materialised and the bracket closes
+        here; past it the result spills and the bracket stays open until
+        its row iterator is exhausted or dropped (the engine consumes
+        each result fully before running the next directive, so no two
+        brackets ever overlap).
         """
         self.scope.before_statement()
         try:
@@ -877,21 +880,36 @@ class MacroSqlSession:
                 is_query=is_query(sql))
             self.scope.after_statement(None)
             return result
-        result = ExecutionResult(
-            sql=sql, columns=cursor.column_names, is_query=True)
-        result.row_iter = self._stream_cursor(cursor, result)
+        try:
+            rows = cursor.fetchmany(SPILL_ROWS + 1)
+        except SQLError as exc:
+            cursor.close()
+            self.scope.after_statement(exc)
+            raise
+        result = ExecutionResult(sql=sql, columns=cursor.column_names,
+                                 is_query=True)
+        if len(rows) <= SPILL_ROWS:
+            result.rows = rows
+            result.rowcount = len(rows)
+            self.scope.after_statement(None)
+        else:
+            result.rows_fetched = len(rows)
+            result.row_iter = self._spill(cursor, rows, result)
         return result
 
-    def _stream_cursor(self, cursor: Cursor,
-                       result: ExecutionResult) -> Iterator[tuple[Any, ...]]:
-        """Yield rows off the live cursor, then close the bracket.
+    def _spill(self, cursor: Cursor, head: list[tuple[Any, ...]],
+               result: ExecutionResult) -> Iterator[tuple[Any, ...]]:
+        """Yield the fetched rows, then the live cursor's; then close the
+        bracket.
 
         The ``finally`` also runs when the consumer abandons the
-        iterator (a streaming client disconnecting mid-page): the read's
-        bracket completes cleanly with whatever was fetched.
+        iterator (a client disconnecting mid-page): the read's bracket
+        completes cleanly with whatever was fetched.
         """
         error: Optional[SQLError] = None
         try:
+            yield from head
+            del head[:]
             for row in cursor:
                 result.rows_fetched += 1
                 yield row
@@ -901,17 +919,6 @@ class MacroSqlSession:
         finally:
             cursor.close()
             self.scope.after_statement(error)
-
-    @staticmethod
-    def _drain(cursor: Cursor, sql: str) -> ExecutionResult:
-        if cursor.has_result_set:
-            rows = cursor.fetchall()
-            return ExecutionResult(
-                sql=sql, columns=cursor.column_names, rows=rows,
-                rowcount=len(rows), is_query=True)
-        return ExecutionResult(
-            sql=sql, rowcount=max(cursor.rowcount, 0),
-            is_query=is_query(sql))
 
     def _lease(self) -> None:
         """Take the deferred connection (breaker, closed-registry and

@@ -54,8 +54,9 @@ the results it was built from.  Pages share :attr:`max_entries` with
 the results but never displace one: storing a result evicts the oldest
 page first, and a page finds room only by evicting another page.  They
 are dropped with their database (:meth:`invalidate_database`) and by
-:meth:`clear`, hold their results by weak reference only, and appear in
-no counter: a reused page counts a hit per statement it read.
+:meth:`clear`, and hold their results by weak reference only.  A reused
+page counts a hit per statement it read, and one ``page_hits``;
+``pages`` is how many are kept now.
 """
 
 from __future__ import annotations
@@ -120,19 +121,17 @@ class WriteGeneration:
 class QueryResultCache:
     """A bounded LRU of query results keyed ``(database, sql_text)``.
 
-    ``max_entries`` bounds the entry count (evicting least-recently-used)
-    and ``max_rows_per_entry`` refuses to cache oversized result sets so
-    one huge SELECT cannot monopolise the budget.  Counters are
-    cumulative; :meth:`stats` snapshots them for the metrics/access-log
-    surfaces.
+    ``max_entries`` bounds the entry count (evicting least-recently-used);
+    a result too large to hold is one that spilled
+    (:data:`~repro.sql.gateway.SPILL_ROWS`), and is never stored.
+    Counters are cumulative; :meth:`stats` snapshots them for the
+    metrics/access-log surfaces.
     """
 
-    def __init__(self, *, max_entries: int = 128,
-                 max_rows_per_entry: int = 100_000):
+    def __init__(self, *, max_entries: int = 128):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
-        self.max_rows_per_entry = max_rows_per_entry
         self._entries: "OrderedDict[tuple[str, str], tuple[Hashable, ExecutionResult]]" = OrderedDict()
         #: page key -> (databases it read, page); see :meth:`page`
         self._pages: "OrderedDict[Hashable, tuple[frozenset, object]]" = OrderedDict()
@@ -142,6 +141,7 @@ class QueryResultCache:
         self._stores = 0
         self._evictions = 0
         self._invalidations = 0
+        self._page_hits = 0
 
     # -- lookup / store -------------------------------------------------
 
@@ -184,22 +184,29 @@ class QueryResultCache:
             self._entries.move_to_end(key)
             return entry[1]
 
-    def count_hit(self, count: int = 1) -> None:
+    def count_hit(self, count: int = 1, pages: int = 0) -> None:
         """Count hits deferred by an edge attempt (repro.blocking) or
-        served by a reused page."""
+        served by ``pages`` reused pages."""
         with self._lock:
             self._hits += count
+            self._page_hits += pages
+
+    def count_page_hit(self, reads: int) -> None:
+        """Count a reused page that read ``reads`` results: a hit each
+        and the page, now or, on an edge attempt, when it returns."""
+        if BLOCKING.attempt is None:
+            self.count_hit(reads, 1)
+        else:
+            BLOCKING.attempt.hits.append(_PageHit(self, reads))
 
     def put(self, database: str, sql: str, generation: Hashable,
             result: "ExecutionResult") -> bool:
         """Cache ``result``; False when it is not cacheable."""
-        if not result.is_query:
-            return False
+        if not result.is_query or result.row_iter is not None:
+            return False  # a spilled result's rows can be read only once
         if not is_cacheable_query(sql):
             # PRAGMA/EXPLAIN and anything else that returns rows without
             # being a pure data read must re-execute on every request.
-            return False
-        if len(result.rows) > self.max_rows_per_entry:
             return False
         key = (database, sql)
         with self._lock:
@@ -282,6 +289,8 @@ class QueryResultCache:
                 "evictions": self._evictions,
                 "invalidations": self._invalidations,
                 "entries": len(self._entries),
+                "pages": len(self._pages),
+                "page_hits": self._page_hits,
             }
 
     @property
@@ -294,4 +303,18 @@ class QueryResultCache:
     def reset_stats(self) -> None:
         with self._lock:
             self._hits = self._misses = self._stores = 0
-            self._evictions = self._invalidations = 0
+            self._evictions = self._invalidations = self._page_hits = 0
+
+
+class _PageHit:
+    """A reused page's hits, owed by an edge attempt (repro.blocking)
+    and counted in one :meth:`QueryResultCache.count_hit` if it returns."""
+
+    __slots__ = ("cache", "reads")
+
+    def __init__(self, cache: QueryResultCache, reads: int):
+        self.cache = cache
+        self.reads = reads
+
+    def count_hit(self) -> None:
+        self.cache.count_hit(self.reads, 1)

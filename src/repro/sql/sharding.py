@@ -15,9 +15,10 @@ this module makes a registered name stand for a *topology* instead:
   its circuit breaker is open or its observed lag exceeds the map's
   bound, in which case the read falls back to the primary;
 * a statement with **no** shard key fans out: cacheable SELECTs run on
-  every shard in parallel threads and their rows merge back through the
-  existing streaming row pipeline (:attr:`ExecutionResult.row_iter`) —
-  an ordered k-way merge when the statement ends in a recognizable
+  every shard in parallel threads and their rows merge back through one
+  row iterator, materialised or spilled like any result
+  (:data:`~repro.sql.gateway.SPILL_ROWS`) — an ordered k-way merge when
+  the statement ends in a recognizable
   ``ORDER BY`` over selected columns, arrival-order interleave
   otherwise; writes and DDL execute on every shard sequentially
   (schema changes must land everywhere).  A trailing ``LIMIT``/
@@ -442,6 +443,19 @@ class _ShardStream:
                 continue
 
 
+def _spilled_merge(head: list[tuple[Any, ...]],
+                   rows: Iterator[tuple[Any, ...]]
+                   ) -> Iterator[tuple[Any, ...]]:
+    """A spilled scatter's rows: the merged ones fetched, then the rest
+    of the merge, which closing this stops (workers and all)."""
+    try:
+        yield from head
+        del head[:]
+        yield from rows
+    finally:
+        rows.close()
+
+
 class _ReplicaReadCache:
     """A store-nothing view of the shared query cache for replica reads.
 
@@ -543,7 +557,7 @@ class ShardedSqlSession:
 
     # -- execution -------------------------------------------------------
 
-    def execute(self, sql: str, *, stream: bool = False) -> "ExecutionResult":
+    def execute(self, sql: str) -> "ExecutionResult":
         """Route one statement through the shard map.
 
         * shard key present → the owning shard (replica-eligible when
@@ -565,25 +579,24 @@ class ShardedSqlSession:
                     sqlstate="0A000")
             shard = self.map.route(self.shard_key)
             self.map.count_shard(shard, "routed")
-            return self._primary_session(shard).execute(sql, stream=stream)
+            return self._primary_session(shard).execute(sql)
         if self.shard_key is not None:
             shard = self.map.route(self.shard_key)
             self.map.count_shard(shard, "routed")
-            return self._execute_on(shard, sql, stream=stream)
+            return self._execute_on(shard, sql)
         if is_cacheable_query(sql):
-            return self._scatter(sql, stream=stream)
+            return self._scatter(sql)
         if is_query(sql):
             shard = self.map.shards[0]
             self.map.count_shard(shard, "routed")
-            return self._primary_session(shard).execute(sql, stream=stream)
+            return self._primary_session(shard).execute(sql)
         return self._fanout_write(sql)
 
     # -- single-shard path -----------------------------------------------
 
-    def _execute_on(self, shard: Shard, sql: str, *,
-                    stream: bool = False) -> "ExecutionResult":
+    def _execute_on(self, shard: Shard, sql: str) -> "ExecutionResult":
         session = self._session_for_read(shard, sql)
-        return session.execute(sql, stream=stream)
+        return session.execute(sql)
 
     def _session_for_read(self, shard: Shard,
                           sql: str) -> "MacroSqlSession":
@@ -645,7 +658,9 @@ class ShardedSqlSession:
         # in place — a write would then bump a counter no stamp ever
         # reads, and stale entries would keep validating.
         connection.generation = generation
-        cache = self.cache
+        # A keyless session reads only through the scatter, which
+        # caches the merge, never one shard's part of it.
+        cache = self.cache if self.shard_key is not None else None
         if cache is not None and endpoint != shard.database:
             cache = _ReplicaReadCache(cache)
         created = MacroSqlSession(
@@ -694,10 +709,10 @@ class ShardedSqlSession:
         return tuple(self.registry.generation(shard.database).stamp()
                      for shard in self.map.shards)
 
-    def _scatter(self, sql: str, *, stream: bool) -> "ExecutionResult":
+    def _scatter(self, sql: str) -> "ExecutionResult":
         span = TRACER.leaf("sql.execute") if TRACER.enabled else None
         if span is None:
-            return self._scatter_run(sql, stream=stream, span=None)
+            return self._scatter_run(sql, span=None)
         # The scatter merge executes on worker threads (no ambient span
         # context), so the per-digest statement view would be blind to
         # exactly the expensive cross-shard reports without this
@@ -709,7 +724,7 @@ class ShardedSqlSession:
             span.set("database", self.map.name)
             span.set("sql", sql if len(sql) <= 200 else sql[:200])
             hits_before = self._merge_hits
-            result = self._scatter_run(sql, stream=stream, span=span)
+            result = self._scatter_run(sql, span=span)
             if self._merge_hits > hits_before:
                 span.set("cached", True)
             if result.row_iter is not None:
@@ -736,7 +751,7 @@ class ShardedSqlSession:
     def _spanned_drain(rows: Iterator[tuple[Any, ...]],
                        result: "ExecutionResult",
                        span: Span) -> Iterator[tuple[Any, ...]]:
-        """Finish the scatter span when the streamed merge drains."""
+        """Finish the scatter span when the spilled merge drains."""
         count = 0
         try:
             for row in rows:
@@ -754,12 +769,12 @@ class ShardedSqlSession:
                 span.set("partial", True)
             span.finish()
 
-    def _scatter_run(self, sql: str, *, stream: bool,
+    def _scatter_run(self, sql: str, *,
                      span: Optional[Span]) -> "ExecutionResult":
-        from repro.sql.gateway import ExecutionResult
+        from repro.sql import gateway
 
         self.map.count("scatter_queries")
-        use_cache = (not stream and self.cache is not None)
+        use_cache = self.cache is not None
         if use_cache:
             stamp = self._composite_stamp()
             cached = self.cache.get(self.map.name, sql, stamp)
@@ -780,21 +795,19 @@ class ShardedSqlSession:
         shard_sql = base_sql
         if limit is not None:
             shard_sql = f"{base_sql} LIMIT {limit + offset}"
-        result = ExecutionResult(sql=sql, is_query=True)
+        result = gateway.ExecutionResult(sql=sql, is_query=True)
         replica_served: list[str] = []
         rows = self._merged_rows(shard_sql, result, replica_served,
                                  limit=limit, offset=offset, span=span)
-        if stream:
-            result.row_iter = rows
+        # The single-database rule: up to SPILL_ROWS merged rows are
+        # materialised, a longer merge spills (the merge counts the
+        # rows it hands out, the fetched ones included).
+        head = list(itertools.islice(rows, gateway.SPILL_ROWS + 1))
+        if len(head) > gateway.SPILL_ROWS:
+            result.row_iter = _spilled_merge(head, rows)
             return result
-        # Buffered path: drain the merge here so the statement bracket
-        # semantics match the eager single-database execute().
-        materialised: list[tuple[Any, ...]] = []
-        for row in rows:
-            materialised.append(row)
-        result.rows = materialised
-        result.rowcount = len(materialised)
-        result.row_iter = None
+        result.rows = head
+        result.rowcount = len(head)
         result.rows_fetched = 0
         # Never cache a merge that any replica contributed to: a
         # lag-bounded replica may trail the primary generation the
@@ -854,15 +867,14 @@ class ShardedSqlSession:
         """Produce one shard's rows into its queue (worker thread)."""
         budget = Deadline.tightest(self.deadline,
                                    self.map.shard_timeout)
-        row_iter = None
+        shard_result = None
         try:
             session = self._session_for_scatter(stream, budget,
                                                 replica_served)
-            shard_result = session.execute(sql, stream=True)
+            shard_result = session.execute(sql)
             stream.put(("columns", list(shard_result.columns)), abandoned)
-            row_iter = shard_result.iter_rows()
             produced = 0
-            for row in row_iter:
+            for row in shard_result.iter_rows():
                 if budget is not None:
                     budget.check(f"shard {stream.shard.label}")
                 stream.put(("row", row), abandoned)
@@ -884,9 +896,8 @@ class ShardedSqlSession:
             except _Abandoned:
                 pass
         finally:
-            close = getattr(row_iter, "close", None)
-            if close is not None:
-                close()
+            if shard_result is not None:
+                shard_result.close()
 
     def _session_for_scatter(self, stream: _ShardStream,
                              budget: Optional[Deadline],
@@ -948,7 +959,7 @@ class ShardedSqlSession:
         if order is not None:
             self.map.count("ordered_merges")
             merged: Iterator[tuple[Any, ...]] = heapq.merge(
-                *(self._stream_rows(s, result) for s in live),
+                *(self._shard_rows(s, result) for s in live),
                 key=lambda row: tuple(_OrderKey(row[i], desc)
                                       for i, desc in order))
         else:
@@ -968,8 +979,8 @@ class ShardedSqlSession:
             result.rows_fetched += 1
             yield row
 
-    def _stream_rows(self, stream: _ShardStream,
-                     result: "ExecutionResult") -> Iterator[tuple[Any, ...]]:
+    def _shard_rows(self, stream: _ShardStream,
+                    result: "ExecutionResult") -> Iterator[tuple[Any, ...]]:
         """One shard's rows off its queue, until done/error/timeout."""
         while True:
             item = self._next_item(stream, result)

@@ -5,7 +5,7 @@ layer should expose many schemas behind one generic interface; the last
 step of that argument is that *presentation* is a property of the
 request, not the macro.  A client sending ``Accept: application/json``
 (or ``?format=json``) gets the same ``%SQL_REPORT`` row pipeline — same
-SQL, same cursor streaming, same caching and quotas — rendered as a
+SQL, same spill rule, same caching and quotas — rendered as a
 JSON envelope instead of HTML, so every existing macro becomes an API
 endpoint without being edited.
 
@@ -20,8 +20,8 @@ The envelope::
 
 One ``results`` entry per executed SQL section, in macro order; a
 non-query statement contributes ``{"statement": "ok", "rowcount": n}``.
-Rows stream straight off the live cursor — the whole page never exists
-as one string, exactly like the HTML path.
+A result past the spill budget streams straight off the live cursor,
+exactly like the HTML path.
 """
 
 from __future__ import annotations

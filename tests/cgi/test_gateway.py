@@ -136,11 +136,13 @@ mark = "é\ud800"
 
 @pytest.mark.parametrize("charset", ["utf-8", "latin-1"])
 @pytest.mark.parametrize("stream", [False, True])
-def test_served_bytes_are_the_page_text_encoded(charset, stream):
+def test_served_bytes_are_the_page_text_encoded(charset, stream, spill):
     """Whatever parts a page travels in (text encoded once, cached rows
-    by reference), its bytes are its text encoded the way a page always
-    was: ``encode(charset, "replace")``, a miss and a hit alike."""
-    from repro.core.engine import EngineConfig
+    by reference, a spilled page's rest chunk by chunk), its bytes are
+    its text encoded the way a page always was: ``encode(charset,
+    "replace")``, a miss and a hit alike."""
+    from repro.core.engine import EngineConfig, MacroCommand, _MacroRun
+    from repro.core.report import chunk_text
     from repro.sql.gateway import DatabaseRegistry
     from repro.sql.querycache import QueryResultCache
 
@@ -154,13 +156,16 @@ def test_served_bytes_are_the_page_text_encoded(charset, stream):
     library.add_text("mixed.d2w", MIXED_MACRO)
     engine = MacroEngine(registry, config=EngineConfig(
         query_cache=QueryResultCache()))
-    text = "".join(engine.execute_stream(
-        library.load("mixed.d2w"), "report").chunks)
+    text = "".join(map(chunk_text, _MacroRun(
+        engine, library.load("mixed.d2w"), MacroCommand.REPORT, [])._run()))
     assert "\ud800" in text and "日" in text
-    program = Db2WwwProgram(engine, library, charset=charset,
-                            stream=stream)
+    if stream:  # three rows: past a budget of two, the page spills
+        spill(2)
+        engine.config.query_cache.clear()
+    program = Db2WwwProgram(engine, library, charset=charset)
     for _ in range(2):
         response = program.run(db2www_request("/mixed.d2w/report"))
+        assert response.streaming == stream
         response.drain()
         assert response.body == text.encode(charset, "replace")
         assert response.content_type.endswith(f"charset={charset}")

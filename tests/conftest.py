@@ -17,6 +17,7 @@ from repro.apps import library as library_app
 from repro.apps import orders as orders_app
 from repro.apps import urlquery as urlquery_app
 from repro.core.engine import MacroEngine
+from repro.sql import gateway
 from repro.sql.gateway import DatabaseRegistry
 
 
@@ -44,6 +45,15 @@ def pytest_unconfigure(config: pytest.Config) -> None:
 def fault_spec(request: pytest.FixtureRequest) -> str:
     """The chaos spec for fault-driven tests (CLI override or default)."""
     return request.config.getoption("--inject-faults") or "prob:0.05"
+
+
+@pytest.fixture()
+def spill(monkeypatch):
+    """``spill(rows=1)`` shrinks the spill budget (``gateway.SPILL_ROWS``)
+    so that a result of more than ``rows`` rows spills."""
+    def set_budget(rows: int = 1) -> None:
+        monkeypatch.setattr(gateway, "SPILL_ROWS", rows)
+    return set_budget
 
 
 @pytest.fixture()

@@ -87,6 +87,16 @@ class TestRunCommand:
         assert "<TD>rover</TD>" in output
         assert "max" not in output
 
+    def test_a_spilled_page_is_written_whole(self, deployment, spill):
+        """Past the spill budget ``run`` writes the page as it renders:
+        the same bytes as the buffered page."""
+        macro_path, db_path = deployment
+        argv = ("run", str(macro_path), "report", "q=r",
+                "--database", f"DEMO={db_path}")
+        buffered = run_cli(*argv)
+        spill()
+        assert run_cli(*argv) == buffered
+
     def test_report_failure_exit_code(self, deployment, tmp_path):
         macro_path, db_path = deployment
         broken = tmp_path / "broken.d2w"
@@ -285,8 +295,8 @@ class TestServeOptionPlacement:
         assert names - self.PINNED <= self.serve_dests()
         assert not self.PINNED & self.serve_dests()
 
-    def test_serve_still_has_36_options(self):
-        assert len(self.serve_dests() - {"help"}) == 36
+    def test_serve_still_has_35_options(self):
+        assert len(self.serve_dests() - {"help"}) == 35
 
     @pytest.mark.parametrize("argv", [
         ["--workers", "2"], ["--recycle-after", "10"],

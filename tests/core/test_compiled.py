@@ -17,6 +17,8 @@ Three layers of guarantees (the generated differential oracle lives in
   the row keeps it.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.apps import urlquery as urlquery_app
@@ -32,6 +34,7 @@ from repro.core.values import ValueString
 from repro.core.variables import VariableStore
 from repro.errors import CircularReferenceError
 from repro.obs.trace import TRACER
+from repro.sql import gateway
 from repro.sql.gateway import DatabaseRegistry, ExecutionResult
 
 
@@ -392,17 +395,15 @@ class TestAppendixAApplication:
 
 
 def traced_report(engine, macro, inputs, *, stream=False):
-    """Run one report under the tracer: ``(html, report.render spans)``."""
+    """Run one report under the tracer: ``(html, report.render spans)``;
+    with ``stream`` every result of more than a row spills."""
     roots = []
     TRACER.enable()
     TRACER.add_sink(roots.append)
     try:
-        with TRACER.span("request"):
-            if stream:
-                html = "".join(engine.execute_report_stream(
-                    macro, list(inputs)).chunks)
-            else:
-                html = engine.execute_report(macro, list(inputs)).html
+        with TRACER.span("request"), mock.patch.object(
+                gateway, "SPILL_ROWS", 1 if stream else gateway.SPILL_ROWS):
+            html = engine.execute_report(macro, list(inputs)).html
     finally:
         TRACER.disable()
         TRACER.clear_sinks()

@@ -16,13 +16,16 @@ and the same exception — and Hypothesis hunts for a counter-example over
   ``$(x)`` text and ``<&">``, duplicate and case-colliding column aliases;
 * an optional earlier SQL section leaving stale system variables behind;
 * ``RPT_MAXROWS`` / ``START_ROW_NUM`` windows and ``escape_report_values``;
-* buffered and streaming execution;
+* results under, at and one row past the spill budget
+  (``gateway.SPILL_ROWS``), which must not change a byte — or whether
+  the page spilled, which must be exactly when a result outgrew it;
 * result sizes on either side of the row block the compiled and
   default-table loops emit (``report._ROW_BLOCK``), with windows that
   start and end inside, on and across block boundaries;
-* a live cursor that fails on its *k*-th fetch (a test double behind
-  ``DatabaseRegistry.register_factory``): the rows before the failure
-  print, then the section's ``%SQL_MESSAGE`` or the default error block.
+* a cursor that fails on its *k*-th fetch (a test double behind
+  ``DatabaseRegistry.register_factory``): within the budget's fetch the
+  statement fails; past it the rows before the failure print, then the
+  section's ``%SQL_MESSAGE`` or the default error block.
 
 The block-boundary grid and the failing cursor are also walked
 exhaustively, once each, by the two parametrised tests below.
@@ -35,6 +38,7 @@ seeded examples (CI's perf job).
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +57,7 @@ from repro.core.report import _ROW_BLOCK
 from repro.core.values import ValueString
 from repro.errors import SQLError
 from repro.resilience import faults
+from repro.sql import gateway
 from repro.sql.connection import Connection, MemoryDatabase
 from repro.sql.cursor import Cursor
 from repro.sql.gateway import DatabaseRegistry
@@ -123,7 +128,7 @@ class Case:
     inputs: list
     rows: list
     escape: bool
-    #: the fetch (1-based, per cursor) on which a streaming cursor dies
+    #: the fetch (1-based, per cursor) on which a cursor dies
     fail_at: Optional[int] = None
 
 
@@ -221,6 +226,15 @@ class FailingCursor(Cursor):
         self.fail_at -= 1
         return super().fetchone()
 
+    def fetchmany(self, size):
+        rows = []
+        while len(rows) < size:
+            row = self.fetchone()
+            if row is None:
+                break
+            rows.append(row)
+        return rows
+
 
 class FailingConnection(Connection):
     """Hands out :class:`FailingCursor`s — the public seam is the
@@ -236,14 +250,40 @@ class FailingConnection(Connection):
                              self.fail_at, self.fetches)
 
 
-def outcome(case, database, *, compiled, stream):
+def spill_budget(budget):
+    """``SPILL_ROWS`` as ``budget`` (``None``: as it is, which no result
+    here reaches)."""
+    return mock.patch.object(gateway, "SPILL_ROWS", gateway.SPILL_ROWS
+                             if budget is None else budget)
+
+
+def budgets(rows):
+    """Spill budgets a result of ``rows`` rows is under, at and (when it
+    has a row) one row past."""
+    return [rows + 1, rows] + [rows - 1] * (rows > 0)
+
+
+def served(run):
+    """Run ``run`` as a transport does: the page, what it raised, and
+    whether it spilled."""
+    parts, raised, spilled = [], None, False
+    try:
+        result = run.execute()
+        parts.extend(result.parts)
+        spilled = result.rest is not None
+        for chunk in result.rest or ():
+            parts.append(chunk)
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        raised = (type(error).__name__, str(error))
+    return b"".join(parts).decode("utf-8"), raised, spilled
+
+
+def outcome(case, database, *, compiled, budget=None):
     """Everything observable about one run of ``case``."""
     registry = DatabaseRegistry()
     registry.register_memory("ORACLE", database)
     fetches = []
-    if case.fail_at is not None and stream:  # buffered results never
-        # touch a live cursor from the report loop: they are drained by
-        # fetchall() inside the statement's bracket.
+    if case.fail_at is not None:
         registry.register_factory("ORACLE", lambda: FailingConnection(
             database.uri, case.fail_at, fetches))
     runner = RegistryExecRunner()
@@ -253,15 +293,10 @@ def outcome(case, database, *, compiled, stream):
     engine = MacroEngine(registry, exec_runner=runner, config=EngineConfig(
         compiled_reports=compiled, escape_report_values=case.escape,
         default_database="ORACLE"))
-    run = _MacroRun(engine, case.macro, MacroCommand.REPORT, case.inputs,
-                    stream_rows=stream)
-    chunks, raised = [], None
-    try:
-        for chunk in run.stream():
-            chunks.append(chunk)
-    except Exception as error:  # noqa: BLE001 - compared, not handled
-        raised = (type(error).__name__, str(error))
-    return {"html": "".join(chunks), "raised": raised,
+    run = _MacroRun(engine, case.macro, MacroCommand.REPORT, case.inputs)
+    with spill_budget(budget):
+        html, raised, spilled = served(run)
+    return {"html": html, "raised": raised, "spilled": spilled,
             "system": run.store.system_snapshot(), "exec": commands,
             "rows": run.result.rows, "fetches": len(fetches),
             "sql_errors": [str(error) for error in run.result.sql_errors]}
@@ -289,13 +324,26 @@ def filled(database, rows):
     return database
 
 
-def compare(case, database):
-    """Both row paths, buffered and streaming; the streaming outcomes."""
-    for stream in (False, True):
-        compiled = outcome(case, database, compiled=True, stream=stream)
-        assert compiled == outcome(case, database, compiled=False,
-                                   stream=stream)
-    return compiled
+def compare(case, database, spill_at=None):
+    """The compiled row path under, at and one row past the spill budget
+    (or at each of ``spill_at``) against the interpreter, which spills
+    nowhere: the same page, and a spill exactly where a result outgrew
+    the budget.  A page that fails part-way shows what it streamed
+    before, so a failing cursor or a raise is held to the interpreter
+    under the same budget.  Returns the last outcome."""
+    rows = len(case.rows)
+    baseline = (outcome(case, database, compiled=False)
+                if case.fail_at is None else None)
+    for budget in spill_at or budgets(rows):
+        seen = outcome(case, database, compiled=True, budget=budget)
+        if baseline is None or baseline["raised"] is not None:
+            assert seen == outcome(case, database, compiled=False,
+                                   budget=budget)
+        else:
+            assert dict(seen, spilled=False) == baseline
+        assert seen["spilled"] == (rows > budget and (
+            case.fail_at is None or case.fail_at > budget + 1)), budget
+    return seen
 
 
 def check(case):
@@ -377,23 +425,27 @@ def test_block_boundaries_match_the_interpreter(which, size):
 @pytest.mark.parametrize("which", ["custom", "table"])
 def test_cursor_failing_at_row_k_matches_the_interpreter(which, size,
                                                          fail_at):
-    """The rows fetched before the failure print; then the error block,
-    with ``ROW_NUM`` and ``V1`` as the interpreter leaves them."""
+    """Past the spill budget, the rows fetched before the failure print;
+    then the error block, with ``ROW_NUM`` and ``V1`` as the interpreter
+    leaves them.  A failure on the first fetch is within any budget's:
+    the statement fails, before its section prints (or sets ``ROW_NUM``)."""
     with no_ambient_faults(), MemoryDatabase() as database:
         filled(database, grid_rows(size))
         for start, limit in [(None, None), (2, B), (B, None)]:
             seen = compare(grid_case(which, size, start, limit, fail_at),
-                           database)
+                           database, spill_at=[max(fail_at - 2, 0)])
             got = fail_at - 1  # rows handed out before the failure
             printed = max(0, min(got, (start or 1) + (limit or got) - 1)
                           - (start or 1) + 1)
             assert seen["fetches"] == fail_at and seen["rows"] == 0
             assert seen["sql_errors"] == ["cursor lost mid-fetch"]
+            assert seen["spilled"] == (got > 0)
             if which == "custom":
+                number = got or ""
                 assert seen["html"].count(";") == printed, (start, limit)
                 assert seen["html"].endswith(
-                    f"<P>cursor lost mid-fetch after row {got} "
-                    f"({got or ''})</P> end {got} ")
+                    f"<P>cursor lost mid-fetch after row {number} "
+                    f"({got or ''})</P> end {number} ")
             else:
                 assert seen["html"].count("<TR><TD>") == printed
                 assert "cursor lost mid-fetch" in seen["html"]
@@ -543,7 +595,7 @@ def whole_cases(draw):
         mode=draw(st.sampled_from(list(TransactionMode))))
 
 
-def whole_outcomes(case, *, compiled, stream):
+def whole_outcomes(case, *, compiled, budget=None):
     """Everything observable about each request of ``case``, served in
     order by one engine (so the compiled side reuses its plans)."""
     with MemoryDatabase() as database:
@@ -572,20 +624,12 @@ def whole_outcomes(case, *, compiled, stream):
         seen = []
         for index, inputs in enumerate(case.requests):
             engine.config.escape_report_values = index in case.escaped
-            run = _MacroRun(engine, case.macro, case.command, inputs,
-                            stream_rows=stream)
-            chunks, raised = [], None
-            try:
-                if stream:
-                    for chunk in run.stream():
-                        chunks.append(chunk)
-                else:  # the buffered page: byte parts, row memos kept
-                    chunks.append(run.execute().html)
-            except Exception as error:  # noqa: BLE001 - compared
-                raised = (type(error).__name__, str(error))
+            run = _MacroRun(engine, case.macro, case.command, inputs)
+            with spill_budget(budget):
+                html, raised, spilled = served(run)
             result = run.result
             seen.append({
-                "html": "".join(chunks), "raised": raised,
+                "html": html, "raised": raised, "spilled": spilled,
                 "system": run.store.system_snapshot(),
                 "exec": list(commands), "statements": result.statements,
                 "rows": result.rows, "aborted": result.aborted,
@@ -598,10 +642,20 @@ def whole_outcomes(case, *, compiled, stream):
 
 
 def check_whole(case):
+    """The compiled side under, at and one row past the spill budget of
+    the table the sections read, against the interpreter, which spills
+    nowhere; a page that spilled and then raised shows what it streamed
+    first, so it is held to the interpreter under the same budget."""
     with no_ambient_faults():
-        for stream in (False, True):
-            assert whole_outcomes(case, compiled=True, stream=stream) == \
-                whole_outcomes(case, compiled=False, stream=stream)
+        baseline = whole_outcomes(case, compiled=False)
+        for budget in budgets(len(case.rows)):
+            seen = whole_outcomes(case, compiled=True, budget=budget)
+            if any(page["spilled"] and page["raised"] for page in seen[:-1]):
+                assert seen == whole_outcomes(case, compiled=False,
+                                              budget=budget)
+            else:
+                assert [dict(page, spilled=False) for page in seen[:-1]] \
+                    + seen[-1:] == baseline
 
 
 #: Tier-1 budget (a few seconds); the CI soak runs the same property
@@ -738,7 +792,8 @@ APPENDIX_A_REQUESTS = [
 @pytest.mark.parametrize("stream", [False, True])
 def test_appendix_a_requests_match_the_interpreter(stream):
     """The paper's own application, request after request on one
-    engine: each page and the system variables it leaves behind."""
+    engine: each page and the system variables it leaves behind (with
+    ``stream``, every result of more than a row spills)."""
     pages = []
     for compiled in (True, False):
         app = urlquery_app.install(rows=12, engine=MacroEngine(
@@ -749,11 +804,12 @@ def test_appendix_a_requests_match_the_interpreter(stream):
         for command in (MacroCommand.REPORT, MacroCommand.INPUT):
             for inputs in APPENDIX_A_REQUESTS:
                 run = _MacroRun(app.engine, app.library.load(app.macro_name),
-                                command, inputs, stream_rows=stream)
-                seen.append(("".join(run.stream()),
-                             run.store.system_snapshot()))
+                                command, inputs)
+                with spill_budget(1 if stream else None):
+                    seen.append((served(run), run.store.system_snapshot()))
         pages.append(seen)
     assert pages[0] == pages[1]
+    assert any(spilled for (_, _, spilled), _ in pages[0]) == stream
 
 
 def test_shared_plans_under_concurrent_requests():

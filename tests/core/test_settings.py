@@ -49,7 +49,6 @@ MATRIX = {
     "query_cache": (7, 7, lambda p: p.engine.config.query_cache.max_entries),
     "macro_stat_ttl": (5.0, 5.0, lambda p: p.library.stat_ttl),
     "pool_size": (3, 3, lambda p: physical(p)._pool_config["size"]),
-    "stream": (True, True, lambda p: p.stream),
     "degrade": (True, True, lambda p: p.engine.config.degrade_sql_errors),
     "max_retries": (3, 4,
                     lambda p: p.engine.config.retry_policy.max_attempts),
@@ -201,7 +200,7 @@ def test_a_tenant_carries_the_engine_options(tmp_path):
 def test_bad_values_name_their_variable(tmp_path):
     env = {"REPRO_MACRO_DIR": str(tmp_path)}
     for name, raw in (("REPRO_TRANSACTION_MODE", "sometimes"),
-                      ("REPRO_STREAM", "yes"),
+                      ("REPRO_DEGRADE", "yes"),
                       ("REPRO_SHARD_TIMEOUT", "-1"),
                       ("REPRO_MAX_RETRIES", "1_0")):
         with pytest.raises(RuntimeError, match=name):

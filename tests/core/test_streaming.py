@@ -1,8 +1,10 @@
-"""The streaming render path: execute_stream vs the buffered engine.
+"""A page past the spill budget: the rest streams off the live cursor.
 
-The contract under test: the buffered path is *exactly* the join of
-the stream — one processing code path, two consumption modes — while
-the stream rides the live cursor (rows never materialised up front).
+The contract under test: a result of more than ``SPILL_ROWS`` rows
+makes the page stream from that statement on (``MacroResult.rest``),
+and the page it streams is *exactly* the buffered one — one processing
+code path — while the rows past the budget ride the live cursor.  The
+``spill`` fixture shrinks the budget so the three-row shop spills.
 """
 
 import gc
@@ -55,46 +57,54 @@ CONTENT_TYPE_MACRO = """
 """
 
 
-def drain(stream):
-    return "".join(stream.chunks)
+def page(result):
+    """The whole page, its rest read in chunks (which settles it)."""
+    return b"".join(result.parts + tuple(result.rest or ())).decode()
 
 
 class TestStreamEqualsBuffered:
     @pytest.mark.parametrize("source", [MACRO, DEFAULT_FORMAT_MACRO],
                              ids=["custom-report", "default-format"])
     def test_report_chunks_join_to_buffered_html(self, shop_engine,
-                                                 source):
+                                                 source, spill):
         macro = parse_macro(source)
         buffered = shop_engine.execute_report(macro)
-        stream = shop_engine.execute_report_stream(macro)
-        assert drain(stream) == buffered.html
+        assert buffered.rest is None
+        spill()
+        spilled = shop_engine.execute_report(macro)
+        assert spilled.rest is not None
+        assert page(spilled) == buffered.html
 
-    def test_input_mode_streams_identically(self, shop_engine):
+    def test_input_mode_streams_identically(self, shop_engine, spill):
+        """Input mode runs no SQL, so nothing can spill."""
         macro = parse_macro(MACRO)
         buffered = shop_engine.execute_input(macro)
-        stream = shop_engine.execute_stream(macro, MacroCommand.INPUT)
-        assert drain(stream) == buffered.html
+        spill(0)
+        result = shop_engine.execute(macro, MacroCommand.INPUT)
+        assert result.rest is None and result.html == buffered.html
 
-    def test_result_fields_final_after_exhaustion(self, shop_engine):
-        macro = parse_macro(MACRO)
-        stream = shop_engine.execute_report_stream(macro)
-        drain(stream)
-        assert stream.result.statements == [
+    def test_result_fields_final_after_exhaustion(self, shop_engine,
+                                                  spill):
+        spill()
+        result = shop_engine.execute_report(parse_macro(MACRO))
+        assert result.rows == 0  # the spilled rows are still to come
+        page(result)
+        assert result.statements == [
             "SELECT name, qty FROM items ORDER BY name"]
-        assert stream.result.ok
-        assert stream.result.html == ""  # the chunks were the page
+        assert result.ok and result.rows == 3
 
-    def test_string_command_accepted(self, shop_engine):
-        macro = parse_macro(MACRO)
-        stream = shop_engine.execute_stream(macro, "report")
-        assert "<H1>Stock</H1>" in drain(stream)
+    def test_string_command_accepted(self, shop_engine, spill):
+        spill()
+        result = shop_engine.execute(parse_macro(MACRO), "report")
+        assert "<H1>Stock</H1>" in page(result)
 
 
 class TestLiveCursor:
-    def test_row_chunks_are_bounded_blocks_off_a_live_cursor(self):
-        """Rows stream in chunks of at most ``_ROW_BLOCK``: the first
-        leaves while the cursor still has rows to give, and the chunks
-        join to the buffered page."""
+    def test_row_chunks_are_bounded_blocks_off_a_live_cursor(self, spill):
+        """Past the budget, rows stream in chunks of at most
+        ``_ROW_BLOCK``: the first leaves once the budget's rows (and one
+        more) are fetched, while the cursor still has rows to give, and
+        the chunks join to the buffered page."""
         total = 2 * _ROW_BLOCK + 10
         registry = DatabaseRegistry()
         database = registry.register_memory("SHOP")
@@ -109,8 +119,13 @@ class TestLiveCursor:
             "SHOP", lambda: FailingConnection(database.uri, 0, fetched))
         engine = MacroEngine(registry)
         macro = parse_macro(MACRO)
+        buffered = engine.execute_report(macro).html
+        fetched.clear()
+        spill(_ROW_BLOCK // 2)
+        result = engine.execute_report(macro)
+        assert len(fetched) == _ROW_BLOCK // 2 + 1
         chunks = []
-        for chunk in engine.execute_report_stream(macro).chunks:
+        for chunk in map(bytes.decode, result.rest):
             if chunk.startswith("<LI>") and not any(
                     earlier.startswith("<LI>") for earlier in chunks):
                 assert len(fetched) == _ROW_BLOCK  # ...of `total`
@@ -119,49 +134,71 @@ class TestLiveCursor:
         row_chunks = [c for c in chunks if c.startswith("<LI>")]
         assert [c.count("<LI>") for c in row_chunks] == [
             _ROW_BLOCK, _ROW_BLOCK, 10]
-        assert "".join(chunks) == engine.execute_report(macro).html
+        assert b"".join(result.parts).decode() + "".join(chunks) \
+            == buffered
 
-    def test_rowcount_correct_at_stream_end(self, shop_engine):
-        macro = parse_macro(MACRO)
-        page = drain(shop_engine.execute_report_stream(macro))
-        assert "total: 3" in page
+    def test_rowcount_correct_at_stream_end(self, shop_engine, spill):
+        spill()
+        assert "total: 3" in page(
+            shop_engine.execute_report(parse_macro(MACRO)))
 
-    def test_streaming_bypasses_query_cache(self, shop_registry):
+    def test_streaming_bypasses_query_cache(self, shop_registry, spill):
         cache = QueryResultCache()
         engine = MacroEngine(shop_registry,
                              config=EngineConfig(query_cache=cache))
         macro = parse_macro(MACRO)
-        drain(engine.execute_report_stream(macro))
+        spill(2)  # one row past the budget
+        for _ in range(3):
+            page(engine.execute_report(macro))
         assert cache.stats()["entries"] == 0
-        # ... while the buffered path still populates it
+        assert cache.stats()["pages"] == 0
+        # ... while a result at the budget still populates it
+        spill(3)
         engine.execute_report(macro)
         assert cache.stats()["entries"] == 1
 
-    def test_abandoned_stream_finishes_the_session(self, shop_engine):
-        """Closing mid-page completes the transaction bracket."""
+    def test_abandoned_stream_finishes_the_session(self, shop_engine,
+                                                   spill, monkeypatch):
+        """Closing mid-page completes the transaction bracket, and so
+        does closing before the first chunk of the rest is read."""
+        events = []
+        for owner, name in [(Cursor, "close"),
+                            (TransactionScope, "after_statement"),
+                            (MacroSqlSession, "finish")]:
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
         macro = parse_macro(MACRO)
-        stream = shop_engine.execute_report_stream(macro)
-        iterator = stream.chunks
-        next(iterator)  # header chunk is out, cursor is live
-        iterator.close()
+        spill()
+        for read in (1, 0):
+            events.clear()
+            result = shop_engine.execute_report(macro)
+            rest = result.rest
+            for _ in range(read):
+                next(rest)  # a chunk is out, the cursor is live
+            assert events == []
+            rest.close()
+            assert events == ["close", "after_statement", "finish"]
         # the engine is reusable immediately; nothing leaks
-        result = shop_engine.execute_report(macro)
-        assert result.ok
+        assert shop_engine.execute_report(macro).ok
 
 
 class TestContentType:
     def test_declared_content_type_pinned_before_first_chunk(
-            self, shop_engine):
-        macro = parse_macro(CONTENT_TYPE_MACRO)
-        stream = shop_engine.execute_report_stream(macro)
-        next(stream.chunks)
-        assert stream.result.content_type == "text/plain"
+            self, shop_engine, spill):
+        spill()
+        result = shop_engine.execute_report(parse_macro(CONTENT_TYPE_MACRO))
+        assert result.rest is not None
+        assert result.content_type == "text/plain"
+        result.rest.close()
 
-    def test_default_content_type(self, shop_engine):
-        macro = parse_macro(MACRO)
-        stream = shop_engine.execute_report_stream(macro)
-        next(stream.chunks)
-        assert stream.result.content_type == "text/html"
+    def test_default_content_type(self, shop_engine, spill):
+        spill()
+        result = shop_engine.execute_report(parse_macro(MACRO))
+        assert result.rest is not None
+        assert result.content_type == "text/html"
+        result.rest.close()
 
 
 CYCLE_MACRO = """
@@ -182,7 +219,7 @@ class TestErrors:
     @pytest.mark.parametrize("pooled", [False, True],
                              ids=["unpooled", "pooled"])
     def test_error_mid_row_settles_the_cursor_before_the_connection(
-            self, tmp_path, monkeypatch, pooled):
+            self, tmp_path, monkeypatch, pooled, spill):
         """A non-SQL error at row time (here a reference cycle) must
         close the live cursor and its read bracket *before* the session
         gives the connection back — on an unpooled SQLite file the late
@@ -197,6 +234,7 @@ class TestErrors:
         registry.register_path("SHOP", str(path))
         if pooled:
             registry.enable_pools(size=1)
+        gc.collect()  # no earlier test's garbage settles under the spies
         events = []
         for owner, name in [(Cursor, "close"),
                             (TransactionScope, "after_statement"),
@@ -205,37 +243,46 @@ class TestErrors:
                 events.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
-        stream = MacroEngine(registry).execute_report_stream(
+        spill()
+        result = MacroEngine(registry).execute_report(
             parse_macro(CYCLE_MACRO))
         try:
-            drain(stream)
+            page(result)
         except CircularReferenceError:
             pass  # ...and with it the traceback that kept frames alive
         else:
             pytest.fail("the row's reference cycle went unnoticed")
-        del stream
+        del result
         gc.collect()
         assert events == ["close", "after_statement", "finish"]
         registry.close_all()
 
-    def test_missing_section_raises_on_first_pull(self, shop_engine):
+    def test_missing_section_raises_on_first_pull(self, shop_engine, spill):
         macro = parse_macro('%DEFINE x = "1"\n%HTML_INPUT{[$(x)]%}')
-        stream = shop_engine.execute_report_stream(macro)
+        spill(0)
         with pytest.raises(MissingSectionError):
-            drain(stream)
+            shop_engine.execute_report(macro)
 
-    def test_sql_error_block_streams_like_buffered(self, shop_engine):
+    def test_sql_error_block_streams_like_buffered(self, shop_engine,
+                                                   spill):
+        """A failing statement after the spill prints its error block in
+        the rest, where the buffered page has it."""
         macro = parse_macro("""
 %DEFINE DATABASE = "SHOP"
-%SQL{SELECT broken syntax FROM nowhere
+%SQL(fine){SELECT name FROM items ORDER BY name%}
+%SQL(broken){SELECT broken syntax FROM nowhere
 %SQL_MESSAGE{
 default : "<P>query failed</P>" : continue
 %}
 %}
-%HTML_REPORT{<H1>R</H1>%EXEC_SQL<P>after</P>%}
+%HTML_REPORT{<H1>R</H1>%EXEC_SQL(fine)%EXEC_SQL(broken)<P>after</P>%}
 """)
         buffered = shop_engine.execute_report(macro)
-        page = drain(shop_engine.execute_report_stream(macro))
-        assert page == buffered.html
-        assert "query failed" in page
-        assert "after" in page
+        spill()
+        result = shop_engine.execute_report(macro)
+        assert result.rest is not None
+        text = page(result)
+        assert text == buffered.html
+        assert "query failed" in text
+        assert "after" in text
+        assert len(result.sql_errors) == 1

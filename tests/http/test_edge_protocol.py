@@ -554,6 +554,17 @@ class TestAnsweredOnTheLoop:
         protocol.data_received(REPORT)  # the thread's run stored it again
         assert edge.executor.jobs == []
 
+    def test_a_page_that_spills_leaves_the_loop(self, edge, monkeypatch,
+                                                spill):
+        """A spill needs an executed statement, which on the loop stops
+        the attempt (here at the cache miss) before anything ran."""
+        app, protocol, _ = self.learned(edge, monkeypatch)
+        app.engine.config.query_cache.clear()
+        spill()
+        protocol.data_received(REPORT)
+        assert len(edge.executor.jobs) == 1
+        assert edge.metrics.flat()["edge_loop_abandoned_total"] == 1
+
     def test_a_write_anywhere_sends_the_next_run_to_a_thread(
             self, edge, monkeypatch):
         app, protocol, _ = self.learned(edge, monkeypatch)
@@ -571,14 +582,15 @@ class TestAnsweredOnTheLoop:
 
     @pytest.mark.parametrize("raw", [
         REPORT.replace(b"GET", b"POST", 1),
-        # (HEAD: the fake loop cannot pump a stream's body)
-        REPORT.replace(b"GET /cgi-bin/db2www/", b"HEAD /cgi-bin/streamed/"),
+        # A program that does not say it is loop-safe (a plain
+        # function, the app-server dispatcher) is never tried either.
+        REPORT.replace(b"GET /cgi-bin/db2www/", b"HEAD /cgi-bin/plain/"),
     ])
     def test_writes_and_streams_are_never_tried(self, edge, raw,
                                                 monkeypatch):
         app, protocol, _ = self.learned(edge, monkeypatch)
-        edge.router.gateway.install("streamed", Db2WwwProgram(
-            app.engine, app.library, stream=True))
+        edge.router.gateway.install("plain", FunctionProgram(
+            Db2WwwProgram(app.engine, app.library).run))
         for _ in range(2):
             protocol.data_received(raw)
             assert len(edge.executor.jobs) == 1

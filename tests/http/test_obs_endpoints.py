@@ -151,9 +151,11 @@ class TestRequestSpans:
         assert "parse" in {span.name for span in first.walk()}
         assert "parse" not in {span.name for span in second.walk()}
 
-    def test_streaming_report_finishes_the_span_at_drain(self, traced):
+    def test_streaming_report_finishes_the_span_at_drain(self, traced,
+                                                        spill):
+        spill()
         app = urlquery_app.install(rows=30)
-        site = build_site(app.engine, app.library, stream=True)
+        site = build_site(app.engine, app.library)
         site.router.metrics = MetricsRegistry()
         response = get(site, f"{app.report_path}?{QUERY}")
         assert b"URL Query Result" in response.body

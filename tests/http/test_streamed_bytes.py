@@ -1,4 +1,4 @@
-"""Access-log byte accounting for streamed responses.
+"""Access-log byte accounting for streamed (spilled) responses.
 
 Regression: ``AccessLog.record`` used ``len(response.body)`` — zero (or
 just the buffered prefix) while ``body_iter`` carried the page — so
@@ -20,9 +20,11 @@ QUERY = "SEARCH=ib&USE_URL=yes&DBFIELDS=title"
 
 
 @pytest.fixture()
-def streaming_site():
+def streaming_site(spill):
+    """A site whose reports all spill."""
+    spill()
     app = urlquery_app.install(rows=25)
-    site = build_site(app.engine, app.library, stream=True)
+    site = build_site(app.engine, app.library)
     site.router.access_log = AccessLog()
     return app, site
 

@@ -72,9 +72,9 @@ def test_an_ambient_transaction_mode_reaches_no_gateway(tmp_path):
     assert in_process == app_server == 1  # serve is auto-commit
 
 
-def metrics_after_two_reports(tmp_path, *flags):
+def metrics_after_three_reports(tmp_path, *flags):
     """``/metrics`` of ``serve *flags`` (default ``--query-cache``) after
-    the same URL query report was fetched twice."""
+    the same URL query report was fetched three times."""
     from repro.apps import urlquery as urlquery_app
     from repro.apps.datasets import seed_urldb
 
@@ -93,7 +93,7 @@ def metrics_after_two_reports(tmp_path, *flags):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
         base = read_banner(proc, r"on (http://[\d.]+:\d+)", "serve")
-        for _ in range(2):
+        for _ in range(3):
             with urllib.request.urlopen(
                     base + "/cgi-bin/db2www/urlquery.d2w/report"
                     "?DBFIELDS=title", timeout=10) as response:
@@ -110,9 +110,11 @@ def metrics_after_two_reports(tmp_path, *flags):
             proc.wait()
 
 
-def test_a_streaming_serve_builds_no_query_cache(tmp_path):
-    """A streamed page never reads or fills the query cache, so
-    ``--stream`` builds none: ``/metrics`` shows no counters stuck at 0."""
-    assert "query_cache_hits 1" in metrics_after_two_reports(tmp_path)
-    assert "query_cache_" not in metrics_after_two_reports(
-        tmp_path, "--stream")
+def test_kept_pages_show_on_metrics(tmp_path):
+    """The first report stores its result, the second (all hits) keeps
+    the page, the third reuses it: ``/metrics`` shows the kept page and
+    its reuse."""
+    metrics = metrics_after_three_reports(tmp_path)
+    assert "query_cache_hits 2" in metrics
+    assert "query_cache_pages 1" in metrics
+    assert "query_cache_page_hits 1" in metrics

@@ -23,7 +23,7 @@ from repro.workloads.metrics import (
 def exercised_cache() -> QueryResultCache:
     from types import SimpleNamespace
     cache = QueryResultCache(max_entries=4)
-    result = SimpleNamespace(is_query=True, rows=[])
+    result = SimpleNamespace(is_query=True, rows=[], row_iter=None)
     cache.get("URLDB", "SELECT 1", 0)          # miss
     cache.put("URLDB", "SELECT 1", 0, result)
     cache.get("URLDB", "SELECT 1", 0)          # hit

@@ -36,7 +36,7 @@ class TestQueryResultCacheUnit:
         assert cache.get("DB", "SELECT 1", 0) is result
         assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1,
                                  "evictions": 0, "invalidations": 0,
-                                 "entries": 1}
+                                 "entries": 1, "pages": 0, "page_hits": 0}
 
     def test_stale_generation_invalidates(self):
         cache = QueryResultCache()
@@ -80,8 +80,11 @@ class TestQueryResultCacheUnit:
         assert len(cache) == 0
 
     def test_refuses_oversized_result(self):
-        cache = QueryResultCache(max_rows_per_entry=2)
-        big = query_result(rows=[(1,), (2,), (3,)])
+        """Too large to hold is a result that spilled: its rows ride a
+        live cursor and can be read only once."""
+        cache = QueryResultCache()
+        big = ExecutionResult(sql="SELECT big", columns=["c"],
+                              is_query=True, row_iter=iter([(1,)]))
         assert not cache.put("DB", "SELECT big", 0, big)
         small = query_result(rows=[(1,), (2,)])
         assert cache.put("DB", "SELECT small", 0, small)
@@ -169,12 +172,14 @@ def run_write(engine, statement):
 class TestEngineIntegration:
     def test_repeated_select_hits_cache(self, setup):
         _, _, cache, engine = setup
-        first = run_read(engine)
-        second = run_read(engine)
-        assert first == second
+        macro = parse_macro(READ_MACRO)
+        first, second, third = (  # a miss; all hits, the page kept; reused
+            engine.execute_report(macro, []).html for _ in range(3))
+        assert first == second == third
         stats = cache.stats()
-        assert stats == {"hits": 1, "misses": 1, "stores": 1,
-                         "evictions": 0, "invalidations": 0, "entries": 1}
+        assert stats == {"hits": 2, "misses": 1, "stores": 1,
+                         "evictions": 0, "invalidations": 0, "entries": 1,
+                         "pages": 1, "page_hits": 1}
 
     @pytest.mark.parametrize("statement,visible,gone", [
         ("INSERT INTO stock VALUES (3, 'washer')", "[3:washer]", None),

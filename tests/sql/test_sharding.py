@@ -213,21 +213,35 @@ class TestScatterGather:
         assert len(result.rows) == SHARDS * ROWS_PER_SHARD
         assert shard_map.stats()[""]["interleaved_merges"] == 1
 
-    def test_streaming_scatter_rides_row_iter(self, registry, shard_map):
-        s = session(registry, shard_map)
-        result = s.execute("SELECT id FROM parts ORDER BY id",
-                           stream=True)
-        assert result.streaming
+    def test_streaming_scatter_rides_row_iter(self, registry, shard_map,
+                                              spill):
+        """A merge past the spill budget rides the row iterator and is
+        never cached; one at the budget is materialised and cached."""
+        spill(SHARDS * ROWS_PER_SHARD - 1)
+        cache = QueryResultCache()
+        s = session(registry, shard_map, cache=cache)
+        result = s.execute("SELECT id FROM parts ORDER BY id")
+        assert result.row_iter is not None  # spilled
         rows = list(result.iter_rows())
         s.finish()
         assert len(rows) == SHARDS * ROWS_PER_SHARD
         assert result.rows_fetched == SHARDS * ROWS_PER_SHARD
         assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+        assert cache.stats()["stores"] == 0
+        spill(SHARDS * ROWS_PER_SHARD)
+        s = session(registry, shard_map, cache=cache)
+        result = s.execute("SELECT id FROM parts ORDER BY id")
+        s.finish()
+        assert result.row_iter is None and [r[0] for r in result.rows] == [
+            r[0] for r in rows]
+        assert cache.stats()["stores"] == 1
 
-    def test_abandoned_stream_stops_workers(self, registry, shard_map):
+    def test_abandoned_stream_stops_workers(self, registry, shard_map,
+                                            spill):
+        spill(5)
         s = session(registry, shard_map)
-        result = s.execute("SELECT id FROM parts ORDER BY id",
-                           stream=True)
+        result = s.execute("SELECT id FROM parts ORDER BY id")
+        assert result.row_iter is not None  # spilled
         iterator = result.iter_rows()
         next(iterator)
         iterator.close()  # consumer walks away mid-merge
@@ -305,11 +319,12 @@ class TestScatterLimit:
         assert {row[0] for row in result.rows} <= all_ids
 
     def test_streaming_limit_counts_only_window_rows(self, registry,
-                                                     shard_map):
+                                                     shard_map, spill):
+        spill(3)
         s = session(registry, shard_map)
         result = s.execute(
-            "SELECT id FROM parts ORDER BY id LIMIT 6 OFFSET 2",
-            stream=True)
+            "SELECT id FROM parts ORDER BY id LIMIT 6 OFFSET 2")
+        assert result.row_iter is not None  # spilled
         rows = list(result.iter_rows())
         s.finish()
         assert [row[0] for row in rows] == [2, 3, 4, 5, 6, 7]

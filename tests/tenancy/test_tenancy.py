@@ -270,19 +270,25 @@ class TestQuota:
         assert call(router, "/t/delta/items.d2w/report").status == 200
         assert call(router, "/t/delta/items.d2w/report").status == 429
 
-    def test_streamed_pages_charge_rows_once_drained(self):
-        """Under ``serve --stream`` tenant pages stream too, and a
-        page's rows are charged when its stream settles."""
-        registry = TenantRegistry(Settings(stream=True))
+    def test_streamed_pages_charge_rows_once_drained(self, spill):
+        """A tenant page past the spill budget streams like any other,
+        and its rows are charged when the stream settles."""
+        spill()
+        registry = TenantRegistry(Settings())
         delta = registry.create_tenant(
             "delta", owner="dora",
             quota=TenantQuota(rows=3, window_seconds=60.0))
         seed_shop(delta, [(1, "d1"), (2, "d2")])
         delta.library.add_text("items.d2w", ITEMS_MACRO)
-        assert delta.program.stream
         router = Router(tenants=TenantHost(registry))
+        response = router.handle(HttpRequest(
+            method="GET", target="/t/delta/items.d2w/report"))
+        assert response.streaming
+        assert delta.stats()["rows_total"] == 0  # not settled yet
+        response.drain()
+        assert delta.stats()["rows_total"] == 2
         assert [call(router, "/t/delta/items.d2w/report").status
-                for _ in range(3)] == [200, 200, 429]
+                for _ in range(2)] == [200, 429]
 
     def test_window_rolls_over(self):
         window = _QuotaWindow(TenantQuota(requests=1,
