@@ -86,25 +86,25 @@ def _serve(sock: socket.socket, gateway: CgiGateway,
                 os._exit(1)
         request = protocol.decode_request(payload)
         # The request frame carries the dispatcher's trace id; the
-        # worker's spans run under it and ship home in the response
-        # frame as flat rows, which the dispatcher grafts into the live
-        # request trace.
-        act = TRACER.begin("worker", trace_id=request.trace_id or None,
-                           attrs={"worker_id": worker_id,
-                                  "pid": os.getpid()})
+        # worker's record runs under it and its rows ship home in the
+        # response frame, which the dispatcher grafts into the live
+        # request's record.
+        trace = TRACER.begin("worker", trace_id=request.trace_id or None,
+                             attrs={"worker_id": worker_id,
+                                    "pid": os.getpid()})
         # dispatch() maps every failure to a 5xx response, so a macro
         # bug costs one error page, never the worker.
         response = gateway.dispatch(_PROGRAM_NAME, request)
-        trace = None
-        if act is not None:
-            # Drain before closing the span: spilled pages fill in
+        rows = None
+        if trace is not None:
+            # Drain before closing the record: spilled pages fill in
             # their sql.execute row counts as the cursor empties.
             response.drain()
-            act.span.set("status", response.status)
-            act.finish()
-            trace = act.span.export()
+            trace.set("status", response.status)
+            trace.finish()
+            rows = trace.export()
         protocol.send_frame(sock, protocol.FRAME_RESPONSE,
-                            *protocol.response_parts(response, trace))
+                            *protocol.response_parts(response, rows))
 
 
 if __name__ == "__main__":  # pragma: no cover - spawned by dispatcher

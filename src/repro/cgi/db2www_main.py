@@ -49,15 +49,15 @@ def main(env: dict[str, str] | None = None,
         return error_response(500, "Configuration Error",
                               str(exc)).serialize()
     # One coherent trace per subprocess run, under the caller's id.
-    act = TRACER.begin("cgi", trace_id=environ.trace_id or None)
+    trace = TRACER.begin("cgi", trace_id=environ.trace_id or None)
     try:
         response = program.run(request)
         response.drain()
-        if act is not None:
-            act.span.set("status", response.status)
+        if trace is not None:
+            trace.set("status", response.status)
     finally:
-        if act is not None:
-            act.finish()
+        if trace is not None:
+            trace.finish()
     return response.serialize()
 
 

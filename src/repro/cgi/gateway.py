@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import codecs
 import traceback
+from time import perf_counter
 from typing import Callable, Iterator, Optional, Protocol
 
 from repro.cgi.request import CgiRequest, CgiResponse
@@ -28,7 +29,7 @@ from repro.errors import (
     UnknownCgiProgramError,
 )
 from repro.html.entities import escape_html
-from repro.obs.trace import TRACER
+from repro.obs.trace import END, TRACER
 from repro.overload.retryafter import retry_after_header
 
 
@@ -179,16 +180,18 @@ class Db2WwwProgram:
                 "expected PATH_INFO of the form /{macro-file}/{cmd}")
         macro_name, command_text = components
         try:
-            # A leaf span: the parse span (cold loads only) attaches to
+            # A leaf row: the parse span (cold loads only) attaches to
             # the request directly, which keeps the hot cached-load path
             # free of context-variable traffic.
-            span = TRACER.leaf("macro.load")
-            try:
+            trace = TRACER.current()
+            if trace is None:
                 macro = self.library.load(macro_name)
-            finally:
-                if span is not None:
-                    span.set("macro", macro_name)
-                    span.finish()
+            else:
+                row = trace.open("macro.load", {"macro": macro_name})
+                try:
+                    macro = self.library.load(macro_name)
+                finally:
+                    row[END] = perf_counter()
         except MacroNameError as exc:
             return error_response(404, "Not Found", str(exc))
         except MacroError as exc:

@@ -664,15 +664,15 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
     if args.acceptors > 1:
         return _cmd_multi_acceptor(args, out)
     metrics = REGISTRY
-    consumers = []
     if not args.no_trace:
         TRACER.enable()
-        # Aggregating consumers run outside any sampler: metrics and
-        # the statement-digest store must see every trace.
-        consumers.append(MetricsBridge(
-            metrics, slow_query_ms=args.slow_query_ms))
+        # The fold runs outside any sampler, on the request thread:
+        # metrics and the statement-digest store see every record, in
+        # one pass over its rows.
         STATEMENTS.enabled = True
-        consumers.append(STATEMENTS)
+        TRACER.add_sink(MetricsBridge(
+            metrics, slow_query_ms=args.slow_query_ms,
+            statements=STATEMENTS))
     file_sinks = []
     if args.trace_log is not None:
         file_sinks.append(TraceLog(args.trace_log))
@@ -697,14 +697,13 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         sampler = TailSampler(*file_sinks, **sample_kwargs)
         metrics.attach_source("trace_sampler", sampler.stats)
         file_sinks = [sampler]
-    consumers.extend(file_sinks)
     fanout = None
-    if consumers:
-        # One fused, deferred sink: the request thread only enqueues
-        # the finished tree; a drain thread summarizes it once and
-        # fans the summary out to every consumer.  Scrape reads flush
-        # first (router.obs_flush below), so aggregates stay exact.
-        fanout = FanoutSink(*consumers, defer_cap=1024)
+    if file_sinks:
+        # The tree readers write files: the request thread only
+        # enqueues the finished record and a drain thread writes it.
+        # Scrape reads flush first (router.obs_flush below), so the
+        # sampler's counts stay exact.
+        fanout = FanoutSink(*file_sinks, defer_cap=1024)
         TRACER.add_sink(fanout)
     dispatcher = None
     log = None

@@ -46,7 +46,7 @@ from repro.errors import (
     is_transient,
 )
 from repro.html.entities import escape_html
-from repro.obs.trace import TRACER, Span
+from repro.obs.trace import ATTRS, END, START, TRACER
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.sql.digest import statement_digest
@@ -316,7 +316,7 @@ class _Page:
     """
 
     __slots__ = ("parts", "statements", "rows", "content_type",
-                 "logical", "database", "generation", "reads")
+                 "logical", "database", "generation", "reads", "facts")
 
     def __init__(self, result: MacroResult, run: "_MacroRun") -> None:
         self.parts = result.parts
@@ -336,6 +336,9 @@ class _Page:
         for sql, read in session.reads if session is not None else ():
             reads.append((sql, weakref.ref(read), read.row_total))
         self.reads = tuple(reads)
+        #: per statement, the attributes of the ``sql.execute`` row a
+        #: traced reuse records (built on the first one)
+        self.facts: Optional[tuple[dict, ...]] = None
 
     def reuse(self, engine: MacroEngine, cache: QueryResultCache,
               command: MacroCommand) -> Optional[MacroResult]:
@@ -344,7 +347,7 @@ class _Page:
         not the one it read under).  A reuse counts a cache hit per
         statement and a page hit (:meth:`QueryResultCache.count_page_hit
         <repro.sql.querycache.QueryResultCache.count_page_hit>`), and
-        with tracing on leaves the ``sql.execute`` spans those hits
+        with tracing on records the ``sql.execute`` rows those hits
         would."""
         reads = self.reads
         if reads:
@@ -356,17 +359,20 @@ class _Page:
                 current = cache.peek(database, sql, stamp)
                 if current is None or current is not read():
                     return None
-            if TRACER.enabled:
-                for sql, _, rows in reads:
-                    span = TRACER.leaf("sql.execute")
-                    if span is None:
-                        break
-                    span.set("digest", statement_digest(sql))
-                    span.set("database", database)
-                    span.set("sql", sql if len(sql) <= 200 else sql[:200])
-                    span.set("cached", True)
-                    span.set("rows", rows)
-                    span.finish()
+            trace = TRACER.current()
+            if trace is not None:
+                facts = self.facts
+                if facts is None:
+                    # Fixed when the page was kept: built once, shared
+                    # (never changed) by the rows of every reuse.
+                    facts = self.facts = tuple(
+                        {"digest": statement_digest(sql),
+                         "database": database, "sql": sql[:200],
+                         "cached": True, "rows": rows}
+                        for sql, _, rows in reads)
+                now = time.perf_counter()
+                for attrs in facts:
+                    trace.open("sql.execute", attrs, now)[END] = now
         cache.count_page_hit(len(reads))
         return MacroResult(command=command, parts=self.parts,
                            statements=list(self.statements),
@@ -413,9 +419,9 @@ class _MacroRun:
             if engine.config.request_deadline is not None else None)
         self.result = MacroResult(command=command)
         self._emitted_target_section = False
-        #: the run's single ``substitute`` span (created lazily); see
+        #: the run's single ``substitute`` row (recorded lazily); see
         #: :meth:`_substitute`.
-        self._subst_span: Optional[Span] = None
+        self._subst_row: Optional[list] = None
 
     # ------------------------------------------------------------------
 
@@ -560,18 +566,18 @@ class _MacroRun:
         evaluation time (the same accrued-clock idiom as the
         ``report.render`` span).
         """
-        span = self._subst_span
-        if span is None:
-            span = self._subst_span = TRACER.leaf("substitute")
-            if span is not None:
-                span.end = span.start
-        if span is None:
-            return self.evaluator.evaluate(node)
+        row = self._subst_row
+        if row is None:
+            trace = TRACER.current()
+            if trace is None:
+                return self.evaluator.evaluate(node)
+            row = self._subst_row = trace.open("substitute")
+            row[END] = row[START]
         tick = time.perf_counter()
         try:
             return self.evaluator.evaluate(node)
         finally:
-            span.end += time.perf_counter() - tick
+            row[END] += time.perf_counter() - tick
 
     def _run_directive(self, directive: ast.ExecSqlDirective
                        ) -> Iterator[Chunk]:
@@ -662,12 +668,11 @@ class _MacroRun:
         rendering phase.
         """
         inner = self.reporter.render_iter(section, result)
-        parent = TRACER.current() if TRACER.enabled else None
-        if parent is None:
+        trace = TRACER.current()
+        if trace is None:
             yield from inner
             return
-        span = Span("report.render", parent.trace_id, parent.span_id)
-        parent.add_child(span)
+        row = trace.open("report.render")
         active = 0.0
         try:
             while True:
@@ -681,11 +686,12 @@ class _MacroRun:
                 yield chunk
         finally:
             # Say why a report was slow: how many rows, which loop.
-            span.end = span.start + active
+            row[END] = row[START] + active
+            attrs = row[ATTRS] = {}
             if result.is_query:
-                span.set("rows", result.row_total)
+                attrs["rows"] = result.row_total
             if self.reporter.row_path is not None:
-                span.set("row_path", self.reporter.row_path)
+                attrs["row_path"] = self.reporter.row_path
 
     def _emit_sql_error(self, section: ast.SqlSection,
                         error: SQLError) -> Iterator[str]:

@@ -23,9 +23,13 @@ class Headers:
     def set(self, name: str, value: str) -> None:
         """Replace all occurrences of ``name`` with a single value."""
         folded = name.lower()
-        self._items = [(k, v) for k, v in self._items
-                       if k.lower() != folded]
-        self._items.append((name, value))
+        items = self._items
+        for key, _ in items:
+            if key.lower() == folded:
+                self._items = items = [(k, v) for k, v in items
+                                       if k.lower() != folded]
+                break
+        items.append((name, value))
 
     def setdefault(self, name: str, value: str) -> None:
         if name not in self:

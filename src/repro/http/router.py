@@ -35,7 +35,7 @@ from repro.http.message import (
     html_response,
 )
 from repro.http.urls import normalize_path
-from repro.obs.trace import TRACER, Span, new_trace_id
+from repro.obs.trace import END, TRACER, new_trace_id
 from repro.overload.retryafter import retry_after_header
 from repro.strictint import parse_decimal
 
@@ -138,47 +138,46 @@ class Router:
                 request, _error(504, "request deadline expired before "
                                      "dispatch"), remote_addr, start,
                 trace_id=trace_id)
-        act = None
+        trace = None
         if tracer.enabled:
-            target = request.path
-            if request.query:
-                target = f"{request.path}?{request.query}"
-            attrs = {"method": request.method, "path": request.path,
-                     "target": target}
+            target = request.target
+            path, _, query = target.partition("?")
+            attrs = {"method": request.method, "path": path,
+                     "target": target if query else path}
             if edge:
                 attrs["edge"] = edge
-            act = tracer.begin("request", trace_id=trace_id or None,
-                               attrs=attrs)
+            trace = tracer.begin("request", trace_id=trace_id or None,
+                                 attrs=attrs)
         try:
             response = self._route(request, remote_addr, deadline)
         except WouldBlock:
             # The edge's loop attempt stopped before anything that
             # blocks: no trace, no books — the edge runs it again.
-            if act is not None:
-                act.deactivate()
+            if trace is not None:
+                trace.deactivate()
             raise
         except BaseException:
             if ticket is not None:
                 self.overload.release(ticket, status=500)
-            if act is not None:
-                act.span.set("error", True)
-                act.finish()
+            if trace is not None:
+                attrs["error"] = True
+                trace.finish()
             raise
-        if act is not None:
-            act.span.set("status", response.status)
-            response.headers.set("X-Trace-Id", act.span.trace_id)
+        if trace is not None:
+            attrs["status"] = response.status
+            response.headers.set("X-Trace-Id", trace.trace_id)
         if response.body_iter is not None:
             # Streamed page: bytes are still unknown and the engine keeps
             # working as the transport pulls chunks.  Wrap the stream so
             # the access-log entry carries the true byte count, metrics
             # see the full wall time, the admission slot is held until
-            # the stream closes, and the request span stays current
+            # the stream closes, and the request's record is current
             # around each pull — all settled when the stream closes.
             response.body_iter = self._accounted_stream(
-                request, response, remote_addr, act, start,
+                request, response, remote_addr, trace, start,
                 response.body_iter, ticket)
-            if act is not None:
-                act.deactivate()
+            if trace is not None:
+                trace.deactivate()
             return response
         if ticket is not None:
             self.overload.release(ticket, status=response.status)
@@ -188,8 +187,8 @@ class Router:
         if self.access_log is not None:
             self.access_log.record(request, response,
                                    remote_addr=remote_addr)
-        if act is not None:
-            act.finish()
+        if trace is not None:
+            trace.finish()
         return response
 
     def _settle_unadmitted(self, request: HttpRequest,
@@ -238,46 +237,44 @@ class Router:
 
     def _accounted_stream(self, request: HttpRequest,
                           response: HttpResponse, remote_addr: str,
-                          act, start: float,
+                          trace, start: float,
                           body_iter: Iterator[bytes],
                           ticket=None) -> Iterator[bytes]:
         """Wrap a streaming body: count bytes, settle the books at close.
 
         The generator runs in whatever thread the transport pulls from;
-        the request span is (re)activated inside each ``__next__`` and
-        deactivated across the ``yield``, so engine-side spans created
-        while producing a chunk land under the request while the
+        the request's record is (re)activated inside each ``__next__``
+        and deactivated across the ``yield``, so engine-side spans
+        recorded while producing a chunk land in the request while the
         transport's own context stays clean.
         """
         def stream() -> Iterator[bytes]:
             emitted = 0
-            emit_span = None
-            if act is not None:
-                parent = act.span
-                emit_span = Span("emit", parent.trace_id, parent.span_id)
-                parent.add_child(emit_span)
+            emit = None
+            if trace is not None:
+                emit = trace.open("emit")
             try:
-                if act is not None:
-                    act.activate()
+                if trace is not None:
+                    trace.activate()
                 try:
                     for chunk in body_iter:
                         emitted += len(chunk)
-                        if act is not None:
-                            act.deactivate()
+                        if trace is not None:
+                            trace.deactivate()
                         yield chunk
-                        if act is not None:
-                            act.activate()
+                        if trace is not None:
+                            trace.activate()
                 except BaseException as exc:
-                    if act is not None:
-                        act.span.set("error", type(exc).__name__)
+                    if trace is not None:
+                        trace.set("error", type(exc).__name__)
                     raise
             finally:
                 if ticket is not None:
                     # The slot is busy for as long as the engine feeds
                     # the stream; release when the last chunk settles.
                     self.overload.release(ticket, status=response.status)
-                if emit_span is not None:
-                    emit_span.finish()
+                if emit is not None:
+                    emit[END] = time.perf_counter()
                 # Any buffered prefix went over the wire before the
                 # stream; the logged size covers both.
                 total = emitted + response.size
@@ -287,9 +284,9 @@ class Router:
                     self.access_log.record(request, response,
                                            remote_addr=remote_addr,
                                            size=total)
-                if act is not None:
-                    act.span.set("bytes", total)
-                    act.finish()
+                if trace is not None:
+                    trace.set("bytes", total)
+                    trace.finish()
         return stream()
 
     def _route(self, request: HttpRequest, remote_addr: str,

@@ -5,10 +5,12 @@ The gateway's instrument panel (see ``docs/observability.md``):
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
   with streaming p50/p95/p99, labeled families and polled subsystem
   sources, scraped at ``/metrics`` (text) and ``/statusz`` (JSON).
-* :mod:`repro.obs.trace` — a span tree per request with one trace id
-  end-to-end (HTTP → CGI environment → app-server frames → SQL layer).
-* :mod:`repro.obs.sinks` — where finished traces go: the structured
-  request log, the ``--slow-query-ms`` watchdog, the metrics bridge.
+* :mod:`repro.obs.trace` — one record per request (its spans as flat
+  rows) with one trace id end-to-end (HTTP → CGI environment →
+  app-server frames → SQL layer).
+* :mod:`repro.obs.sinks` — where finished records go: the metrics
+  bridge, the structured request log, the ``--slow-query-ms``
+  watchdog.
 
 ``configure_from_env`` is the out-of-process hook: app-server workers
 and subprocess CGI runs read their observability settings from the
@@ -22,11 +24,11 @@ from repro.obs.sampling import TailSampler, parse_sample_spec
 from repro.obs.sinks import (FanoutSink, MetricsBridge, SlowQueryLog,
                              TraceLog)
 from repro.obs.slo import SloTracker
-from repro.obs.trace import TRACER, Span, Tracer, new_trace_id
+from repro.obs.trace import TRACER, Span, Trace, Tracer, new_trace_id
 
 __all__ = [
     "MetricsRegistry", "REGISTRY",
-    "Tracer", "TRACER", "Span", "new_trace_id",
+    "Tracer", "TRACER", "Span", "Trace", "new_trace_id",
     "TraceLog", "SlowQueryLog", "MetricsBridge", "FanoutSink",
     "LabeledValues",
     "TailSampler", "parse_sample_spec", "SloTracker",
@@ -90,10 +92,8 @@ def configure_from_env(env: dict[str, str]) -> bool:
             kwargs = {}
         file_sinks = [TailSampler(*file_sinks, registry=REGISTRY,
                                   **kwargs)]
-    consumers = list(file_sinks)
     if threshold is not None:
-        consumers.append(MetricsBridge(REGISTRY,
-                                       slow_query_ms=threshold))
-    if consumers:
-        TRACER.add_sink(FanoutSink(*consumers))
+        TRACER.add_sink(MetricsBridge(REGISTRY, slow_query_ms=threshold))
+    for sink in file_sinks:
+        TRACER.add_sink(sink)
     return True

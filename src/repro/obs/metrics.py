@@ -85,18 +85,25 @@ def parse_sample(sample: str) -> tuple[str, Optional[str], Optional[str]]:
 
 
 class Counter:
-    """A monotonically increasing total."""
+    """A monotonically increasing total.  ``lock`` is shared by every
+    counter and histogram of one :class:`MetricsRegistry` (its
+    :attr:`~MetricsRegistry.lock`); a standalone counter has its own."""
 
     __slots__ = ("name", "_value", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str,
+                 lock: Optional[threading.Lock] = None):
         self.name = name
         self._value = 0
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
+
+    def inc_locked(self, amount: int = 1) -> None:
+        """:meth:`inc` for a caller already holding this counter's lock."""
+        self._value += amount
 
     @property
     def value(self) -> int:
@@ -195,25 +202,31 @@ class Histogram:
     __slots__ = ("name", "_counts", "_count", "_sum", "_min", "_max",
                  "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str,
+                 lock: Optional[threading.Lock] = None):
         self.name = name
         self._counts = [0] * (len(self.BOUNDS) + 1)
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._lock = threading.Lock()
+        #: shared like a :class:`Counter`'s
+        self._lock = lock if lock is not None else threading.Lock()
 
     def observe(self, value: float) -> None:
-        index = bisect_right(self.BOUNDS, value)
         with self._lock:
-            self._counts[index] += 1
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            self.observe_locked(value)
+
+    def observe_locked(self, value: float) -> None:
+        """:meth:`observe` for a caller already holding this
+        histogram's lock (a trace fold observing several at once)."""
+        self._counts[bisect_right(self.BOUNDS, value)] += 1
+        self._count += 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     @property
     def count(self) -> int:
@@ -266,19 +279,23 @@ class Histogram:
     def snapshot(self) -> dict[str, float]:
         """Count, sum and the standard quantiles, one consistent view."""
         with self._lock:
-            if self._count == 0:
-                return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
-                        "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-            return {
-                "count": self._count,
-                "sum": round(self._sum, 3),
-                "mean": round(self._sum / self._count, 3),
-                "min": round(self._min, 3),
-                "max": round(self._max, 3),
-                "p50": round(self._quantile_locked(0.50), 3),
-                "p95": round(self._quantile_locked(0.95), 3),
-                "p99": round(self._quantile_locked(0.99), 3),
-            }
+            return self.snapshot_locked()
+
+    def snapshot_locked(self) -> dict[str, float]:
+        """:meth:`snapshot` for a caller already holding the lock."""
+        if self._count == 0:
+            return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
+                    "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+        return {
+            "count": self._count,
+            "sum": round(self._sum, 3),
+            "mean": round(self._sum / self._count, 3),
+            "min": round(self._min, 3),
+            "max": round(self._max, 3),
+            "p50": round(self._quantile_locked(0.50), 3),
+            "p95": round(self._quantile_locked(0.95), 3),
+            "p99": round(self._quantile_locked(0.99), 3),
+        }
 
 
 def quantile_from_counts(counts: list[int], q: float, *,
@@ -322,6 +339,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        #: The one lock every counter and histogram of this registry
+        #: takes: a caller updating several at once (the trace fold)
+        #: takes it once, with ``inc_locked``/``observe_locked``.
+        self.lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -335,7 +356,8 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         if metric is None:
             with self._lock:
-                metric = self._counters.setdefault(name, Counter(name))
+                metric = self._counters.setdefault(
+                    name, Counter(name, self.lock))
         return metric
 
     def gauge(self, name: str) -> Gauge:
@@ -349,8 +371,8 @@ class MetricsRegistry:
         metric = self._histograms.get(name)
         if metric is None:
             with self._lock:
-                metric = self._histograms.setdefault(name,
-                                                     Histogram(name))
+                metric = self._histograms.setdefault(
+                    name, Histogram(name, self.lock))
         return metric
 
     def labeled(self, name: str, label: str, *, kind: str = "counter",

@@ -2,11 +2,11 @@
 
 Head sampling (flip a coin when the request starts) throws away exactly
 the traces an operator needs: the errors and the outliers, which are
-rare by definition.  The tracer already buffers each request's full
-span tree and delivers it at completion, so the sampling decision can
+rare by definition.  The tracer already keeps each request's whole
+record and delivers it at completion, so the sampling decision can
 wait until everything about the request is known:
 
-* an **error** anywhere in the tree → always kept,
+* an **error** on any span of the record → always kept,
 * an **over-SLO** root duration → always kept,
 * otherwise a bounded **per-digest reservoir**: the first ``per_key``
   traces of each statement-digest group per window are kept (every
@@ -27,6 +27,8 @@ import random
 import threading
 import time
 from typing import Callable, Optional
+
+from repro.obs.trace import ATTRS
 
 __all__ = ["TailSampler", "parse_sample_spec"]
 
@@ -106,30 +108,22 @@ class TailSampler:
     # -- the decision ------------------------------------------------------
 
     def decide(self, root) -> tuple[bool, str]:
-        """``(keep, reason)`` for one finished root span."""
+        """``(keep, reason)`` for one finished record (a
+        :class:`repro.obs.trace.Trace`), read off its rows."""
         digests: Optional[list] = None
-        has_error = False
-        for span in root.walk():
-            attrs = span._attrs
+        for name, _, _, _, attrs in root.rows:
             if not attrs:
                 continue
             if "error" in attrs:
-                has_error = True
-                break
-            if span.name == _SQL_SPAN_NAME:
+                return True, KEEP_ERROR
+            if name == _SQL_SPAN_NAME:
                 digest = attrs.get("digest")
                 if digest:
                     if digests is None:
                         digests = [digest]
                     else:
                         digests.append(digest)
-        return self._decide(root, has_error, digests)
-
-    def _decide(self, root, has_error: bool,
-                digests: Optional[list]) -> tuple[bool, str]:
-        if has_error:
-            return True, KEEP_ERROR
-        root_attrs = root._attrs or {}
+        root_attrs = root.rows[0][ATTRS] or {}
         status = root_attrs.get("status")
         if isinstance(status, int) and status >= 500:
             return True, KEEP_ERROR
@@ -161,29 +155,6 @@ class TailSampler:
             return True
 
     # -- the sink surface --------------------------------------------------
-
-    def on_summary(self, summary) -> None:
-        """Pre-walked delivery (see :class:`repro.obs.sinks.FanoutSink`).
-
-        The summary already knows whether the tree errored and which
-        ``sql.execute`` spans it holds, so the decision skips the walk
-        :meth:`decide` pays — this is the hot path of every traced
-        request in ``repro serve``.
-        """
-        sql_spans = summary.sql_spans
-        digests: Optional[list] = None
-        if sql_spans:
-            for span in sql_spans:
-                attrs = span._attrs
-                digest = attrs.get("digest") if attrs else None
-                if digest:
-                    if digests is None:
-                        digests = [digest]
-                    else:
-                        digests.append(digest)
-        root = summary.root
-        self._settle(root, *self._decide(root, summary.has_error,
-                                         digests))
 
     def __call__(self, root) -> None:
         self._settle(root, *self.decide(root))

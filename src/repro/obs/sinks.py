@@ -1,22 +1,34 @@
-"""Trace sinks: where finished request traces go.
+"""Trace sinks: where finished request records go.
 
-Three consumers hang off :class:`repro.obs.trace.Tracer`:
+A sink is a callable the tracer hands every finished
+:class:`~repro.obs.trace.Trace` (one request's record, which is also
+its root span).  Two kinds hang off :class:`repro.obs.trace.Tracer`:
 
-* :class:`TraceLog` — one structured JSON line per request (trace id,
-  duration, per-phase breakdown, full span tree), the grep-able
-  per-request log the paper era never had.  ``repro trace <file>``
-  pretty-prints it.
-* :class:`SlowQueryLog` — the ``--slow-query-ms`` watchdog: any
-  ``sql.execute`` span at or over the threshold dumps its statement
-  digest and the whole offending span subtree as a ``slow_query``
-  record (same file format, so ``repro trace`` renders those too).
-* :class:`MetricsBridge` — folds span durations into a
-  :class:`~repro.obs.metrics.MetricsRegistry` (per-phase latency
-  histograms, slow-query counter), so the scrape endpoint shows where
-  time goes even when nobody is tailing logs.
+* **folds**, which see every request and so must be cheap: one pass
+  over the record's rows, no tree —
+
+  * :class:`MetricsBridge` — per-phase latency histograms and the
+    trace/slow-query counters in a
+    :class:`~repro.obs.metrics.MetricsRegistry`, so the scrape
+    endpoint shows where time goes even when nobody is tailing logs;
+  * :class:`repro.sql.digest.StatementStats` — the per-digest
+    statement analytics;
+
+* **tree readers**, which read the record as a span tree —
+
+  * :class:`TraceLog` — one structured JSON line per request (trace
+    id, duration, per-phase breakdown, full span tree), the grep-able
+    per-request log the paper era never had.  ``repro trace <file>``
+    pretty-prints it.
+  * :class:`SlowQueryLog` — the ``--slow-query-ms`` watchdog: any
+    ``sql.execute`` span at or over the threshold dumps its statement
+    digest and the whole offending span subtree as a ``slow_query``
+    record (same file format, so ``repro trace`` renders those too).
+  * :class:`repro.obs.sampling.TailSampler`, guarding those two.
 
 All file sinks append JSON Lines with a single ``write`` per record, so
-multiple processes (app-server workers) can share one file.
+multiple processes (app-server workers) can share one file;
+:class:`FanoutSink` takes them off the request thread.
 """
 
 from __future__ import annotations
@@ -29,13 +41,15 @@ from pathlib import Path
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, TraceSummary, summarize
+from repro.obs.trace import Span, Trace
 
 __all__ = ["TraceLog", "SlowQueryLog", "MetricsBridge", "FanoutSink",
            "format_trace", "read_trace_log"]
 
 #: Span name the slow-query watchdog matches.
 SQL_SPAN_NAME = "sql.execute"
+#: One leg of a scatter (its parent is the scatter's ``sql.execute``).
+SHARD_SPAN_NAME = "shard.execute"
 
 
 class _JsonLineFile:
@@ -127,19 +141,26 @@ class SlowQueryLog:
 
 
 class MetricsBridge:
-    """Fold finished traces into latency histograms.
+    """Fold finished records into latency histograms.
 
     Per span name: ``span_<name>_ms`` (dots become underscores), one
     observation per trace carrying the trace's *total* time in that
     phase — the same per-request phase breakdown the trace log records.
-    The request root additionally counts into ``traces_total``; slow
-    SQL spans (when a threshold is given) into ``slow_queries_total``.
+    Every record counts into ``traces_total``; slow ``sql.execute``
+    rows (when a threshold is given) into ``slow_queries_total``.
+
+    With ``statements`` (a :class:`repro.sql.digest.StatementStats`)
+    the same pass over the rows feeds the statement-digest store
+    (:meth:`~repro.sql.digest.StatementStats.fold`): ``repro serve``
+    folds every record once, in this one sink.
     """
 
     def __init__(self, registry: MetricsRegistry, *,
-                 slow_query_ms: Optional[float] = None):
+                 slow_query_ms: Optional[float] = None,
+                 statements=None):
         self.registry = registry
         self.slow_query_ms = slow_query_ms
+        self.statements = statements
         self._traces = registry.counter("traces_total")
         # Only materialise the slow counter when watching: its absence
         # from the scrape is how "no threshold configured" reads.
@@ -158,54 +179,69 @@ class MetricsBridge:
             self._histograms[name] = histogram
         return histogram
 
-    def __call__(self, root: Span) -> None:
-        self.on_summary(summarize(root))
-
-    def on_summary(self, summary: TraceSummary) -> None:
-        """Fold one pre-walked trace (see :class:`FanoutSink`)."""
-        self._traces.inc()
-        if self._slow is not None and summary.sql_spans:
-            slow_ms = self.slow_query_ms
-            for span in summary.sql_spans:
-                if span.duration_ms >= slow_ms:
-                    self._slow.inc()
-        for name, total in summary.totals.items():
-            self._histogram(name).observe(total)
+    def __call__(self, trace: Trace) -> None:
+        rows = trace.rows
+        totals: dict[str, float] = {}
+        sql_rows = None
+        for row in rows:
+            name, _, start, end, _ = row
+            duration = 0.0 if end is None else (end - start) * 1000.0
+            if name in totals:
+                totals[name] += duration
+            else:
+                totals[name] = duration
+            if name == SQL_SPAN_NAME:
+                if sql_rows is None:
+                    sql_rows = [row]
+                else:
+                    sql_rows.append(row)
+        histograms = self._histograms
+        # One lock trip: every counter and histogram of the registry
+        # shares its lock.
+        with self.registry.lock:
+            self._traces.inc_locked()
+            for name, total in totals.items():
+                histogram = histograms.get(name)
+                if histogram is None:
+                    histogram = self._histogram(name)
+                histogram.observe_locked(total)
+            if self._slow is not None and sql_rows is not None:
+                for _, _, start, end, _ in sql_rows:
+                    duration = 0.0 if end is None \
+                        else (end - start) * 1000.0
+                    if duration >= self.slow_query_ms:
+                        self._slow.inc_locked()
+        if sql_rows is not None and self.statements is not None:
+            self.statements.fold(rows, sql_rows,
+                                 SHARD_SPAN_NAME in totals)
 
 
 class FanoutSink:
-    """One tracer sink that walks once and feeds many consumers.
+    """Deliver finished records to several sinks, optionally off the
+    request thread.
 
-    ``repro serve`` hangs several aggregators off every finished trace
-    — the metrics bridge, the statement-digest store, the tail sampler
-    guarding the file logs.  Registered individually each would walk
-    the span tree itself; fused, the tree is summarized once
-    (:func:`repro.obs.trace.summarize`) and consumers exposing
-    ``on_summary`` are fed the shared summary.  Consumers without
-    ``on_summary`` (plain file sinks) still receive the root span.
+    ``repro serve`` puts its file sinks (the trace log and slow-query
+    log, or the tail sampler guarding them) behind one of these, so the
+    JSON and the file append never sit on a request's latency path; the
+    folds are cheap and stay on the tracer itself.
 
     With ``defer_cap`` > 0 delivery is **two-phase**: the request
-    thread only appends the finished root to a queue (a deque append —
-    well under a microsecond) and the aggregation work runs off the
-    latency path, from a daemon drain thread that wakes every
-    ``drain_interval`` seconds.  Readers that need current aggregates
-    (the scrape endpoints) call :meth:`flush` first, so scrapes stay
-    exact; the cap is a backstop — a request that finds ``defer_cap``
-    roots queued drains them inline rather than letting the queue grow
-    unboundedly.  With ``defer_cap=0`` (the default) delivery is
-    inline and synchronous, which is what unit tests want.
+    thread only appends the finished record to a queue (a deque append)
+    and the sinks run from a daemon drain thread that wakes every
+    ``drain_interval`` seconds.  Readers that need current output (the
+    scrape endpoints) call :meth:`flush` first; the cap is a backstop —
+    a request that finds ``defer_cap`` records queued drains them
+    inline rather than letting the queue grow unboundedly.  With
+    ``defer_cap=0`` (the default) delivery is inline and synchronous,
+    which is what unit tests want.
 
-    A consumer that raises is skipped for the delivery, never the
-    request — the same containment as ``Tracer._deliver``.
+    A sink that raises is skipped for the delivery, never the request —
+    the same containment as ``Tracer._deliver``.
     """
 
     def __init__(self, *consumers, defer_cap: int = 0,
                  drain_interval: float = 0.05):
         self.consumers = list(consumers)
-        self._handlers = [
-            getattr(consumer, "on_summary", None)
-            or (lambda summary, _sink=consumer: _sink(summary.root))
-            for consumer in consumers]
         self.defer_cap = defer_cap
         self.drain_interval = drain_interval
         self._queue: deque = deque()
@@ -217,37 +253,36 @@ class FanoutSink:
                 daemon=True)
             self._drainer.start()
 
-    def __call__(self, root: Span) -> None:
+    def __call__(self, trace: Trace) -> None:
         if self.defer_cap > 0:
             queue = self._queue
-            queue.append(root)
+            queue.append(trace)
             if len(queue) >= self.defer_cap:
                 self.flush()
             return
-        self._deliver(root)
+        self._deliver(trace)
 
-    def _deliver(self, root: Span) -> None:
-        summary = summarize(root)
-        for handler in self._handlers:
+    def _deliver(self, trace: Trace) -> None:
+        for consumer in self.consumers:
             try:
-                handler(summary)
+                consumer(trace)
             except Exception:  # noqa: BLE001 - mirror Tracer._deliver
                 pass
 
     def flush(self) -> None:
-        """Drain every queued root through the consumers, then return.
+        """Drain every queued record through the sinks, then return.
 
         Safe from any thread; the scrape handlers call this before
-        rendering so deferred aggregates are never stale on a read.
+        rendering so deferred output is never stale on a read.
         """
         queue = self._queue
         with self._drain_lock:
             while True:
                 try:
-                    root = queue.popleft()
+                    trace = queue.popleft()
                 except IndexError:
                     break
-                self._deliver(root)
+                self._deliver(trace)
 
     def _drain_loop(self) -> None:  # pragma: no cover - timing thread
         while True:

@@ -1,36 +1,49 @@
-"""Request tracing: a span tree per request, propagated end-to-end.
+"""Request tracing: one record per request, propagated end-to-end.
 
 One request through the Figure 1 stack touches many layers — HTTP
 accept, CGI dispatch, macro load and parse, variable substitution, one
 or more SQL executions, report rendering, emission.  The tracer records
-that as a tree of **spans**, all carrying one **trace id** that is
+that as one :class:`Trace` per request: a **trace id** and the request's
+spans as **flat rows**, in the shape the app-server frame carries them
+(:meth:`Span.export`)::
+
+    [name, parent_row, start, end, attrs]
+
+``parent_row`` indexes an earlier row (``-1`` on the root, row 0);
+``start``/``end`` are this process's ``perf_counter`` seconds (``end``
+is ``None`` while the span runs) and export as whole microseconds.  The
+instrumentation points fill the record as the request runs: a hot
+site appends its row with :meth:`Trace.open` and sets its ``END``; an
+enclosing span is a ``with tracer.span(...)`` block.  The trace id is
 
 * generated where the request enters (:mod:`repro.http.async_server` /
   :class:`repro.http.router.Router`),
 * threaded through the CGI environment (``REPRO_TRACE_ID`` — so a
   subprocess CGI run and the app-server worker see it),
-* carried across the app-server's frames and back: a worker runs its
-  own span tree under the propagated id and ships it home in the
-  RESPONSE frame as flat rows (:meth:`Span.export`), where the
-  dispatcher grafts them into the live request trace
-  (:meth:`Tracer.graft`).
+* carried across the app-server's frames and back: a worker records its
+  own trace under the propagated id and ships its rows home in the
+  RESPONSE frame, where the dispatcher appends them to the live
+  request's record (:meth:`Tracer.graft`).
 
-The current span travels in a :mod:`contextvars` context variable, so
-nested layers need no plumbing and the streaming-generator path stays
-correct (the router re-activates the request span around each chunk it
-pulls — see :meth:`ActiveSpan.activate`).
+The request's record travels in a :mod:`contextvars` context variable,
+so nested layers need no plumbing and the streaming path stays correct
+(the router re-activates the record around each chunk it pulls — see
+:meth:`Trace.activate`).
 
 **Gating**: the tracer is off by default.  Every instrumentation point
-first checks :attr:`Tracer.enabled` (an attribute read) and, when off,
-:meth:`Tracer.span` returns a shared no-op context manager — the no-op
-cost of the whole subsystem is a dict lookup per request, and the
-*enabled* cost is bounded by the ≤5% bar of
-``benchmarks/bench_obs_overhead.py``.
+first asks :meth:`Tracer.current` (an attribute read and a context
+variable read) and does nothing without a record.  Enabled, a
+``report_hot`` request that reuses a kept page fills three rows and
+costs ~4 µs of CPU in process (``docs/observability.md`` §4 has the
+served figures against ``--no-trace``).
 
-Finished root spans are delivered to **sinks** (the structured request
-log, the slow-query log, the metrics bridge — see
-:mod:`repro.obs.sinks`); a sink that raises is disabled for the
-delivery, never the request.
+A finished record is delivered to **sinks**, plain callables: the
+metrics bridge and the statement-digest store fold its rows in one
+pass; the trace log, the slow-query log and the tail sampler read it as
+a span tree — a :class:`Trace` *is* its root :class:`Span`, a view
+whose tree (children, :meth:`Span.walk`, :meth:`Span.to_dict`) is
+derived from the rows only when read.  A sink that raises is skipped
+for the delivery, never the request.
 """
 
 from __future__ import annotations
@@ -45,16 +58,19 @@ from typing import Callable, Iterator, Optional
 
 from repro.errors import CgiProtocolError
 
-__all__ = ["Span", "ActiveSpan", "Tracer", "TRACER", "new_trace_id",
-           "TraceSummary", "summarize",
-           "statement_digest"]
+__all__ = ["Span", "Trace", "Tracer", "TRACER", "new_trace_id",
+           "statement_digest", "NAME", "PARENT", "START", "END", "ATTRS"]
 
-_current_span: contextvars.ContextVar[Optional["Span"]] = \
-    contextvars.ContextVar("repro_current_span", default=None)
+#: The fields of one row (see the module docstring).
+NAME, PARENT, START, END, ATTRS = range(5)
 
-# itertools.count.__next__ is atomic in CPython, so neither counter
-# needs a lock; both sit on the per-request hot path.
-_span_ids = itertools.count(1)
+_current_trace: contextvars.ContextVar[Optional["Trace"]] = \
+    contextvars.ContextVar("repro_current_trace", default=None)
+
+_perf_counter = time.perf_counter
+
+# itertools.count.__next__ is atomic in CPython, so the counter needs
+# no lock; it sits on the per-request hot path.
 _trace_counter = itertools.count(1)
 
 _digest_cache: dict[str, str] = {}
@@ -63,32 +79,30 @@ _DIGEST_CACHE_LIMIT = 1024
 
 def new_trace_id() -> str:
     """A process-unique trace id: pid, coarse time, and a counter."""
-    return (f"{_pid_prefix()}-{int(time.time()):x}-"
+    return (f"{_PID_HEX}-{int(_time()):x}-"
             f"{next(_trace_counter) & 0xFFFF:04x}")
 
 
-def _pid_prefix() -> str:
-    # Re-derived on pid change so forked workers (the app server) mint
-    # ids under their own pid, not the parent's cached one.
-    global _PID, _PID_HEX
-    pid = os.getpid()
-    if pid != _PID:
-        _PID, _PID_HEX = pid, f"{pid:x}"
-    return _PID_HEX
+def _note_pid() -> None:
+    # Re-derived in a forked child (an acceptor process), so it mints
+    # ids under its own pid, not the parent's.
+    global _PID_HEX
+    _PID_HEX = f"{os.getpid():x}"
 
 
-_PID = -1
+_time = time.time
 _PID_HEX = ""
+_note_pid()
+os.register_at_fork(after_in_child=_note_pid)
 
 
 def statement_digest(sql: str) -> str:
-    """A short stable digest of one SQL statement's text.
+    """A short stable digest of one SQL statement's raw text.
 
-    Slow-query log lines and ``sql.execute`` spans carry this so
-    operators can group occurrences of the same (dynamically assembled)
-    statement without shipping the full text everywhere.  Digests are
-    memoised: a server executes the same handful of (assembled)
-    statements over and over, and hashing is hot-path work.
+    Memoised: a server executes the same handful of (assembled)
+    statements over and over, and hashing is hot-path work.  The
+    ``sql.execute`` rows carry the *normalised* digest instead
+    (:func:`repro.sql.digest.statement_digest`).
     """
     digest = _digest_cache.get(sql)
     if digest is None:
@@ -101,72 +115,106 @@ def statement_digest(sql: str) -> str:
 
 
 class Span:
-    """One timed operation in a trace tree."""
+    """One row of a :class:`Trace`, read as a node of its span tree.
 
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "start",
-                 "end", "_attrs", "_children", "remote")
+    A view: it holds the record's rows and an index, so reading the
+    tree costs nothing until a reader asks for it, and setting a field
+    writes the row.  The span id is the row index; the root's parent id
+    is ``None``.
+    """
 
-    def __init__(self, name: str, trace_id: str,
-                 parent_id: Optional[int] = None,
-                 attrs: Optional[dict] = None):
-        self.name = name
+    __slots__ = ("rows", "index", "trace_id")
+
+    def __init__(self, rows: list, index: int, trace_id: str):
+        self.rows = rows
+        self.index = index
         self.trace_id = trace_id
-        self.span_id = next(_span_ids)
-        self.parent_id = parent_id
-        self.start = time.perf_counter()
-        self.end: Optional[float] = None
-        # attrs/children stay unallocated until used: most spans carry
-        # neither, and several are minted per request.
-        self._attrs: Optional[dict] = attrs
-        self._children: Optional[list[Span]] = None
-        #: True for spans rebuilt from an exported tree (another
-        #: process's clock); their offsets are relative to the graft
-        #: root, not this process's request span.
-        self.remote = False
+
+    def __eq__(self, other: object) -> bool:
+        """Two views of the same row are the same span."""
+        return (isinstance(other, Span) and other.rows is self.rows
+                and other.index == self.index)
+
+    def __hash__(self) -> int:
+        return hash((id(self.rows), self.index))
+
+    @property
+    def name(self) -> str:
+        return self.rows[self.index][NAME]
+
+    @property
+    def span_id(self) -> int:
+        return self.index
+
+    @property
+    def parent_id(self) -> Optional[int]:
+        parent = self.rows[self.index][PARENT]
+        return None if parent < 0 else parent
+
+    @property
+    def start(self) -> float:
+        return self.rows[self.index][START]
+
+    @start.setter
+    def start(self, value: float) -> None:
+        self.rows[self.index][START] = value
+
+    @property
+    def end(self) -> Optional[float]:
+        return self.rows[self.index][END]
+
+    @end.setter
+    def end(self, value: Optional[float]) -> None:
+        self.rows[self.index][END] = value
 
     @property
     def attrs(self) -> dict:
-        attrs = self._attrs
+        row = self.rows[self.index]
+        attrs = row[ATTRS]
         if attrs is None:
-            attrs = self._attrs = {}
+            attrs = row[ATTRS] = {}
         return attrs
 
-    @property
-    def children(self) -> list["Span"]:
-        children = self._children
-        if children is None:
-            children = self._children = []
-        return children
-
-    def add_child(self, span: "Span") -> None:
-        children = self._children
-        if children is None:
-            self._children = [span]
-        else:
-            children.append(span)
-
     def set(self, key: str, value) -> None:
-        attrs = self._attrs
-        if attrs is None:
-            attrs = self._attrs = {}
-        attrs[key] = value
+        self.attrs[key] = value
 
     @property
     def duration_ms(self) -> float:
-        if self.end is None:
-            return 0.0
-        return (self.end - self.start) * 1000.0
+        row = self.rows[self.index]
+        end = row[END]
+        return 0.0 if end is None else (end - row[START]) * 1000.0
 
     def finish(self) -> None:
-        if self.end is None:
-            self.end = time.perf_counter()
+        row = self.rows[self.index]
+        if row[END] is None:
+            row[END] = _perf_counter()
+
+    # -- the tree, derived from the rows -----------------------------------
+
+    def _kids(self) -> dict[int, list[int]]:
+        """Row index -> child row indexes, for the rows after this one
+        (a child always comes after its parent)."""
+        kids: dict[int, list[int]] = {}
+        rows = self.rows
+        for index in range(self.index + 1, len(rows)):
+            kids.setdefault(rows[index][PARENT], []).append(index)
+        return kids
+
+    @property
+    def children(self) -> list["Span"]:
+        rows, index, trace_id = self.rows, self.index, self.trace_id
+        return [Span(rows, child, trace_id)
+                for child in self._kids().get(index, ())]
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
-        yield self
-        if self._children:
-            for child in self._children:
-                yield from child.walk()
+        kids = self._kids()
+        rows, trace_id = self.rows, self.trace_id
+        stack = [self.index]
+        while stack:
+            index = stack.pop()
+            yield Span(rows, index, trace_id)
+            stack.extend(reversed(kids.get(index, ())))
 
     def phase_totals(self) -> dict[str, float]:
         """Total milliseconds per span name across the subtree."""
@@ -180,90 +228,73 @@ class Span:
 
     def to_dict(self) -> dict:
         """Nested JSON-ready form; offsets are relative to the parent."""
-        return self._to_dict(parent=None)
+        return self._to_dict(self.index, self._kids(), None)
 
-    def _to_dict(self, parent: Optional["Span"]) -> dict:
-        if parent is None or parent.remote != self.remote:
-            offset = 0.0
-        else:
-            offset = (self.start - parent.start) * 1000.0
+    def _to_dict(self, index: int, kids: dict, parent_start) -> dict:
+        name, _, start, end, attrs = self.rows[index]
         record = {
-            "name": self.name,
+            "name": name,
             "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "offset_ms": round(offset, 3),
-            "duration_ms": round(self.duration_ms, 3),
+            "span_id": index,
+            "offset_ms": 0.0 if parent_start is None
+            else round((start - parent_start) * 1000.0, 3),
+            "duration_ms": 0.0 if end is None
+            else round((end - start) * 1000.0, 3),
         }
-        if self._attrs:
-            record["attrs"] = dict(self._attrs)
-        if self._children:
-            record["children"] = [child._to_dict(self)
-                                  for child in self._children]
+        if attrs:
+            record["attrs"] = dict(attrs)
+        children = kids.get(index)
+        if children:
+            record["children"] = [self._to_dict(child, kids, start)
+                                  for child in children]
         return record
 
     # -- the cross-process form --------------------------------------------
 
     def export(self) -> list[list]:
-        """This subtree as flat rows, for another process to graft.
-
-        One row per span, depth-first from this one: ``[name,
-        parent_row, offset_us, duration_us, attrs]``.  ``parent_row``
-        indexes an earlier row (``-1`` on this span's own row), offsets
-        count from this span's start, and both times are whole
-        microseconds.  No ids travel: the grafting side mints its own
-        under its own trace (:meth:`from_rows`).
-        """
-        base = self.start
-        rows: list[list] = []
-        stack: list[tuple[Span, int]] = [(self, -1)]
-        while stack:
-            span, parent_row = stack.pop()
-            end = span.end
-            rows.append([span.name, parent_row,
-                         int((span.start - base) * 1e6),
-                         0 if end is None else int((end - span.start) * 1e6),
-                         span._attrs or {}])
-            if span._children:
-                stack += zip(reversed(span._children),
-                             itertools.repeat(len(rows) - 1))
-        return rows
+        """This subtree as rows for another process: ``[name,
+        parent_row, offset_us, duration_us, attrs]``, parents before
+        children in the order they started.  ``parent_row`` indexes an
+        earlier exported row (``-1`` on this span's own row); offsets
+        count from this span's start, both times in whole (rounded)
+        microseconds.  No ids travel: the receiving side appends the
+        rows to its own record (:meth:`Tracer.graft`)."""
+        rows = self.rows
+        first = self.index
+        base = rows[first][START]
+        if first == 0:
+            picked = rows
+            parents = None
+        else:
+            position = {first: 0}
+            picked = [rows[first]]
+            parents = [-1]
+            for index in range(first + 1, len(rows)):
+                parent = rows[index][PARENT]
+                if parent in position:
+                    position[index] = len(picked)
+                    picked.append(rows[index])
+                    parents.append(position[parent])
+        exported = []
+        for at, (name, parent, start, end, attrs) in enumerate(picked):
+            exported.append([
+                name, parent if parents is None else parents[at],
+                round((start - base) * 1e6),
+                0 if end is None else round((end - start) * 1e6),
+                attrs or {}])
+        return exported
 
     @classmethod
-    def from_rows(cls, rows: list, trace_id: str,
-                  parent_id: Optional[int] = None) -> "Span":
-        """Rebuild an exported subtree (:meth:`export`) in ``trace_id``.
-
-        Timing is reconstructed on a synthetic clock: the rebuilt root
-        starts at 0 and every span at its recorded offset, so durations
-        and layout survive while absolute times (another process's
-        ``perf_counter``) do not.  Every rebuilt span is ``remote``.
-        The rows come off a socket, so a malformed one — not five
-        fields of the exported types, or a parent row that is not an
-        earlier row (``-1`` on row 0 only) — raises
-        :class:`~repro.errors.CgiProtocolError`.
-        """
-        spans: list[Span] = []
-        for index, row in enumerate(rows):
-            if type(row) is not list or list(map(type, row)) != _ROW_TYPES:
-                raise CgiProtocolError(
-                    f"span row {index} is not [str, int, int, int, dict]")
-            name, parent_row, offset_us, duration_us, attrs = row
-            if index == 0 and parent_row == -1:
-                span = cls(name, trace_id, parent_id, attrs or None)
-            elif 0 <= parent_row < index:
-                parent = spans[parent_row]
-                span = cls(name, trace_id, parent.span_id, attrs or None)
-                parent.add_child(span)
-            else:
-                raise CgiProtocolError(
-                    f"span row {index} names parent row {parent_row}")
-            span.start = offset_us / 1e6
-            span.end = span.start + duration_us / 1e6
-            span.remote = True
-            spans.append(span)
-        if not spans:
-            raise CgiProtocolError("no span rows to rebuild")
-        return spans[0]
+    def from_rows(cls, rows: list, trace_id: str) -> "Trace":
+        """A finished record of exported rows (:meth:`export`) under
+        ``trace_id``, on a synthetic clock (each span starts at its
+        recorded offset), ready to read or deliver.  Malformed rows
+        raise :class:`~repro.errors.CgiProtocolError`."""
+        _check_rows(rows)
+        trace = Trace(None, rows[0][NAME], trace_id, rows[0][ATTRS] or None)
+        trace._finished = True
+        trace.rows = _local_rows(rows, 0.0, 0)
+        return trace
 
 
 #: The field types of one exported row (``type(True)`` is not ``int``),
@@ -271,108 +302,116 @@ class Span:
 _ROW_TYPES = [str, int, int, int, dict]
 
 
-class TraceSummary:
-    """One walk's worth of facts about a finished trace.
+def _check_rows(rows: list) -> None:
+    """Raise :class:`CgiProtocolError` unless ``rows`` are exported rows:
+    each five fields of the exported types, row 0 the only root, every
+    other row's parent an earlier row.  The rows come off a socket."""
+    if not rows:
+        raise CgiProtocolError("no span rows to rebuild")
+    for index, row in enumerate(rows):
+        if type(row) is not list or list(map(type, row)) != _ROW_TYPES:
+            raise CgiProtocolError(
+                f"span row {index} is not [str, int, int, int, dict]")
+        parent_row = row[PARENT]
+        if not (index == 0 and parent_row == -1
+                or 0 <= parent_row < index):
+            raise CgiProtocolError(
+                f"span row {index} names parent row {parent_row}")
 
-    Every aggregating consumer of a delivered root needs the same
-    traversal: per-phase duration totals, the ``sql.execute`` spans,
-    and whether anything in the tree errored.  Walking once and
-    fanning the summary out (see :class:`repro.obs.sinks.FanoutSink`)
-    keeps the per-request delivery cost flat no matter how many
-    consumers are wired — this sits on the hot path of every traced
-    request, inside the ≤5% overhead bar.
+
+def _local_rows(rows: list, base: float, shift: int) -> list[list]:
+    """Exported rows as live ones: row 0 starts at ``base``, the others
+    at their offsets from it; parents move by ``shift`` rows (row 0's
+    parent is the caller's to set)."""
+    first = rows[0][START]
+    local = []
+    for name, parent, offset_us, duration_us, attrs in rows:
+        start = base + (offset_us - first) / 1e6
+        local.append([name, parent + shift if parent >= 0 else -1,
+                      start, start + duration_us / 1e6, attrs or None])
+    return local
+
+
+class Trace(Span):
+    """One request's record: its trace id and its spans as flat rows.
+
+    A trace is also its own root :class:`Span` (row 0).  The router
+    (and the worker) owns its lifecycle: :meth:`activate` makes it the
+    record the instrumentation points fill, :meth:`deactivate` stops
+    that across a streaming ``yield``, :meth:`finish` ends the root and
+    delivers the record to the tracer's sinks.
     """
 
-    __slots__ = ("root", "totals", "sql_spans", "has_error")
+    __slots__ = ("tracer", "parent", "_token", "_finished")
 
-    def __init__(self, root: "Span", totals: dict,
-                 sql_spans: Optional[list], has_error: bool):
-        self.root = root
-        #: span name -> total milliseconds across the tree.
-        self.totals = totals
-        #: every ``sql.execute`` span, in delivery order (or ``None``).
-        self.sql_spans = sql_spans
-        #: True when any span in the tree carries an ``error`` attr.
-        self.has_error = has_error
-
-
-#: Span name the SQL-aware consumers match (one definition would be
-#: circular: sinks and sql.digest both mirror this string).
-_SQL_SPAN = "sql.execute"
-
-
-def summarize(root: "Span") -> TraceSummary:
-    """Collect a :class:`TraceSummary` in one iterative walk."""
-    totals: dict[str, float] = {}
-    sql_spans: Optional[list] = None
-    has_error = False
-    stack = [root]
-    while stack:
-        span = stack.pop()
-        children = span._children
-        if children:
-            stack.extend(children)
-        name = span.name
-        end = span.end
-        duration = 0.0 if end is None else (end - span.start) * 1000.0
-        if name in totals:
-            totals[name] += duration
-        else:
-            totals[name] = duration
-        attrs = span._attrs
-        if attrs:
-            if "error" in attrs:
-                has_error = True
-            if name == _SQL_SPAN:
-                if sql_spans is None:
-                    sql_spans = [span]
-                else:
-                    sql_spans.append(span)
-        elif name == _SQL_SPAN:
-            if sql_spans is None:
-                sql_spans = [span]
-            else:
-                sql_spans.append(span)
-    return TraceSummary(root, totals, sql_spans, has_error)
-
-
-class ActiveSpan:
-    """A begun span plus its context activation, for explicit lifecycles.
-
-    The router uses this shape because a streaming response outlives
-    ``Router.handle``: the span deactivates when handle returns and is
-    re-activated around each chunk the transport pulls, finishing only
-    when the stream closes.
-    """
-
-    __slots__ = ("tracer", "span", "_token", "_finished")
-
-    def __init__(self, tracer: "Tracer", span: Span):
+    def __init__(self, tracer: Optional["Tracer"], name: str,
+                 trace_id: str, attrs: Optional[dict] = None):
+        self.rows = [[name, -1, _perf_counter(), None, attrs]]
+        self.index = 0
+        self.trace_id = trace_id
         self.tracer = tracer
-        self.span = span
-        self._token = _current_span.set(span)
+        #: the row new spans attach under: the innermost open
+        #: ``tracer.span`` block, else the root
+        self.parent = 0
+        self._token = None
         self._finished = False
 
+    def open(self, name: str, attrs: Optional[dict] = None,
+             start: Optional[float] = None,
+             parent: Optional[int] = None) -> list:
+        """Append a started row and return it: under ``parent`` (a row
+        index), by default the current parent.
+
+        For the hot sites: the row is not made the parent of later
+        spans, and the caller ends it by setting ``row[END]`` (or
+        accrues into it).
+        """
+        row = [name, self.parent if parent is None else parent,
+               _perf_counter() if start is None else start, None, attrs]
+        self.rows.append(row)
+        return row
+
+    def graft(self, rows: list) -> Span:
+        """Append another process's exported rows (:meth:`Span.export`)
+        under the current parent, their root starting where the parent
+        started (the clocks are not comparable; the offsets inside the
+        grafted rows are kept).  Malformed rows raise
+        :class:`~repro.errors.CgiProtocolError` and attach nothing."""
+        _check_rows(rows)
+        own = self.rows
+        parent = self.parent
+        local = _local_rows(rows, own[parent][START], len(own))
+        local[0][PARENT] = parent
+        grafted = len(own)
+        own.extend(local)
+        return Span(own, grafted, self.trace_id)
+
+    # -- lifecycle -----------------------------------------------------------
+
     def activate(self) -> None:
-        """Make this span current again (streaming re-entry)."""
+        """Make this the record the current context fills."""
         if self._token is None:
-            self._token = _current_span.set(self.span)
+            self._token = _current_trace.set(self)
 
     def deactivate(self) -> None:
-        """Restore the previous current span."""
+        """Restore the previous record (streaming: across a yield)."""
         if self._token is not None:
-            _current_span.reset(self._token)
+            _current_trace.reset(self._token)
             self._token = None
 
     def finish(self) -> None:
-        """End the span, restore context, deliver a finished root."""
+        """End the root, restore the context, deliver the record."""
         if self._finished:
             return
         self._finished = True
-        self.deactivate()
-        self.span.finish()
-        if self.span.parent_id is None:
-            self.tracer._deliver(self.span)
+        if self._token is not None:
+            _current_trace.reset(self._token)
+            self._token = None
+        root = self.rows[0]
+        if root[END] is None:
+            root[END] = _perf_counter()
+        if self.tracer is not None:
+            self.tracer._deliver(self)
 
 
 class _NoopSpan:
@@ -401,38 +440,59 @@ _NOOP_CONTEXT = _NoopContext()
 
 
 class _SpanContext:
-    """Context manager for one interior span."""
+    """``with tracer.span(name)``: an enclosing span of the current
+    record (the parent of spans opened inside the block), or — with no
+    record current — a new record of its own, delivered on exit."""
 
-    __slots__ = ("_tracer", "_span", "_token")
+    __slots__ = ("_tracer", "_name", "_attrs", "_trace", "_index",
+                 "_outer")
 
-    def __init__(self, tracer: "Tracer", span: Span):
+    def __init__(self, tracer: "Tracer", name: str,
+                 attrs: Optional[dict]):
         self._tracer = tracer
-        self._span = span
-        self._token = None
+        self._name = name
+        self._attrs = attrs
 
     def __enter__(self) -> Span:
-        self._token = _current_span.set(self._span)
-        return self._span
+        trace = _current_trace.get()
+        if trace is None:
+            trace = Trace(self._tracer, self._name, new_trace_id(),
+                          self._attrs)
+            trace.activate()
+            self._trace, self._index = trace, 0
+            return trace
+        self._trace = trace
+        self._index = len(trace.rows)
+        self._outer = trace.parent
+        trace.open(self._name, self._attrs)
+        trace.parent = self._index
+        return Span(trace.rows, self._index, trace.trace_id)
 
     def __exit__(self, exc_type, exc, _tb) -> None:
-        _current_span.reset(self._token)
-        self._span.finish()
+        trace = self._trace
+        row = trace.rows[self._index]
+        if row[END] is None:
+            row[END] = _perf_counter()
         if exc_type is not None:
-            self._span.attrs.setdefault("error", exc_type.__name__)
-        if self._span.parent_id is None:
-            self._tracer._deliver(self._span)
+            if row[ATTRS] is None:
+                row[ATTRS] = {}
+            row[ATTRS].setdefault("error", exc_type.__name__)
+        if self._index == 0:
+            trace.finish()
+        else:
+            trace.parent = self._outer
 
 
 class Tracer:
-    """The process-wide span factory and sink fan-out."""
+    """The process-wide record factory and sink fan-out."""
 
     def __init__(self) -> None:
         #: The gate every instrumentation point checks first.
         self.enabled = False
-        self._sinks: list[Callable[[Span], None]] = []
+        self._sinks: list[Callable[[Trace], None]] = []
         #: immutable snapshot delivery iterates — rebuilt under the
         #: lock on every add/remove, read lock-free per request.
-        self._sinks_snapshot: tuple[Callable[[Span], None], ...] = ()
+        self._sinks_snapshot: tuple[Callable[[Trace], None], ...] = ()
         self._lock = threading.Lock()
 
     # -- configuration -----------------------------------------------------
@@ -443,13 +503,13 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
-    def add_sink(self, sink: Callable[[Span], None]) -> None:
-        """Register a callable invoked with every finished root span."""
+    def add_sink(self, sink: Callable[[Trace], None]) -> None:
+        """Register a callable invoked with every finished record."""
         with self._lock:
             self._sinks.append(sink)
             self._sinks_snapshot = tuple(self._sinks)
 
-    def remove_sink(self, sink: Callable[[Span], None]) -> None:
+    def remove_sink(self, sink: Callable[[Trace], None]) -> None:
         with self._lock:
             if sink in self._sinks:
                 self._sinks.remove(sink)
@@ -460,105 +520,59 @@ class Tracer:
             self._sinks.clear()
             self._sinks_snapshot = ()
 
-    # -- span creation -----------------------------------------------------
+    # -- records and spans -------------------------------------------------
+
+    def begin(self, name: str, *, trace_id: Optional[str] = None,
+              attrs: Optional[dict] = None) -> Optional[Trace]:
+        """Start and activate a request's record (its root span is
+        ``name``).  Returns ``None`` when tracing is off, so callers
+        keep a single ``if trace is not None`` guard."""
+        if not self.enabled:
+            return None
+        trace = Trace(self, name, trace_id or new_trace_id(), attrs)
+        trace._token = _current_trace.set(trace)
+        return trace
+
+    def current(self) -> Optional[Trace]:
+        """The record the current context fills, or ``None`` (tracing
+        off, or no request running here).  Every instrumentation point
+        starts with this."""
+        return _current_trace.get() if self.enabled else None
+
+    def current_trace_id(self) -> str:
+        trace = _current_trace.get()
+        return trace.trace_id if trace is not None else ""
 
     def span(self, name: str, attrs: Optional[dict] = None):
-        """Context manager for one span under the current one.
+        """Context manager for an enclosing span of the current record.
 
-        With tracing off (or on a thread with no active request span
-        and no need for a root — a bare ``span`` call still roots its
-        own trace) the disabled path returns a shared no-op.
+        With tracing off it is a shared no-op; with no record current a
+        bare ``span`` starts (and on exit delivers) a record of its own.
         """
         if not self.enabled:
             return _NOOP_CONTEXT
-        parent = _current_span.get()
-        if parent is None:
-            span = Span(name, new_trace_id(), None, attrs)
-        else:
-            span = Span(name, parent.trace_id, parent.span_id, attrs)
-            parent.add_child(span)
-        return _SpanContext(self, span)
-
-    def leaf(self, name: str) -> Optional[Span]:
-        """A started child :class:`Span` under the current span, or
-        ``None`` when tracing is off or no span is current.
-
-        For hot leaf phases (variable substitution runs several times
-        per request): the span is attached but *not* made current, so
-        the caller skips the context-variable set/reset a ``with
-        span(...)`` pays.  The caller must ``finish()`` it.
-        """
-        if not self.enabled:
-            return None
-        parent = _current_span.get()
-        if parent is None:
-            return None
-        span = Span(name, parent.trace_id, parent.span_id)
-        parent.add_child(span)
-        return span
-
-    def begin(self, name: str, *, trace_id: Optional[str] = None,
-              attrs: Optional[dict] = None) -> Optional[ActiveSpan]:
-        """Open a root span with an explicit lifecycle.
-
-        Returns ``None`` when tracing is off, so callers can keep a
-        single ``if act is not None`` guard.
-        """
-        if not self.enabled:
-            return None
-        span = Span(name, trace_id or new_trace_id(), None, attrs)
-        return ActiveSpan(self, span)
-
-    def child_of(self, parent: Optional[Span],
-                 name: str) -> Optional[Span]:
-        """A started child of an *explicit* parent span (cross-thread).
-
-        The scatter-gather merge hands each shard worker a span created
-        on the request thread — creating them there, before the workers
-        start, keeps ``parent``'s lazy child-list initialisation
-        single-threaded.  Returns ``None`` when tracing is off or there
-        is no parent; the caller must ``finish()`` it.
-        """
-        if not self.enabled or parent is None:
-            return None
-        span = Span(name, parent.trace_id, parent.span_id)
-        parent.add_child(span)
-        return span
-
-    # -- context introspection ---------------------------------------------
-
-    def current(self) -> Optional[Span]:
-        return _current_span.get()
-
-    def current_trace_id(self) -> str:
-        span = _current_span.get()
-        return span.trace_id if span is not None else ""
-
-    # -- cross-process stitches --------------------------------------------
+        return _SpanContext(self, name, attrs)
 
     def graft(self, rows: list) -> Optional[Span]:
-        """Attach exported span rows (:meth:`Span.export`) under the
-        current span, in its trace.
+        """Append exported rows (:meth:`Span.export`) to the current
+        record, under its current parent (:meth:`Trace.graft`).
 
         This is how worker-side spans join the dispatcher's trace: the
         RESPONSE frame carries the worker's rows, the dispatcher grafts
-        them while its request span is still current.  No-op without an
-        active span (nothing to graft onto).  Malformed rows raise
-        :class:`~repro.errors.CgiProtocolError` and attach nothing.
+        them inside its ``appserver.dispatch`` span.  No-op without a
+        current record.
         """
-        parent = _current_span.get()
-        if not self.enabled or parent is None or not rows:
+        trace = self.current()
+        if trace is None or not rows:
             return None
-        grafted = Span.from_rows(rows, parent.trace_id, parent.span_id)
-        parent.add_child(grafted)
-        return grafted
+        return trace.graft(rows)
 
     # -- delivery ----------------------------------------------------------
 
-    def _deliver(self, root: Span) -> None:
+    def _deliver(self, trace: Trace) -> None:
         for sink in self._sinks_snapshot:
             try:
-                sink(root)
+                sink(trace)
             except Exception:  # noqa: BLE001 - observability must never
                 pass           # take the request down
 

@@ -18,9 +18,9 @@ aggregation key for "which query is burning the SLO."
 :class:`StatementStats` keeps bounded per-digest rolling aggregates
 (calls, rows, latency histogram, cache-hit ratio, shard fan-out,
 error/SQLSTATE counts).  It doubles as a tracer sink: every finished
-request trace is walked for ``sql.execute`` spans — including spans
+request record is folded for its ``sql.execute`` rows — including rows
 grafted back from app-server worker frames — so one store in the
-serving process aggregates statements executed anywhere in the tree.
+serving process aggregates statements executed anywhere in the request.
 ``repro serve`` publishes it at ``/statements`` and ``repro top``
 renders it; the slow-query log attaches the digest's aggregate row to
 each dump.
@@ -34,6 +34,7 @@ import threading
 from typing import Iterable, Optional
 
 from repro.obs.metrics import Histogram
+from repro.obs.trace import ATTRS, END, NAME, PARENT, START
 
 __all__ = ["normalize_statement", "statement_digest",
            "statement_fingerprint", "StatementStats", "STATEMENTS"]
@@ -183,6 +184,17 @@ def statement_digest(sql: str) -> str:
     return statement_fingerprint(sql)[0]
 
 
+def _fanouts(rows: list) -> dict[int, int]:
+    """``id(row)`` of each ``sql.execute`` row that ``shard.execute``
+    rows name as their parent -> how many do (its scatter's fan-out)."""
+    children: dict[int, int] = {}
+    for row in rows:
+        if row[NAME] == SHARD_SPAN_NAME:
+            parent = id(rows[row[PARENT]])
+            children[parent] = children.get(parent, 0) + 1
+    return children
+
+
 class _DigestEntry:
     """Rolling aggregates for one statement shape."""
 
@@ -192,7 +204,7 @@ class _DigestEntry:
 
     _MAX_SQLSTATES = 16
 
-    def __init__(self, digest: str, text: str):
+    def __init__(self, digest: str, text: str, lock: threading.Lock):
         self.digest = digest
         self.text = text
         self.calls = 0
@@ -201,10 +213,11 @@ class _DigestEntry:
         self.cache_hits = 0
         self.fanout_total = 0
         self.fanout_max = 0
-        self.latency = Histogram(digest)
+        #: under the store's lock, which :meth:`record` runs in
+        self.latency = Histogram(digest, lock)
         self.sqlstates: dict[str, int] = {}
 
-    def record(self, *, duration_ms: float, rows: int, cached: bool,
+    def record(self, duration_ms: float, rows: int, cached: bool,
                error: bool, sqlstate: Optional[str],
                fanout: int) -> None:
         self.calls += 1
@@ -219,10 +232,11 @@ class _DigestEntry:
         self.fanout_total += fanout
         if fanout > self.fanout_max:
             self.fanout_max = fanout
-        self.latency.observe(duration_ms)
+        self.latency.observe_locked(duration_ms)
 
     def snapshot(self) -> dict:
-        latency = self.latency.snapshot()
+        """The entry's ``/statements`` row (the store's lock is held)."""
+        latency = self.latency.snapshot_locked()
         calls = self.calls
         return {
             "digest": self.digest,
@@ -250,10 +264,9 @@ class StatementStats:
     """Bounded per-digest rolling statistics, fed from finished traces.
 
     Used as a tracer sink (``TRACER.add_sink(stats)``): each delivered
-    root is walked for ``sql.execute`` spans — local or grafted from a
-    worker frame — and their digest/duration/rows/cached/error
-    attributes recorded.  ``shard.execute`` children count as scatter
-    fan-out.  Beyond ``max_digests`` distinct shapes, further ones
+    record's ``sql.execute`` rows — local or grafted from a worker
+    frame — have their digest/duration/rows/cached/error attributes
+    recorded.  ``shard.execute`` children count as scatter fan-out.  Beyond ``max_digests`` distinct shapes, further ones
     aggregate into one ``_other`` bucket so cardinality stays bounded
     no matter what SQL an application assembles.
 
@@ -279,7 +292,7 @@ class StatementStats:
         self._lock = threading.Lock()
         self._entries: dict[str, _DigestEntry] = {}
         self._other = _DigestEntry(
-            "_other", "(statements beyond the digest budget)")
+            "_other", "(statements beyond the digest budget)", self._lock)
         self._overflowed = 0
         self._recorded = 0
         self._keys: dict[str, tuple[str, ...]] = {}
@@ -302,7 +315,8 @@ class StatementStats:
         entry = self._entries.get(digest)
         if entry is None:
             if len(self._entries) < self.max_digests:
-                entry = _DigestEntry(digest, self._shape(statement))
+                entry = _DigestEntry(digest, self._shape(statement),
+                                     self._lock)
                 self._entries[digest] = entry
             else:
                 entry = self._other
@@ -310,82 +324,92 @@ class StatementStats:
         elif not entry.text and statement:
             entry.text = self._shape(statement)
         self._recorded += 1
-        entry.record(duration_ms=duration_ms, rows=rows,
-                     cached=cached, error=error, sqlstate=sqlstate,
-                     fanout=fanout)
+        entry.record(duration_ms, rows, cached, error, sqlstate, fanout)
 
     def _shape(self, statement: str) -> str:
         return normalize_statement(statement)[:self.TEXT_LIMIT] \
             if statement else ""
 
-    def __call__(self, root) -> None:
-        """Tracer-sink entry point: harvest one finished span tree."""
+    def __call__(self, trace) -> None:
+        """Tracer-sink entry point: fold one finished record (a
+        :class:`repro.obs.trace.Trace`).  ``repro serve`` does not
+        register the store itself: its metrics bridge hands it the
+        ``sql.execute`` rows from its own pass (:meth:`fold`)."""
         if not self.enabled:
             return
-        sql_spans = [span for span in root.walk()
-                     if span.name == SQL_SPAN_NAME]
-        if sql_spans:
-            self._harvest(root, sql_spans)
+        rows = trace.rows
+        sql_rows = []
+        sharded = False
+        for row in rows:
+            name = row[NAME]
+            if name == SQL_SPAN_NAME:
+                sql_rows.append(row)
+            elif name == SHARD_SPAN_NAME:
+                sharded = True
+        self.fold(rows, sql_rows, sharded)
 
-    def on_summary(self, summary) -> None:
-        """Pre-walked delivery (see :class:`repro.obs.sinks.FanoutSink`).
+    def fold(self, rows: list, sql_rows: list,
+             sharded: bool = False) -> None:
+        """Record one finished record's ``sql.execute`` rows.
 
-        This runs on *every* finished trace, so the records are built
-        without touching the lock and land under one lock trip.
+        ``rows`` is the record, ``sql_rows`` its ``sql.execute`` rows in
+        order, ``sharded`` whether it has ``shard.execute`` rows (each
+        counts one of its parent's fan-out).  This runs on *every*
+        traced request: one lock trip, and a known digest is counted
+        without looking at its statement text.
         """
-        if not self.enabled or not summary.sql_spans:
+        if not self.enabled or not sql_rows:
             return
-        self._harvest(summary.root, summary.sql_spans)
-
-    def _harvest(self, root, sql_spans) -> None:
-        rows: Optional[list] = None
-        for span in sql_spans:
-            attrs = span._attrs
-            if not attrs:
-                continue
-            digest = attrs.get("digest")
-            if not digest:
-                continue
-            children = span._children
-            fanout = 1
-            if children:
-                fanout = sum(1 for child in children
-                             if child.name == SHARD_SPAN_NAME) or 1
-            # A tenant's statement (its scoped registry names the
-            # database "TENANT/NAME") counts, but its text stays off
-            # this process-wide store.
-            statement = "" if "/" in attrs.get("database", "") \
-                else attrs.get("sql", "")
-            record = (digest, statement, span.duration_ms,
-                      int(attrs.get("rows", 0) or 0),
-                      bool(attrs.get("cached")), "error" in attrs,
-                      attrs.get("sqlstate"), fanout)
-            if rows is None:
-                rows = [record]
-            else:
-                rows.append(record)
-        if rows is None:
-            return
-        root_attrs = root._attrs
-        target = None
-        if root_attrs:
-            target = root_attrs.get("target") or root_attrs.get("path")
+        fanouts = _fanouts(rows) if sharded else None
+        root_attrs = rows[0][ATTRS]
+        target = root_attrs and (root_attrs.get("target")
+                                 or root_attrs.get("path"))
+        entries = self._entries
+        digests = None
         with self._lock:
-            for record in rows:
-                self._record_locked(*record)
-            if target:
-                self._note_request_locked(
-                    str(target), [record[0] for record in rows])
+            for row in sql_rows:
+                attrs = row[ATTRS]
+                digest = attrs and attrs.get("digest")
+                if not digest:
+                    continue
+                end = row[END]
+                duration = 0.0 if end is None \
+                    else (end - row[START]) * 1000.0
+                fanout = 1 if fanouts is None \
+                    else fanouts.get(id(row), 1)
+                entry = entries.get(digest)
+                if entry is not None and entry.text:
+                    self._recorded += 1
+                    entry.record(duration, attrs.get("rows") or 0,
+                                 attrs.get("cached"), "error" in attrs,
+                                 attrs.get("sqlstate"), fanout)
+                else:
+                    # A tenant's statement (its scoped registry names
+                    # the database "TENANT/NAME") counts, but its text
+                    # stays off this process-wide store.
+                    statement = "" if "/" in attrs.get("database", "") \
+                        else attrs.get("sql", "")
+                    self._record_locked(
+                        digest, statement, duration,
+                        attrs.get("rows") or 0, attrs.get("cached"),
+                        "error" in attrs, attrs.get("sqlstate"), fanout)
+                if digests is None:
+                    digests = (digest,)
+                elif digest not in digests:
+                    digests = tuple(sorted((*digests, digest)))
+            if target and digests is not None \
+                    and self._keys.get(target) != digests:
+                self._note_request_locked(str(target), digests)
 
     def note_request(self, key: str,
                      digests: Iterable[str]) -> None:
         """Remember which digests one request target executed."""
         with self._lock:
-            self._note_request_locked(key, digests)
+            self._note_request_locked(key, tuple(sorted(set(digests))))
 
     def _note_request_locked(self, key: str,
-                             digests: Iterable[str]) -> None:
-        frozen = tuple(sorted(set(digests)))
+                             frozen: tuple[str, ...]) -> None:
+        """``frozen``: the distinct digests, sorted."""
         if self._keys.get(key) == frozen:
             # The hot path: a repeat target running the same shapes.
             # Skipping the recency reinsertion is safe — a hot key
@@ -489,7 +513,8 @@ class StatementStats:
         with self._lock:
             self._entries.clear()
             self._other = _DigestEntry(
-                "_other", "(statements beyond the digest budget)")
+                "_other", "(statements beyond the digest budget)",
+                self._lock)
             self._overflowed = 0
             self._recorded = 0
             self._keys.clear()

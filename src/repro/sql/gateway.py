@@ -19,7 +19,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterator,
 
 from repro.errors import (SQLConnectError, SQLError, SQLObjectError,
                           is_transient)
-from repro.obs.trace import TRACER
+from repro.obs.trace import END, TRACER
 from repro.resilience import faults as fault_injection
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
@@ -758,56 +758,58 @@ class MacroSqlSession:
         rows is retryable; a failure past them propagates, since rows
         already handed out cannot be taken back.
 
-        With tracing enabled, each call runs under a ``sql.execute``
-        span carrying the statement digest, database, truncated SQL
+        With tracing enabled, each call records a ``sql.execute``
+        row carrying the statement digest, database, truncated SQL
         text, cache outcome and row count.  For a spilled result the
         span's duration covers the first fetch only (the rest are
         fetched later, inside ``report.render``); the ``rows``
         attribute is still filled in as the cursor drains.
         """
-        span = TRACER.leaf("sql.execute")
-        if span is None:
+        trace = TRACER.current()
+        if trace is None:
             return self._execute(sql)
+        attrs = {"digest": statement_digest(sql)}
+        if self.database:
+            attrs["database"] = self.database
+        attrs["sql"] = sql[:200]
+        row = trace.open("sql.execute", attrs)
         try:
-            span.set("digest", statement_digest(sql))
-            if self.database:
-                span.set("database", self.database)
-            span.set("sql", sql if len(sql) <= 200 else sql[:200])
             hits_before = self.cache_hits
             result = self._execute(sql)
             if self.cache_hits > hits_before:
-                span.set("cached", True)
+                attrs["cached"] = True
             if result.row_iter is not None:
-                span.set("streaming", True)
+                attrs["streaming"] = True
                 result.row_iter = self._counted_rows(
-                    result.row_iter, result, span)
+                    result.row_iter, result, attrs)
             else:
-                span.set("rows", result.row_total)
+                attrs["rows"] = result.row_total
             return result
         except BaseException as exc:
-            span.attrs.setdefault("error", type(exc).__name__)
+            attrs.setdefault("error", type(exc).__name__)
             sqlstate = getattr(exc, "sqlstate", None)
             if sqlstate:
-                span.set("sqlstate", sqlstate)
+                attrs["sqlstate"] = sqlstate
             raise
         finally:
-            span.finish()
+            row[END] = time.perf_counter()
 
-    def _counted_rows(self, row_iter: Iterator[tuple[Any, ...]],
+    @staticmethod
+    def _counted_rows(row_iter: Iterator[tuple[Any, ...]],
                       result: ExecutionResult,
-                      span) -> Iterator[tuple[Any, ...]]:
-        """Pass rows through; stamp the final count onto the span.
+                      attrs: dict) -> Iterator[tuple[Any, ...]]:
+        """Pass rows through; record the final count in ``attrs`` (the
+        ``sql.execute`` row's).
 
         ``row_iter`` is the pre-wrap cursor iterator (``result.row_iter``
-        points at this generator by the time it first runs).  Attributes
-        may be set after the span has timed out of its context —
-        delivery (and worker export) happens at request end, well after
-        the cursor drains.
+        points at this generator by the time it first runs).  The count
+        lands after the row has ended — delivery (and worker export)
+        happens at request end, well after the cursor drains.
         """
         try:
             yield from row_iter
         finally:
-            span.set("rows", result.rows_fetched)
+            attrs["rows"] = result.rows_fetched
 
     def _execute(self, sql: str) -> ExecutionResult:
         """The uninstrumented execution path (see :meth:`execute`)."""

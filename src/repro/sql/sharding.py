@@ -62,6 +62,7 @@ import itertools
 import queue
 import re
 import threading
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
@@ -72,7 +73,7 @@ from repro.errors import (
     SQLConnectError,
     SQLError,
 )
-from repro.obs.trace import TRACER, Span
+from repro.obs.trace import ATTRS, END, TRACER
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
 from repro.sql.dialect import is_cacheable_query, is_query
@@ -423,14 +424,15 @@ class _ShardStream:
     then exactly one of ``("done", None)`` / ``("error", SQLError)``.
     """
 
-    __slots__ = ("shard", "endpoint", "queue", "span")
+    __slots__ = ("shard", "endpoint", "queue", "row")
 
-    def __init__(self, shard: Shard, span: Optional[Span]):
+    def __init__(self, shard: Shard, row: Optional[list]):
         self.shard = shard
         self.endpoint = shard.database
         self.queue: "queue.Queue[tuple[str, Any]]" = \
             queue.Queue(maxsize=_STREAM_DEPTH)
-        self.span = span
+        #: the ``shard.execute`` row (its attrs a dict), or ``None``
+        self.row = row
 
     def put(self, item: tuple[str, Any], abandoned: threading.Event) -> None:
         while True:
@@ -710,67 +712,70 @@ class ShardedSqlSession:
                      for shard in self.map.shards)
 
     def _scatter(self, sql: str) -> "ExecutionResult":
-        span = TRACER.leaf("sql.execute") if TRACER.enabled else None
-        if span is None:
-            return self._scatter_run(sql, span=None)
-        # The scatter merge executes on worker threads (no ambient span
-        # context), so the per-digest statement view would be blind to
+        trace = TRACER.current()
+        if trace is None:
+            return self._scatter_run(sql, parent_row=None)
+        # The scatter merge executes on worker threads (no ambient
+        # record), so the per-digest statement view would be blind to
         # exactly the expensive cross-shard reports without this
-        # wrapper: one ``sql.execute`` span per scatter, its
+        # wrapper: one ``sql.execute`` row per scatter, its
         # ``shard.execute`` children counting the fan-out.
+        attrs = {"digest": statement_digest(sql),
+                 "database": self.map.name, "sql": sql[:200]}
+        parent_row = len(trace.rows)
+        row = trace.open("sql.execute", attrs)
         handed_off = False
         try:
-            span.set("digest", statement_digest(sql))
-            span.set("database", self.map.name)
-            span.set("sql", sql if len(sql) <= 200 else sql[:200])
             hits_before = self._merge_hits
-            result = self._scatter_run(sql, span=span)
+            result = self._scatter_run(sql, parent_row=parent_row)
             if self._merge_hits > hits_before:
-                span.set("cached", True)
+                attrs["cached"] = True
             if result.row_iter is not None:
-                span.set("streaming", True)
-                result.row_iter = self._spanned_drain(
-                    result.row_iter, result, span)
+                attrs["streaming"] = True
+                result.row_iter = self._counted_merge(
+                    result.row_iter, result, row)
                 handed_off = True
             else:
-                span.set("rows", result.row_total)
+                attrs["rows"] = result.row_total
                 if result.partial:
-                    span.set("partial", True)
+                    attrs["partial"] = True
             return result
         except BaseException as exc:
-            span.attrs.setdefault("error", type(exc).__name__)
+            attrs.setdefault("error", type(exc).__name__)
             sqlstate = getattr(exc, "sqlstate", None)
             if sqlstate:
-                span.set("sqlstate", sqlstate)
+                attrs["sqlstate"] = sqlstate
             raise
         finally:
             if not handed_off:
-                span.finish()
+                row[END] = time.perf_counter()
 
     @staticmethod
-    def _spanned_drain(rows: Iterator[tuple[Any, ...]],
+    def _counted_merge(rows: Iterator[tuple[Any, ...]],
                        result: "ExecutionResult",
-                       span: Span) -> Iterator[tuple[Any, ...]]:
-        """Finish the scatter span when the spilled merge drains."""
+                       row: list) -> Iterator[tuple[Any, ...]]:
+        """End the scatter's ``sql.execute`` row when the spilled merge
+        drains."""
+        attrs = row[ATTRS]
         count = 0
         try:
-            for row in rows:
+            for merged in rows:
                 count += 1
-                yield row
+                yield merged
         except BaseException as exc:
-            span.attrs.setdefault("error", type(exc).__name__)
+            attrs.setdefault("error", type(exc).__name__)
             sqlstate = getattr(exc, "sqlstate", None)
             if sqlstate:
-                span.set("sqlstate", sqlstate)
+                attrs["sqlstate"] = sqlstate
             raise
         finally:
-            span.set("rows", count)
+            attrs["rows"] = count
             if result.partial:
-                span.set("partial", True)
-            span.finish()
+                attrs["partial"] = True
+            row[END] = time.perf_counter()
 
     def _scatter_run(self, sql: str, *,
-                     span: Optional[Span]) -> "ExecutionResult":
+                     parent_row: Optional[int]) -> "ExecutionResult":
         from repro.sql import gateway
 
         self.map.count("scatter_queries")
@@ -798,7 +803,8 @@ class ShardedSqlSession:
         result = gateway.ExecutionResult(sql=sql, is_query=True)
         replica_served: list[str] = []
         rows = self._merged_rows(shard_sql, result, replica_served,
-                                 limit=limit, offset=offset, span=span)
+                                 limit=limit, offset=offset,
+                                 parent_row=parent_row)
         # The single-database rule: up to SPILL_ROWS merged rows are
         # materialised, a longer merge spills (the merge counts the
         # rows it hands out, the fetched ones included).
@@ -820,7 +826,7 @@ class ShardedSqlSession:
                      replica_served: list[str], *,
                      limit: Optional[int] = None,
                      offset: int = 0,
-                     span: Optional[Span] = None
+                     parent_row: Optional[int] = None
                      ) -> Iterator[tuple[Any, ...]]:
         """The scatter-gather merge generator.
 
@@ -832,17 +838,16 @@ class ShardedSqlSession:
         its name lands in ``result.failed_shards``, the result is
         marked ``partial``, and the surviving shards keep streaming.
         """
-        parent = span
-        if parent is None:
-            parent = TRACER.current() if TRACER.enabled else None
+        # The shard rows are recorded here, on the request thread,
+        # before any worker starts; the workers only fill their attrs.
+        trace = TRACER.current()
         abandoned = threading.Event()
         streams = [
-            _ShardStream(shard, TRACER.child_of(parent, "shard.execute"))
+            _ShardStream(shard, None if trace is None else trace.open(
+                "shard.execute", {"shard": shard.label}, parent=parent_row))
             for shard in self.map.shards]
         threads = []
         for stream in streams:
-            if stream.span is not None:
-                stream.span.set("shard", stream.shard.label)
             thread = threading.Thread(
                 target=self._shard_worker,
                 args=(stream, sql, abandoned, replica_served),
@@ -855,9 +860,10 @@ class ShardedSqlSession:
                                    limit=limit, offset=offset)
         finally:
             abandoned.set()
+            now = time.perf_counter()
             for stream in streams:
-                if stream.span is not None:
-                    stream.span.finish()
+                if stream.row is not None:
+                    stream.row[END] = now
             for thread in threads:
                 thread.join(timeout=5.0)
 
@@ -879,8 +885,8 @@ class ShardedSqlSession:
                     budget.check(f"shard {stream.shard.label}")
                 stream.put(("row", row), abandoned)
                 produced += 1
-            if stream.span is not None:
-                stream.span.set("rows", produced)
+            if stream.row is not None:
+                stream.row[ATTRS]["rows"] = produced
             stream.put(("done", None), abandoned)
         except _Abandoned:
             pass
@@ -889,8 +895,8 @@ class ShardedSqlSession:
             if not isinstance(exc, SQLError):
                 exc = SQLError(f"shard {stream.shard.label} worker "
                                f"failed: {exc!r}")
-            if stream.span is not None:
-                stream.span.set("error", type(exc).__name__)
+            if stream.row is not None:
+                stream.row[ATTRS]["error"] = type(exc).__name__
             try:
                 stream.put(("error", exc), abandoned)
             except _Abandoned:
@@ -916,13 +922,13 @@ class ShardedSqlSession:
                 stream.endpoint = replica.database
                 replica_served.append(replica.database)
                 self.map.count_shard(shard, "replica_reads")
-                if stream.span is not None:
-                    stream.span.set("endpoint", replica.database)
+                if stream.row is not None:
+                    stream.row[ATTRS]["endpoint"] = replica.database
                 return session
             except (CircuitOpenError, SQLConnectError):
                 self.map.count_shard(shard, "replica_fallbacks")
-        if stream.span is not None:
-            stream.span.set("endpoint", shard.database)
+        if stream.row is not None:
+            stream.row[ATTRS]["endpoint"] = shard.database
         return self._primary_session(shard)
 
     def _merge(self, sql: str, streams: list[_ShardStream],

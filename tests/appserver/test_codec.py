@@ -18,7 +18,7 @@ from repro.appserver import protocol
 from repro.cgi.environ import CgiEnvironment, cgi_headers
 from repro.cgi.request import CgiRequest, CgiResponse
 from repro.errors import CgiProtocolError
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span, Trace, Tracer
 
 #: Any text JSON can carry, non-BMP characters included (no lone
 #: surrogates: a ``str`` from a decoded HTTP request never has one).
@@ -144,36 +144,33 @@ ATTR_VALUES = st.one_of(TEXT, st.integers(-2**40, 2**40), st.booleans(),
 
 
 @st.composite
-def span_trees(draw) -> Span:
-    """A finished tree on a synthetic clock: each span starts inside
+def span_trees(draw) -> Trace:
+    """A finished record on a synthetic clock: each span starts inside
     its parent and takes a random share of it."""
     count = draw(st.integers(1, 12))
-    root = Span("worker", "t", None, draw(st.dictionaries(
-        TEXT, ATTR_VALUES, max_size=3)) or None)
-    root.start, root.end = 5.0, 5.0 + draw(st.floats(0, 0.05))
-    spans = [root]
+    start = 5.0
+    rows = [["worker", -1, start, start + draw(st.floats(0, 0.05)),
+             draw(st.dictionaries(TEXT, ATTR_VALUES, max_size=3)) or None]]
     for _ in range(count - 1):
-        parent = spans[draw(st.integers(0, len(spans) - 1))]
-        span = Span(draw(TEXT), "t", parent.span_id,
-                    draw(st.dictionaries(TEXT, ATTR_VALUES, max_size=3))
-                    or None)
-        length = parent.end - parent.start
-        span.start = parent.start + draw(st.floats(0, 1)) * length
-        span.end = span.start + draw(st.floats(0, 1)) * (
-            parent.end - span.start)
-        parent.add_child(span)
-        spans.append(span)
-    return root
+        parent = draw(st.integers(0, len(rows) - 1))
+        _, _, parent_start, parent_end, _ = rows[parent]
+        start = parent_start + draw(st.floats(0, 1)) * (
+            parent_end - parent_start)
+        end = start + draw(st.floats(0, 1)) * (parent_end - start)
+        rows.append([draw(TEXT), parent, start, end,
+                     draw(st.dictionaries(TEXT, ATTR_VALUES, max_size=3))
+                     or None])
+    trace = Trace(None, "worker", "t")
+    trace.rows = rows
+    return trace
 
 
 def shape(root: Span) -> list:
     """Each span's name, parent position and attrs, depth-first."""
     order = list(root.walk())
-    position = {id(span): index for index, span in enumerate(order)}
-    parents = {id(child): position[id(span)] for span in order
-               for child in span._children or ()}
-    return [(span.name, parents.get(id(span), -1), span._attrs or {})
-            for span in order]
+    position = {span.span_id: index for index, span in enumerate(order)}
+    return [(span.name, position.get(span.parent_id, -1),
+             dict(span.attrs)) for span in order]
 
 
 @pytest.fixture()
@@ -195,11 +192,11 @@ class TestSpanRows:
         act = tracer.begin("appserver.dispatch", trace_id="live")
         grafted = tracer.graft(rows)
         act.finish()
-        assert act.span.children == [grafted]
-        assert grafted.parent_id == act.span.span_id
+        assert act.children == [grafted]
+        assert grafted.parent_id == act.span_id
         assert shape(grafted) == shape(tree)
         for copy, original in zip(grafted.walk(), tree.walk()):
-            assert copy.trace_id == "live" and copy.remote
+            assert copy.trace_id == "live"
             assert abs(copy.duration_ms - original.duration_ms) <= 0.001
 
     @pytest.mark.parametrize("rows", [
@@ -228,4 +225,4 @@ class TestSpanRows:
         with pytest.raises(CgiProtocolError):
             tracer.graft(rows)
         act.finish()
-        assert not act.span.children  # nothing half-attached
+        assert not act.children  # nothing half-attached

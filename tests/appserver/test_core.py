@@ -243,7 +243,7 @@ class TestReplay:
             act.finish()
             TRACER.disable()
         assert pool.replaced == 1 and pool.replays == 1
-        (dispatch, replayed) = act.span.children
+        (dispatch, replayed) = act.children
         assert not dispatch.children        # the bad rows attached nothing
         assert replayed.name == "appserver.dispatch"
 

@@ -7,6 +7,7 @@ grafts it into the live request trace.  One request, one trace id,
 spans from two processes.
 """
 
+import os
 import pytest
 
 from repro.apps import urlquery as urlquery_app
@@ -83,10 +84,10 @@ class TestWorkerSpansJoinTheRequestTrace:
         assert {span.trace_id for span in root.walk()} == \
             {"trace-appserver-1"}
         worker = worker_subtree(root)
-        assert worker.remote is True
         assert worker.attrs["worker_id"] == 0
         assert worker.attrs["status"] == 200
-        assert worker.attrs["pid"]  # the *worker's* pid rode along
+        # the *worker's* pid rode along: another process's spans
+        assert worker.attrs["pid"] not in (0, os.getpid())
 
     def test_worker_side_sql_spans_are_present(self, router, traced):
         router.handle(HttpRequest(target=REPORT_TARGET),
@@ -100,7 +101,6 @@ class TestWorkerSpansJoinTheRequestTrace:
                      if span.name == "sql.execute"]
         assert sql_spans
         for span in sql_spans:
-            assert span.remote is True
             assert span.attrs["digest"]
         assert sql_spans[0].attrs["rows"] >= 1
 

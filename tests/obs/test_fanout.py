@@ -1,4 +1,4 @@
-"""Fused + deferred trace delivery: summarize() and FanoutSink."""
+"""One fold per record, and deferred delivery: MetricsBridge, FanoutSink."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import TailSampler
 from repro.obs.sinks import FanoutSink, MetricsBridge
-from repro.obs.trace import Tracer, TraceSummary, summarize
+from repro.obs.trace import Trace, Tracer
 from repro.sql.digest import StatementStats
 
 
@@ -35,49 +35,61 @@ def run_request(tracer, *, sql_ms=2.0, error=False, digest="deadbeef0123"):
     return root
 
 
-class TestSummarize:
+def folded(tracer, **kwargs):
+    """Run one request through a bridge feeding a statement store."""
+    registry = MetricsRegistry()
+    statements = StatementStats()
+    statements.enabled = True
+    bridge = MetricsBridge(registry, statements=statements)
+    tracer.add_sink(bridge)
+    root = run_request(tracer, **kwargs)
+    return root, registry.snapshot(), statements.snapshot()
+
+
+class TestFold:
     def test_totals_match_the_tree_walk(self, tracer):
-        root = run_request(tracer, sql_ms=5.0)
-        summary = summarize(root)
-        assert summary.root is root
-        assert set(summary.totals) == {"request", "parse", "sql.execute"}
-        assert summary.totals["sql.execute"] == pytest.approx(5.0)
-        # Same numbers the span tree itself reports (which rounds).
-        rounded = {name: round(ms, 3) for name, ms in summary.totals.items()}
-        assert rounded == root.phase_totals()
+        root, snapshot, _ = folded(tracer, sql_ms=5.0)
+        sums = {name[len("span_"):-len("_ms_sum")]: value
+                for name, value in snapshot["summaries"].items()
+                if name.endswith("_ms_sum")}
+        assert set(sums) == {"request", "parse", "sql_execute"}
+        assert sums["sql_execute"] == pytest.approx(5.0)
+        # Same numbers the span tree itself reports (both round).
+        assert sums == {name.replace(".", "_"): ms
+                        for name, ms in root.phase_totals().items()}
 
     def test_sql_spans_collected_and_error_flag(self, tracer):
-        clean = summarize(run_request(tracer))
-        assert clean.has_error is False
-        (sql,) = clean.sql_spans
-        assert sql.name == "sql.execute"
-        errored = summarize(run_request(tracer, error=True))
-        assert errored.has_error is True
+        _, _, clean = folded(tracer)
+        (row,) = clean["statements"]
+        assert (row["calls"], row["rows"], row["errors"]) == (1, 3, 0)
+        fresh = Tracer()
+        fresh.enable()
+        _, _, errored = folded(fresh, error=True)
+        (row,) = errored["statements"]
+        assert row["errors"] == 1
 
     def test_sql_free_trace_has_no_sql_spans(self, tracer):
-        with tracer.span("request") as root:
+        registry = MetricsRegistry()
+        statements = StatementStats()
+        statements.enabled = True
+        tracer.add_sink(MetricsBridge(registry, statements=statements))
+        with tracer.span("request"):
             with tracer.span("render"):
                 pass
-        summary = summarize(root)
-        assert not summary.sql_spans
-        assert summary.has_error is False
+        assert registry.snapshot()["counters"]["traces_total"] == 1
+        assert statements.snapshot()["statements"] == []
+        assert statements.stats()["recorded_total"] == 0
 
 
 class TestFanoutInline:
-    def test_on_summary_consumers_share_one_summary(self, tracer):
+    def test_consumers_share_one_record(self, tracer):
         seen = []
-
-        class Consumer:
-            def on_summary(self, summary):
-                seen.append(summary)
-
-        fanout = FanoutSink(Consumer(), Consumer())
+        fanout = FanoutSink(seen.append, seen.append)
         tracer.add_sink(fanout)
         root = run_request(tracer)
         assert len(seen) == 2
-        assert all(isinstance(s, TraceSummary) for s in seen)
-        assert seen[0] is seen[1], "walked twice for two consumers"
-        assert seen[0].root is root
+        assert all(isinstance(trace, Trace) for trace in seen)
+        assert seen[0] is seen[1] is root, "one record for every sink"
 
     def test_plain_callable_still_receives_the_root(self, tracer):
         roots = []
@@ -122,13 +134,8 @@ class TestFanoutInline:
 class TestFanoutDeferred:
     def test_call_only_enqueues_until_flush(self, tracer):
         seen = []
-
-        class Consumer:
-            def on_summary(self, summary):
-                seen.append(summary)
-
         # A long drain interval keeps the daemon thread out of the test.
-        fanout = FanoutSink(Consumer(), defer_cap=64, drain_interval=60.0)
+        fanout = FanoutSink(seen.append, defer_cap=64, drain_interval=60.0)
         tracer.add_sink(fanout)
         run_request(tracer)
         run_request(tracer)

@@ -1,4 +1,5 @@
-"""Tracer semantics: span trees, gating, propagation, grafting."""
+"""Tracer semantics: records read as span trees, gating, propagation,
+grafting."""
 
 import pytest
 
@@ -96,7 +97,7 @@ class TestSpanTrees:
 class TestActiveSpan:
     def test_begin_activates_and_finish_delivers(self, tracer):
         act = tracer.begin("request", trace_id="tid-1")
-        assert tracer.current() is act.span
+        assert tracer.current() is act
         assert tracer.current_trace_id() == "tid-1"
         act.finish()
         assert tracer.current() is None
@@ -143,7 +144,7 @@ class TestSerialisation:
         rebuilt = Span.from_rows(rows, "tid-2")
         assert rebuilt.name == "worker"
         assert rebuilt.trace_id == "tid-2"
-        assert rebuilt.remote is True
+        assert rebuilt.start == 0.0  # a synthetic clock
         assert rebuilt.attrs["pid"] == 42
         assert [child.name for child in rebuilt.children] == \
             ["sql.execute"]
@@ -168,8 +169,10 @@ class TestGraft:
         act = tracer.begin("request", trace_id="tid-9")
         grafted = tracer.graft(exported)
         act.finish()
-        assert grafted.remote is True
-        assert grafted.parent_id == act.span.span_id
+        # Grafted under the request, starting where it started: the
+        # worker's clock is not this process's.
+        assert grafted.parent_id == act.span_id
+        assert grafted.start == act.start
         (root,) = tracer.captured
         names = [span.name for span in root.walk()]
         assert names == ["request", "worker", "sql.execute"]
