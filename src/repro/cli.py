@@ -660,6 +660,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         REGISTRY, TRACER, FanoutSink, MetricsBridge, SloTracker,
         SlowQueryLog, TailSampler, TraceLog, parse_sample_spec)
     from repro.sql.digest import STATEMENTS
+    from repro.sql.sharding import ShardMap
 
     if args.acceptors > 1:
         return _cmd_multi_acceptor(args, out)
@@ -728,7 +729,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         metrics.attach_source("resilience", registry.resilience_stats)
         if settings.shards:
             metrics.attach_source("shard", registry.shard_labeled_stats,
-                                  label="shard")
+                                  label="shard", counters=ShardMap.COUNTERS)
     else:
         from repro.appserver import AppServerDispatcher
         # One request at a time per worker: one pooled connection keeps
@@ -760,7 +761,8 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         metrics.attach_source("tenant", tenant_registry.labeled_stats,
                               label="tenant")
     if cache is not None:
-        metrics.attach_source("query_cache", cache.stats)
+        metrics.attach_source("query_cache", cache.stats,
+                              counters=cache.COUNTERS)
     # One registry feeds every read path: /metrics, /statusz, the
     # access log's #stats trailer, and `repro stats`.
     router.metrics = metrics

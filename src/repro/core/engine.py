@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional, Sequence
 
 from repro.blocking import BLOCKING
@@ -163,8 +163,7 @@ class MacroResult:
     #: rendered off the live cursor while it is read; ``None`` when
     #: :attr:`parts` are the whole page.  Single-use: once it is
     #: exhausted or closed the run has settled (session finished) and
-    #: the fields below are final.  Read it or close it: the run refers
-    #: back to this result, so a dropped one waits for the collector.
+    #: the fields below are final.  A result dropped unread closes it.
     rest: Optional[Iterator[bytes]] = None
     statements: list[str] = field(default_factory=list)
     sql_errors: list[SQLError] = field(default_factory=list)
@@ -198,6 +197,11 @@ class MacroResult:
 #: What :meth:`_MacroRun._run` yields where a statement spilled: the
 #: page past it streams (:attr:`MacroResult.rest`).
 _SPILL = object()
+
+#: The fields of a spilled page's result that are final only once its
+#: rest has settled.
+_SETTLED = tuple(f.name for f in fields(MacroResult)
+                 if f.name not in ("parts", "rest"))
 
 
 def _should_propagate(error: SQLError) -> bool:
@@ -359,7 +363,7 @@ class _Page:
                 current = cache.peek(database, sql, stamp)
                 if current is None or current is not read():
                     return None
-            trace = TRACER.current()
+            trace = TRACER.current() if TRACER.enabled else None
             if trace is not None:
                 facts = self.facts
                 if facts is None:
@@ -431,9 +435,14 @@ class _MacroRun:
         ``encode(..., "replace")`` always made it), row memos kept.
 
         Gathering stops where a statement spilled: the run continues as
-        the result's :attr:`~MacroResult.rest`."""
+        the result's :attr:`~MacroResult.rest`.  That result is a copy
+        the run does not refer to (the rest fills it in when it
+        settles), so a caller that drops it unread frees the rest at
+        once: the run closes and the cursor, its read bracket and the
+        connection settle without waiting for the cycle collector."""
         parts: list[bytes] = []
         text: list[str] = []
+        result = self.result
         run = self._run()
         for chunk in run:
             if chunk.__class__ is str:
@@ -441,8 +450,10 @@ class _MacroRun:
                     text.append(chunk)
                 continue
             if chunk is _SPILL:
-                rest = self.result.rest = self._rest(run)
-                next(rest)
+                result = replace(self.result)
+                result.rest = self._rest(run, self.result,
+                                         weakref.ref(result))
+                next(result.rest)
                 break
             for piece in chunk:
                 if piece.__class__ is str:
@@ -455,14 +466,17 @@ class _MacroRun:
                 parts.append(piece)
         if text:
             parts.append("".join(text).encode("utf-8", "replace"))
-        self.result.parts = tuple(parts)
-        return self.result
+        result.parts = tuple(parts)
+        return result
 
     @staticmethod
-    def _rest(run: Iterator[Chunk]) -> Iterator[bytes]:
+    def _rest(run: Iterator[Chunk], own: MacroResult,
+              caller: "weakref.ref[MacroResult]") -> Iterator[bytes]:
         """``run`` past its spill, as UTF-8 byte chunks.  :meth:`execute`
         starts it (the bare ``yield``), so closing it settles the run
-        even before the first chunk is read."""
+        even before the first chunk is read; then the run's ``own``
+        result's final fields are copied to the ``caller``'s, if it is
+        still held."""
         try:
             yield  # type: ignore[misc]
             for chunk in run:
@@ -477,6 +491,10 @@ class _MacroRun:
                             yield piece
         finally:
             run.close()
+            result = caller()
+            if result is not None:
+                for name in _SETTLED:
+                    setattr(result, name, getattr(own, name))
 
     def _run(self) -> Iterator[Chunk]:
         """The page as a chunk generator (the single processing path),

@@ -694,7 +694,9 @@ class _Connection(asyncio.Protocol):
             # an HTTP/1.1 status line (clients gate pipelining and
             # default keep-alive on the response version).
             response.version = "HTTP/1.1"
-        if response.streaming:
+        if response.head:
+            self._send_head(response, http11, keep_alive)
+        elif response.streaming:
             # Even for a client already gone: only the pump closes the
             # iterator on the thread that owns its cursors.
             self.busy = True
@@ -726,6 +728,19 @@ class _Connection(asyncio.Protocol):
             write(b"".join(run))
         if not keep_alive:
             self.transport.close()  # once what is written is flushed
+
+    def _send_head(self, response: HttpResponse, http11: bool,
+                   keep_alive: bool) -> None:
+        """The answer to a HEAD: the head its GET gets.  A GET that
+        streams (no ``Content-Length``) is chunked to an HTTP/1.1
+        client and close-delimited to an HTTP/1.0 one; so is its head."""
+        if "Content-Length" not in response.headers:
+            if http11:
+                response.headers.set("Transfer-Encoding", "chunked")
+            else:
+                keep_alive = False
+        if not self.transport.is_closing():
+            self._send(response, keep_alive=keep_alive)
 
     async def _write(self, data: bytes) -> None:
         """A streaming write: past the high-water mark it suspends this

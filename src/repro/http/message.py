@@ -77,7 +77,8 @@ class HttpResponse:
     piece.
     """
 
-    __slots__ = ("status", "headers", "parts", "version", "body_iter")
+    __slots__ = ("status", "headers", "parts", "version", "body_iter",
+                 "head")
 
     def __init__(self, status: int = 200,
                  headers: Optional[Headers] = None, body: bytes = b"",
@@ -93,6 +94,10 @@ class HttpResponse:
         #: style — no ``Content-Length``, the connection close
         #: delimiting the body (``Connection: close``).
         self.body_iter = body_iter
+        #: The answer to a HEAD: the headers its GET gets (its
+        #: ``Content-Length``, or none when the GET streams) and no
+        #: body (see :meth:`repro.http.router.Router.handle`).
+        self.head = False
 
     @property
     def body(self) -> bytes:
@@ -139,7 +144,8 @@ class HttpResponse:
         (with ``Content-Length``), then the body's parts as they are."""
         self.drain()
         headers = Headers(self.headers.items())
-        headers.set("Content-Length", str(sum(map(len, self.parts))))
+        if not self.head:
+            headers.set("Content-Length", str(sum(map(len, self.parts))))
         headers.setdefault("Content-Type", "text/html")
         head = (f"{self.version} {self.status} {self.reason}\r\n"
                 + headers.serialize() + "\r\n")

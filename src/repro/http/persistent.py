@@ -88,15 +88,20 @@ class PersistentHttpClient(Transport):
         sent[0] = True  # from here on, bytes may have hit the wire
         conn.sendall(payload)
         response, remaining = self._read_response(
-            conn, self._buffers.get(key, b""))
+            conn, self._buffers.get(key, b""),
+            bodiless=request.method == "HEAD")
         self._buffers[key] = remaining
         if "keep-alive" not in \
                 response.headers.get("Connection", "").lower():
             self._drop(key)
         return response
 
-    def _read_response(self, conn: socket.socket,
-                       buffer: bytes) -> tuple[HttpResponse, bytes]:
+    def _read_response(self, conn: socket.socket, buffer: bytes, *,
+                       bodiless: bool = False
+                       ) -> tuple[HttpResponse, bytes]:
+        """One response off ``conn``, and the bytes read past it.  The
+        answer to a HEAD (``bodiless``) is its head alone, whatever
+        length or framing its headers name."""
         data = buffer
         separator = b"\r\n\r\n"
         while separator not in data and b"\n\n" not in data:
@@ -109,6 +114,8 @@ class PersistentHttpClient(Transport):
         if separator not in data:
             separator = b"\n\n"
         head, _, rest = data.partition(separator)
+        if bodiless:
+            return HttpResponse.parse(head + separator), rest
         if _is_chunked(head):
             body, remaining = _decode_chunked(conn, rest)
             return HttpResponse.parse(head + separator + body), remaining

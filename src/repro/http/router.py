@@ -90,9 +90,9 @@ class Router:
         self.statements = statements
         #: optional zero-arg callable run before any observability read
         #: (``/metrics``, ``/statusz``, ``/statements``).  ``repro
-        #: serve`` points this at its deferred trace fanout's ``flush``
-        #: so scrapes always see fully-aggregated traces even though
-        #: aggregation runs off the request latency path.
+        #: serve`` points this at the ``flush`` of the fanout that takes
+        #: its file sinks off the request thread, so a scrape sees the
+        #: tail sampler's counts up to date.
         self.obs_flush = None
         self._pages: dict[str, tuple[str, bytes]] = {}
         # per-registry resolved metric objects; rebuilt if self.metrics
@@ -311,20 +311,26 @@ class Router:
         else:
             response = self._handle_static(path, request)
         if request.method == "HEAD":
-            response.body = b""
+            # The headers its GET gets, no body: the GET's length, or
+            # none when the GET streams (the transport then frames the
+            # head as it would the stream).
+            response.head = True
             if response.body_iter is not None:
-                # A HEAD answer carries no body; close the stream so its
-                # finally blocks (transaction brackets) still run.
+                # Close the stream so its finally blocks (transaction
+                # brackets) run here, on the thread that opened them.
                 body_iter, response.body_iter = response.body_iter, None
                 close = getattr(body_iter, "close", None)
                 if close is not None:
                     close()
+            else:
+                response.headers.set("Content-Length", str(response.size))
+            response.body = b""
         return response
 
     # -- scrape endpoints --------------------------------------------------
 
     def _flush_obs(self) -> None:
-        """Settle deferred trace aggregation before a read (if wired)."""
+        """Settle deferred trace delivery before a read (if wired)."""
         if self.obs_flush is not None:
             try:
                 self.obs_flush()

@@ -14,7 +14,8 @@ that surface for the gateway — a :class:`MetricsRegistry` holding
   cardinality (:class:`LabeledValues`),
 * **sources** — a subsystem's ``stats()`` callable, polled at read time
   (:meth:`MetricsRegistry.attach_source`).  A polled key ending in
-  ``_total`` is a counter, any other a gauge.
+  ``_total``, or one its source names a counter, is a counter, any
+  other a gauge.
 
 Every read path — the text ``/metrics`` scrape, the JSON ``/statusz``,
 the access log's ``#stats`` trailer and ``repro stats`` — formats one
@@ -32,7 +33,7 @@ import math
 import re
 import threading
 from bisect import bisect_right
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "LabeledValues",
            "MetricsRegistry", "OTHER_LABEL", "REGISTRY", "parse_sample",
@@ -401,7 +402,8 @@ class MetricsRegistry:
     # -- polled sources --------------------------------------------------
 
     def attach_source(self, prefix: str, source: Callable[[], dict], *,
-                      label: Optional[str] = None) -> None:
+                      label: Optional[str] = None,
+                      counters: Collection[str] = ()) -> None:
         """Poll ``source()`` at read time, its keys under ``prefix``.
 
         ``source()`` returns ``{key: number}``, each rendered as
@@ -412,16 +414,19 @@ class MetricsRegistry:
         get their own series, the rest are summed into
         :data:`OTHER_LABEL`.  The empty label value carries the
         source's unlabeled keys (a shard map's topology-wide counts).
-        A key ending in ``_total`` is a counter, any other a gauge.
+        A key ending in ``_total`` or named in ``counters`` (a source's
+        cumulative counts whose names predate the suffix, such as the
+        query cache's ``hits``) is a counter, any other a gauge.
         """
         with self._lock:
-            self._sources[prefix] = (source, label)
+            self._sources[prefix] = (source, label, frozenset(counters))
 
     def _polled(self) -> list[_Family]:
         with self._lock:
             sources = list(self._sources.items())
         families: dict[str, dict[str, float]] = {}
-        for prefix, (source, label) in sources:
+        kinds: dict[str, str] = {}
+        for prefix, (source, label, counters) in sources:
             try:
                 polled = dict(source())
                 bags = _capped(polled) if label else {"": polled}
@@ -436,8 +441,9 @@ class MetricsRegistry:
                     name = _scrape_name(f"{prefix}_{key}")
                     sample = _sample(name, label, value) if value else name
                     families.setdefault(name, {})[sample] = number
-        return [(name, "counter" if name.endswith("_total") else "gauge",
-                 sorted(samples.items()))
+                    kinds[name] = ("counter" if key in counters
+                                   or name.endswith("_total") else "gauge")
+        return [(name, kinds[name], sorted(samples.items()))
                 for name, samples in families.items()]
 
     # -- read paths ------------------------------------------------------

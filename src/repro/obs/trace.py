@@ -79,21 +79,25 @@ _DIGEST_CACHE_LIMIT = 1024
 
 def new_trace_id() -> str:
     """A process-unique trace id: pid, coarse time, and a counter."""
-    return (f"{_PID_HEX}-{int(_time()):x}-"
-            f"{next(_trace_counter) & 0xFFFF:04x}")
+    global _PREFIX
+    now = int(_time())
+    second, prefix = _PREFIX
+    if now != second:
+        prefix = f"{os.getpid():x}-{now:x}-"
+        _PREFIX = (now, prefix)
+    return prefix + "%04x" % (next(_trace_counter) & 0xFFFF)
 
 
-def _note_pid() -> None:
-    # Re-derived in a forked child (an acceptor process), so it mints
-    # ids under its own pid, not the parent's.
-    global _PID_HEX
-    _PID_HEX = f"{os.getpid():x}"
+def _forget_prefix() -> None:
+    # A forked child (an acceptor process) mints ids under its own pid.
+    global _PREFIX
+    _PREFIX = (-1, "")
 
 
 _time = time.time
-_PID_HEX = ""
-_note_pid()
-os.register_at_fork(after_in_child=_note_pid)
+#: (second, "pid-second-") of the last id minted
+_PREFIX = (-1, "")
+os.register_at_fork(after_in_child=_forget_prefix)
 
 
 def statement_digest(sql: str) -> str:

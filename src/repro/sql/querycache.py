@@ -128,6 +128,11 @@ class QueryResultCache:
     metrics/access-log surfaces.
     """
 
+    #: The :meth:`stats` keys that only ever grow (until
+    #: :meth:`reset_stats`): ``/metrics`` types them as counters.
+    COUNTERS = frozenset({"hits", "misses", "stores", "evictions",
+                          "invalidations", "page_hits"})
+
     def __init__(self, *, max_entries: int = 128):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")

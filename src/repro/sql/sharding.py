@@ -243,7 +243,17 @@ class ShardMap:
 
     # -- observability ---------------------------------------------------
 
+    #: Every key :meth:`count` takes: cumulative, so ``/metrics`` types
+    #: them as counters (the topology sizes ``shards``/``replicas`` in
+    #: :meth:`stats` are gauges).
+    COUNTERS = frozenset({
+        "fanout_writes", "interleaved_merges", "ordered_merges",
+        "partial_results", "replica_lagged", "scatter_queries",
+        "replica_fallbacks", "replica_reads", "routed", "scatter",
+        "failures"})
+
     def count(self, key: str, *, label: str = "") -> None:
+        assert key in self.COUNTERS, key
         with self._lock:
             slot = (label, key)
             self._counters[slot] = self._counters.get(slot, 0) + 1

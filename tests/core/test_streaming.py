@@ -184,6 +184,47 @@ class TestLiveCursor:
         assert shop_engine.execute_report(macro).ok
 
 
+    def test_a_result_dropped_unread_settles_without_the_collector(
+            self, tmp_path, monkeypatch, spill):
+        """Nothing refers back to a spilled result: dropping it unread
+        frees its rest at once, which closes the run — the cursor, its
+        read bracket and the pooled connection settle with the cycle
+        collector off."""
+        path = tmp_path / "shop.sqlite"
+        with sqlite3.connect(path) as seed:
+            seed.execute("CREATE TABLE items (name TEXT, qty INTEGER)")
+            seed.executemany("INSERT INTO items VALUES (?, ?)",
+                             [("bikes", 2), ("tents", 5), ("ropes", 9)])
+        registry = DatabaseRegistry()
+        registry.register_path("SHOP", str(path))
+        registry.enable_pools(size=1)
+        engine = MacroEngine(registry)
+        macro = parse_macro(MACRO)
+        assert engine.execute_report(macro).ok  # the pool's connection
+        pool = registry.pool("SHOP")
+        assert pool.stats["idle"] == 1
+        events = []
+        for owner, name in [(Cursor, "close"),
+                            (TransactionScope, "after_statement"),
+                            (MacroSqlSession, "finish")]:
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        spill()
+        gc.collect()
+        gc.disable()
+        try:
+            result = engine.execute_report(macro)
+            assert result.rest is not None and pool.stats["idle"] == 0
+            del result
+            assert events == ["close", "after_statement", "finish"]
+            assert pool.stats["idle"] == 1  # the lease is back
+        finally:
+            gc.enable()
+        registry.close_all()
+
+
 class TestContentType:
     def test_declared_content_type_pinned_before_first_chunk(
             self, shop_engine, spill):

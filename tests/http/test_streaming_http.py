@@ -23,11 +23,11 @@ from repro.sql.transactions import TransactionScope
 QUERY = "SEARCH=ib&USE_URL=yes&DBFIELDS=title"
 
 
-def raw_get(server, target, method="GET"):
-    """One strict HTTP/1.0 request; returns (head, body-to-EOF)."""
+def raw_get(server, target, method="GET", version="HTTP/1.0"):
+    """One strict request; returns (head, body-to-EOF)."""
     with socket.create_connection((server.host, server.port),
                                   timeout=5) as conn:
-        conn.sendall(f"{method} {target} HTTP/1.0\r\n"
+        conn.sendall(f"{method} {target} {version}\r\n"
                      f"Connection: close\r\n\r\n".encode())
         data = b""
         while True:
@@ -142,6 +142,44 @@ class TestCloseDelimitedStreaming:
                              method="HEAD")
         assert b"200" in head.split(b"\r\n", 1)[0] and body == b""
         assert events == ["close", "after_statement", "finish"]
+
+
+def header_fields(head):
+    """The status line and the headers, without the per-request id."""
+    status, *lines = head.decode("latin-1").split("\r\n")
+    return status, sorted(line for line in lines
+                          if not line.lower().startswith("x-trace-id:"))
+
+
+class TestHeadCarriesItsGetsHeaders:
+    @pytest.mark.parametrize("version", ["HTTP/1.0", "HTTP/1.1"])
+    @pytest.mark.parametrize("spilled", [True, False],
+                             ids=["spilled", "buffered"])
+    def test_head_and_get_send_the_same_head(self, served, spill,
+                                             version, spilled):
+        """A spilled page's GET has no ``Content-Length`` (chunked to
+        HTTP/1.1, close-delimited to HTTP/1.0), a buffered page's has
+        its length: the HEAD of the same URL says the same, and sends
+        no body."""
+        app, server, cache = served
+        cache.clear()
+        if spilled:
+            spill()
+        target = f"{app.report_path}?{QUERY}"
+        get_head, get_body = raw_get(server, target, version=version)
+        head_head, head_body = raw_get(server, target, method="HEAD",
+                                       version=version)
+        assert head_body == b""
+        assert get_body
+        assert header_fields(head_head) == header_fields(get_head)
+        framing = dict(line.split(": ", 1) for line in
+                       header_fields(get_head)[1])
+        if spilled:
+            assert "Content-Length" not in framing
+            assert ("Transfer-Encoding" in framing) == \
+                (version == "HTTP/1.1")
+        else:
+            assert framing["Content-Length"] == str(len(get_body))
 
 
 def chunk_sizes(body):

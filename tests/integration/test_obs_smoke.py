@@ -145,7 +145,8 @@ class TestLiveScrape:
         assert status == 200
         assert snapshot["counters"]["http_requests_total"] >= 4
         assert snapshot["summaries"]["request_latency_ms_count"] >= 4
-        assert "query_cache_hits" in snapshot["gauges"]
+        assert "query_cache_hits" in snapshot["counters"]
+        assert "query_cache_entries" in snapshot["gauges"]
         assert "resilience_retries" in snapshot["gauges"]
 
     def test_statements_table_fills_after_traffic(self, scraped):

@@ -75,8 +75,9 @@ def wired_registry() -> MetricsRegistry:
     shard_map.count("scatter_queries")
     metrics.attach_source("resilience", databases.resilience_stats)
     metrics.attach_source("shard", databases.shard_labeled_stats,
-                          label="shard")
-    metrics.attach_source("query_cache", QueryResultCache().stats)
+                          label="shard", counters=ShardMap.COUNTERS)
+    metrics.attach_source("query_cache", QueryResultCache().stats,
+                          counters=QueryResultCache.COUNTERS)
     metrics.attach_source("appserver", DispatcherStub().labeled_stats,
                           label="worker")
     tenants = TenantRegistry()
@@ -97,6 +98,21 @@ def wired_registry() -> MetricsRegistry:
     AsyncHttpServer(router, metrics=metrics).shutdown()  # edge_* only
     router.handle(HttpRequest(target="/t/alpha/items.d2w/report")).drain()
     return metrics
+
+
+def test_cumulative_source_keys_are_counters():
+    """The query cache's and the shard maps' cumulative counts keep
+    their names and are typed counters; their sizes stay gauges."""
+    text = wired_registry().render_text()
+    declared = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+    for name in ("query_cache_hits", "query_cache_misses",
+                 "query_cache_stores", "query_cache_evictions",
+                 "query_cache_invalidations", "query_cache_page_hits",
+                 "shard_routed", "shard_scatter_queries"):
+        assert declared[name] == "counter", name
+    for name in ("query_cache_entries", "query_cache_pages",
+                 "shard_shards", "shard_replicas"):
+        assert declared[name] == "gauge", name
 
 
 def scrape_samples(text: str) -> list[str]:
