@@ -55,7 +55,10 @@ class Headers:
 
     def __contains__(self, name: str) -> bool:
         folded = name.lower()
-        return any(k.lower() == folded for k, _ in self._items)
+        for key, _ in self._items:
+            if key.lower() == folded:
+                return True
+        return False
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)

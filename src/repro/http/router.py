@@ -229,11 +229,12 @@ class Router:
                      metrics.histogram("request_latency_ms"))
             self._observe_cache = cache
         _, requests, errors, resp_bytes, latency = cache
-        requests.inc()
-        if response.status >= 400:
-            errors.inc()
-        resp_bytes.inc(size)
-        latency.observe(elapsed_ms)
+        with metrics.lock:  # the one lock of the registry's metrics
+            requests.inc_locked()
+            if response.status >= 400:
+                errors.inc_locked()
+            resp_bytes.inc_locked(size)
+            latency.observe_locked(elapsed_ms)
 
     def _accounted_stream(self, request: HttpRequest,
                           response: HttpResponse, remote_addr: str,

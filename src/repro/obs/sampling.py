@@ -173,7 +173,7 @@ class TailSampler:
         for sink in self.sinks:
             try:
                 sink(root)
-            except Exception:  # noqa: BLE001 - mirror Tracer._deliver:
+            except Exception:  # noqa: BLE001 - mirror Trace.finish:
                 pass           # a broken sink must not take the request
 
     def stats(self) -> dict[str, float]:

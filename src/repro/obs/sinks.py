@@ -236,7 +236,7 @@ class FanoutSink:
     which is what unit tests want.
 
     A sink that raises is skipped for the delivery, never the request —
-    the same containment as ``Tracer._deliver``.
+    the same containment as ``Trace.finish``.
     """
 
     def __init__(self, *consumers, defer_cap: int = 0,
@@ -266,7 +266,7 @@ class FanoutSink:
         for consumer in self.consumers:
             try:
                 consumer(trace)
-            except Exception:  # noqa: BLE001 - mirror Tracer._deliver
+            except Exception:  # noqa: BLE001 - mirror Trace.finish
                 pass
 
     def flush(self) -> None:

@@ -404,7 +404,9 @@ class Trace(Span):
             self._token = None
 
     def finish(self) -> None:
-        """End the root, restore the context, deliver the record."""
+        """End the root, restore the context, deliver the record to the
+        tracer's sinks (a sink that raises is skipped, never the
+        request)."""
         if self._finished:
             return
         self._finished = True
@@ -415,7 +417,11 @@ class Trace(Span):
         if root[END] is None:
             root[END] = _perf_counter()
         if self.tracer is not None:
-            self.tracer._deliver(self)
+            for sink in self.tracer._sinks_snapshot:
+                try:
+                    sink(self)
+                except Exception:  # noqa: BLE001 - observability must
+                    pass           # never take the request down
 
 
 class _NoopSpan:
@@ -570,15 +576,6 @@ class Tracer:
         if trace is None or not rows:
             return None
         return trace.graft(rows)
-
-    # -- delivery ----------------------------------------------------------
-
-    def _deliver(self, trace: Trace) -> None:
-        for sink in self._sinks_snapshot:
-            try:
-                sink(trace)
-            except Exception:  # noqa: BLE001 - observability must never
-                pass           # take the request down
 
 
 #: The process-wide tracer every layer imports.  Disabled by default;
