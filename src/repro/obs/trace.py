@@ -33,9 +33,11 @@ so nested layers need no plumbing and the streaming path stays correct
 **Gating**: the tracer is off by default.  Every instrumentation point
 first asks :meth:`Tracer.current` (an attribute read and a context
 variable read) and does nothing without a record.  Enabled, a
-``report_hot`` request that reuses a kept page fills three rows and
-costs ~4 µs of CPU in process (``docs/observability.md`` §4 has the
-served figures against ``--no-trace``).
+``report_hot`` request that reuses a kept page fills three rows; served,
+default tracing costs it ~7.9 µs of CPU against ``--no-trace`` (the
+harness's ``obs.cpu_us_per_request``, median of 4 pairs on a 2-core
+x86 host; ~12.6 µs with the span tree this record replaced), about a
+fifth of the request (``docs/observability.md`` §4).
 
 A finished record is delivered to **sinks**, plain callables: the
 metrics bridge and the statement-digest store fold its rows in one

@@ -88,7 +88,11 @@ class TestSpanTrees:
         def bad_sink(root):
             raise RuntimeError("sink died")
 
-        tracer._sinks.insert(0, bad_sink)
+        # Registered ahead of the capture sink, so delivery must go on
+        # past it.
+        tracer.clear_sinks()
+        tracer.add_sink(bad_sink)
+        tracer.add_sink(tracer.captured.append)
         with tracer.span("request"):
             pass
         assert len(tracer.captured) == 1
