@@ -266,9 +266,10 @@ class StatementStats:
     Used as a tracer sink (``TRACER.add_sink(stats)``): each delivered
     record's ``sql.execute`` rows — local or grafted from a worker
     frame — have their digest/duration/rows/cached/error attributes
-    recorded.  ``shard.execute`` children count as scatter fan-out.  Beyond ``max_digests`` distinct shapes, further ones
-    aggregate into one ``_other`` bucket so cardinality stays bounded
-    no matter what SQL an application assembles.
+    recorded.  ``shard.execute`` children count as scatter fan-out.
+    Beyond ``max_digests`` distinct shapes, further ones aggregate into
+    one ``_other`` bucket so cardinality stays bounded no matter what
+    SQL an application assembles.
 
     The store also learns which request targets run which digests (from
     the request root's ``target`` attribute), so :meth:`probe` can
