@@ -1,28 +1,34 @@
 """The steps that would block a thread, and the one signal they raise.
 
-The HTTP edge answers a ``/cgi-bin/`` page on its event-loop thread when
-the page cannot block: every statement a query-cache hit, every macro
-file inside its stat TTL (:mod:`repro.http.async_server`).  It cannot
-know that in advance, so it *tries*, and each step that would block
-checks first, before it runs:
+The HTTP edge tries every GET or HEAD of a ``loop_safe`` ``/cgi-bin/``
+program on its event-loop thread (:mod:`repro.http.async_server`).  The
+request runs there until a step would really block; that step raises
+:class:`WouldBlock` before it blocks, and the edge replays the request
+on a thread from the start.  Only reads ran, so the replay is safe.  The
+steps, each checked where it happens:
 
-* a connection lease or connect (``_MacroRun._connect`` in
-  :mod:`repro.core.engine`), and opening a sharded session;
-* a query-cache miss or stale entry (:mod:`repro.sql.querycache`),
-  before it is counted or dropped;
-* a macro-file stat or read once the stat TTL has run out
-  (:mod:`repro.core.macrofile`);
-* an ``%EXEC`` run (:mod:`repro.core.substitution`).
+* a connection that is not at hand: a pooled lease with no idle
+  connection, a new pooled connection, an unpooled connect that opens a
+  file, a breaker that is not closed (:mod:`repro.sql.pool`,
+  ``DatabaseRegistry.connect``), a sharded session
+  (:mod:`repro.core.engine`);
+* in :class:`~repro.sql.gateway.MacroSqlSession`: a statement that is
+  not a cacheable read, or any statement in single-transaction mode; a
+  statement that fails — among them one past
+  :data:`~repro.sql.connection.PROGRESS_STEPS` SQLite VM steps (its
+  progress handler stops it) and one that finds the database busy
+  (SQLite's busy handler is off on the loop); a result that would
+  spill, once its cursor and bracket are closed;
+* a macro-file stat once the stat TTL has run out
+  (:mod:`repro.core.macrofile`), and an ``%EXEC`` run
+  (:mod:`repro.core.substitution`);
+* any sleep: a retry's backoff (:mod:`repro.resilience.retry`, the
+  session) or a fault injector's stall (:mod:`repro.resilience.faults`).
 
-The check is ``if BLOCKING.attempt is not None:`` — on every thread
-the edge is not watching, one attribute read.  On the loop thread an
-attempt's ``block(step)`` raises :class:`WouldBlock` and the edge hands
-the request to a thread, where it runs from the start as it always
-did; on a thread the edge is recording it notes the step instead.  A
-query-cache hit appends its cache to ``attempt.hits``, a reused page
-one entry for all its hits (counted only when the run completes, so an
-abandoned attempt leaves no count), and a store adds one to
-``attempt.stores``.
+On the loop ``BLOCKING.attempt`` is a list of what the run defers — the
+query cache's counts and the results it stores — run in order only if
+the attempt returns, so an abandoned one leaves nothing behind.  On
+every other thread it is ``None``: each check is one attribute read.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ class WouldBlock(BaseException):
 
 
 class _Blocking(threading.local):
-    #: the edge's attempt watching this thread's blocking steps, if any
+    #: on the edge's loop attempt, the actions it defers; else None
     attempt = None
 
 

@@ -147,8 +147,8 @@ class Db2WwwProgram:
 
     #: Whether the edge may try a page on its event loop: a page runs in
     #: this process, and each step of it that would block signals first
-    #: (:mod:`repro.blocking`).  A page that spills has executed a
-    #: statement, which on the loop already signalled at its connect.
+    #: (:mod:`repro.blocking`).  A page that spills signals once its
+    #: cursor is closed, so a loop attempt never streams.
     loop_safe = True
 
     def __init__(self, engine: MacroEngine, library: MacroLibrary, *,

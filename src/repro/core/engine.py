@@ -27,7 +27,7 @@ import weakref
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional, Sequence
 
-from repro.blocking import BLOCKING
+from repro.blocking import BLOCKING, WouldBlock
 from repro.core import ast
 from repro.core.messages import resolve_message
 from repro.core.program import CompiledEvaluator, program_of
@@ -749,7 +749,7 @@ class _MacroRun:
                 # the request to one shard; without it, reads scatter
                 # and writes fan out (see repro.sql.sharding).
                 if BLOCKING.attempt is not None:
-                    BLOCKING.attempt.block("shard")
+                    raise WouldBlock("shard")
                 from repro.sql.sharding import ShardedSqlSession
                 key = self.evaluator.evaluate_name(shard_map.key_variable)
                 # Shard maps name physical databases, so the sharded
@@ -792,8 +792,6 @@ class _MacroRun:
         breaker exists to shed load, retrying against it immediately
         would defeat that.
         """
-        if BLOCKING.attempt is not None:
-            BLOCKING.attempt.block("connect")
         registry = self.engine.registry
         policy = self.engine.config.retry_policy
         if policy is None:

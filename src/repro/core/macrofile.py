@@ -19,7 +19,7 @@ from typing import Optional
 
 from typing import Callable
 
-from repro.blocking import BLOCKING
+from repro.blocking import BLOCKING, WouldBlock
 from repro.core.ast import (
     HtmlInputSection,
     HtmlReportSection,
@@ -147,7 +147,7 @@ class MacroLibrary:
                 and now - cached[1] < self.stat_ttl):
             return cached[2]
         if BLOCKING.attempt is not None:
-            BLOCKING.attempt.block("stat")
+            raise WouldBlock("stat")
         path = self._disk_path(name)
         if path is None:
             raise MacroNameError(f"no such macro: {name!r}")

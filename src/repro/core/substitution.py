@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.blocking import BLOCKING
+from repro.blocking import BLOCKING, WouldBlock
 from repro.core.values import Escape, Literal, Reference, ValueString
 from repro.core.variables import (
     ConditionalEntry,
@@ -201,7 +201,7 @@ class Evaluator:
         # Every runner is called from here, so this one check keeps any
         # of them off the edge's event loop (repro.blocking).
         if BLOCKING.attempt is not None:
-            BLOCKING.attempt.block("exec")
+            raise WouldBlock("exec")
         output, error_code = self.exec_runner.run(command)
         entry.last_error = error_code
         return output

@@ -49,17 +49,16 @@ engine, and anything at all once admission control may queue it — is
 submitted to a small thread pool whose done-callback posts the answer
 back to the loop (:meth:`AsyncHttpServer._handoff` decides).
 
-One kind of CGI request is *tried* on the loop first: a GET or HEAD to
-an in-process, buffered DB2WWW program whose previous run needed no
-thread — or only leased a connection for reads the query cache then
-kept — took less than a GIL switch interval, and has had no write
-anywhere in the process since (the memo, :meth:`AsyncHttpServer._learn`).
-Such a page is all query-cache hits, so it is answered where it
-arrives, without the hand-off.  If it is not after all (an entry was
-evicted, a macro's stat TTL ran out), the step that would block raises
-:class:`~repro.blocking.WouldBlock` before it runs, the attempt is
-dropped without a trace, a log line or a count, and the request goes to
-the thread pool as any other (``edge_loop_abandoned_total``).
+A GET or HEAD to an in-process DB2WWW program (``loop_safe``) is *tried*
+on the loop first, every time: it runs where it arrives until a step
+would really block — a connection not at hand, a statement that is not
+a read or runs past a VM-step bound or finds the database busy, a
+result that spills, a stat past the TTL, ``%EXEC``, a sleep (the full
+list is :mod:`repro.blocking`).  That step raises
+:class:`~repro.blocking.WouldBlock` before it blocks; the attempt is
+dropped without a trace, a log line or a count, and the request is
+replayed from the start on a thread (``edge_loop_abandoned_total``).
+It ran only reads, so the replay is safe.
 Streaming generators are driven inside **one** executor thread per
 response — the engine's sqlite handles have thread affinity — with
 chunks handed to the event loop over a bounded queue.
@@ -73,7 +72,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import socket
-import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from time import perf_counter
@@ -95,7 +93,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import new_trace_id
 from repro.overload.retryafter import retry_after_header
 from repro.resilience.deadline import Deadline
-from repro.sql.querycache import WriteGeneration
 
 _MAX_HEAD = 64 * 1024
 _MAX_BODY = 8 * 1024 * 1024
@@ -111,8 +108,6 @@ _OWN_WRITE = 32 * 1024
 _STREAM_BUFFER = 8
 #: threads serving requests that block (gateway, tenants, admission)
 EXECUTOR_THREADS = 8
-#: CGI targets the loop remembers as worth trying (oldest dropped first)
-_MEMO_TARGETS = 1024
 #: the methods of a request the loop may try (the rest may write)
 _TRIED_METHODS = frozenset(("GET", "HEAD"))
 
@@ -174,11 +169,6 @@ class AsyncHttpServer:
         self._streams: set[asyncio.Task] = set()
         self._active = 0
         self._stopping = False  # the shutdown sweep has run
-        #: target -> WriteGeneration.epoch its last run began under;
-        #: read and written on the loop thread only
-        self._memo: dict[str, int] = {}
-        #: the loop's attempt, reused: it makes one at a time
-        self._loop_attempt = _Attempt("", on_loop=True)
         self._bind_metrics()
 
     # -- lifecycle ---------------------------------------------------------
@@ -263,71 +253,52 @@ class AsyncHttpServer:
 
     # -- request policy ----------------------------------------------------
 
-    def _handoff(self, request: HttpRequest) -> Optional[str]:
+    def _handoff(self, request: HttpRequest) -> Optional[bool]:
         """Whether answering ``request`` can block its thread: ``None``
-        if not, else the key the memo knows it by — ``""`` for a
-        request the loop never tries.
+        if not, ``True`` if it is tried on the loop first, ``False`` if
+        it goes straight to a thread.
 
         The gateway and tenant engines run macros and SQL, and an
         admission controller may park any request in its queue; those
         go to the executor so one slow query stalls one thread, not
         every connection on the loop.  Only a GET or HEAD to a program
-        whose every blocking step signals first (``loop_safe``) may be
-        tried on the loop: not a socket exchange with app-server
-        workers, a stream, tenant traffic (auth, quotas) or anything
-        under admission control.  The path is normalised first — the
-        router routes on the normalised form.
+        whose every blocking step signals first (``loop_safe``) is tried
+        on the loop: not a socket exchange with app-server workers,
+        tenant traffic (auth, quotas) or anything under admission
+        control.  The path is normalised first — the router routes on
+        the normalised form.
         """
         router = self.router
         if router.overload is not None:
-            return ""
+            return False
         path = normalize_path(request.path)
         if not path.startswith(CGI_PREFIX):
-            return "" if path.startswith(TENANT_PREFIX) else None
+            return False if path.startswith(TENANT_PREFIX) else None
         if request.method not in _TRIED_METHODS:
-            return ""
+            return False
         program = router.gateway.program(
             path[len(CGI_PREFIX):].partition("/")[0])
-        return request.target if getattr(program, "loop_safe", False) \
-            else ""
+        return getattr(program, "loop_safe", False)
 
-    def _try_on_loop(self, handle, key: str) -> HttpResponse:
-        """Answer a memoised target on the loop, or raise
-        :class:`WouldBlock` having left nothing behind."""
-        attempt, memo = self._loop_attempt, self._memo
+    def _on_loop(self, handle) -> HttpResponse:
+        """``handle`` run on the loop, or :class:`WouldBlock` raised
+        having left nothing behind: the query cache's counts and stores
+        are deferred (``BLOCKING.attempt``) until it returns."""
+        deferred = BLOCKING.attempt = []
         try:
-            response = attempt.run(handle, "loop")
+            response = handle()
         except WouldBlock:
             self._m_abandoned.inc()
-            del memo[key]
             raise
-        if attempt.elapsed < sys.getswitchinterval():
-            memo[key] = attempt.epoch
-        else:
-            del memo[key]
+        finally:
+            BLOCKING.attempt = None
+        for action in deferred:
+            action()
         return response
 
-    def _learn(self, attempt: "_Attempt") -> None:
-        """After a target's run on a thread: remember it as one to try
-        on the loop if the next run should need no thread, else forget
-        it.  That is, this run needed a thread only for reads the query
-        cache then kept; it was shorter than a GIL switch interval (a
-        longer page is one the interpreter would have interrupted for
-        the loop anyway); and nothing in the process has written since
-        it began (checked against the epoch at the next request)."""
-        memo, key = self._memo, attempt.key
-        if (attempt.clean and attempt.misses == attempt.stores
-                and attempt.elapsed < sys.getswitchinterval()):
-            if key not in memo and len(memo) >= _MEMO_TARGETS:
-                del memo[next(iter(memo))]
-            memo[key] = attempt.epoch
-        else:
-            memo.pop(key, None)
-
-    def _guarded(self, handle, deadline, attempt=None):
+    def _guarded(self, handle, deadline):
         """Wrap a router call with what must run *in the executor
-        thread*: the hand-off clock, the deadline check and, for a
-        target the loop may try, the recording of its blocking steps.
+        thread*: the hand-off clock and the deadline check.
 
         Under load the executor's own queue is an admission queue: a
         request can wait there longer than its whole budget.
@@ -344,9 +315,7 @@ class AsyncHttpServer:
                 self._m_deadline_expired.inc()
                 return self._refusal(504, "request deadline expired "
                                           "before processing began")
-            if attempt is None:
-                return handle(edge="executor")
-            return attempt.run(handle, "executor")
+            return handle(edge="executor")
 
         return run
 
@@ -383,54 +352,6 @@ class AsyncHttpServer:
         self._m_abandoned = registry.counter("edge_loop_abandoned_total")
 
 
-class _Attempt:
-    """One run of a target the loop may try, as its blocking steps see
-    it (it is ``BLOCKING.attempt`` meanwhile; see :mod:`repro.blocking`).
-
-    On the loop the first step that would block raises
-    :class:`WouldBlock`.  On an executor thread the steps are only noted
-    for :meth:`AsyncHttpServer._learn`.
-    """
-
-    __slots__ = ("key", "on_loop", "hits", "stores", "misses", "clean",
-                 "epoch", "elapsed")
-
-    def __init__(self, key: str, *, on_loop: bool = False):
-        self.key = key
-        self.on_loop = on_loop
-        self.hits: list = []   # caches (or reused pages) owed hits,
-        #                        counted if the run returns
-        self.stores = 0        # results the query cache kept
-        self.misses = 0
-        self.clean = True      # no step but misses and the lease they need
-        self.epoch = 0         # WriteGeneration.epoch when run began
-        self.elapsed = float("inf")
-
-    def block(self, step: str) -> None:
-        if self.on_loop:
-            raise WouldBlock(step)
-        if step == "miss":
-            self.misses += 1
-        elif step != "connect" or not self.misses:
-            self.clean = False
-
-    def run(self, handle, edge: str) -> HttpResponse:
-        """``handle`` watched by this attempt; the query-cache hits it
-        defers are counted only if it returns."""
-        self.epoch = WriteGeneration.epoch
-        self.hits = []
-        BLOCKING.attempt = self
-        start = perf_counter()
-        try:
-            response = handle(edge=edge)
-        finally:
-            BLOCKING.attempt = None
-        self.elapsed = perf_counter() - start
-        for cache in self.hits:
-            cache.count_hit()
-        return response
-
-
 class _Connection(asyncio.Protocol):
     """One client connection: bytes in, whole requests cut off the
     buffer, one in flight at a time, responses out in request order."""
@@ -451,7 +372,6 @@ class _Connection(asyncio.Protocol):
         self.since = 0.0         # loop time of the last read or answer
         self.timer: Optional[asyncio.TimerHandle] = None
         self.reply = (False, False)  # (http11, keep_alive) of that request
-        self.recording: Optional[_Attempt] = None  # ...and its run, if tried
         self.drained: Optional[asyncio.Future] = None  # stream's drain()
 
     # -- transport callbacks -----------------------------------------------
@@ -636,22 +556,20 @@ class _Connection(asyncio.Protocol):
                                    remote_addr=self.remote_addr,
                                    trace_id=trace_id, deadline=deadline,
                                    edge="loop")
-        key = server._handoff(request)
-        if key is None:
+        tried = server._handoff(request)
+        if tried is None:
             self._answer(handle, http11, keep_alive)
             return
-        if key and server._memo.get(key) == WriteGeneration.epoch:
+        if tried:
             try:
-                self._answer(functools.partial(server._try_on_loop, handle,
-                                               key), http11, keep_alive)
+                self._answer(functools.partial(server._on_loop, handle),
+                             http11, keep_alive)
                 return
             except WouldBlock:
-                pass  # to a thread after all, as if never tried
+                pass  # replayed on a thread, as if never tried
         self.busy = True
         self.reply = (http11, keep_alive)
-        self.recording = _Attempt(key) if key else None
-        server._executor.submit(
-            server._guarded(handle, deadline, self.recording)) \
+        server._executor.submit(server._guarded(handle, deadline)) \
             .add_done_callback(self._hand_back)
 
     def _hand_back(self, future: Future) -> None:
@@ -664,9 +582,6 @@ class _Connection(asyncio.Protocol):
     def _resume(self, future: Future) -> None:
         self.busy = False
         self.since = self.loop.time()
-        if self.recording is not None:
-            self.server._learn(self.recording)
-            self.recording = None
         self._answer(future.result, *self.reply)
         self._advance()
 
@@ -712,11 +627,10 @@ class _Connection(asyncio.Protocol):
         ``transport.write`` (a ``report_hot`` page is one), a part of
         :data:`_OWN_WRITE` bytes or more (a large report's rows) written
         on its own, by reference, never copied into a message string."""
-        response.headers.set("Connection",
-                             "Keep-Alive" if keep_alive else "close")
         write = self.transport.write
         run: list[bytes] = []
-        for part in response.wire_parts():
+        for part in response.wire_parts(
+                "Keep-Alive" if keep_alive else "close"):
             if len(part) < _OWN_WRITE:
                 run.append(part)
                 continue

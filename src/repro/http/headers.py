@@ -9,56 +9,58 @@ class Headers:
     """An ordered multimap of HTTP headers.
 
     Lookup is case-insensitive (RFC 1945 §4.2); insertion order and the
-    original spelling are preserved for serialisation.
+    original spelling are preserved for serialisation.  Each name is
+    folded to lower case once, when it is stored (``folded``, parallel
+    to the items), so a lookup folds only the name it is asked for.
     """
 
     def __init__(self, items: Optional[list[tuple[str, str]]] = None):
         self._items: list[tuple[str, str]] = list(items or [])
+        #: ``_items``' names, lower-cased, in the same order
+        self.folded: list[str] = [name.lower() for name, _ in self._items]
 
     # -- mutation --------------------------------------------------------
 
     def add(self, name: str, value: str) -> None:
         self._items.append((name, value))
+        self.folded.append(name.lower())
 
     def set(self, name: str, value: str) -> None:
         """Replace all occurrences of ``name`` with a single value."""
         folded = name.lower()
-        items = self._items
-        for key, _ in items:
-            if key.lower() == folded:
-                self._items = items = [(k, v) for k, v in items
-                                       if k.lower() != folded]
-                break
-        items.append((name, value))
+        if folded in self.folded:
+            self._drop(folded)
+        self._items.append((name, value))
+        self.folded.append(folded)
 
     def setdefault(self, name: str, value: str) -> None:
         if name not in self:
             self.add(name, value)
 
     def remove(self, name: str) -> None:
-        folded = name.lower()
-        self._items = [(k, v) for k, v in self._items
-                       if k.lower() != folded]
+        self._drop(name.lower())
+
+    def _drop(self, folded: str) -> None:
+        kept = [(item, key) for item, key in zip(self._items, self.folded)
+                if key != folded]
+        self._items = [item for item, _ in kept]
+        self.folded = [key for _, key in kept]
 
     # -- access ----------------------------------------------------------
 
     def get(self, name: str, default: str = "") -> str:
         folded = name.lower()
-        for key, value in self._items:
-            if key.lower() == folded:
-                return value
+        if folded in self.folded:
+            return self._items[self.folded.index(folded)][1]
         return default
 
     def get_all(self, name: str) -> list[str]:
         folded = name.lower()
-        return [v for k, v in self._items if k.lower() == folded]
+        return [value for (_, value), key in zip(self._items, self.folded)
+                if key == folded]
 
     def __contains__(self, name: str) -> bool:
-        folded = name.lower()
-        for key, _ in self._items:
-            if key.lower() == folded:
-                return True
-        return False
+        return name.lower() in self.folded
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)

@@ -139,17 +139,30 @@ class HttpResponse:
                 charset = value.strip('"')
         return self.body.decode(charset, "replace")
 
-    def wire_parts(self) -> list[bytes]:
+    def wire_parts(self, connection: Optional[str] = None) -> list[bytes]:
         """The whole message as byte parts: the status line and headers
-        (with ``Content-Length``), then the body's parts as they are."""
+        (with ``Content-Length``, and ``connection`` as the
+        ``Connection`` header when given), then the body's parts as they
+        are.  The head is built in one pass over the headers."""
         self.drain()
-        headers = Headers(self.headers.items())
+        head = [f"{self.version} {self.status} {self.reason}\r\n"]
+        typed = False
+        headers = self.headers
+        for (name, value), folded in zip(headers, headers.folded):
+            if (folded == "content-length" and not self.head
+                    or folded == "connection" and connection is not None):
+                continue
+            typed = typed or folded == "content-type"
+            head.append(f"{name}: {value}\r\n")
+        if connection is not None:
+            head.append(f"Connection: {connection}\r\n")
         if not self.head:
-            headers.set("Content-Length", str(sum(map(len, self.parts))))
-        headers.setdefault("Content-Type", "text/html")
-        head = (f"{self.version} {self.status} {self.reason}\r\n"
-                + headers.serialize() + "\r\n")
-        return [head.encode("latin-1"), *self.parts]
+            head.append(
+                f"Content-Length: {sum(map(len, self.parts))}\r\n")
+        if not typed:
+            head.append("Content-Type: text/html\r\n")
+        head.append("\r\n")
+        return ["".join(head).encode("latin-1"), *self.parts]
 
     def serialize(self) -> bytes:
         return b"".join(self.wire_parts())

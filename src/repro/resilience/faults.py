@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from repro.blocking import BLOCKING, WouldBlock
 from repro.errors import (
     ReproError,
     SQLConnectError,
@@ -206,6 +207,8 @@ class FaultInjector:
                 self._injected["slow"] += 1
                 stall = self.spec.slow_seconds
         if stall > 0.0:
+            if BLOCKING.attempt is not None:
+                raise WouldBlock("sleep")
             self._sleep(stall)
         if drop and connection is not None:
             connection.close()

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
+from repro.blocking import BLOCKING, WouldBlock
 from repro.errors import SQLError, is_transient
 from repro.resilience.deadline import Deadline
 
@@ -97,6 +98,8 @@ def call_with_retry(func: Callable[[], T], *,
             delay = policy.delay(attempt, rng)
             if deadline is not None and deadline.remaining() <= delay:
                 raise
+            if BLOCKING.attempt is not None:
+                raise WouldBlock("sleep") from None
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
             sleep(delay)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sqlite3
 import threading
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import (
     ConnectionClosedError,
@@ -30,6 +30,17 @@ from repro.errors import (
 from repro.sql.cursor import Cursor
 from repro.sql.dialect import is_query
 from repro.sql.querycache import WriteGeneration
+
+#: SQLite VM steps between two calls of a watched statement's progress
+#: handler (:meth:`Connection.watch`): about 0.7 ms of a recursive CTE
+#: on the 2-core benchmark host, so the edge's loop never runs one
+#: statement much longer, and a thread notices an expired deadline
+#: within as long.  A call costs ~0.2 µs, 0.03 % of that (EXPERIMENTS.md
+#: SIMP-INLINE).
+PROGRESS_STEPS = 100_000
+#: milliseconds SQLite's busy handler waits for a lock (``sqlite3``'s
+#: default ``timeout`` of 5 s)
+_BUSY_TIMEOUT_MS = 5000
 
 _NO_TABLE_RE = re.compile(r"no such table: (\S+)")
 _NO_COLUMN_RE = re.compile(r"no such column: (\S+)")
@@ -73,7 +84,11 @@ class Connection:
         self.database = database
         self._raw = sqlite3.connect(
             database, isolation_level=None, check_same_thread=False,
-            uri=uri)
+            uri=uri, timeout=_BUSY_TIMEOUT_MS / 1000)
+        #: a file's locks can be busy; an in-memory database's cannot
+        self._file = (database != ":memory:"
+                      and "mode=memory" not in database)
+        self._busy_off = False  # see watch()
         self._lock = threading.RLock()
         self._closed = False
         self._in_transaction = False
@@ -155,6 +170,22 @@ class Connection:
                 if self._in_transaction:
                     self._write_pending = True
             return Cursor(raw_cursor, sql)
+
+    def watch(self, stop: Optional[Callable[[], bool]], *,
+              wait_busy: bool = True) -> None:
+        """Until ``watch(None)``, call ``stop`` every
+        :data:`PROGRESS_STEPS` VM steps of what this connection runs: a
+        true answer aborts the statement (an :class:`SQLError`).  With
+        ``wait_busy=False`` a statement that finds the database locked
+        fails at once too, instead of waiting in SQLite's busy handler.
+        """
+        raw = self._raw
+        raw.set_progress_handler(stop, PROGRESS_STEPS if stop else 0)
+        busy_off = stop is not None and not wait_busy and self._file
+        if busy_off is not self._busy_off:
+            self._busy_off = busy_off
+            raw.execute("PRAGMA busy_timeout = "
+                        f"{0 if busy_off else _BUSY_TIMEOUT_MS}")
 
     def executescript(self, script: str) -> None:
         """Run a multi-statement script (schema setup, seeding)."""

@@ -50,18 +50,35 @@ class Cursor:
 
     def fetchone(self) -> Optional[tuple[Any, ...]]:
         self._check_open()
-        row = self._raw.fetchone()
+        try:
+            row = self._raw.fetchone()
+        except sqlite3.Error as exc:
+            raise self._translated(exc) from exc
         if row is None:
             return None
         return tuple(row)
 
     def fetchall(self) -> list[tuple[Any, ...]]:
         self._check_open()
-        return [tuple(row) for row in self._raw.fetchall()]
+        try:
+            return [tuple(row) for row in self._raw.fetchall()]
+        except sqlite3.Error as exc:
+            raise self._translated(exc) from exc
 
     def fetchmany(self, size: int) -> list[tuple[Any, ...]]:
         self._check_open()
-        return [tuple(row) for row in self._raw.fetchmany(size)]
+        try:
+            return [tuple(row) for row in self._raw.fetchmany(size)]
+        except sqlite3.Error as exc:
+            raise self._translated(exc) from exc
+
+    def _translated(self, exc: sqlite3.Error) -> Exception:
+        """A fetch's failure (the statement steps on as rows are read:
+        an interrupt, a busy database, a runtime error) as the gateway's
+        :class:`~repro.errors.SQLError`, as ``Connection.execute`` does
+        for the first step."""
+        from repro.sql.connection import translate_error  # import cycle
+        return translate_error(exc, self.sql)
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         while True:

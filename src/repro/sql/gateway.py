@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterator,
                     Optional)
 
-from repro.errors import (SQLConnectError, SQLError, SQLObjectError,
-                          is_transient)
+from repro.blocking import BLOCKING, WouldBlock
+from repro.errors import (DeadlineExceededError, SQLConnectError, SQLError,
+                          SQLObjectError, is_transient)
 from repro.obs.trace import END, TRACER
 from repro.resilience import faults as fault_injection
-from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy
 from repro.sql.connection import Connection, MemoryDatabase
@@ -137,6 +138,8 @@ class DatabaseRegistry:
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[[], Connection]] = {}
+        #: databases whose factory opens no file (MemoryDatabase)
+        self._in_memory: set[str] = set()
         self._generations: dict[str, WriteGeneration] = {}
         self._pools: dict[str, ConnectionPool] = {}
         #: Guards lazy pool creation: two concurrent first requests to
@@ -173,6 +176,7 @@ class DatabaseRegistry:
     def register_path(self, name: str, path: str) -> None:
         self._reject_sharded_name(name)
         self._factories[name] = lambda: Connection(path)
+        self._in_memory.discard(name)
 
     def register_memory(self, name: str,
                         db: Optional[MemoryDatabase] = None) -> MemoryDatabase:
@@ -180,6 +184,7 @@ class DatabaseRegistry:
         if db is None:
             db = MemoryDatabase()
         self._factories[name] = db.connect
+        self._in_memory.add(name)
         # Adopt the database's own counter so writes through connections
         # opened directly (db.connect()) invalidate cached results too.
         self._generations[name] = db.generation
@@ -189,6 +194,7 @@ class DatabaseRegistry:
                          factory: Callable[[], Connection]) -> None:
         self._reject_sharded_name(name)
         self._factories[name] = factory
+        self._in_memory.discard(name)
 
     def register_sharded(self, name: str, shard_map: "ShardMap") -> None:
         """Make ``name`` a *logical* sharded database.
@@ -250,6 +256,7 @@ class DatabaseRegistry:
         if pool is not None:
             pool.close()
         self._factories.pop(name, None)
+        self._in_memory.discard(name)
         self._shard_maps.pop(name, None)
         self._generations.pop(name, None)
         self._breakers.pop(name, None)
@@ -457,6 +464,10 @@ class DatabaseRegistry:
         this raises :class:`~repro.errors.CircuitOpenError` in
         microseconds, without touching factory, pool or network — and
         reports the connect outcome back to it.
+
+        On the edge's loop (:mod:`repro.blocking`) only a connection at
+        hand is taken: an idle pooled one, or an unpooled in-memory
+        database's with no fault injector, behind a closed breaker.
         """
         factory = self._factories.get(name)
         if factory is None:
@@ -468,7 +479,10 @@ class DatabaseRegistry:
                 f"database registry is closed (connect to {name!r})",
                 sqlstate="08003")
         breaker = self.breaker(name)
+        on_loop = BLOCKING.attempt is not None
         if breaker is not None:
+            if on_loop and breaker.state is not BreakerState.CLOSED:
+                raise WouldBlock("connect")  # a probe must settle
             breaker.allow()
         release = lambda: self._release_active(name)  # noqa: E731
         try:
@@ -482,8 +496,13 @@ class DatabaseRegistry:
                     pool, pool.acquire(deadline=deadline),
                     on_close=release)
             else:
+                if on_loop and (name not in self._in_memory
+                                or self._injector is not None):
+                    raise WouldBlock("connect")
                 connection = _TrackedConnection(self._wrap(factory)(),
                                                 on_close=release)
+        except WouldBlock:
+            raise
         except BaseException:
             if breaker is not None:
                 breaker.record_failure()
@@ -664,6 +683,12 @@ class ScopedDatabaseRegistry:
         self.parent.record_retries(count)
 
 
+def _stop_at_once() -> bool:
+    """A loop statement's progress handler: it has run
+    :data:`~repro.sql.connection.PROGRESS_STEPS` VM steps, so stop it."""
+    return True
+
+
 class MacroSqlSession:
     """All SQL activity of one macro invocation.
 
@@ -816,10 +841,12 @@ class MacroSqlSession:
         self.statement_log.append(sql)
         if self.deadline is not None:
             self.deadline.check("statement")
-        use_cache = (self.cache is not None
-                     and self.generation is not None
-                     and self.scope.mode is not TransactionMode.SINGLE
-                     and is_cacheable_query(sql))
+        read = (self.scope.mode is not TransactionMode.SINGLE
+                and is_cacheable_query(sql))
+        if not read and BLOCKING.attempt is not None:
+            raise WouldBlock("write")
+        use_cache = (read and self.cache is not None
+                     and self.generation is not None)
         if use_cache:
             stamp = self.generation.stamp()
             cached = self.cache.get(self.database, sql, stamp)
@@ -852,6 +879,8 @@ class MacroSqlSession:
                 if (self.deadline is not None
                         and self.deadline.remaining() <= delay):
                     raise
+                if BLOCKING.attempt is not None:
+                    raise WouldBlock("sleep") from None
                 self.retries += 1
                 attempt += 1
                 time.sleep(delay)
@@ -869,31 +898,59 @@ class MacroSqlSession:
         its row iterator is exhausted or dropped (the engine consumes
         each result fully before running the next directive, so no two
         brackets ever overlap).
+
+        Executing and fetching are watched (:meth:`Connection.watch
+        <repro.sql.connection.Connection.watch>`) on the edge's loop,
+        where the statement stops after
+        :data:`~repro.sql.connection.PROGRESS_STEPS` VM steps, on a busy
+        database, or at a spill (its cursor and bracket closed first),
+        each as :class:`~repro.blocking.WouldBlock`; and under a
+        deadline, which then stops the statement as
+        :class:`~repro.errors.DeadlineExceededError`.
         """
         self.scope.before_statement()
+        connection, deadline = self.connection, self.deadline
+        on_loop = BLOCKING.attempt is not None
+        stop = _stop_at_once if on_loop else None
+        if deadline is not None and not on_loop:
+            stop = lambda: deadline.expired  # noqa: E731
+        if stop is not None:
+            connection.watch(stop, wait_busy=not on_loop)
+        cursor = None
         try:
-            cursor = self.connection.execute(sql)
+            try:
+                cursor = connection.execute(sql)
+                rows = cursor.fetchmany(SPILL_ROWS + 1) \
+                    if cursor.has_result_set else None
+            finally:
+                if stop is not None:
+                    connection.watch(None)
         except SQLError as exc:
+            if cursor is not None:
+                cursor.close()
             self.scope.after_statement(exc)
+            if on_loop:
+                raise WouldBlock("statement") from exc
+            if deadline is not None and deadline.expired:
+                raise DeadlineExceededError(
+                    "request deadline expired during a statement") from exc
             raise
-        if not cursor.has_result_set:
+        if rows is None:
             result = ExecutionResult(
                 sql=sql, rowcount=max(cursor.rowcount, 0),
                 is_query=is_query(sql))
             self.scope.after_statement(None)
             return result
-        try:
-            rows = cursor.fetchmany(SPILL_ROWS + 1)
-        except SQLError as exc:
-            cursor.close()
-            self.scope.after_statement(exc)
-            raise
         result = ExecutionResult(sql=sql, columns=cursor.column_names,
                                  is_query=True)
         if len(rows) <= SPILL_ROWS:
             result.rows = rows
             result.rowcount = len(rows)
             self.scope.after_statement(None)
+        elif on_loop:
+            cursor.close()
+            self.scope.after_statement(None)
+            raise WouldBlock("spill")
         else:
             result.rows_fetched = len(rows)
             result.row_iter = self._spill(cursor, rows, result)

@@ -13,6 +13,7 @@ import queue
 import threading
 from typing import Callable, Optional
 
+from repro.blocking import BLOCKING, WouldBlock
 from repro.errors import PoolExhaustedError
 from repro.resilience.deadline import Deadline
 from repro.sql.connection import Connection
@@ -49,7 +50,13 @@ class ConnectionPool:
         A request :class:`~repro.resilience.deadline.Deadline` caps the
         wait further: a request with 50 ms of budget left never blocks
         the full pool timeout for a slot it could not use anyway.
+
+        On the edge's loop (:mod:`repro.blocking`) the lease is an idle
+        connection or :class:`~repro.blocking.WouldBlock`: it never
+        waits, and never opens a new connection.
         """
+        if BLOCKING.attempt is not None:
+            return self._idle_now(deadline)
         while True:
             wait = self._timeout if deadline is None \
                 else deadline.cap(self._timeout)
@@ -83,6 +90,20 @@ class ConnectionPool:
                     self._created -= 1
                 continue
             return conn
+
+    def _idle_now(self, deadline: Optional[Deadline]) -> Connection:
+        if deadline is not None:
+            deadline.check("pool acquire")
+        while not self._closed:
+            try:
+                conn = self._idle.get_nowait()
+            except queue.Empty:
+                raise WouldBlock("lease") from None
+            if not conn.closed:
+                return conn
+            with self._lock:
+                self._created -= 1
+        raise PoolExhaustedError("pool is closed")
 
     def release(self, conn: Connection, *, broken: bool = False) -> None:
         """Return a connection; any open transaction is rolled back.

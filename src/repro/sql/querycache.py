@@ -61,6 +61,7 @@ page counts a hit per statement it read, and one ``page_hits``;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections import OrderedDict
@@ -87,12 +88,6 @@ class WriteGeneration:
     __slots__ = ("_value", "_lock", "token")
 
     _tokens = itertools.count(1)
-    _epochs = itertools.count(1)
-
-    #: A number no earlier bump of *any* counter in the process left
-    #: here: while it reads the same, nothing has been written since.
-    #: (Each bump stores a fresh one, so a racing pair still changes it.)
-    epoch = 0
 
     def __init__(self) -> None:
         self._value = 0
@@ -103,7 +98,6 @@ class WriteGeneration:
         """Record a write; returns the new generation."""
         with self._lock:
             self._value += 1
-            WriteGeneration.epoch = next(WriteGeneration._epochs)
             return self._value
 
     @property
@@ -159,22 +153,30 @@ class QueryResultCache:
         tuple (a bare int also works for standalone use).
         """
         key = (database, sql)
+        deferred = BLOCKING.attempt
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry[0] != generation:
-                if BLOCKING.attempt is not None:
-                    BLOCKING.attempt.block("miss")
-                self._misses += 1
-                if entry is not None:
-                    del self._entries[key]
-                    self._invalidations += 1
-                return None
-            self._entries.move_to_end(key)
-            if BLOCKING.attempt is None:
-                self._hits += 1
-            else:
-                BLOCKING.attempt.hits.append(self)
-            return entry[1]
+            if entry is not None and entry[0] == generation:
+                self._entries.move_to_end(key)
+                if deferred is None:
+                    self._hits += 1
+                else:
+                    deferred.append(self.count_hit)
+                return entry[1]
+        if deferred is None:
+            self._miss(key, entry)
+        else:
+            deferred.append(functools.partial(self._miss, key, entry))
+        return None
+
+    def _miss(self, key: tuple[str, str], entry) -> None:
+        """Count a miss, and drop ``entry`` if it is stale and still
+        there."""
+        with self._lock:
+            self._misses += 1
+            if entry is not None and self._entries.get(key) is entry:
+                del self._entries[key]
+                self._invalidations += 1
 
     def peek(self, database: str, sql: str,
              generation: Hashable) -> Optional["ExecutionResult"]:
@@ -202,7 +204,8 @@ class QueryResultCache:
         if BLOCKING.attempt is None:
             self.count_hit(reads, 1)
         else:
-            BLOCKING.attempt.hits.append(_PageHit(self, reads))
+            BLOCKING.attempt.append(
+                functools.partial(self.count_hit, reads, 1))
 
     def put(self, database: str, sql: str, generation: Hashable,
             result: "ExecutionResult") -> bool:
@@ -213,6 +216,11 @@ class QueryResultCache:
             # PRAGMA/EXPLAIN and anything else that returns rows without
             # being a pure data read must re-execute on every request.
             return False
+        if BLOCKING.attempt is not None:
+            # stored (and counted) only if the edge's attempt returns
+            BLOCKING.attempt.append(functools.partial(
+                self.put, database, sql, generation, result))
+            return True
         key = (database, sql)
         with self._lock:
             self._entries[key] = (generation, result)
@@ -224,8 +232,6 @@ class QueryResultCache:
                     continue
                 self._entries.popitem(last=False)
                 self._evictions += 1
-        if BLOCKING.attempt is not None:
-            BLOCKING.attempt.stores += 1
         return True
 
     # -- pages ----------------------------------------------------------
@@ -309,17 +315,3 @@ class QueryResultCache:
         with self._lock:
             self._hits = self._misses = self._stores = 0
             self._evictions = self._invalidations = self._page_hits = 0
-
-
-class _PageHit:
-    """A reused page's hits, owed by an edge attempt (repro.blocking)
-    and counted in one :meth:`QueryResultCache.count_hit` if it returns."""
-
-    __slots__ = ("cache", "reads")
-
-    def __init__(self, cache: QueryResultCache, reads: int):
-        self.cache = cache
-        self.reads = reads
-
-    def count_hit(self) -> None:
-        self.cache.count_hit(self.reads, 1)

@@ -48,6 +48,15 @@ def fault_spec(request: pytest.FixtureRequest) -> str:
 
 
 @pytest.fixture()
+def no_ambient_faults(monkeypatch):
+    """No ambient fault injector for this test: an injected fault stops
+    the edge's loop attempt by design (tests/http/test_loop_attempts.py
+    covers that), so a test that counts attempts runs without one."""
+    from repro.resilience import faults
+    monkeypatch.setattr(faults, "_ambient", None)
+
+
+@pytest.fixture()
 def spill(monkeypatch):
     """``spill(rows=1)`` shrinks the spill budget (``gateway.SPILL_ROWS``)
     so that a result of more than ``rows`` rows spills."""

@@ -94,13 +94,14 @@ class TestStatusz:
         assert snapshot["counters"]["http_requests_total"] == 2
 
     def test_executor_handoff_wait_is_a_histogram(self, site):
-        """Over a socket: the report crosses the edge's executor and
-        is clocked; the in-loop scrape that reads the clock is not."""
+        """Over a socket: the report, POSTed, crosses the edge's executor
+        and is clocked; the in-loop scrape that reads the clock is not."""
         app, site = site
         server = site.serve()  # already started: not a ``with`` target
         try:
-            for target in (f"{app.report_path}?{QUERY}", "/statusz"):
-                with urllib.request.urlopen(server.base_url + target,
+            for target, data in ((app.report_path, QUERY.encode()),
+                                 ("/statusz", None)):
+                with urllib.request.urlopen(server.base_url + target, data,
                                             timeout=10) as response:
                     body = response.read()
         finally:

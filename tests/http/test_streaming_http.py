@@ -8,6 +8,7 @@ macro.  The ``spill`` fixture shrinks the budget below the report's rows.
 """
 
 import socket
+import threading
 
 import pytest
 
@@ -126,22 +127,28 @@ class TestCloseDelimitedStreaming:
         assert b"404" in head.split(b"\r\n", 1)[0]
         assert b"content-length" in head.lower()
 
-    def test_head_settles_the_cursor(self, servers, monkeypatch):
+    def test_head_settles_the_cursor(self, servers, monkeypatch,
+                                     no_ambient_faults):
         """A HEAD answer carries no body: the spilled cursor, its read
-        bracket and the session all settle before the answer goes."""
+        bracket and the session all settle before the answer goes — on
+        the edge's loop, where the spill stops the attempt, and once
+        more in its replay on a thread."""
         app, server, _ = servers
         events = []
         for owner, name in [(Cursor, "close"),
                             (TransactionScope, "after_statement"),
                             (MacroSqlSession, "finish")]:
             def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
-                events.append(_name)
+                events.append((threading.current_thread().name, _name))
                 return _real(*args, **kwargs)
             monkeypatch.setattr(owner, name, spy)
         head, body = raw_get(server, f"{app.report_path}?{QUERY}",
                              method="HEAD")
         assert b"200" in head.split(b"\r\n", 1)[0] and body == b""
-        assert events == ["close", "after_statement", "finish"]
+        settled = ["close", "after_statement", "finish"]
+        assert events == [(thread, name) for thread in (
+            "repro-async-httpd", events[-1][0]) for name in settled]
+        assert events[-1][0].startswith("repro-edge")
 
 
 def header_fields(head):
