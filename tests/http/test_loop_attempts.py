@@ -52,7 +52,8 @@ from repro.sql.gateway import DatabaseRegistry
 from repro.sql.querycache import QueryResultCache
 
 #: a page whose one statement counts ``rows`` rows: 300 000 run past the
-#: VM-step bound (a loop attempt stops), 30M for seconds on a thread
+#: VM-step bound (a loop attempt stops); 30M run on a thread for ~3.3 s on
+#: one host and 10-13 s on another
 LONG_SQL = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 "
             "FROM c WHERE x < $(rows)) SELECT count(*) AS n FROM c")
 LONG_MACRO = f"""%DEFINE DATABASE = "URLDB"
@@ -169,9 +170,12 @@ def page_sequence():
     return [("GET", target, "") for target in pages for _ in range(3)]
 
 
-def send_all(server, sequence):
-    """Each request over one keep-alive connection: [(status, body)]."""
-    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+def send_all(server, sequence, *, timeout=10):
+    """Each request over one keep-alive connection: [(status, body)].
+    ``timeout`` is the client socket's (``None`` waits for the answer
+    however long its statement runs)."""
+    conn = http.client.HTTPConnection(server.host, server.port,
+                                      timeout=timeout)
     answers = []
     try:
         for method, target, body in sequence:
@@ -371,7 +375,9 @@ def test_edge_and_in_process_answers_are_identical(tmp_path):
     assert handed_off < len(sequence) - 40   # the loop answered the rest
 
 
-#: the probe: 30M rows of a recursive CTE, seconds of one statement
+#: the probe: 30M rows of a recursive CTE, one statement of ~3.3 s on one
+#: host and 10-13 s on another, so a request that waits for its end
+#: passes no socket timeout
 PROBE = f"{LONG}?rows=30000000"
 
 
@@ -410,7 +416,7 @@ def test_a_long_statement_holds_the_loop_only_briefly(tmp_path,
     probe, not in how busy the host's cores are.  (No deadline: its
     handler would take the GIL on the probe's thread.)"""
     router, registry = build(tmp_path)
-    attempts = []
+    attempts, answers, failures = [], [], []
 
     def timed(on_loop):
         def run(handle):
@@ -458,6 +464,13 @@ def test_a_long_statement_holds_the_loop_only_briefly(tmp_path,
             busy.join()
             outside.close()
 
+    def probe_run():
+        try:
+            answers.extend(send_all(server, [("GET", PROBE, "")],
+                                    timeout=None))
+        except Exception as exc:   # re-raised by the test
+            failures.append(exc)
+
     real_connect = sqlite3.connect
     try:
         with AsyncHttpServer(router) as server:
@@ -465,20 +478,21 @@ def test_a_long_statement_holds_the_loop_only_briefly(tmp_path,
             send_all(server, [("GET", URLQUERY_REPORT, ""),
                               ("GET", LONG, "")])   # stats, cached
             alone = beside(lambda: p99(server))
-            probe = threading.Thread(
-                target=lambda: attempts.append(
-                    send_all(server, [("GET", PROBE, "")])))
+            probe = threading.Thread(target=probe_run)
             handoffs = router.metrics.histogram("edge_handoff_wait_ms")
             before = handoffs.count
             probe.start()
-            while handoffs.count == before:
+            while handoffs.count == before and probe.is_alive():
                 time.sleep(0.001)   # until the probe is on its thread
             loaded = p99(server)
             running = probe.is_alive()
             probe.join()
     finally:
         registry.close_all()
-    assert attempts.pop() == [(200, b"<P>30000000</P>")] and running
+    if failures:
+        raise failures[0]
+    assert running
+    assert answers == [(200, b"<P>30000000</P>")]
     (probe_on_loop,) = [took for target, took in attempts
                         if target == PROBE]
     assert probe_on_loop < 0.005
