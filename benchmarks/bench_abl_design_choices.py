@@ -20,7 +20,7 @@ from repro.core.substitution import Evaluator
 from repro.core.values import ValueString
 from repro.core.variables import VariableStore
 from repro.sql.connection import Connection
-from repro.sql.pool import ConnectionPool, PerRequestPool
+from repro.sql.pool import ConnectionPool
 
 
 class MemoizingEvaluator(Evaluator):
@@ -117,6 +117,23 @@ def file_database(tmp_path_factory):
     return str(path)
 
 
+class PerRequest:
+    """The 1996 model the pool is measured against: a fresh connection
+    per checkout, closed on release."""
+
+    def __init__(self, factory):
+        self._factory = factory
+
+    def acquire(self) -> Connection:
+        return self._factory()
+
+    def release(self, conn: Connection) -> None:
+        conn.close()
+
+    def close(self) -> None:
+        pass
+
+
 def _query_once(conn: Connection) -> int:
     cursor = conn.execute(
         "SELECT COUNT(*) FROM urldb WHERE title LIKE '%a%'")
@@ -126,7 +143,7 @@ def _query_once(conn: Connection) -> int:
 @pytest.mark.parametrize("pool_kind", ["per_request", "pooled"])
 def test_abl_connection_strategy(benchmark, file_database, pool_kind):
     if pool_kind == "per_request":
-        pool = PerRequestPool(lambda: Connection(file_database))
+        pool = PerRequest(lambda: Connection(file_database))
     else:
         pool = ConnectionPool(lambda: Connection(file_database), size=2)
 
@@ -157,7 +174,7 @@ def test_abl_artifact(benchmark, file_database, artifact):
     memo_us = timed(
         lambda: MemoizingEvaluator(store).evaluate(template), 50)
 
-    per_request = PerRequestPool(lambda: Connection(file_database))
+    per_request = PerRequest(lambda: Connection(file_database))
     pooled = ConnectionPool(lambda: Connection(file_database), size=2)
 
     def via(pool):

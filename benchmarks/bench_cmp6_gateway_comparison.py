@@ -145,8 +145,7 @@ def dispatch_deployment(tmp_path_factory):
         urlquery_app.URLQUERY_MACRO, encoding="utf-8")
     return {"REPRO_MACRO_DIR": str(macro_dir),
             "REPRO_DATABASE_URLDB": str(db_path),
-            "REPRO_QUERY_CACHE": "64",
-            "REPRO_POOL_SIZE": "1"}
+            "REPRO_QUERY_CACHE": "64"}
 
 
 def test_cmp6_dispatch_modes(benchmark, dispatch_deployment, artifact):

@@ -74,8 +74,7 @@ def deployment(tmp_path_factory):
         urlquery_app.URLQUERY_MACRO, encoding="utf-8")
     return {"REPRO_MACRO_DIR": str(macro_dir),
             "REPRO_DATABASE_URLDB": str(db_path),
-            "REPRO_QUERY_CACHE": "64",
-            "REPRO_POOL_SIZE": "1"}
+            "REPRO_QUERY_CACHE": "64"}
 
 
 def _requests_per_second(run, rounds: int) -> float:

@@ -132,7 +132,7 @@ def scaling_point(shards: int) -> dict:
 def replica_throughput(replicas: int) -> float:
     registry, shard_map = build_tier(
         1, stall=REPLICA_STALL, replicas=replicas)
-    registry.enable_pools(size=1, timeout=30.0)
+    registry.configure_pools(size=1, timeout=30.0)
     key = key_routing_to(shard_map, 0)
     barrier = threading.Barrier(REPLICA_CLIENTS + 1)
 

@@ -7,9 +7,8 @@ request runs there until a step would really block; that step raises
 on a thread from the start.  Only reads ran, so the replay is safe.  The
 steps, each checked where it happens:
 
-* a connection that is not at hand: a pooled lease with no idle
-  connection, a new pooled connection, an unpooled connect that opens a
-  file, a breaker that is not closed (:mod:`repro.sql.pool`,
+* a connection that is not at hand: a lease with no idle pooled
+  connection, or behind a breaker that is not closed (:mod:`repro.sql.pool`,
   ``DatabaseRegistry.connect``), a sharded session
   (:mod:`repro.core.engine`);
 * in :class:`~repro.sql.gateway.MacroSqlSession`: a statement that is

@@ -56,6 +56,9 @@ def main(env: dict[str, str] | None = None,
         if trace is not None:
             trace.set("status", response.status)
     finally:
+        # The process's one connection closes with its run (Figure 4):
+        # a WAL-mode file is whole again when the page is written.
+        program.engine.registry.close_all()
         if trace is not None:
             trace.finish()
     return response.serialize()

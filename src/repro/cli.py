@@ -340,17 +340,21 @@ def _cmd_lint(args, out) -> int:
 def _cmd_run(args, out, *, as_text: bool) -> int:
     program = build(replace(Settings.from_args(args),
                             macros=str(args.file.parent)))
-    macro = program.library.load(args.file.name)
-    inputs = parse_bindings(args.inputs, "input variable")
-    result = program.engine.execute(macro, args.mode, inputs)
-    if as_text:
-        from repro.html.render import render_markup
-        print(render_markup(result.html), file=out)
-    else:
-        # A spilled page is written as it renders, never joined.
-        for part in itertools.chain(result.parts, result.rest or ()):
-            out.write(part.decode("utf-8"))
-        print(file=out)
+    try:
+        macro = program.library.load(args.file.name)
+        inputs = parse_bindings(args.inputs, "input variable")
+        result = program.engine.execute(macro, args.mode, inputs)
+        if as_text:
+            from repro.html.render import render_markup
+            print(render_markup(result.html), file=out)
+        else:
+            # A spilled page is written as it renders, never joined.
+            for part in itertools.chain(result.parts, result.rest or ()):
+                out.write(part.decode("utf-8"))
+            print(file=out)
+    finally:
+        # Its one connection closes: a WAL-mode file is whole again.
+        program.engine.registry.close_all()
     return 0 if result.ok else 1
 
 
@@ -654,7 +658,7 @@ def _load_tenant_config(path: Path, settings: Settings, *,
 
 def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
     from repro.cgi.gateway import CgiGateway
-    from repro.http.async_server import EXECUTOR_THREADS, AsyncHttpServer
+    from repro.http.async_server import AsyncHttpServer
     from repro.http.router import Router
     from repro.obs import (
         REGISTRY, TRACER, FanoutSink, MetricsBridge, SloTracker,
@@ -713,15 +717,11 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         metrics.attach_source("statement", STATEMENTS.labeled_stats,
                               label="digest")
     settings = Settings.from_args(args)
-    # This process's engines run on the edge's executor threads: a warm
-    # connection per thread, so no request pays (or, by overlapping
-    # another, escapes) SQLite's open/close of the file.
-    local = replace(settings, pool_size=EXECUTOR_THREADS)
     cache = None  # this process's one query-result cache
     registries = []
     gateway = CgiGateway()
     if args.gateway == "inprocess":
-        program = build(local)
+        program = build(settings)
         cache = program.engine.config.query_cache
         gateway.install("db2www", program)
         registry = program.engine.registry
@@ -732,9 +732,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
                                   label="shard", counters=ShardMap.COUNTERS)
     else:
         from repro.appserver import AppServerDispatcher
-        # One request at a time per worker: one pooled connection keeps
-        # it warm between requests.
-        worker_env = replace(settings, pool_size=1).to_env()
+        worker_env = settings.to_env()
         if not args.no_trace:
             # Workers join the server's traces (their spans ship home in
             # the response frames and are logged here: no worker sinks).
@@ -751,7 +749,7 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - interactive
         from repro.tenancy import TenantHost
 
         # Tenants share the in-process program's cache, if any.
-        tenant_registry = _load_tenant_config(args.tenant_config, local,
+        tenant_registry = _load_tenant_config(args.tenant_config, settings,
                                               query_cache=cache)
         cache = tenant_registry.query_cache
         registries.append(tenant_registry.databases)

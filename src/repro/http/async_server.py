@@ -93,6 +93,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import new_trace_id
 from repro.overload.retryafter import retry_after_header
 from repro.resilience.deadline import Deadline
+from repro.sql.pool import POOL_SIZE
 
 _MAX_HEAD = 64 * 1024
 _MAX_BODY = 8 * 1024 * 1024
@@ -106,8 +107,9 @@ _PIPELINE_BUDGET = 64 * 1024
 _OWN_WRITE = 32 * 1024
 #: engine chunks in flight between producer thread and event loop
 _STREAM_BUFFER = 8
-#: threads serving requests that block (gateway, tenants, admission)
-EXECUTOR_THREADS = 8
+#: threads serving requests that block (gateway, tenants, admission):
+#: one per connection a database's pool holds, so a lease never waits
+EXECUTOR_THREADS = POOL_SIZE
 #: the methods of a request the loop may try (the rest may write)
 _TRIED_METHODS = frozenset(("GET", "HEAD"))
 

@@ -73,7 +73,7 @@ def parse_bindings(items: list[str], what: str) -> list[tuple[str, str]]:
 class Settings:
     """What :func:`build` makes a program from (docs/deployment.md §3
     says what each field means).  The defaults are the CGI program's:
-    no cache, a ``stat`` and a connection per request."""
+    no cache and a ``stat`` per request."""
 
     macros: Optional[str] = field(default=None,
                                   metadata={"env": "REPRO_MACRO_DIR"})
@@ -82,9 +82,6 @@ class Settings:
         "parse": lambda raw: TransactionMode.parse(raw).value})
     query_cache: int = 0
     macro_stat_ttl: float = 0.0
-    #: connections pooled per database: set by the caller for its
-    #: threads, not an option
-    pool_size: int = 0
     degrade: bool = False
     max_retries: int = 0
     request_deadline: Optional[float] = None
@@ -174,8 +171,8 @@ def _parse(f, raw: str) -> Any:
 
 
 def build_registry(settings: Settings) -> DatabaseRegistry:
-    """The databases ``settings`` name, behind their fault injection,
-    breakers and pools."""
+    """The databases ``settings`` name, behind their fault injection
+    and breakers."""
     registry = DatabaseRegistry()
     for name, path in settings.database:
         registry.register_path(name, path)
@@ -195,10 +192,6 @@ def build_registry(settings: Settings) -> DatabaseRegistry:
     if settings.breaker_threshold:
         registry.enable_breakers(
             failure_threshold=settings.breaker_threshold)
-    if settings.pool_size:
-        # Lazily, on each database's first connect: a shard or replica
-        # that serves no request holds no connection.
-        registry.enable_pools(size=settings.pool_size)
     return registry
 
 

@@ -6,7 +6,7 @@ DESIGN.md's substitution table).  Public surface:
 * :func:`connect` / :class:`Connection` — open a database
 * :class:`MemoryDatabase` — named shared in-memory database
 * :class:`Cursor` — result-set handle
-* :class:`ConnectionPool` / :class:`PerRequestPool` — checkout strategies
+* :class:`ConnectionPool` — the bounded pool every database leases from
 * :class:`TransactionMode` / :class:`TransactionScope` — Section 5 modes
 * :class:`DatabaseRegistry` / :class:`MacroSqlSession` /
   :class:`ExecutionResult` — the facade the macro engine consumes
@@ -32,7 +32,7 @@ from repro.sql.gateway import (
     ExecutionResult,
     MacroSqlSession,
 )
-from repro.sql.pool import ConnectionPool, PerRequestPool
+from repro.sql.pool import ConnectionPool
 from repro.sql.querycache import QueryResultCache, WriteGeneration
 from repro.sql.sharding import (
     Replica,
@@ -52,7 +52,6 @@ __all__ = [
     "ExecutionResult",
     "MacroSqlSession",
     "MemoryDatabase",
-    "PerRequestPool",
     "QueryResultCache",
     "Replica",
     "Shard",

@@ -29,7 +29,7 @@ from repro.sql.connection import Connection, MemoryDatabase
 from repro.sql.cursor import Cursor, value_to_text
 from repro.sql.digest import statement_digest
 from repro.sql.dialect import is_cacheable_query, is_query
-from repro.sql.pool import ConnectionPool
+from repro.sql.pool import POOL_SIZE, ConnectionPool
 from repro.sql.querycache import QueryResultCache, WriteGeneration
 from repro.sql.transactions import TransactionMode, TransactionScope
 
@@ -127,6 +127,11 @@ class DatabaseRegistry:
     filesystem path, a :class:`MemoryDatabase`, or a connection factory
     under that name.
 
+    Every connection is a lease from the database's
+    :class:`~repro.sql.pool.ConnectionPool`, created at its first
+    :meth:`connect` (so a shard or replica that serves no request holds
+    no connection); :meth:`close_all` closes them.
+
     The registry is also where the resilience layer attaches to the
     request path: :meth:`inject_faults` wraps every factory in the fault
     harness, and :meth:`enable_breakers` puts a circuit breaker in front
@@ -138,26 +143,19 @@ class DatabaseRegistry:
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[[], Connection]] = {}
-        #: databases whose factory opens no file (MemoryDatabase)
-        self._in_memory: set[str] = set()
         self._generations: dict[str, WriteGeneration] = {}
         self._pools: dict[str, ConnectionPool] = {}
         #: Guards lazy pool creation: two concurrent first requests to
         #: one shard must share a pool, not leak one.
         self._pools_lock = threading.Lock()
-        #: When set, every database gets a pool lazily on first connect
-        #: (see :meth:`enable_pools`); ``None`` keeps pools explicit.
-        self._pool_config: Optional[dict[str, float]] = None
+        #: what a pool is created with (see :meth:`configure_pools`)
+        self._pool_limits = {"size": POOL_SIZE, "timeout": 5.0}
         self._shard_maps: dict[str, "ShardMap"] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_config: Optional[dict[str, float]] = None
         self._injector: Optional[fault_injection.FaultInjector] = None
         self._retries = 0
         self._retry_lock = threading.Lock()
-        #: Open connections per database name; :meth:`unregister`
-        #: refuses while a database is in use (SQLSTATE 55006).
-        self._active: dict[str, int] = {}
-        self._active_lock = threading.Lock()
         self._closed = False
 
     def _reject_sharded_name(self, name: str) -> None:
@@ -176,7 +174,6 @@ class DatabaseRegistry:
     def register_path(self, name: str, path: str) -> None:
         self._reject_sharded_name(name)
         self._factories[name] = lambda: Connection(path)
-        self._in_memory.discard(name)
 
     def register_memory(self, name: str,
                         db: Optional[MemoryDatabase] = None) -> MemoryDatabase:
@@ -184,7 +181,6 @@ class DatabaseRegistry:
         if db is None:
             db = MemoryDatabase()
         self._factories[name] = db.connect
-        self._in_memory.add(name)
         # Adopt the database's own counter so writes through connections
         # opened directly (db.connect()) invalidate cached results too.
         self._generations[name] = db.generation
@@ -194,7 +190,6 @@ class DatabaseRegistry:
                          factory: Callable[[], Connection]) -> None:
         self._reject_sharded_name(name)
         self._factories[name] = factory
-        self._in_memory.discard(name)
 
     def register_sharded(self, name: str, shard_map: "ShardMap") -> None:
         """Make ``name`` a *logical* sharded database.
@@ -237,26 +232,24 @@ class DatabaseRegistry:
           unservable; purging reclaims their memory now).
 
         Refuses with SQLSTATE 55006 ("object in use") while connections
-        to the database are still open — an active session holds
+        to the database are leased — an active session holds
         transaction state the teardown would yank out from under it.
         """
         if name not in self._factories and name not in self._shard_maps:
             raise SQLObjectError(
                 f"database {name!r} is not registered with the gateway",
                 sqlstate="08001")
-        with self._active_lock:
-            active = self._active.get(name, 0)
+        with self._pools_lock:
+            active = self.active_connections(name)
             if active:
                 raise SQLObjectError(
                     f"database {name!r} has {active} active "
                     "connection(s); close them before unregistering",
                     sqlstate="55006")
-        with self._pools_lock:
             pool = self._pools.pop(name, None)
         if pool is not None:
             pool.close()
         self._factories.pop(name, None)
-        self._in_memory.discard(name)
         self._shard_maps.pop(name, None)
         self._generations.pop(name, None)
         self._breakers.pop(name, None)
@@ -264,21 +257,9 @@ class DatabaseRegistry:
             cache.invalidate_database(name)
 
     def active_connections(self, name: str) -> int:
-        """Open connections to ``name`` right now (leased or direct)."""
-        with self._active_lock:
-            return self._active.get(name, 0)
-
-    def _retain(self, name: str) -> None:
-        with self._active_lock:
-            self._active[name] = self._active.get(name, 0) + 1
-
-    def _release_active(self, name: str) -> None:
-        with self._active_lock:
-            count = self._active.get(name, 0) - 1
-            if count <= 0:
-                self._active.pop(name, None)
-            else:
-                self._active[name] = count
+        """Connections to ``name`` out on lease right now."""
+        pool = self._pools.get(name)
+        return 0 if pool is None else pool.leased
 
     # -- name scoping ------------------------------------------------------
 
@@ -319,42 +300,13 @@ class DatabaseRegistry:
                     dest[key] = dest.get(key, 0) + number
         return out
 
-    def attach_pool(self, name: str, *, size: int = 4,
-                    timeout: float = 5.0) -> ConnectionPool:
-        """Put a bounded :class:`ConnectionPool` in front of a database.
-
-        Subsequent :meth:`connect` calls lease from the pool; the leased
-        connection's ``close()`` releases it back (health-validated, so
-        a connection that broke during the request is evicted).  Must be
-        called after the database is registered.
-        """
-        factory = self._factories.get(name)
-        if factory is None:
-            raise SQLObjectError(
-                f"database {name!r} is not registered with the gateway",
-                sqlstate="08001")
-        with self._pools_lock:
-            if self._closed:
-                raise SQLConnectError(
-                    f"database registry is closed (pool for {name!r})",
-                    sqlstate="08003")
-            pool = self._pools.get(name)
-            if pool is None:
-                pool = self._pools[name] = ConnectionPool(
-                    self._wrap(factory), size=size, timeout=timeout)
-        return pool
-
-    def enable_pools(self, *, size: int = 4, timeout: float = 5.0) -> None:
-        """Pool every database *lazily*, on its first :meth:`connect`.
-
-        The sharded tier registers primaries and replicas for every
-        shard up front, but a request pinned to one shard touches one
-        endpoint; eager pooling would hold ``size`` idle connections on
-        every endpoint that never serves a request.  With lazy creation,
-        an endpoint that served zero requests owns zero connections —
-        and :meth:`close_all` has nothing of its to leak.
-        """
-        self._pool_config = {"size": size, "timeout": timeout}
+    def configure_pools(self, *, size: int = POOL_SIZE,
+                        timeout: float = 5.0) -> None:
+        """Size the pools created from now on: at most ``size``
+        connections each, a lease waiting at most ``timeout`` seconds
+        for one of them.  A pool exists from its database's first
+        :meth:`connect`; one created before this call keeps its size."""
+        self._pool_limits = {"size": size, "timeout": timeout}
 
     def pool(self, name: str) -> Optional[ConnectionPool]:
         return self._pools.get(name)
@@ -362,10 +314,10 @@ class DatabaseRegistry:
     def close_all(self) -> None:
         """Close every pool the registry created.  Idempotent.
 
-        Only pools that exist are touched — with :meth:`enable_pools`'
-        lazy creation that is exactly the set of endpoints that served
-        at least one request.  After closing, :meth:`connect` refuses
-        with SQLSTATE 08003 instead of silently re-opening pools.
+        Only pools that exist are touched: with lazy creation that is
+        exactly the set of endpoints that served at least one request.
+        After closing, :meth:`connect` refuses with SQLSTATE 08003
+        instead of silently re-opening pools.
         """
         with self._pools_lock:
             self._closed = True
@@ -382,16 +334,20 @@ class DatabaseRegistry:
     def inject_faults(
             self,
             injector: fault_injection.FaultInjector | str | None) -> None:
-        """Route every future connection through a fault injector.
+        """Route every connection leased from now on through a fault
+        injector.
 
         Accepts an injector, a spec string (see
         :mod:`repro.resilience.faults`), or ``None`` to stop injecting.
-        Pools attached before this call keep their unwrapped factories;
-        wire faults first when both are wanted.
+        Every pool is renewed: its idle connections are closed, and one
+        leased now is closed when it comes back.
         """
         if isinstance(injector, str):
             injector = fault_injection.FaultInjector.parse(injector)
         self._injector = injector
+        with self._pools_lock:
+            for name, pool in self._pools.items():
+                pool.renew(self._wrap(self._factories[name]))
 
     def enable_breakers(self, *, failure_threshold: int = 5,
                         reset_timeout: float = 1.0) -> None:
@@ -458,49 +414,40 @@ class DatabaseRegistry:
 
     def connect(self, name: str, *,
                 deadline: Optional[Deadline] = None) -> Connection:
-        """Open (or lease) a connection to a registered database.
+        """Lease a connection to a registered database; its ``close()``
+        gives it back.
 
         Consults the database's circuit breaker first — when it is open
         this raises :class:`~repro.errors.CircuitOpenError` in
-        microseconds, without touching factory, pool or network — and
-        reports the connect outcome back to it.
+        microseconds, without opening or waiting for a connection — and
+        reports the lease's outcome back to it.
 
-        On the edge's loop (:mod:`repro.blocking`) only a connection at
-        hand is taken: an idle pooled one, or an unpooled in-memory
-        database's with no fault injector, behind a closed breaker.
+        On the edge's loop (:mod:`repro.blocking`) only an idle pooled
+        connection is taken, behind a closed breaker.
         """
         factory = self._factories.get(name)
         if factory is None:
             raise SQLObjectError(
                 f"database {name!r} is not registered with the gateway",
                 sqlstate="08001")
-        if self._closed:
-            raise SQLConnectError(
-                f"database registry is closed (connect to {name!r})",
-                sqlstate="08003")
+        with self._pools_lock:
+            if self._closed:
+                raise SQLConnectError(
+                    f"database registry is closed (connect to {name!r})",
+                    sqlstate="08003")
+            pool = self._pools.get(name)
+            if pool is None:
+                pool = self._pools[name] = ConnectionPool(
+                    self._wrap(factory), **self._pool_limits)
         breaker = self.breaker(name)
-        on_loop = BLOCKING.attempt is not None
         if breaker is not None:
-            if on_loop and breaker.state is not BreakerState.CLOSED:
+            if (BLOCKING.attempt is not None
+                    and breaker.state is not BreakerState.CLOSED):
                 raise WouldBlock("connect")  # a probe must settle
             breaker.allow()
-        release = lambda: self._release_active(name)  # noqa: E731
         try:
-            pool = self._pools.get(name)
-            if pool is None and self._pool_config is not None:
-                pool = self.attach_pool(
-                    name, size=int(self._pool_config["size"]),
-                    timeout=self._pool_config["timeout"])
-            if pool is not None:
-                connection = _LeasedConnection(
-                    pool, pool.acquire(deadline=deadline),
-                    on_close=release)
-            else:
-                if on_loop and (name not in self._in_memory
-                                or self._injector is not None):
-                    raise WouldBlock("connect")
-                connection = _TrackedConnection(self._wrap(factory)(),
-                                                on_close=release)
+            connection = _LeasedConnection(
+                pool, pool.acquire(deadline=deadline))
         except WouldBlock:
             raise
         except BaseException:
@@ -511,7 +458,6 @@ class DatabaseRegistry:
             breaker.record_success()
         if connection.generation is None:
             connection.generation = self.generation(name)
-        self._retain(name)
         return connection
 
     def _wrap(self,
@@ -525,27 +471,22 @@ class _LeasedConnection:
     """A pooled connection whose ``close()`` releases the lease.
 
     The engine's session model closes its connection when the request
-    finishes; with a pool attached, "close" means "give it back" — the
-    pool health-validates it on the way in and evicts it if the request
-    broke it.  ``on_close`` (when given) runs exactly once as the lease
-    settles — the registry uses it to keep its active-connection count.
+    finishes; "close" means "give it back" — the pool health-validates
+    it on the way in and evicts it if the request broke it, or if the
+    pool was renewed while it was out (:meth:`ConnectionPool.renew`).
     """
 
-    def __init__(self, pool: ConnectionPool, connection: Connection,
-                 on_close: Optional[Callable[[], None]] = None):
+    def __init__(self, pool: ConnectionPool, connection: Connection):
         self._pool = pool
         self._conn = connection
-        self._on_close = on_close
+        self._epoch = pool.epoch
         self._released = False
 
     def close(self) -> None:
         if not self._released:
             self._released = True
-            try:
-                self._pool.release(self._conn)
-            finally:
-                if self._on_close is not None:
-                    self._on_close()
+            self._pool.release(self._conn,
+                               broken=self._epoch != self._pool.epoch)
 
     @property
     def closed(self) -> bool:
@@ -563,45 +504,6 @@ class _LeasedConnection:
         return getattr(self._conn, name)
 
     def __enter__(self) -> "_LeasedConnection":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class _TrackedConnection:
-    """An unpooled connection counted against its database's actives."""
-
-    def __init__(self, connection: Connection,
-                 on_close: Callable[[], None]):
-        self._conn = connection
-        self._on_close = on_close
-        self._settled = False
-
-    def close(self) -> None:
-        if not self._settled:
-            self._settled = True
-            try:
-                self._conn.close()
-            finally:
-                self._on_close()
-
-    @property
-    def closed(self) -> bool:
-        return self._settled or self._conn.closed
-
-    @property
-    def generation(self):
-        return self._conn.generation
-
-    @generation.setter
-    def generation(self, value) -> None:
-        self._conn.generation = value
-
-    def __getattr__(self, name: str):
-        return getattr(self._conn, name)
-
-    def __enter__(self) -> "_TrackedConnection":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -961,21 +863,32 @@ class MacroSqlSession:
         """Yield the fetched rows, then the live cursor's; then close the
         bracket.
 
+        Under a deadline the cursor is watched while it drains, so an
+        expiry stops it as :class:`~repro.errors.DeadlineExceededError`
+        (a served page then ends truncated, its connection closed).
         The ``finally`` also runs when the consumer abandons the
         iterator (a client disconnecting mid-page): the read's bracket
         completes cleanly with whatever was fetched.
         """
         error: Optional[SQLError] = None
+        deadline, connection = self.deadline, self.connection
         try:
             yield from head
             del head[:]
+            if deadline is not None:
+                connection.watch(lambda: deadline.expired)
             for row in cursor:
                 result.rows_fetched += 1
                 yield row
         except SQLError as exc:
             error = exc
+            if deadline is not None and deadline.expired:
+                raise DeadlineExceededError(
+                    "request deadline expired during a statement") from exc
             raise
         finally:
+            if deadline is not None:
+                connection.watch(None)
             cursor.close()
             self.scope.after_statement(error)
 

@@ -1,10 +1,11 @@
 """Connection pooling for the gateway.
 
 A 1996 CGI deployment opened a database connection per request — the
-dominant cost the paper's Figure 4 data flow implies.  The library keeps
-that mode available (``PerRequestPool``) for faithful end-to-end
-benchmarks, and provides a bounded reusing pool (``ConnectionPool``) that
-the in-process dispatcher uses, so the benchmark harness can show the gap.
+dominant cost the paper's Figure 4 data flow implies.  Here every
+database a :class:`~repro.sql.gateway.DatabaseRegistry` names leases
+from a bounded reusing :class:`ConnectionPool`, created at its first
+connect; a CGI process that serves one request still opens and closes
+one connection, because its run ends by closing the registry.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from repro.sql.connection import Connection
 
 ConnectionFactory = Callable[[], Connection]
 
+#: Connections a database's pool holds by default: the edge's executor
+#: threads (``repro.http.async_server.EXECUTOR_THREADS`` is this value),
+#: so a request on a thread never waits for a lease.
+POOL_SIZE = 8
+
 
 class ConnectionPool:
     """A bounded pool of reusable connections.
@@ -29,8 +35,8 @@ class ConnectionPool:
     DB2's "resource unavailable" class).
     """
 
-    def __init__(self, factory: ConnectionFactory, *, size: int = 4,
-                 timeout: float = 5.0):
+    def __init__(self, factory: ConnectionFactory, *,
+                 size: int = POOL_SIZE, timeout: float = 5.0):
         if size < 1:
             raise ValueError("pool size must be at least 1")
         self._factory = factory
@@ -41,6 +47,9 @@ class ConnectionPool:
         self._evicted = 0
         self._lock = threading.Lock()
         self._closed = False
+        #: bumped by :meth:`renew`: a lease taken before it is evicted
+        #: when it comes back
+        self.epoch = 0
 
     # -- acquisition ------------------------------------------------------
 
@@ -112,9 +121,11 @@ class ConnectionPool:
         or unpingable connection is *evicted* — closed and its capacity
         slot freed so the next acquire builds a replacement — never
         recycled to another request.  Callers that saw a gateway error on
-        the connection pass ``broken=True`` to skip straight to eviction.
+        the connection pass ``broken=True`` to skip straight to eviction;
+        a connection given back to a closed pool is closed too.
         """
-        if broken or conn.closed or not self._healthy(conn):
+        if broken or self._closed or conn.closed \
+                or not self._healthy(conn):
             self._evict(conn)
             return
         self._idle.put(conn)
@@ -137,72 +148,37 @@ class ConnectionPool:
         except Exception:  # noqa: BLE001 - already broken; slot is freed
             pass
 
+    def renew(self, factory: ConnectionFactory) -> None:
+        """Open every later connection with ``factory``: the idle ones
+        are closed now, and one leased before this call is evicted when
+        it comes back (its lease holds the old :attr:`epoch`)."""
+        with self._lock:
+            self._factory = factory
+            self.epoch += 1
+        self._close_idle()
+
     def close(self) -> None:
         with self._lock:
             self._closed = True
+        self._close_idle()
+
+    def _close_idle(self) -> None:
         while True:
             try:
-                self._idle.get_nowait().close()
+                conn = self._idle.get_nowait()
             except queue.Empty:
                 return
+            with self._lock:
+                self._created -= 1
+            conn.close()
 
-    # -- context-managed checkout ----------------------------------------
-
-    def connection(self) -> "_PooledConnection":
-        return _PooledConnection(self)
+    @property
+    def leased(self) -> int:
+        """Connections out on lease right now."""
+        return self._created - self._idle.qsize()
 
     @property
     def stats(self) -> dict[str, int]:
         return {"created": self._created, "idle": self._idle.qsize(),
                 "size": self._size, "evicted": self._evicted}
 
-
-class _PooledConnection:
-    """``with pool.connection() as conn:`` checkout helper.
-
-    When the body raised, the connection goes back flagged as broken —
-    release() then validates/evicts instead of blindly recycling.
-    """
-
-    def __init__(self, pool: ConnectionPool):
-        self._pool = pool
-        self._conn: Optional[Connection] = None
-
-    def __enter__(self) -> Connection:
-        self._conn = self._pool.acquire()
-        return self._conn
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if self._conn is not None:
-            self._pool.release(self._conn, broken=exc_type is not None)
-            self._conn = None
-
-
-class PerRequestPool:
-    """The 1996 model: a fresh connection per checkout, closed on release.
-
-    Implements the same interface as :class:`ConnectionPool` so the
-    gateway can swap strategies; exists to let the end-to-end benchmark
-    quantify connection-per-request cost.
-    """
-
-    def __init__(self, factory: ConnectionFactory):
-        self._factory = factory
-
-    def acquire(self, *, deadline: Optional[Deadline] = None) -> Connection:
-        if deadline is not None:
-            deadline.check("pool acquire")
-        return self._factory()
-
-    def release(self, conn: Connection, *, broken: bool = False) -> None:
-        conn.close()
-
-    def close(self) -> None:
-        return None
-
-    def connection(self) -> _PooledConnection:
-        return _PooledConnection(self)  # type: ignore[arg-type]
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {"created": -1, "idle": 0, "size": 0, "evicted": 0}

@@ -1,7 +1,7 @@
 """The one strict reading of a decimal integer somebody typed.
 
 ``RPT_MAXROWS`` in a form field, ``?limit=`` on ``/statements``,
-``REPRO_POOL_SIZE`` in a worker's environment: each is text from outside
+``REPRO_QUERY_CACHE`` in a worker's environment: each is text from outside
 the program that should mean a plain non-negative number or nothing.
 (The edge's ``Content-Length`` check in :mod:`repro.http.message` is the
 same rule without the whitespace allowance, which HTTP forbids.)

@@ -382,7 +382,7 @@ def worker_answers(tmp_path, request, times):
     gateway.install("db2www", build_program({
         "REPRO_MACRO_DIR": str(tmp_path),
         "REPRO_DATABASE_URLDB": str(db_path),
-        "REPRO_QUERY_CACHE": "128", "REPRO_POOL_SIZE": "1"}))
+        "REPRO_QUERY_CACHE": "128"}))
     near, far = socket.socketpair()
     serving = threading.Thread(target=worker._serve,
                                args=(far, gateway, None, 0))

@@ -47,7 +47,6 @@ def deployment_env(tmp_path):
         "REPRO_MACRO_DIR": str(macro_dir),
         "REPRO_DATABASE_URLDB": str(db_path),
         "REPRO_QUERY_CACHE": "32",
-        "REPRO_POOL_SIZE": "1",
     }
 
 

@@ -38,7 +38,6 @@ def deployment_env(tmp_path_factory):
         "REPRO_MACRO_DIR": str(macro_dir),
         "REPRO_DATABASE_URLDB": str(db_path),
         "REPRO_QUERY_CACHE": "32",
-        "REPRO_POOL_SIZE": "1",
         # What `repro serve --gateway appserver` sets: workers trace
         # (their spans must exist to ship home) but have no sinks of
         # their own — the serving process logs the stitched trace.

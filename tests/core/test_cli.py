@@ -268,8 +268,8 @@ class TestServeOptionPlacement:
     pool options are refused where no pool runs."""
 
     #: Settings fields ``serve`` pins instead of taking as options:
-    #: auto-commit always, and a pool sized for the process's threads.
-    PINNED = {"transaction_mode", "pool_size"}
+    #: auto-commit always.
+    PINNED = {"transaction_mode"}
 
     @staticmethod
     def refuse(*argv):
@@ -347,6 +347,62 @@ class TestServeOptionPlacement:
             == variables
 
 
+class TestOneShotRunsCloseTheirConnection:
+    """``repro run`` and the CGI program lease from the registry's pool
+    like every process, and close the registry when their run ends: a
+    WAL-mode file is whole on return (no ``-wal``/``-shm``), while the
+    program object is still alive."""
+
+    @staticmethod
+    def wal(deployment):
+        macro_path, db_path = deployment
+        with sqlite3.connect(db_path) as conn:
+            conn.execute("PRAGMA journal_mode=WAL")
+        return macro_path, db_path
+
+    @staticmethod
+    def keep_programs(monkeypatch, module):
+        """Each program ``module.build`` makes, kept past its run."""
+        programs = []
+        real = module.build
+        monkeypatch.setattr(module, "build", lambda *args, **kwargs:
+                            programs.append(real(*args, **kwargs))
+                            or programs[-1])
+        return programs
+
+    @staticmethod
+    def leftovers(db_path):
+        return [path.name for path in db_path.parent.iterdir()
+                if path.name.startswith(db_path.name + "-")]
+
+    def test_run(self, deployment, monkeypatch):
+        import repro.cli
+
+        macro_path, db_path = self.wal(deployment)
+        programs = self.keep_programs(monkeypatch, repro.cli)
+        status, output = run_cli("run", str(macro_path), "report", "q=r",
+                                 "--database", f"DEMO={db_path}")
+        assert status == 0 and "<TD>rex</TD>" in output
+        assert self.leftovers(db_path) == []
+        assert programs[0].engine.registry.closed
+
+    def test_the_cgi_program(self, deployment, monkeypatch):
+        import repro.cgi.db2www_main as cgi_main
+        from repro.cgi.environ import CgiEnvironment
+
+        macro_path, db_path = self.wal(deployment)
+        programs = self.keep_programs(monkeypatch, cgi_main)
+        env = {"REPRO_MACRO_DIR": str(macro_path.parent),
+               "REPRO_DATABASE_DEMO": str(db_path),
+               **CgiEnvironment(script_name="/cgi-bin/db2www",
+                                path_info="/pets.d2w/report",
+                                query_string="q=r").to_dict()}
+        output = cgi_main.main(env=env, stdin=b"")
+        assert b"<TD>rex</TD>" in output
+        assert self.leftovers(db_path) == []
+        assert programs[0].engine.registry.closed
+
+
 class TestWorkerEnv:
     def test_database_names_reach_a_worker_verbatim(self, tmp_path):
         """``--database shop=...`` is ``shop`` in-process; it used to be
@@ -390,13 +446,11 @@ class TestWorkerEnv:
     @pytest.mark.parametrize("raw", ["1_0", "+3", "\u0663", "-1"])
     def test_integer_settings_are_plain_digits_or_refused(self, tmp_path,
                                                           raw):
-        """``REPRO_POOL_SIZE=1_0`` used to mean ten connections."""
+        """``REPRO_QUERY_CACHE=1_0`` used to mean ten entries."""
         from repro.cgi.db2www_main import build_program
         env = {"REPRO_MACRO_DIR": str(tmp_path)}
-        for name in ("REPRO_POOL_SIZE", "REPRO_QUERY_CACHE"):
-            with pytest.raises(RuntimeError, match=name):
-                build_program({**env, name: raw})
+        with pytest.raises(RuntimeError, match="REPRO_QUERY_CACHE"):
+            build_program({**env, "REPRO_QUERY_CACHE": raw})
         # Unset, empty and blank still mean "off"; padding is fine.
         for raw in ("", "  ", " 2 "):
-            build_program({**env, "REPRO_POOL_SIZE": raw,
-                           "REPRO_QUERY_CACHE": raw})
+            build_program({**env, "REPRO_QUERY_CACHE": raw})

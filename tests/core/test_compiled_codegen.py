@@ -247,7 +247,9 @@ def profiled_report(app, macro, inputs=APPENDIX_A):
     return calls, plan_calls
 
 
-def test_one_python_call_per_row_and_resumes_per_block():
+def test_one_python_call_per_row_and_resumes_per_block(no_ambient_faults):
+    """Counts calls, so no ambient fault injector: one injected fault
+    and its retry would add calls to one of the three runs."""
     app = urlquery_app.install(rows=ROWS)
     macro = app.library.load(app.macro_name)
     app.engine.execute_report(macro, APPENDIX_A)  # compile the shape
@@ -355,7 +357,6 @@ def test_a_cached_report_request_stays_off_the_interpreter():
     engine = MacroEngine(None, config=EngineConfig(
         query_cache=QueryResultCache(max_entries=128)))
     app = urlquery_app.install(rows=150, engine=engine)
-    app.registry.enable_pools(size=2)
     counts, reused = {}, {}
     for fields in (["title"], ["title", "description"]):
         inputs = REPORT_HOT + [("DBFIELDS", name) for name in fields]

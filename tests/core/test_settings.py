@@ -48,7 +48,6 @@ MATRIX = {
                          lambda p: p.engine.config.transaction_mode.value),
     "query_cache": (7, 7, lambda p: p.engine.config.query_cache.max_entries),
     "macro_stat_ttl": (5.0, 5.0, lambda p: p.library.stat_ttl),
-    "pool_size": (3, 3, lambda p: physical(p)._pool_config["size"]),
     "degrade": (True, True, lambda p: p.engine.config.degrade_sql_errors),
     "max_retries": (3, 4,
                     lambda p: p.engine.config.retry_policy.max_attempts),
@@ -153,8 +152,8 @@ def test_from_args_reads_every_serve_option():
     argv = ["serve"]
     for name, (value, _, _) in MATRIX.items():
         flag = "--" + name.replace("_", "-")
-        if name in ("transaction_mode", "pool_size"):
-            continue  # pinned by serve, not options
+        if name == "transaction_mode":
+            continue  # pinned by serve, not an option
         if isinstance(value, tuple):
             for binding in value:
                 argv += [flag, "=".join(binding)]
@@ -165,8 +164,7 @@ def test_from_args_reads_every_serve_option():
     got = Settings.from_args(build_parser().parse_args(argv))
     assert got == Settings(**{name: value
                               for name, (value, _, _) in MATRIX.items()
-                              if name not in ("transaction_mode",
-                                              "pool_size")})
+                              if name != "transaction_mode"})
 
 
 def test_a_tenant_carries_the_engine_options(tmp_path):

@@ -197,7 +197,7 @@ class TestLiveCursor:
                              [("bikes", 2), ("tents", 5), ("ropes", 9)])
         registry = DatabaseRegistry()
         registry.register_path("SHOP", str(path))
-        registry.enable_pools(size=1)
+        registry.configure_pools(size=1)
         engine = MacroEngine(registry)
         macro = parse_macro(MACRO)
         assert engine.execute_report(macro).ok  # the pool's connection
@@ -257,15 +257,14 @@ CYCLE_MACRO = """
 class TestErrors:
     @pytest.mark.filterwarnings(
         "error::pytest.PytestUnraisableExceptionWarning")
-    @pytest.mark.parametrize("pooled", [False, True],
-                             ids=["unpooled", "pooled"])
     def test_error_mid_row_settles_the_cursor_before_the_connection(
-            self, tmp_path, monkeypatch, pooled, spill):
+            self, tmp_path, monkeypatch, spill):
         """A non-SQL error at row time (here a reference cycle) must
         close the live cursor and its read bracket *before* the session
-        gives the connection back — on an unpooled SQLite file the late
-        close used to raise "Cannot operate on a closed database" from
-        the abandoned generator, and the bracket never closed."""
+        gives the connection back — when a connection was closed with
+        its request, the late close used to raise "Cannot operate on a
+        closed database" from the abandoned generator, and the bracket
+        never closed."""
         path = tmp_path / "shop.sqlite"
         with sqlite3.connect(path) as seed:
             seed.execute("CREATE TABLE items (name TEXT)")
@@ -273,8 +272,7 @@ class TestErrors:
                              [("bikes",), ("tents",)])
         registry = DatabaseRegistry()
         registry.register_path("SHOP", str(path))
-        if pooled:
-            registry.enable_pools(size=1)
+        registry.configure_pools(size=1)
         gc.collect()  # no earlier test's garbage settles under the spies
         events = []
         for owner, name in [(Cursor, "close"),

@@ -529,15 +529,18 @@ class TestAnsweredOnTheLoop:
     else goes there at once."""
 
     def reports(self, edge):
+        """The reports mounted, their pool warm: an idle connection, as
+        a served process has after its first request."""
         app = mount_reports(edge)
         app.library.add_text("write.d2w", WRITE_MACRO)
         app.library.add_text("long.d2w", LONG_MACRO)
+        app.registry.connect("URLDB").close()
         protocol, transport = edge.connect()
         return app, protocol, transport
 
     def test_a_report_never_leaves_the_loop(self, edge):
-        """Its first run misses, connects and reads on the loop; its
-        second is all hits."""
+        """Its first run misses, leases the idle connection and reads
+        on the loop; its second is all hits."""
         app, protocol, transport = self.reports(edge)
         protocol.data_received(REPORT)
         first = transport.written

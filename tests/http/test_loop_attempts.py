@@ -39,7 +39,7 @@ from repro.core.engine import EngineConfig, MacroEngine
 from repro.core.macrofile import MacroLibrary
 from repro.errors import SQLConnectError
 from repro.http.accesslog import AccessLog
-from repro.http.async_server import EXECUTOR_THREADS, AsyncHttpServer
+from repro.http.async_server import AsyncHttpServer
 from repro.http.inprocess import InProcessTransport
 from repro.http.message import HttpRequest
 from repro.http.router import Router
@@ -120,7 +120,6 @@ def build(root, *, stat_ttl=60.0, exec_runner=None, request_deadline=None):
                          "INTEGER, product_name VARCHAR(40), quantity INTEGER)")
             conn.commit()
         registry.register_path(name, str(path))
-    registry.enable_pools(size=EXECUTOR_THREADS)  # as `repro serve` does
     library = MacroLibrary(macros, stat_ttl=stat_ttl)
     runner = exec_runner or ExecRunners([])
     gateway = CgiGateway()
@@ -398,6 +397,50 @@ def test_a_deadline_holds_inside_a_statement(tmp_path):
     finally:
         registry.close_all()
     assert status == 504 and b"during a statement" in body
+    assert elapsed < 0.3 + 0.1
+    assert after == [(200, b"<P>300000</P>")]
+    assert (pool["created"], pool["evicted"]) == (1, 0)
+
+
+#: a page whose statement yields its first three rows at once, then one
+#: per 1 000 rows of a 10M-row recursive CTE: past a spill budget of two
+#: rows it streams off the live cursor for ~5 s on a 2-core host
+SPILL_MACRO = """%DEFINE DATABASE = "URLDB"
+%SQL{ WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c
+      WHERE x < 10000000) SELECT x FROM c WHERE x <= 3 OR x % 1000 = 0
+%SQL_REPORT{%ROW{<P>$(V_x)</P>%}%}
+%}
+%HTML_INPUT{<P>spill%}
+%HTML_REPORT{%EXEC_SQL%}
+"""
+
+
+def test_a_deadline_holds_while_a_spilled_page_drains(tmp_path, spill):
+    """A spilled page's live cursor stays watched under the request
+    deadline: the page stops once the budget is spent, not when its
+    statement ends.  Its chunked body ends without the last chunk, the
+    connection closes, and the lease goes back rolled back."""
+    spill(2)
+    router, registry = build(tmp_path, request_deadline=0.3)
+    (tmp_path / "macros" / "spill.d2w").write_text(SPILL_MACRO,
+                                                   encoding="utf-8")
+    try:
+        with AsyncHttpServer(router, request_deadline=0.3) as server:
+            send_all(server, [("GET", LONG, "")])   # a warm connection
+            conn = http.client.HTTPConnection(server.host, server.port)
+            start = time.perf_counter()
+            conn.request("GET", "/cgi-bin/nocache/spill.d2w/report")
+            response = conn.getresponse()
+            with pytest.raises(http.client.IncompleteRead) as cut:
+                response.read()
+            elapsed = time.perf_counter() - start
+            conn.close()
+            after = send_all(server, [("GET", LONG, "")])
+        pool = registry.pool("URLDB").stats
+    finally:
+        registry.close_all()
+    assert response.status == 200 and response.chunked
+    assert cut.value.partial.startswith(b"<P>1</P><P>2</P><P>3</P>")
     assert elapsed < 0.3 + 0.1
     assert after == [(200, b"<P>300000</P>")]
     assert (pool["created"], pool["evicted"]) == (1, 0)

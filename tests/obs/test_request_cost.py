@@ -52,7 +52,6 @@ def served():
     engine = MacroEngine(None, config=EngineConfig(
         query_cache=QueryResultCache(max_entries=128)))
     app = urlquery_app.install(rows=150, engine=engine)
-    app.registry.enable_pools(size=2)
     site = build_site(app.engine, app.library)
     site.router.metrics = MetricsRegistry()
     statements = StatementStats()

@@ -57,9 +57,13 @@ class TestChaosWorkload:
         assert report.retries == stats["retries"]
 
     def test_without_retry_the_same_chaos_hurts(self, fault_spec):
-        """Control run: the resilience knobs are what saves the workload."""
+        """Control run: the resilience knobs are what saves the workload.
+
+        "No retry" is a one-attempt policy: with no policy at all, an
+        ambient injector (``--inject-faults``) brings the default one."""
         registry = DatabaseRegistry()
-        engine = MacroEngine(registry)  # no retry, no degradation
+        engine = MacroEngine(registry, config=EngineConfig(
+            retry_policy=RetryPolicy(max_attempts=1)))  # nor degradation
         app = urlquery_app.install(rows=40, registry=registry,
                                    engine=engine)
         registry.inject_faults(fault_spec)

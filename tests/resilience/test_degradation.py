@@ -175,13 +175,13 @@ class TestUnavailabilityAtTheEdge:
         assert "after" in response.text
 
     def test_pool_exhaustion_maps_to_503(self, shop_registry):
-        pool = shop_registry.attach_pool("SHOP", size=1, timeout=0.01)
+        shop_registry.configure_pools(size=1, timeout=0.01)
         program = shop_program(shop_registry)
-        held = pool.acquire()  # starve the pool
+        held = shop_registry.connect("SHOP")  # starve the pool
         try:
             response = program.run(report_request("/shop.d2w/report"))
         finally:
-            pool.release(held)
+            held.close()
         assert response.status == 503
         assert response.header("Retry-After")
 

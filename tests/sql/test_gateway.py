@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SQLError, SQLObjectError
-from repro.sql.connection import MemoryDatabase
+from repro.sql.connection import Connection, MemoryDatabase
 from repro.sql.cursor import value_to_text
 from repro.sql.gateway import (
     DatabaseRegistry,
@@ -123,6 +123,66 @@ class TestValueToText:
     ])
     def test_rendering(self, value, expected):
         assert value_to_text(value) == expected
+
+
+class TestOneConnectionPath:
+    """Every registry leases from a lazily created pool per database."""
+
+    def test_faults_reach_the_next_lease(self, registry):
+        registry.connect("MAIN").close()  # the pool holds it, idle
+        registry.inject_faults("down")
+        with pytest.raises(SQLError, match="injected outage"):
+            registry.connect("MAIN")
+
+    def test_a_lease_out_while_faults_are_wired_is_not_reused(self,
+                                                              registry):
+        held = registry.connect("MAIN")
+        registry.inject_faults("down")
+        held.close()
+        assert registry.pool("MAIN").stats["idle"] == 0
+        with pytest.raises(SQLError, match="injected outage"):
+            registry.connect("MAIN")
+
+    def test_a_site_opens_one_connection_for_many_reports(
+            self, tmp_path, monkeypatch):
+        """Assembled as the benchmark's in-process stack is (a plain
+        registry, a file, the query cache, ``build_site``): ten report
+        requests, each a cache miss, open one connection."""
+        import sqlite3
+        from contextlib import closing
+
+        from repro.apps import urlquery
+        from repro.apps.datasets import seed_urldb
+        from repro.apps.site import build_site
+        from repro.core.engine import EngineConfig, MacroEngine
+        from repro.core.macrofile import MacroLibrary
+        from repro.http.message import HttpRequest
+        from repro.sql import gateway
+        from repro.sql.querycache import QueryResultCache
+
+        path = tmp_path / "urldb.sqlite"
+        with closing(sqlite3.connect(path)) as conn:
+            seed_urldb(conn, 40)
+            conn.commit()
+        (tmp_path / urlquery.MACRO_NAME).write_text(
+            urlquery.URLQUERY_MACRO, encoding="utf-8")
+        opened = []
+        monkeypatch.setattr(gateway, "Connection", lambda *args: opened
+                            .append(args) or Connection(*args))
+        registry = DatabaseRegistry()
+        registry.register_path(urlquery.DATABASE_NAME, str(path))
+        cache = QueryResultCache(max_entries=128)
+        site = build_site(
+            MacroEngine(registry, config=EngineConfig(query_cache=cache)),
+            MacroLibrary(tmp_path, stat_ttl=1.0))
+        for search in "abcdefghij":
+            raw = (f"GET /cgi-bin/db2www/{urlquery.MACRO_NAME}/report"
+                   f"?SEARCH={search}&USE_URL=yes&DBFIELDS=title "
+                   "HTTP/1.1\r\n\r\n").encode()
+            assert site.router.handle(HttpRequest.parse(raw)).status == 200
+        registry.close_all()
+        assert cache.stats()["misses"] == 10
+        assert opened == [(str(path),)]
 
 
 class TestUnregister:

@@ -1,4 +1,4 @@
-"""Connection pools: reuse, exhaustion, per-request strategy."""
+"""Connection pools: reuse, exhaustion, eviction, renewal."""
 
 import threading
 import time
@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import PoolExhaustedError
 from repro.sql.connection import MemoryDatabase
-from repro.sql.pool import ConnectionPool, PerRequestPool
+from repro.sql.pool import ConnectionPool
 
 
 @pytest.fixture()
@@ -85,15 +85,6 @@ class TestConnectionPool:
         pool.release(fresh)
         pool.close()
 
-    def test_context_manager_checkout(self, db):
-        pool = ConnectionPool(db.connect, size=1)
-        with pool.connection() as conn:
-            assert conn.execute("SELECT x FROM p").fetchone() == (1,)
-        # returned: can be re-acquired without exhaustion
-        with pool.connection() as conn:
-            conn.execute("SELECT 1")
-        pool.close()
-
     def test_closed_pool_rejects_acquire(self, db):
         pool = ConnectionPool(db.connect, size=1)
         pool.close()
@@ -161,16 +152,6 @@ class TestReleaseEviction:
         assert not fresh.closed
         pool.release(fresh)
         assert pool.stats["evicted"] == 1  # healthy release recycles
-        pool.close()
-
-    def test_exception_in_checkout_flags_broken(self, db):
-        pool = ConnectionPool(db.connect, size=1)
-        with pytest.raises(RuntimeError):
-            with pool.connection():
-                raise RuntimeError("request blew up on this connection")
-        assert pool.stats["evicted"] == 1
-        with pool.connection() as conn:  # the replacement works
-            assert conn.execute("SELECT x FROM p").fetchone() == (1,)
         pool.close()
 
     def test_unpingable_connection_evicted(self, db):
@@ -280,18 +261,33 @@ class TestConnectionPoolConcurrency:
         pool.close()
 
 
-class TestPerRequestPool:
-    def test_fresh_connection_each_time(self, db):
-        pool = PerRequestPool(db.connect)
-        first = pool.acquire()
-        pool.release(first)
-        assert first.closed  # the 1996 model: closed on release
-        second = pool.acquire()
-        assert second is not first
-        pool.release(second)
+class TestRenew:
+    def test_idle_connections_close_and_the_new_factory_opens(self, db):
+        pool = ConnectionPool(db.connect, size=2)
+        idle = pool.acquire()
+        pool.release(idle)
+        opened = []
+        pool.renew(lambda: opened.append(1) or db.connect())
+        assert idle.closed and pool.stats["created"] == 0
+        fresh = pool.acquire()
+        assert fresh is not idle and opened == [1]
+        pool.release(fresh)
+        assert pool.stats["evicted"] == 0  # a renewal is no eviction
+        pool.close()
 
-    def test_context_manager(self, db):
-        pool = PerRequestPool(db.connect)
-        with pool.connection() as conn:
-            assert conn.execute("SELECT x FROM p").fetchone() == (1,)
-        assert conn.closed
+    def test_leased_counts_what_is_out(self, db):
+        pool = ConnectionPool(db.connect, size=2)
+        first, second = pool.acquire(), pool.acquire()
+        assert pool.leased == 2
+        pool.release(first)
+        assert pool.leased == 1
+        pool.release(second)
+        assert pool.leased == 0 and pool.stats["idle"] == 2
+        pool.close()
+
+    def test_a_connection_given_back_to_a_closed_pool_closes(self, db):
+        pool = ConnectionPool(db.connect, size=1)
+        conn = pool.acquire()
+        pool.close()
+        pool.release(conn)
+        assert conn.closed and pool.leased == 0

@@ -292,15 +292,17 @@ class TestLeaseOnFirstMiss:
     the session leases one at its first statement that is not a hit."""
 
     @staticmethod
-    def counting(registry, name, factory):
-        connects = []
-        registry.register_factory(name, lambda: connects.append(1)
-                                  or factory())
-        return connects
+    def counting(registry):
+        """The registry's leases, one entry each as it is taken."""
+        leases = []
+        lease = registry.connect
+        registry.connect = lambda *args, **kwargs: \
+            leases.append(args) or lease(*args, **kwargs)
+        return leases
 
     def test_a_repeated_cached_report_never_connects(self, setup):
-        registry, db, cache, engine = setup
-        connects = self.counting(registry, "INV", db.connect)
+        registry, _, cache, engine = setup
+        connects = self.counting(registry)
         first = run_read(engine)
         assert len(connects) == 1
         for _ in range(3):
@@ -313,15 +315,10 @@ class TestLeaseOnFirstMiss:
         assert "[3:washer]" in run_read(engine)
         assert len(connects) == 3
 
-    def test_pooled_all_hit_request_leases_nothing(self, setup,
-                                                   monkeypatch):
+    def test_pooled_all_hit_request_leases_nothing(self, setup):
         registry, _, _, engine = setup
-        registry.enable_pools(size=1)
         run_read(engine)
-        leases = []
-        lease = registry.connect
-        monkeypatch.setattr(registry, "connect", lambda *args, **kwargs:
-                            leases.append(args) or lease(*args, **kwargs))
+        leases = self.counting(registry)
         run_read(engine)
         assert leases == []
         run_write(engine, "DELETE FROM stock WHERE id = 2")
@@ -339,7 +336,8 @@ class TestLeaseOnFirstMiss:
                 CREATE TABLE stock (id INTEGER, label TEXT);
                 INSERT INTO stock VALUES (1, 'bolt');
             """)
-        connects = self.counting(registry, "INV", db.connect)
+        registry.register_factory("INV", db.connect)
+        connects = self.counting(registry)
         cache = QueryResultCache()
         engine = MacroEngine(registry, config=EngineConfig(query_cache=cache))
         run_read(engine)
@@ -370,8 +368,8 @@ class TestLeaseOnFirstMiss:
         assert "08001" in run_read(engine)
 
     def test_single_mode_connects_at_the_first_statement(self, setup):
-        registry, db, cache, _ = setup
-        connects = self.counting(registry, "INV", db.connect)
+        registry, _, cache, _ = setup
+        connects = self.counting(registry)
         engine = MacroEngine(registry, config=EngineConfig(
             query_cache=cache, transaction_mode=TransactionMode.SINGLE))
         run_read(engine)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import PoolExhaustedError, SQLConnectError
 from repro.resilience.faults import FaultInjector, wrap_factory
-from repro.sql.connection import MemoryDatabase
+from repro.sql.connection import Connection, MemoryDatabase
 from repro.sql.gateway import DatabaseRegistry
 from repro.sql.querycache import QueryResultCache
 from repro.sql.sharding import ShardedSqlSession, ShardMap
@@ -21,7 +21,7 @@ def make_tier(tmp_path, shards=2, replicas=0):
     for index in range(shards):
         path = tmp_path / f"shard{index}.db"
         registry.register_path(f"LOG#{index}", str(path))
-        with registry.connect(f"LOG#{index}") as conn:
+        with Connection(str(path)) as conn:
             conn.executescript(
                 "CREATE TABLE stock (id INTEGER, label TEXT);")
             conn.execute(f"INSERT INTO stock VALUES "
@@ -364,7 +364,6 @@ class TestReplicaRouting:
 class TestPoolLifecycle:
     def test_pools_created_lazily_per_endpoint(self, tmp_path):
         registry, smap = make_tier(tmp_path, replicas=1)
-        registry.enable_pools(size=2)
         assert registry.pool("LOG#0") is None  # nothing yet
         s = shard_session(registry, smap, None,
                           shard_key=key_for(smap, 0))
@@ -376,7 +375,6 @@ class TestPoolLifecycle:
 
     def test_close_all_is_idempotent(self, tmp_path):
         registry, smap = make_tier(tmp_path)
-        registry.enable_pools(size=2)
         s = shard_session(registry, smap, None)
         s.execute(MERGED_SELECT)
         s.finish()
@@ -387,7 +385,6 @@ class TestPoolLifecycle:
 
     def test_closed_registry_refuses_connections(self, tmp_path):
         registry, smap = make_tier(tmp_path)
-        registry.enable_pools(size=2)
         registry.close_all()
         with pytest.raises((SQLConnectError, PoolExhaustedError)):
             registry.connect("LOG#0")
@@ -395,7 +392,6 @@ class TestPoolLifecycle:
     def test_scatter_pools_only_touched_shards(self, tmp_path):
         """A keyed burst must not leave pools on untouched shards."""
         registry, smap = make_tier(tmp_path, shards=4)
-        registry.enable_pools(size=2)
         key = key_for(smap, 2)
         for _ in range(5):
             s = shard_session(registry, smap, None, shard_key=key)
